@@ -3,74 +3,25 @@
 Submissions (zip archives named ``First_Last_N.zip``) are collected from an
 inbox, compiled, checked against instructor-written lexical rules, exercised
 by black-box I/O tests, and scored by a weighted rubric. See the README for
-the CLI and the assignment spec format.
+the CLI and the assignment spec format. The stage modules (``ingest``,
+``build``, ``lexcheck``, ``blackbox``, ``assess``) are importable directly;
+the names below are the library API.
 """
 
-from .assess import (
-    AssessmentReport,
-    GradingLog,
-    GradingLogError,
-    ReportStatus,
-    Rubric,
-    initialize_report,
-    render_report_json,
-    render_report_text,
-    report_payload,
-    score_submission,
-)
-from .blackbox import (
-    NormalizationPolicy,
-    SpawnFailure,
-    SuiteResult,
-    TestCase,
-    TestOutcome,
-    TestResult,
-    normalize_output,
-    run_test,
-    run_test_suite,
-)
-from .build import (
-    CompileResult,
-    CompilerNotFound,
-    CompilerProfile,
-    Diagnostic,
-    DiagnosticSeverity,
-    classify_diagnostics,
-    compile_workspace,
-)
-from .ingest import (
-    ExtractionLimits,
-    InboxScanner,
-    InboxUnreadable,
-    MalformedName,
-    SubmissionIdentity,
-    SubmissionRecord,
-    SubmissionStatus,
-    extract_archive,
-    parse_submission_filename,
-    quarantine_archive,
-    render_submission_filename,
-    scan_inbox,
-)
-from .lexcheck import (
-    LexicalReport,
-    LexicalRule,
-    PreprocessedSource,
-    RulePolarity,
-    RuleResult,
-    evaluate_rule,
-    evaluate_ruleset,
-    join_pattern_lines,
-    preprocess_source,
-)
-from .pipeline import (
-    BatchSummary,
-    GradingSession,
-    WatchConfig,
-    grade_submission,
-    run_batch,
-    watch,
-)
+from .assess import AssessmentReport, GradingLogError, ReportStatus
+from .pipeline import BatchSummary, GradingSession
 from .specfile import AssignmentSpec, SpecError, load_spec
 
 __version__ = "0.1.0"
+
+__all__ = [
+    "AssessmentReport",
+    "AssignmentSpec",
+    "BatchSummary",
+    "GradingLogError",
+    "GradingSession",
+    "ReportStatus",
+    "SpecError",
+    "__version__",
+    "load_spec",
+]

@@ -91,6 +91,7 @@ class ReportStatus(Enum):
 class AssessmentReport:
     """Everything known about one submission, filled in as phases complete.
 
+    A report constructed from its metadata alone has every section absent.
     ``identity`` is None only for archives whose filename never parsed; such
     reports are logged but not written to the reports directory because there
     is no student to file them under. ``blackbox`` is None whenever the
@@ -119,21 +120,6 @@ class AssessmentReport:
             raise ValueError("blackbox cannot run before compilation")
         if self.score is not None and self.status not in (ReportStatus.GRADED, ReportStatus.SUPERSEDED):
             raise ValueError(f"score set on a {self.status} report")
-
-
-def initialize_report(
-    identity: SubmissionIdentity | None,
-    archive_name: str,
-    received_at: datetime,
-    archive_owner: str | None = None,
-) -> AssessmentReport:
-    """Start a report skeleton: metadata present, every section still absent."""
-    return AssessmentReport(
-        identity=identity,
-        archive_name=archive_name,
-        received_at=received_at,
-        archive_owner=archive_owner,
-    )
 
 
 def format_score(score: float, scale: float) -> str:

@@ -14,6 +14,7 @@ import subprocess
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Sequence
 
 # Extensions handed to the compiler as translation units. Headers are found
 # by the compiler itself via include paths.
@@ -21,6 +22,9 @@ COMPILE_EXTENSIONS = frozenset({".cpp", ".cc", ".cxx", ".c"})
 
 SOURCES_TOKEN = "{sources}"
 OUTPUT_TOKEN = "{output}"
+
+# The binary the compiler writes into the workspace.
+OUTPUT_NAME = "program"
 
 DEFAULT_COMPILE_TIMEOUT = 30.0
 
@@ -111,31 +115,24 @@ class CompileResult:
         return sum(1 for d in self.diagnostics if d.severity is DiagnosticSeverity.ERROR)
 
 
-def list_compile_sources(workspace: Path) -> list[str]:
-    """Relative paths of all translation units under the workspace, sorted."""
-    return sorted(
-        path.relative_to(workspace).as_posix()
-        for path in workspace.rglob("*")
-        if path.is_file() and path.suffix.lower() in COMPILE_EXTENSIONS
-    )
+def compile_workspace(workspace: Path, profile: CompilerProfile, files: Sequence[str]) -> CompileResult:
+    """Compile the translation units among ``files`` into one binary.
 
-
-def compile_workspace(workspace: Path, profile: CompilerProfile, output_name: str = "program") -> CompileResult:
-    """Compile every translation unit in ``workspace`` into one binary.
-
-    Returns a failed result (never raises) for ordinary build problems:
-    student code that does not compile, a workspace with no sources, a build
-    that exceeds the time limit, or a compiler that claims success without
-    producing the binary. Only a missing compiler executable raises, as
-    :class:`CompilerNotFound`, because that is an environment fault rather
-    than a property of the submission.
+    ``files`` are workspace-relative paths in sorted order, as extraction
+    returns them; only those with a :data:`COMPILE_EXTENSIONS` suffix are
+    handed to the compiler. Returns a failed result (never raises) for
+    ordinary build problems: student code that does not compile, a workspace
+    with no sources, a build that exceeds the time limit, or a compiler that
+    claims success without producing the binary. Only a missing compiler
+    executable raises, as :class:`CompilerNotFound`, because that is an
+    environment fault rather than a property of the submission.
     """
-    sources = list_compile_sources(workspace)
+    sources = [name for name in files if Path(name).suffix.lower() in COMPILE_EXTENSIONS]
     if not sources:
         diagnostic = Diagnostic(DiagnosticSeverity.ERROR, "error: no source files found in submission")
         return CompileResult(False, (diagnostic,), (), raw_output=diagnostic.text)
 
-    command = profile.expand(sources, output_name)
+    command = profile.expand(sources, OUTPUT_NAME)
     try:
         completed = subprocess.run(
             command,
@@ -158,7 +155,7 @@ def compile_workspace(workspace: Path, profile: CompilerProfile, output_name: st
         return CompileResult(False, classify_diagnostics(raw), command, raw_output=raw)
 
     raw = completed.stdout or ""
-    output_path = workspace / output_name
+    output_path = workspace / OUTPUT_NAME
     if completed.returncode == 0 and not output_path.is_file():
         notice = "error: compiler reported success but produced no output file"
         raw = raw + ("\n" if raw and not raw.endswith("\n") else "") + notice

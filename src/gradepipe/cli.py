@@ -128,9 +128,6 @@ def main(argv: list[str] | None = None) -> int:
                 if not args.inbox.is_dir():
                     print(f"error: no such inbox directory: {args.inbox}", file=sys.stderr)
                     return 2
-                if args.interval < 1.0:
-                    print("error: --interval must be at least 1 second", file=sys.stderr)
-                    return 2
                 stop = threading.Event()
                 try:
                     signal.signal(signal.SIGTERM, lambda signum, frame: stop.set())
@@ -138,7 +135,11 @@ def main(argv: list[str] | None = None) -> int:
                     # Not the main thread; SIGTERM handling stays default.
                     pass
                 print(f"watching {args.inbox} every {args.interval:g} s; Ctrl-C to stop", file=sys.stderr)
-                summary = session.watch_inbox(args.inbox, args.interval, stop)
+                try:
+                    summary = session.watch_inbox(args.inbox, args.interval, stop)
+                except ValueError as exc:
+                    print(f"error: {exc}", file=sys.stderr)
+                    return 2
                 _print_summary(summary)
                 errored = summary.errored > 0
     except GradingLogError as exc:

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import shutil
 import zipfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
-from enum import Enum
 from pathlib import Path
-from typing import Mapping
 
 ARCHIVE_SUFFIX = ".zip"
 
@@ -30,6 +28,7 @@ REASON_INVALID_CHARACTER = "invalid-character"
 # Archive-content quarantine reasons.
 REASON_CORRUPT_ARCHIVE = "corrupt-archive"
 REASON_PATH_TRAVERSAL = "path-traversal"
+REASON_PATH_COLLISION = "path-collision"
 REASON_NO_SOURCE_FILES = "no-source-files"
 REASON_LIMIT_TOTAL_BYTES = "limit-exceeded:max-total-bytes"
 REASON_LIMIT_ENTRY_COUNT = "limit-exceeded:max-entry-count"
@@ -126,86 +125,68 @@ def render_submission_filename(identity: SubmissionIdentity) -> str:
 # A file observation: (size in bytes, mtime). Two identical consecutive
 # observations are taken as proof the upload has finished.
 FileStamp = tuple[int, float]
-# Exactly-once key for a processed file: (filename, size, mtime).
-FileKey = tuple[str, int, float]
-
-
-def scan_inbox(
-    inbox: Path,
-    seen: set[FileKey],
-    previous: Mapping[str, FileStamp],
-) -> tuple[list[Path], dict[str, FileStamp]]:
-    """One polling pass over the inbox.
-
-    Returns ``(ready, observed)`` where ``ready`` lists files whose
-    (size, mtime) matched the ``previous`` scan and whose key is not yet in
-    ``seen``, and ``observed`` is the stamp map to feed into the next call.
-    Keys of returned files are added to ``seen`` immediately, so a file is
-    handed out exactly once per distinct (name, size, mtime). A resubmission
-    under the same name gets a fresh stamp and therefore a fresh key.
-    """
-    try:
-        entries = sorted(path for path in inbox.iterdir() if path.is_file())
-    except OSError as exc:
-        raise InboxUnreadable(f"cannot list inbox {inbox}: {exc}") from exc
-    ready: list[Path] = []
-    observed: dict[str, FileStamp] = {}
-    for path in entries:
-        try:
-            stat = path.stat()
-        except OSError:
-            # Vanished between listing and stat; pretend we never saw it.
-            continue
-        stamp: FileStamp = (stat.st_size, stat.st_mtime)
-        observed[path.name] = stamp
-        key: FileKey = (path.name, stat.st_size, stat.st_mtime)
-        if key in seen:
-            continue
-        if previous.get(path.name) == stamp:
-            ready.append(path)
-            seen.add(key)
-    return ready, observed
 
 
 class InboxScanner:
-    """Stateful wrapper around :func:`scan_inbox` for repeated polling."""
+    """Repeated polling of an inbox for uploads that have settled.
 
-    def __init__(self, inbox: Path, seen: set[FileKey] | None = None):
+    A file is ready once its (size, mtime) stamp matches the previous poll.
+    It is handed out once per distinct stamp while it stays in the inbox: a
+    resubmission under the same name gets a fresh stamp and is handed out
+    again. All state is keyed by the names of the latest listing, so a file
+    that leaves the inbox leaves nothing behind.
+    """
+
+    def __init__(self, inbox: Path):
         self.inbox = inbox
-        self.seen: set[FileKey] = set() if seen is None else seen
-        self._previous: dict[str, FileStamp] = {}
+        self._observed: dict[str, FileStamp] = {}
+        self._handed: dict[str, FileStamp] = {}
 
     def poll(self) -> list[Path]:
-        ready, self._previous = scan_inbox(self.inbox, self.seen, self._previous)
+        """One pass over the inbox; returns the newly ready files in name order."""
+        try:
+            entries = sorted(path for path in self.inbox.iterdir() if path.is_file())
+        except OSError as exc:
+            raise InboxUnreadable(f"cannot list inbox {self.inbox}: {exc}") from exc
+        ready: list[Path] = []
+        observed: dict[str, FileStamp] = {}
+        handed: dict[str, FileStamp] = {}
+        for path in entries:
+            try:
+                stat = path.stat()
+            except OSError:
+                # Vanished between listing and stat; pretend we never saw it.
+                continue
+            stamp: FileStamp = (stat.st_size, stat.st_mtime)
+            observed[path.name] = stamp
+            if self._handed.get(path.name) == stamp:
+                handed[path.name] = stamp
+            elif self._observed.get(path.name) == stamp:
+                ready.append(path)
+                handed[path.name] = stamp
+        self._observed, self._handed = observed, handed
         return ready
 
 
-class SubmissionStatus(Enum):
-    PENDING = "Pending"
-    EXTRACTED = "Extracted"
-    QUARANTINED = "Quarantined"
-
-
-@dataclass
+@dataclass(frozen=True)
 class SubmissionRecord:
-    """A submission as it moves through collection.
-
-    ``workspace_path`` is set exactly when status is EXTRACTED and
-    ``quarantine_reason`` exactly when status is QUARANTINED.
-    """
+    """The archive handed to extraction, with who sent it and when."""
 
     identity: SubmissionIdentity
     archive_path: Path
     received_at: datetime
-    status: SubmissionStatus = SubmissionStatus.PENDING
-    workspace_path: Path | None = None
-    quarantine_reason: str | None = None
 
-    def __post_init__(self) -> None:
-        if (self.workspace_path is not None) != (self.status is SubmissionStatus.EXTRACTED):
-            raise ValueError("workspace_path must be set exactly when status is Extracted")
-        if (self.quarantine_reason is not None) != (self.status is SubmissionStatus.QUARANTINED):
-            raise ValueError("quarantine_reason must be set exactly when status is Quarantined")
+
+class ArchiveRejected(ValueError):
+    """An archive that must be quarantined rather than graded.
+
+    Like :class:`MalformedName`, ``reason`` carries a stable,
+    machine-readable ``REASON_*`` code.
+    """
+
+    def __init__(self, reason: str, message: str):
+        super().__init__(message)
+        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -237,51 +218,65 @@ def extract_archive(
     record: SubmissionRecord,
     limits: ExtractionLimits,
     workspace_dir: Path,
-) -> SubmissionRecord:
+) -> tuple[str, ...] | ArchiveRejected:
     """Unpack ``record.archive_path`` into ``workspace_dir`` under ``limits``.
 
-    Returns a new record: EXTRACTED with ``workspace_path`` set on success,
-    QUARANTINED with a reason code otherwise. Content problems (corruption,
-    traversal paths, busted limits, nothing extractable) never raise; they
-    come back as quarantine reasons. Entries whose extension is not allowed
-    are silently skipped. Any existing workspace content is replaced.
+    Returns the sorted workspace-relative paths of the files written, or,
+    for an archive that must be quarantined (corruption, traversal paths,
+    colliding entries, busted limits, nothing extractable), the
+    :class:`ArchiveRejected` that says why. The rejection is returned rather
+    than raised because perfbench's tracer annotates only the calls that
+    return, and it reads every extraction's archive size. Entries whose extension is not allowed are silently
+    skipped; of duplicate entries for one path the last wins. Any existing
+    workspace content is replaced.
 
     The byte budget is enforced on the actual decompressed stream, not the
     sizes declared in the zip directory, so a lying header cannot smuggle
     more than ``max_total_bytes`` onto disk.
     """
-
-    def quarantined(reason: str) -> SubmissionRecord:
-        return replace(record, status=SubmissionStatus.QUARANTINED, quarantine_reason=reason, workspace_path=None)
-
     try:
-        archive = zipfile.ZipFile(record.archive_path)
-    except (zipfile.BadZipFile, NotImplementedError):
-        return quarantined(REASON_CORRUPT_ARCHIVE)
+        return _unpack(record.archive_path, limits, workspace_dir)
+    except ArchiveRejected as rejection:
+        return rejection
+
+
+def _plan(infos: list[zipfile.ZipInfo], limits: ExtractionLimits) -> dict[str, zipfile.ZipInfo]:
+    """Map each workspace-relative path to write onto its (last) zip entry."""
+    plan: dict[str, zipfile.ZipInfo] = {}
+    for info in infos:
+        name = info.filename
+        parts = _entry_parts(name)
+        if name.startswith(("/", "\\")) or any(part == ".." for part in parts):
+            raise ArchiveRejected(REASON_PATH_TRAVERSAL, f"entry {name!r} escapes the workspace")
+        if info.is_dir() or not parts:
+            continue
+        if len(parts) > limits.max_path_depth:
+            raise ArchiveRejected(REASON_LIMIT_PATH_DEPTH, f"entry {name!r} is nested too deeply")
+        if Path(parts[-1]).suffix.lower() not in limits.allowed_extensions:
+            continue
+        plan["/".join(parts)] = info
+    for path in plan:
+        parent = path.rpartition("/")[0]
+        while parent:
+            if parent in plan:
+                raise ArchiveRejected(REASON_PATH_COLLISION, f"{parent!r} is both a file and a directory")
+            parent = parent.rpartition("/")[0]
+    return plan
+
+
+def _unpack(archive_path: Path, limits: ExtractionLimits, workspace_dir: Path) -> tuple[str, ...]:
+    try:
+        archive = zipfile.ZipFile(archive_path)
+    except (zipfile.BadZipFile, NotImplementedError) as exc:
+        raise ArchiveRejected(REASON_CORRUPT_ARCHIVE, str(exc)) from exc
 
     with archive:
         infos = archive.infolist()
         if len(infos) > limits.max_entry_count:
-            return quarantined(REASON_LIMIT_ENTRY_COUNT)
-
-        plan: list[tuple[zipfile.ZipInfo, list[str]]] = []
-        for info in infos:
-            name = info.filename
-            parts = _entry_parts(name)
-            if name.startswith(("/", "\\")) or any(part == ".." for part in parts):
-                return quarantined(REASON_PATH_TRAVERSAL)
-            if info.is_dir():
-                continue
-            if not parts:
-                continue
-            if len(parts) > limits.max_path_depth:
-                return quarantined(REASON_LIMIT_PATH_DEPTH)
-            if Path(parts[-1]).suffix.lower() not in limits.allowed_extensions:
-                continue
-            plan.append((info, parts))
-
+            raise ArchiveRejected(REASON_LIMIT_ENTRY_COUNT, f"{len(infos)} entries")
+        plan = _plan(infos, limits)
         if not plan:
-            return quarantined(REASON_NO_SOURCE_FILES)
+            raise ArchiveRejected(REASON_NO_SOURCE_FILES, "no entry has an allowed extension")
 
         if workspace_dir.exists():
             shutil.rmtree(workspace_dir)
@@ -289,23 +284,25 @@ def extract_archive(
 
         remaining = limits.max_total_bytes
         try:
-            for info, parts in plan:
-                target = workspace_dir.joinpath(*parts)
+            for path, info in plan.items():
+                target = workspace_dir / path
                 target.parent.mkdir(parents=True, exist_ok=True)
                 with archive.open(info) as source, open(target, "wb") as sink:
                     while chunk := source.read(64 * 1024):
                         remaining -= len(chunk)
                         if remaining < 0:
                             shutil.rmtree(workspace_dir, ignore_errors=True)
-                            return quarantined(REASON_LIMIT_TOTAL_BYTES)
+                            raise ArchiveRejected(
+                                REASON_LIMIT_TOTAL_BYTES, f"more than {limits.max_total_bytes} bytes unpacked"
+                            )
                         sink.write(chunk)
-        except (zipfile.BadZipFile, RuntimeError, NotImplementedError, EOFError):
+        except (zipfile.BadZipFile, RuntimeError, NotImplementedError, EOFError) as exc:
             # Truncated/encrypted/unsupported payloads surface here rather
             # than at open time.
             shutil.rmtree(workspace_dir, ignore_errors=True)
-            return quarantined(REASON_CORRUPT_ARCHIVE)
+            raise ArchiveRejected(REASON_CORRUPT_ARCHIVE, str(exc)) from exc
 
-    return replace(record, status=SubmissionStatus.EXTRACTED, workspace_path=workspace_dir)
+    return tuple(sorted(plan))
 
 
 def quarantine_archive(archive_path: Path, reason: str, quarantine_dir: Path) -> Path:

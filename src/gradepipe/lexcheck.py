@@ -232,16 +232,16 @@ def evaluate_ruleset(rules: Sequence[LexicalRule], sources: Sequence[tuple[str, 
     return LexicalReport(tuple(evaluate_rule(rule, sources) for rule in rules))
 
 
-def collect_sources(workspace: Path, extensions: frozenset[str] = LEXICAL_EXTENSIONS) -> list[tuple[str, str]]:
-    """Read every source file under ``workspace``, sorted by relative path.
+def collect_sources(workspace: Path, files: Sequence[str]) -> list[tuple[str, str]]:
+    """Read the source files among ``files`` as ``(relative path, text)`` pairs.
 
-    Undecodable bytes are replaced rather than fatal; a submission with a
-    stray latin-1 character should still be gradeable.
+    ``files`` are workspace-relative paths in sorted order, as extraction
+    returns them; only those with a :data:`LEXICAL_EXTENSIONS` suffix are
+    read. Undecodable bytes are replaced rather than fatal; a submission
+    with a stray latin-1 character should still be gradeable.
     """
-    pairs: list[tuple[str, str]] = []
-    for path in sorted(workspace.rglob("*")):
-        if path.is_file() and path.suffix.lower() in extensions:
-            text = path.read_text(encoding="utf-8", errors="replace")
-            pairs.append((path.relative_to(workspace).as_posix(), text))
-    pairs.sort(key=lambda pair: pair[0])
-    return pairs
+    return [
+        (name, (workspace / name).read_text(encoding="utf-8", errors="replace"))
+        for name in files
+        if Path(name).suffix.lower() in LEXICAL_EXTENSIONS
+    ]

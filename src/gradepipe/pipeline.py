@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -39,7 +39,6 @@ from .assess import (
     GradingLog,
     GradingLogError,
     ReportStatus,
-    initialize_report,
     render_report_json,
     render_report_text,
     score_submission,
@@ -47,10 +46,10 @@ from .assess import (
 from .blackbox import SpawnFailure, run_test_suite
 from .build import CompilerNotFound, compile_workspace
 from .ingest import (
+    ArchiveRejected,
     InboxScanner,
     MalformedName,
     SubmissionRecord,
-    SubmissionStatus,
     archive_owner,
     extract_archive,
     parse_submission_filename,
@@ -61,6 +60,7 @@ from .lexcheck import collect_sources, evaluate_ruleset
 from .specfile import AssignmentSpec
 
 REASON_WRONG_ASSIGNMENT = "wrong-assignment"
+REASON_REPORT_UNWRITABLE = "report-unwritable"
 
 DEFAULT_POLL_INTERVAL = 30.0
 MIN_POLL_INTERVAL = 1.0
@@ -89,22 +89,6 @@ class BatchSummary:
         return self.graded + self.quarantined + self.errored + self.superseded
 
 
-@dataclass(frozen=True)
-class WatchConfig:
-    """Where and how often to poll for new submissions."""
-
-    inbox: Path
-    poll_interval: float = DEFAULT_POLL_INTERVAL
-    workspace_root: Path = Path("workspace")
-    reports_dir: Path = Path("reports")
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.poll_interval, (int, float)) and self.poll_interval >= MIN_POLL_INTERVAL):
-            raise ValueError(f"poll_interval must be at least {MIN_POLL_INTERVAL:g} s, got {self.poll_interval!r}")
-        if Path(self.inbox) in (Path(self.workspace_root), Path(self.reports_dir)):
-            raise ValueError("inbox must be distinct from workspace and reports directories")
-
-
 def _default_jobs() -> int:
     return min(8, os.cpu_count() or 1)
 
@@ -128,11 +112,14 @@ class GradingSession:
         jobs: int | None = None,
     ):
         self.spec = spec
-        self.workspace_root = Path(workspace_root)
-        self.reports_dir = Path(reports_dir)
-        self.quarantine_dir = Path(quarantine_dir)
+        # Made absolute once, against the working directory at start-up: the
+        # test runner starts a binary from inside its workspace, where a
+        # relative path would be resolved a second time.
+        self.workspace_root = Path(workspace_root).absolute()
+        self.reports_dir = Path(reports_dir).absolute()
+        self.quarantine_dir = Path(quarantine_dir).absolute()
         self.jobs = jobs if jobs and jobs > 0 else _default_jobs()
-        self.log = GradingLog(Path(log_path))
+        self.log = GradingLog(Path(log_path).absolute())
         self._registry: dict[str, datetime] = {}
         self._registry_lock = threading.Lock()
 
@@ -161,49 +148,35 @@ class GradingSession:
         except GradingLogError:
             raise
         except Exception as exc:  # noqa: BLE001 - one submission must not sink the batch
-            report = initialize_report(None, archive_path.name, received)
-            report.status = ReportStatus.ERRORED
-            report.detail = f"internal-error:{type(exc).__name__}"
-            report.generated_at = utc_now()
-            self.log.append(
-                EVENT_ERRORED,
-                report.generated_at,
-                archive=archive_path.name,
-                reason=report.detail,
-                message=str(exc),
-            )
-            return report
+            report = AssessmentReport(None, archive_path.name, received)
+            return self._end(report, ReportStatus.ERRORED, f"internal-error:{type(exc).__name__}", str(exc))
 
     def _grade(self, archive_path: Path, received: datetime) -> AssessmentReport:
         owner = archive_owner(archive_path)
         self.log.append(EVENT_RECEIVED, received, archive=archive_path.name, owner=owner)
+        report = AssessmentReport(None, archive_path.name, received, owner, scale=self.spec.rubric.scale)
         try:
-            identity = parse_submission_filename(archive_path.name)
-        except MalformedName as exc:
-            report = initialize_report(None, archive_path.name, received, owner)
-            report.scale = self.spec.rubric.scale
-            return self._quarantine(report, archive_path, f"malformed-name:{exc.reason}", str(exc))
+            identity = report.identity = parse_submission_filename(archive_path.name)
+            if identity.assignment_number != self.spec.assignment_number:
+                raise ArchiveRejected(
+                    REASON_WRONG_ASSIGNMENT,
+                    f"archive is for assignment {identity.assignment_number}, "
+                    f"this session grades assignment {self.spec.assignment_number}",
+                )
+            workspace = self.workspace_root / identity.stem()
+            record = SubmissionRecord(identity, archive_path, received)
+            files = extract_archive(record, self.spec.extraction, workspace)
+            if isinstance(files, ArchiveRejected):
+                raise files
+        except (MalformedName, ArchiveRejected) as exc:
+            reason = f"malformed-name:{exc.reason}" if isinstance(exc, MalformedName) else exc.reason
+            quarantine_archive(archive_path, reason, self.quarantine_dir)
+            return self._end(report, ReportStatus.QUARANTINED, reason, str(exc))
 
-        report = initialize_report(identity, archive_path.name, received, owner)
-        report.scale = self.spec.rubric.scale
-        if identity.assignment_number != self.spec.assignment_number:
-            message = (
-                f"archive is for assignment {identity.assignment_number}, "
-                f"this session grades assignment {self.spec.assignment_number}"
-            )
-            return self._quarantine(report, archive_path, REASON_WRONG_ASSIGNMENT, message)
-
-        record = SubmissionRecord(identity, archive_path, received)
-        record = extract_archive(record, self.spec.extraction, self.workspace_root / identity.stem())
-        if record.status is SubmissionStatus.QUARANTINED:
-            assert record.quarantine_reason is not None
-            return self._quarantine(report, archive_path, record.quarantine_reason, "")
-
-        assert record.workspace_path is not None
         try:
-            compile_result = compile_workspace(record.workspace_path, self.spec.compiler)
+            compile_result = compile_workspace(workspace, self.spec.compiler, files)
         except CompilerNotFound as exc:
-            return self._errored(report, "compiler-not-found", str(exc))
+            return self._end(report, ReportStatus.ERRORED, "compiler-not-found", str(exc))
         report.compile_result = compile_result
         if not compile_result.succeeded:
             self.log.append(
@@ -215,7 +188,7 @@ class GradingSession:
 
         # Lexical rules read source text, so they apply whether or not the
         # build succeeded; behaviour tests need a binary.
-        report.lexical = evaluate_ruleset(self.spec.rules, collect_sources(record.workspace_path))
+        report.lexical = evaluate_ruleset(self.spec.rules, collect_sources(workspace, files))
         if compile_result.succeeded:
             assert compile_result.output_path is not None
             try:
@@ -226,66 +199,29 @@ class GradingSession:
                     self.spec.output_cap,
                 )
             except SpawnFailure as exc:
-                return self._errored(report, "spawn-failure", str(exc))
+                return self._end(report, ReportStatus.ERRORED, "spawn-failure", str(exc))
 
         report.score = score_submission(compile_result, report.lexical, report.blackbox, self.spec.rubric)
         report.status = ReportStatus.GRADED
-        self._finalize(report)
-        self.log.append(
-            EVENT_GRADED if report.status is ReportStatus.GRADED else EVENT_SUPERSEDED,
-            report.generated_at or utc_now(),
-            submission=identity.stem(),
-            score=report.score,
-            status=report.status.value,
-        )
-        return report
+        return self._conclude(report, self._finalize(report) or "")
 
     # -- terminal states ---------------------------------------------------
 
-    def _quarantine(
-        self,
-        report: AssessmentReport,
-        archive_path: Path,
-        reason: str,
-        message: str,
-    ) -> AssessmentReport:
-        report.status = ReportStatus.QUARANTINED
+    def _end(self, report: AssessmentReport, status: ReportStatus, reason: str, message: str) -> AssessmentReport:
+        """End an unscored submission as Quarantined or Errored and write its report pair."""
+        report.status = status
         report.detail = reason
         report.generated_at = utc_now()
-        quarantine_archive(archive_path, reason, self.quarantine_dir)
-        self.log.append(
-            EVENT_QUARANTINED,
-            report.generated_at,
-            archive=report.archive_name,
-            submission=report.identity.stem() if report.identity else None,
-            reason=reason,
-            message=message,
-        )
-        self._write_report_files(report)
-        return report
+        return self._conclude(report, self._write_report_files(report) or message)
 
-    def _errored(self, report: AssessmentReport, reason: str, message: str) -> AssessmentReport:
-        report.status = ReportStatus.ERRORED
-        report.detail = reason
-        report.generated_at = utc_now()
-        self.log.append(
-            EVENT_ERRORED,
-            report.generated_at,
-            archive=report.archive_name,
-            submission=report.identity.stem() if report.identity else None,
-            reason=reason,
-            message=message,
-        )
-        self._write_report_files(report)
-        return report
-
-    def _finalize(self, report: AssessmentReport) -> None:
+    def _finalize(self, report: AssessmentReport) -> str | None:
         """Apply latest-wins resolution and write the report pair.
 
         If a submission with the same stem and a newer receipt time has
         already been graded, this report is marked Superseded and its files
         are not written; otherwise it replaces the previous report and the
-        replacement is noted in the log.
+        replacement is noted in the log. Returns why the pair could not be
+        written, if it could not.
         """
         report.generated_at = utc_now()
         report.check_invariants()
@@ -295,7 +231,7 @@ class GradingSession:
             prior = self._registry.get(stem)
             if prior is not None and prior > report.received_at:
                 report.status = ReportStatus.SUPERSEDED
-                return
+                return None
             if prior is not None:
                 self.log.append(
                     EVENT_SUPERSEDED,
@@ -304,11 +240,12 @@ class GradingSession:
                     superseded_received_at=prior.isoformat(),
                 )
             self._registry[stem] = report.received_at
-            self._write_report_files(report)
+            return self._write_report_files(report)
 
-    def _write_report_files(self, report: AssessmentReport) -> None:
+    def _write_report_files(self, report: AssessmentReport) -> str | None:
+        """Write the report pair; if that fails, mark the report Errored and return why."""
         if report.identity is None:
-            return
+            return None
         stem = report.identity.stem()
         try:
             self.reports_dir.mkdir(parents=True, exist_ok=True)
@@ -319,15 +256,33 @@ class GradingSession:
                 render_report_json(report), encoding="utf-8"
             )
         except OSError as exc:
-            self.log.append(
-                EVENT_ERRORED,
-                utc_now(),
-                submission=stem,
-                reason="report-unwritable",
-                message=str(exc),
-            )
             report.status = ReportStatus.ERRORED
-            report.detail = "report-unwritable"
+            report.detail = REASON_REPORT_UNWRITABLE
+            report.score = None
+            return str(exc)
+        return None
+
+    def _conclude(self, report: AssessmentReport, message: str) -> AssessmentReport:
+        """Append the submission's one terminal event, chosen by its final status."""
+        submission = report.identity.stem() if report.identity else None
+        if report.status in (ReportStatus.GRADED, ReportStatus.SUPERSEDED):
+            self.log.append(
+                EVENT_GRADED if report.status is ReportStatus.GRADED else EVENT_SUPERSEDED,
+                report.generated_at,
+                submission=submission,
+                score=report.score,
+                status=report.status.value,
+            )
+        else:
+            self.log.append(
+                EVENT_QUARANTINED if report.status is ReportStatus.QUARANTINED else EVENT_ERRORED,
+                report.generated_at,
+                archive=report.archive_name,
+                submission=submission,
+                reason=report.detail,
+                message=message,
+            )
+        return report
 
     # -- batch and watch ----------------------------------------------------
 
@@ -366,15 +321,24 @@ class GradingSession:
         A file is picked up once its size and mtime have stayed unchanged
         across two consecutive polls, so half-uploaded archives are never
         opened. Resubmissions under the same name are graded again and the
-        older report is superseded. Returns counts for everything processed;
-        in-flight submissions are finished before returning.
+        older report is superseded. Each poll counts the submissions that
+        have finished since the last one, so an unwritable audit log raises
+        :class:`GradingLogError` within one poll interval. Returns counts for
+        everything processed; in-flight submissions are finished before
+        returning.
+
+        Raises ValueError for a poll interval under ``MIN_POLL_INTERVAL``
+        seconds or an inbox that is also the workspace or reports directory.
         """
         if poll_interval < MIN_POLL_INTERVAL:
-            raise ValueError(f"poll_interval must be at least {MIN_POLL_INTERVAL:g} s")
+            raise ValueError(f"poll interval must be at least {MIN_POLL_INTERVAL:g} second, got {poll_interval:g}")
+        inbox = Path(inbox).absolute()
+        if inbox in (self.workspace_root, self.reports_dir):
+            raise ValueError("inbox must be distinct from the workspace and reports directories")
         stop = stop or threading.Event()
         summary = BatchSummary()
-        scanner = InboxScanner(Path(inbox))
-        futures = []
+        scanner = InboxScanner(inbox)
+        in_flight: list[Future[AssessmentReport]] = []
         executor = ThreadPoolExecutor(max_workers=self.jobs)
         try:
             while not stop.is_set():
@@ -382,48 +346,15 @@ class GradingSession:
                     if path.suffix.lower() != ".zip":
                         self._ignore(path, summary)
                         continue
-                    futures.append(executor.submit(self.grade_archive, path))
+                    in_flight.append(executor.submit(self.grade_archive, path))
+                for future in [future for future in in_flight if future.done()]:
+                    in_flight.remove(future)
+                    summary.record(future.result())
                 stop.wait(poll_interval)
         except KeyboardInterrupt:
             stop.set()
         finally:
             executor.shutdown(wait=True)
-        for future in futures:
+        for future in in_flight:
             summary.record(future.result())
         return summary
-
-
-# -- convenience one-call entry points ---------------------------------------
-
-
-def grade_submission(archive_path: Path, spec: AssignmentSpec, **session_kwargs: object) -> AssessmentReport:
-    """Grade a single archive with a throwaway session."""
-    with GradingSession(spec, **session_kwargs) as session:  # type: ignore[arg-type]
-        return session.grade_archive(Path(archive_path))
-
-
-def run_batch(inbox: Path, spec: AssignmentSpec, **session_kwargs: object) -> BatchSummary:
-    """Grade everything in an inbox with a throwaway session."""
-    with GradingSession(spec, **session_kwargs) as session:  # type: ignore[arg-type]
-        return session.run_batch(Path(inbox))
-
-
-def watch(
-    config: WatchConfig,
-    spec: AssignmentSpec,
-    *,
-    quarantine_dir: Path = Path("quarantine"),
-    log_path: Path = Path("grading.log"),
-    jobs: int | None = None,
-    stop: threading.Event | None = None,
-) -> BatchSummary:
-    """Run watch mode as described by ``config`` until ``stop`` is set."""
-    with GradingSession(
-        spec,
-        workspace_root=config.workspace_root,
-        reports_dir=config.reports_dir,
-        quarantine_dir=quarantine_dir,
-        log_path=log_path,
-        jobs=jobs,
-    ) as session:
-        return session.watch_inbox(config.inbox, config.poll_interval, stop)

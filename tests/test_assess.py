@@ -11,7 +11,6 @@ from gradepipe.assess import (
     ReportStatus,
     Rubric,
     format_score,
-    initialize_report,
     read_log_events,
     render_report_json,
     render_report_text,
@@ -134,9 +133,9 @@ def test_format_score():
 # -- report skeleton and invariants ---------------------------------------------
 
 
-def test_initialize_report_is_all_absent_and_repeatable():
-    first = initialize_report(IDENTITY, "Ada_Lovelace_3.zip", RECEIVED, "uploads")
-    second = initialize_report(IDENTITY, "Ada_Lovelace_3.zip", RECEIVED, "uploads")
+def test_fresh_report_is_all_absent_and_repeatable():
+    first = AssessmentReport(IDENTITY, "Ada_Lovelace_3.zip", RECEIVED, "uploads")
+    second = AssessmentReport(IDENTITY, "Ada_Lovelace_3.zip", RECEIVED, "uploads")
     assert first == second
     assert first.score is None
     assert first.status is None
@@ -147,7 +146,7 @@ def test_initialize_report_is_all_absent_and_repeatable():
 
 
 def test_blackbox_after_failed_compile_is_rejected():
-    report = initialize_report(IDENTITY, "Ada_Lovelace_3.zip", RECEIVED)
+    report = AssessmentReport(IDENTITY, "Ada_Lovelace_3.zip", RECEIVED)
     report.compile_result = compile_broken()
     report.blackbox = suite(PASS)
     with pytest.raises(ValueError):
@@ -155,7 +154,7 @@ def test_blackbox_after_failed_compile_is_rejected():
 
 
 def test_score_on_quarantined_report_is_rejected():
-    report = initialize_report(IDENTITY, "Ada_Lovelace_3.zip", RECEIVED)
+    report = AssessmentReport(IDENTITY, "Ada_Lovelace_3.zip", RECEIVED)
     report.status = ReportStatus.QUARANTINED
     report.score = 50.0
     with pytest.raises(ValueError):
@@ -166,7 +165,7 @@ def test_score_on_quarantined_report_is_rejected():
 
 
 def graded_report():
-    report = initialize_report(IDENTITY, "Ada_Lovelace_3.zip", RECEIVED, "uploads")
+    report = AssessmentReport(IDENTITY, "Ada_Lovelace_3.zip", RECEIVED, "uploads")
     report.compile_result = compile_ok()
     report.lexical = lexical(False)
     report.blackbox = suite(PASS, PASS, PASS, PASS)
@@ -187,7 +186,7 @@ def test_text_report_reads_sensibly():
 
 
 def test_text_report_for_failed_build_mentions_not_run():
-    report = initialize_report(IDENTITY, "Ada_Lovelace_3.zip", RECEIVED)
+    report = AssessmentReport(IDENTITY, "Ada_Lovelace_3.zip", RECEIVED)
     report.compile_result = compile_broken()
     report.lexical = lexical(False)
     report.score = 0.0
@@ -227,7 +226,7 @@ def test_json_report_has_no_timing_fields():
 
 
 def test_json_report_for_nameless_archive():
-    report = initialize_report(None, "garbage.zip", RECEIVED)
+    report = AssessmentReport(None, "garbage.zip", RECEIVED)
     report.status = ReportStatus.QUARANTINED
     report.detail = "malformed-name:wrong-field-count"
     payload = report_payload(report)

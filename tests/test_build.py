@@ -77,7 +77,7 @@ def test_profile_expands_embedded_output_token():
 
 def test_compile_success(tmp_path):
     (tmp_path / "main.cpp").write_text("int main() { return 0; }\n")
-    result = compile_workspace(tmp_path, GXX)
+    result = compile_workspace(tmp_path, GXX, ["main.cpp"])
     assert result.succeeded
     assert result.output_path == tmp_path / "program"
     assert result.output_path.is_file()
@@ -88,14 +88,14 @@ def test_compile_success(tmp_path):
 def test_compile_multiple_units(tmp_path):
     (tmp_path / "main.cpp").write_text("int helper();\nint main() { return helper(); }\n")
     (tmp_path / "helper.cpp").write_text("int helper() { return 0; }\n")
-    result = compile_workspace(tmp_path, GXX)
+    result = compile_workspace(tmp_path, GXX, ["helper.cpp", "main.cpp"])
     assert result.succeeded
     assert result.command[3:5] == ("helper.cpp", "main.cpp")  # sorted, relative
 
 
 def test_compile_failure_reports_errors(tmp_path):
     (tmp_path / "main.cpp").write_text(source("leap_broken.cpp"))
-    result = compile_workspace(tmp_path, GXX)
+    result = compile_workspace(tmp_path, GXX, ["main.cpp"])
     assert not result.succeeded
     assert result.output_path is None
     assert result.error_count >= 1
@@ -105,7 +105,7 @@ def test_compile_failure_reports_errors(tmp_path):
 def test_compile_warnings_survive_success(tmp_path):
     profile = CompilerProfile(command=("g++", "-std=c++17", "-Wall", "{sources}", "-o", "{output}"))
     (tmp_path / "main.cpp").write_text("int main() { int unused; return 0; }\n")
-    result = compile_workspace(tmp_path, profile)
+    result = compile_workspace(tmp_path, profile, ["main.cpp"])
     assert result.succeeded
     assert any(d.severity is DiagnosticSeverity.WARNING for d in result.diagnostics)
 
@@ -118,14 +118,14 @@ def test_compile_diagnostics_use_relative_paths(tmp_path):
         workspace = tmp_path / name
         workspace.mkdir()
         (workspace / "main.cpp").write_text(source("leap_broken.cpp"))
-        result = compile_workspace(workspace, GXX)
+        result = compile_workspace(workspace, GXX, ["main.cpp"])
         assert str(workspace) not in result.raw_output
         outputs.append([ (d.severity, d.text) for d in result.diagnostics ])
     assert outputs[0] == outputs[1]
 
 
 def test_compile_empty_workspace(tmp_path):
-    result = compile_workspace(tmp_path, GXX)
+    result = compile_workspace(tmp_path, GXX, [])
     assert not result.succeeded
     assert result.diagnostics[0].severity is DiagnosticSeverity.ERROR
     assert "no source files" in result.diagnostics[0].text
@@ -133,7 +133,8 @@ def test_compile_empty_workspace(tmp_path):
 
 def test_compile_ignores_non_source_files(tmp_path):
     (tmp_path / "README.txt").write_text("not code\n")
-    result = compile_workspace(tmp_path, GXX)
+    (tmp_path / "util.h").write_text("int f();\n")
+    result = compile_workspace(tmp_path, GXX, ["README.txt", "util.h"])
     assert not result.succeeded
     assert "no source files" in result.diagnostics[0].text
 
@@ -142,7 +143,7 @@ def test_missing_compiler_raises(tmp_path):
     (tmp_path / "main.cpp").write_text("int main() {}\n")
     profile = CompilerProfile(command=("definitely-not-a-real-compiler", "{sources}", "-o", "{output}"))
     with pytest.raises(CompilerNotFound):
-        compile_workspace(tmp_path, profile)
+        compile_workspace(tmp_path, profile, ["main.cpp"])
 
 
 def test_compile_timeout_becomes_failed_result(tmp_path):
@@ -151,7 +152,7 @@ def test_compile_timeout_becomes_failed_result(tmp_path):
         command=("/bin/sh", "-c", "sleep 10", "sh", "{sources}", "-o", "{output}"),
         timeout_secs=0.3,
     )
-    result = compile_workspace(tmp_path, profile)
+    result = compile_workspace(tmp_path, profile, ["main.cpp"])
     assert not result.succeeded
     assert any("exceeded" in d.text for d in result.diagnostics)
     assert result.error_count >= 1
@@ -160,6 +161,6 @@ def test_compile_timeout_becomes_failed_result(tmp_path):
 def test_success_without_binary_is_a_failure(tmp_path):
     (tmp_path / "main.cpp").write_text("int main() {}\n")
     profile = CompilerProfile(command=("/bin/sh", "-c", "exit 0", "sh", "{sources}", "-o", "{output}"))
-    result = compile_workspace(tmp_path, profile)
+    result = compile_workspace(tmp_path, profile, ["main.cpp"])
     assert not result.succeeded
     assert any("no output file" in d.text for d in result.diagnostics)

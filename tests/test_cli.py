@@ -149,3 +149,16 @@ def test_unwritable_log_is_a_fatal_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 3
     assert "fatal" in err
+
+
+def test_batch_with_default_relative_dirs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    make_zip(tmp_path / "inbox" / "Ada_Lovelace_3.zip", {"main.cpp": source("leap_nested.cpp")})
+
+    rc = main(["batch", "inbox", "--spec", str(SPEC_PATH)])
+    out = capsys.readouterr().out
+
+    assert rc == 0
+    assert "graded 1" in out
+    payload = json.loads((tmp_path / "reports" / "Ada_Lovelace_3.report.json").read_text(encoding="utf-8"))
+    assert payload["score"] == 100.0

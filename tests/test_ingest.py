@@ -6,18 +6,17 @@ from datetime import datetime, timezone
 import pytest
 
 from gradepipe.ingest import (
+    ArchiveRejected,
     ExtractionLimits,
     InboxScanner,
     InboxUnreadable,
     MalformedName,
     SubmissionIdentity,
     SubmissionRecord,
-    SubmissionStatus,
     extract_archive,
     parse_submission_filename,
     quarantine_archive,
     render_submission_filename,
-    scan_inbox,
 )
 
 from support import make_zip
@@ -25,9 +24,15 @@ from support import make_zip
 RECEIVED = datetime(2026, 8, 25, 12, 0, 0, tzinfo=timezone.utc)
 
 
-def pending(archive, identity=None):
-    identity = identity or SubmissionIdentity("Ada", "Lovelace", 3)
-    return SubmissionRecord(identity, archive, RECEIVED)
+def extract(archive, workspace, limits=ExtractionLimits()):
+    record = SubmissionRecord(SubmissionIdentity("Ada", "Lovelace", 3), archive, RECEIVED)
+    return extract_archive(record, limits, workspace)
+
+
+def rejection(archive, workspace, limits=ExtractionLimits()):
+    rejected = extract(archive, workspace, limits)
+    assert isinstance(rejected, ArchiveRejected), f"expected a rejection, got {rejected!r}"
+    return rejected.reason
 
 
 # -- filename grammar ---------------------------------------------------------
@@ -122,21 +127,17 @@ def test_scan_requires_two_stable_observations(tmp_path):
     upload.write_bytes(b"partial")
     _stamp(upload, 1000.0)
 
-    seen = set()
-    ready, previous = scan_inbox(inbox, seen, {})
-    assert ready == []  # first sighting is never ready
+    scanner = InboxScanner(inbox)
+    assert scanner.poll() == []  # first sighting is never ready
 
     # Upload still growing: stamp changed, so still not ready.
     upload.write_bytes(b"partial-but-longer")
     _stamp(upload, 1001.0)
-    ready, previous = scan_inbox(inbox, seen, previous)
-    assert ready == []
+    assert scanner.poll() == []
 
     # Two consecutive identical stamps: handed out exactly once.
-    ready, previous = scan_inbox(inbox, seen, previous)
-    assert ready == [upload]
-    ready, previous = scan_inbox(inbox, seen, previous)
-    assert ready == []
+    assert scanner.poll() == [upload]
+    assert scanner.poll() == []
 
 
 def test_scan_resubmission_gets_fresh_key(tmp_path):
@@ -174,7 +175,28 @@ def test_scan_ignores_directories_and_orders_output(tmp_path):
 
 def test_scan_unreadable_inbox_raises(tmp_path):
     with pytest.raises(InboxUnreadable):
-        scan_inbox(tmp_path / "missing", set(), {})
+        InboxScanner(tmp_path / "missing").poll()
+
+
+def test_scan_forgets_a_removed_file(tmp_path):
+    inbox = tmp_path / "inbox"
+    inbox.mkdir()
+    upload = inbox / "Ada_Lovelace_3.zip"
+    upload.write_bytes(b"v1")
+    _stamp(upload, 1000.0)
+    scanner = InboxScanner(inbox)
+    scanner.poll()
+    assert scanner.poll() == [upload]
+
+    upload.unlink()
+    assert scanner.poll() == []
+    assert vars(scanner) == vars(InboxScanner(inbox)), "a removed file must leave no state behind"
+
+    # The same bytes uploaded again are a new arrival while they stay.
+    upload.write_bytes(b"v1")
+    _stamp(upload, 1000.0)
+    assert scanner.poll() == []
+    assert scanner.poll() == [upload]
 
 
 # -- extraction ---------------------------------------------------------------
@@ -185,12 +207,11 @@ def test_extract_happy_path(tmp_path):
         tmp_path / "Ada_Lovelace_3.zip",
         {"main.cpp": "int main() {}\n", "util/helper.h": "#pragma once\n", "notes.txt": "hi\n"},
     )
-    record = extract_archive(pending(archive), ExtractionLimits(), tmp_path / "ws")
-    assert record.status is SubmissionStatus.EXTRACTED
-    assert record.workspace_path == tmp_path / "ws"
-    assert (record.workspace_path / "main.cpp").read_text() == "int main() {}\n"
-    assert (record.workspace_path / "util" / "helper.h").exists()
-    assert (record.workspace_path / "notes.txt").exists()
+    files = extract(archive, tmp_path / "ws")
+    assert files == ("main.cpp", "notes.txt", "util/helper.h")
+    assert (tmp_path / "ws" / "main.cpp").read_text() == "int main() {}\n"
+    assert (tmp_path / "ws" / "util" / "helper.h").exists()
+    assert (tmp_path / "ws" / "notes.txt").exists()
 
 
 def test_extract_skips_disallowed_extensions_quietly(tmp_path):
@@ -198,10 +219,8 @@ def test_extract_skips_disallowed_extensions_quietly(tmp_path):
         tmp_path / "Ada_Lovelace_3.zip",
         {"main.cpp": "int main() {}\n", "solution.exe": b"\x7fELF junk", "img.png": b"\x89PNG"},
     )
-    record = extract_archive(pending(archive), ExtractionLimits(), tmp_path / "ws")
-    assert record.status is SubmissionStatus.EXTRACTED
-    extracted = sorted(p.name for p in record.workspace_path.rglob("*"))
-    assert extracted == ["main.cpp"]
+    assert extract(archive, tmp_path / "ws") == ("main.cpp",)
+    assert sorted(p.name for p in (tmp_path / "ws").iterdir()) == ["main.cpp"]
 
 
 def test_extract_replaces_stale_workspace(tmp_path):
@@ -209,19 +228,39 @@ def test_extract_replaces_stale_workspace(tmp_path):
     workspace.mkdir()
     (workspace / "leftover.cpp").write_text("old\n")
     archive = make_zip(tmp_path / "Ada_Lovelace_3.zip", {"main.cpp": "new\n"})
-    record = extract_archive(pending(archive), ExtractionLimits(), workspace)
-    assert record.status is SubmissionStatus.EXTRACTED
+    assert extract(archive, workspace) == ("main.cpp",)
     assert not (workspace / "leftover.cpp").exists()
     assert (workspace / "main.cpp").read_text() == "new\n"
+
+
+def test_extract_duplicate_entries_last_wins(tmp_path):
+    archive = tmp_path / "Ada_Lovelace_3.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        zf.writestr("main.cpp", "first\n")
+        zf.writestr("./main.cpp", "second\n")
+    assert extract(archive, tmp_path / "ws") == ("main.cpp",)
+    assert (tmp_path / "ws" / "main.cpp").read_text() == "second\n"
+
+
+@pytest.mark.parametrize("entries", [
+    ["main.cpp", "main.cpp/x.cpp"],
+    ["main.cpp/x.cpp", "main.cpp"],
+    ["a/b.h", "a/b.h/c/d.cpp"],
+])
+def test_extract_path_collision(tmp_path, entries):
+    archive = tmp_path / "Ada_Lovelace_3.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for name in entries:
+            zf.writestr(name, "int x;\n")
+    assert rejection(archive, tmp_path / "ws") == "path-collision"
+    assert not (tmp_path / "ws").exists(), "a collision is caught before anything is written"
 
 
 def test_extract_corrupt_archive(tmp_path):
     archive = tmp_path / "Ada_Lovelace_3.zip"
     archive.write_bytes(b"PK\x03\x04 this is not a zip at all")
-    record = extract_archive(pending(archive), ExtractionLimits(), tmp_path / "ws")
-    assert record.status is SubmissionStatus.QUARANTINED
-    assert record.quarantine_reason == "corrupt-archive"
-    assert record.workspace_path is None
+    assert rejection(archive, tmp_path / "ws") == "corrupt-archive"
+    assert not (tmp_path / "ws").exists()
 
 
 def test_extract_truncated_archive_cleans_up(tmp_path):
@@ -229,27 +268,22 @@ def test_extract_truncated_archive_cleans_up(tmp_path):
     data = intact.read_bytes()
     truncated = tmp_path / "Ada_Lovelace_3.zip"
     truncated.write_bytes(data[: len(data) // 2])
-    record = extract_archive(pending(truncated), ExtractionLimits(), tmp_path / "ws")
-    assert record.status is SubmissionStatus.QUARANTINED
-    assert record.quarantine_reason == "corrupt-archive"
+    assert rejection(truncated, tmp_path / "ws") == "corrupt-archive"
     assert not (tmp_path / "ws").exists()
 
 
 def test_extract_no_source_files(tmp_path):
     archive = make_zip(tmp_path / "Ada_Lovelace_3.zip", {"solution.exe": b"junk"})
-    record = extract_archive(pending(archive), ExtractionLimits(), tmp_path / "ws")
-    assert record.quarantine_reason == "no-source-files"
+    assert rejection(archive, tmp_path / "ws") == "no-source-files"
     empty = make_zip(tmp_path / "Bob_Byron_3.zip", {})
-    record = extract_archive(pending(empty), ExtractionLimits(), tmp_path / "ws2")
-    assert record.quarantine_reason == "no-source-files"
+    assert rejection(empty, tmp_path / "ws2") == "no-source-files"
 
 
 def test_extract_entry_count_limit(tmp_path):
     files = {f"f{i}.cpp": "int x;\n" for i in range(11)}
     archive = make_zip(tmp_path / "Ada_Lovelace_3.zip", files)
     limits = ExtractionLimits(max_entry_count=10)
-    record = extract_archive(pending(archive), limits, tmp_path / "ws")
-    assert record.quarantine_reason == "limit-exceeded:max-entry-count"
+    assert rejection(archive, tmp_path / "ws", limits) == "limit-exceeded:max-entry-count"
 
 
 def test_extract_total_bytes_limit_stops_streaming(tmp_path):
@@ -258,19 +292,17 @@ def test_extract_total_bytes_limit_stops_streaming(tmp_path):
         {"a.cpp": "x" * 4000, "b.cpp": "y" * 4000},
     )
     limits = ExtractionLimits(max_total_bytes=5000)
-    record = extract_archive(pending(archive), limits, tmp_path / "ws")
-    assert record.quarantine_reason == "limit-exceeded:max-total-bytes"
+    assert rejection(archive, tmp_path / "ws", limits) == "limit-exceeded:max-total-bytes"
     # Partial extraction must not leave a half-filled workspace behind.
     assert not (tmp_path / "ws").exists()
 
 
 def test_extract_path_depth_limit(tmp_path):
     archive = make_zip(tmp_path / "Ada_Lovelace_3.zip", {"a/b/c/d/e.cpp": "int x;\n"})
-    record = extract_archive(pending(archive), ExtractionLimits(max_path_depth=4), tmp_path / "ws")
-    assert record.quarantine_reason == "limit-exceeded:max-path-depth"
+    limits = ExtractionLimits(max_path_depth=4)
+    assert rejection(archive, tmp_path / "ws", limits) == "limit-exceeded:max-path-depth"
     shallow = make_zip(tmp_path / "Bob_Byron_3.zip", {"a/b/c/e.cpp": "int x;\n"})
-    record = extract_archive(pending(shallow), ExtractionLimits(max_path_depth=4), tmp_path / "ws2")
-    assert record.status is SubmissionStatus.EXTRACTED
+    assert extract(shallow, tmp_path / "ws2", limits) == ("a/b/c/e.cpp",)
 
 
 @pytest.mark.parametrize("evil", ["../escape.cpp", "safe/../../escape.cpp", "/etc/evil.cpp"])
@@ -279,8 +311,7 @@ def test_extract_path_traversal(tmp_path, evil):
     with zipfile.ZipFile(archive, "w") as zf:
         zf.writestr("ok.cpp", "int x;\n")
         zf.writestr(evil, "gotcha\n")
-    record = extract_archive(pending(archive), ExtractionLimits(), tmp_path / "ws")
-    assert record.quarantine_reason == "path-traversal"
+    assert rejection(archive, tmp_path / "ws") == "path-traversal"
     assert not (tmp_path / "escape.cpp").exists()
 
 
@@ -291,14 +322,6 @@ def test_extraction_limits_validate():
         ExtractionLimits(max_entry_count=-5)
     with pytest.raises(ValueError):
         ExtractionLimits(allowed_extensions=frozenset({"cpp"}))
-
-
-def test_submission_record_invariants():
-    identity = SubmissionIdentity("Ada", "Lovelace", 3)
-    with pytest.raises(ValueError):
-        SubmissionRecord(identity, None, RECEIVED, status=SubmissionStatus.EXTRACTED)
-    with pytest.raises(ValueError):
-        SubmissionRecord(identity, None, RECEIVED, quarantine_reason="corrupt-archive")
 
 
 # -- quarantine ---------------------------------------------------------------

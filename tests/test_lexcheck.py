@@ -228,13 +228,13 @@ def test_collect_sources_sorted_and_filtered(tmp_path):
     (tmp_path / "a.cpp").write_text("int a;\n")
     (tmp_path / "sub" / "h.hpp").write_text("int h;\n")
     (tmp_path / "notes.txt").write_text("not source\n")
-    pairs = collect_sources(tmp_path)
+    pairs = collect_sources(tmp_path, ["a.cpp", "notes.txt", "sub/h.hpp", "z.cpp"])
     assert [name for name, _ in pairs] == ["a.cpp", "sub/h.hpp", "z.cpp"]
     assert pairs[0][1] == "int a;\n"
 
 
 def test_collect_sources_tolerates_bad_encoding(tmp_path):
     (tmp_path / "latin.cpp").write_bytes(b"// caf\xe9\nint x;\n")
-    pairs = collect_sources(tmp_path)
+    pairs = collect_sources(tmp_path, ["latin.cpp"])
     assert len(pairs) == 1
     assert "int x;" in pairs[0][1]

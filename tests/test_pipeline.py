@@ -8,7 +8,6 @@ import pytest
 from gradepipe.assess import GradingLogError, ReportStatus, read_log_events
 from gradepipe.blackbox import SpawnFailure
 from gradepipe.build import CompilerProfile
-from gradepipe.pipeline import GradingSession, WatchConfig, grade_submission
 
 from support import make_zip, read_report, source
 
@@ -195,8 +194,27 @@ def test_unwritable_reports_dir_marks_submission_errored(leap_spec, session_fact
 
     assert report.status is ReportStatus.ERRORED
     assert report.detail == "report-unwritable"
+    assert report.score is None, "an Errored report carries no score"
     events = read_log_events(session.log.path)
-    assert any(e["kind"] == "errored" and e["reason"] == "report-unwritable" for e in events)
+    assert [e["kind"] for e in events] == ["received", "errored"]
+    assert events[-1]["reason"] == "report-unwritable"
+    assert events[-1]["submission"] == "Ada_Lovelace_3"
+
+
+def test_unwritable_reports_dir_after_quarantine_logs_one_terminal_event(leap_spec, session_factory, tmp_path):
+    session = session_factory(leap_spec)
+    session.reports_dir.parent.mkdir(parents=True, exist_ok=True)
+    session.reports_dir.touch()
+    archive = drop(tmp_path / "inbox", "Ada_Lovelace_4.zip", {"main.cpp": source("leap_nested.cpp")})
+
+    report = session.grade_archive(archive)
+
+    assert report.status is ReportStatus.ERRORED
+    assert report.detail == "report-unwritable"
+    assert (session.quarantine_dir / "Ada_Lovelace_4.zip").exists()
+    events = read_log_events(session.log.path)
+    assert [e["kind"] for e in events] == ["received", "errored"]
+    assert events[-1]["reason"] == "report-unwritable"
 
 
 def test_closed_log_aborts_grading_loudly(leap_spec, session_factory, tmp_path):
@@ -315,19 +333,39 @@ def test_parallel_batch_matches_serial_batch(leap_spec, session_factory, tmp_pat
 # -- watch mode -----------------------------------------------------------------
 
 
-def test_watch_config_rejects_tight_polling_and_overlapping_dirs(tmp_path):
-    with pytest.raises(ValueError):
-        WatchConfig(inbox=tmp_path / "inbox", poll_interval=0.25)
-    with pytest.raises(ValueError):
-        WatchConfig(inbox=tmp_path / "same", workspace_root=tmp_path / "same")
-
-
 def test_watch_inbox_rejects_tight_polling(leap_spec, session_factory, tmp_path):
     session = session_factory(leap_spec)
     inbox = tmp_path / "inbox"
     inbox.mkdir()
     with pytest.raises(ValueError):
         session.watch_inbox(inbox, poll_interval=0.1)
+
+
+def test_watch_inbox_rejects_overlapping_dirs(leap_spec, session_factory, tmp_path):
+    session = session_factory(leap_spec)
+    stopped = threading.Event()
+    stopped.set()  # a watcher that wrongly accepts the inbox returns at once
+    for overlapping in (session.workspace_root, session.reports_dir):
+        overlapping.mkdir(parents=True, exist_ok=True)
+        with pytest.raises(ValueError):
+            session.watch_inbox(overlapping, poll_interval=1.0, stop=stopped)
+
+
+def test_watch_raises_while_running_when_the_log_fails(leap_spec, session_factory, tmp_path):
+    session = session_factory(leap_spec)
+    inbox = tmp_path / "inbox"
+    drop(inbox, "Fast_Fred_3.zip", {"main.cpp": source("leap_fast.cpp")})
+    session.log.close()  # every append from here on fails
+
+    stop = threading.Event()
+    deadline = threading.Timer(20.0, stop.set)
+    deadline.start()
+    try:
+        with pytest.raises(GradingLogError):
+            session.watch_inbox(inbox, poll_interval=1.0, stop=stop)
+    finally:
+        deadline.cancel()
+    assert not stop.is_set(), "a worker's log failure must end the watch, not wait for stop"
 
 
 def test_watch_grades_a_settled_upload(leap_spec, session_factory, tmp_path):
@@ -356,19 +394,3 @@ def test_watch_grades_a_settled_upload(leap_spec, session_factory, tmp_path):
     assert outcome["summary"].graded == 1
     assert read_report(session.reports_dir, "Fast_Fred_3")["score"] == 100.0
 
-
-# -- convenience wrappers --------------------------------------------------------
-
-
-def test_one_call_grading_wrapper(leap_spec, tmp_path):
-    archive = drop(tmp_path / "inbox", "Ada_Lovelace_3.zip", {"main.cpp": source("leap_fast.cpp")})
-    report = grade_submission(
-        archive,
-        leap_spec,
-        workspace_root=tmp_path / "workspace",
-        reports_dir=tmp_path / "reports",
-        quarantine_dir=tmp_path / "quarantine",
-        log_path=tmp_path / "grading.log",
-    )
-    assert report.status is ReportStatus.GRADED
-    assert report.score == 100.0
