@@ -21,6 +21,7 @@ import threading
 from pathlib import Path
 
 from .assess import GradingLogError, ReportStatus, render_report_text
+from .lexcheck import is_linear_time
 from .pipeline import DEFAULT_POLL_INTERVAL, BatchSummary, GradingSession
 from .specfile import SpecError, load_spec
 
@@ -82,6 +83,9 @@ def _cmd_validate(spec_file: Path) -> int:
     except SpecError as exc:
         print(exc, file=sys.stderr)
         return 2
+    for rule in spec.rules:
+        if not is_linear_time(rule.pattern):
+            print(f"rule {rule.rule_id}: pattern uses re's backtracking engine (no time bound)", file=sys.stderr)
     print(
         f"{spec_file}: ok (assignment {spec.assignment_number}, "
         f"{len(spec.rules)} rules, {len(spec.tests)} tests)"
@@ -134,12 +138,13 @@ def main(argv: list[str] | None = None) -> int:
                 except ValueError:
                     # Not the main thread; SIGTERM handling stays default.
                     pass
-                print(f"watching {args.inbox} every {args.interval:g} s; Ctrl-C to stop", file=sys.stderr)
                 try:
-                    summary = session.watch_inbox(args.inbox, args.interval, stop)
+                    session.check_watch_inputs(args.inbox, args.interval)
                 except ValueError as exc:
                     print(f"error: {exc}", file=sys.stderr)
                     return 2
+                print(f"watching {args.inbox} every {args.interval:g} s; Ctrl-C to stop", file=sys.stderr)
+                summary = session.watch_inbox(args.inbox, args.interval, stop)
                 _print_summary(summary)
                 errored = summary.errored > 0
     except GradingLogError as exc:

@@ -10,6 +10,16 @@ human reader would judge it.
 The preprocessing deliberately preserves newlines and overall layout: line
 and column positions in the filtered text still correspond to the original
 file, and running the filter twice yields the same text as running it once.
+
+A pattern written in the linear-time dialect runs on a bit-parallel NFA in
+O(text x pattern) time, whatever the text. The dialect is a sequence of
+atoms, each optionally followed by ``*``: a literal character other than
+``. ^ $ * + ? { } [ ( ) | \\``, a backslash before an ASCII character that
+is not a letter or digit, ``\\s``, ``\\S``, or a bracket class of those (no
+ranges, no negation, no ``[`` or ``-`` inside, no leading ``]``). ``\\s`` means
+``str.isspace``, as it does to ``re``, so the NFA's verdict equals
+``re.search``'s. Every other pattern runs on ``re``, whose backtracking has no
+time bound; :func:`is_linear_time` tells the two apart.
 """
 
 from __future__ import annotations
@@ -140,9 +150,146 @@ class RulePolarity(Enum):
     MUST_NOT_MATCH = "must-not-match"
 
 
+# Outside a bracket class these characters are operators to ``re``.
+_OPERATORS = frozenset(".^$*+?{}[()|\\")
+
+# An atom is the set of characters it accepts, as (every character for which
+# str.isspace() holds, every other character, these literal characters).
+_Atom = tuple[bool, bool, frozenset[str]]
+
+
+def _escape(escaped: str) -> _Atom | None:
+    """The atom a backslash before ``escaped`` stands for, or None outside the dialect."""
+    if escaped == "s":
+        return (True, False, frozenset())
+    if escaped == "S":
+        return (False, True, frozenset())
+    if len(escaped) == 1 and escaped.isascii() and not escaped.isalnum():
+        return (False, False, frozenset(escaped))
+    return None
+
+
+def _bracket(pattern: str, i: int) -> tuple[_Atom | None, int]:
+    """Parse the class whose body starts at ``pattern[i]``; return the atom and the index after ``]``."""
+    if pattern[i : i + 1] in ("^", "]"):
+        return None, i
+    space = nonspace = False
+    chars: set[str] = set()
+    while i < len(pattern):
+        ch = pattern[i]
+        if ch == "]":
+            return (space, nonspace, frozenset(chars)), i + 1
+        if ch in "[-":
+            return None, i
+        if ch == "\\":
+            atom = _escape(pattern[i + 1 : i + 2])
+            if atom is None:
+                return None, i
+            space |= atom[0]
+            nonspace |= atom[1]
+            chars |= atom[2]
+            i += 2
+        else:
+            chars.add(ch)
+            i += 1
+    return None, i
+
+
+def _tokenize(pattern: str) -> list[tuple[_Atom, bool]] | None:
+    """Split a pattern into (atom, starred) tokens, or None when it lies outside the dialect."""
+    tokens: list[tuple[_Atom, bool]] = []
+    i = 0
+    while i < len(pattern):
+        ch = pattern[i]
+        if ch == "\\":
+            atom = _escape(pattern[i + 1 : i + 2])
+            i += 2
+        elif ch == "[":
+            atom, i = _bracket(pattern, i + 1)
+        elif ch in _OPERATORS:
+            return None
+        else:
+            atom = (False, False, frozenset(ch))
+            i += 1
+        if atom is None:
+            return None
+        starred = pattern.startswith("*", i)
+        i += starred
+        tokens.append((atom, starred))
+    return tokens
+
+
+class _BitsetNFA:
+    """Shift-and search for a sequence of atoms, each optionally starred.
+
+    Bit ``j`` of a state set means "token ``j`` is next"; bit ``len(tokens)``
+    means a match. A starred token keeps its own bit when it consumes a
+    character and can be skipped without one.
+    """
+
+    __slots__ = ("_space", "_nonspace", "_chars", "_starred", "_start", "_accept", "_ascii")
+
+    def __init__(self, tokens: list[tuple[_Atom, bool]]):
+        self._space = self._nonspace = self._starred = 0
+        self._chars: dict[str, int] = {}
+        for j, ((space, nonspace, chars), starred) in enumerate(tokens):
+            bit = 1 << j
+            self._space |= bit if space else 0
+            self._nonspace |= bit if nonspace else 0
+            self._starred |= bit if starred else 0
+            for ch in chars:
+                self._chars[ch] = self._chars.get(ch, 0) | bit
+        self._accept = 1 << len(tokens)
+        self._start = self._closure(1)
+        # Other characters are computed per occurrence: a table of every
+        # character seen would grow without bound on hostile Unicode input.
+        self._ascii = tuple(self._mask(chr(code)) for code in range(128))
+
+    def _mask(self, ch: str) -> int:
+        """The tokens that accept ``ch``."""
+        return (self._space if ch.isspace() else self._nonspace) | self._chars.get(ch, 0)
+
+    def _closure(self, states: int) -> int:
+        """Add every state reached by skipping starred tokens.
+
+        Adding the seeds that sit in a run of starred tokens to the run's
+        bits carries from the lowest seed to one past the run's end; the
+        bits that flip are the states those seeds reach.
+        """
+        starred = self._starred
+        return states | ((starred + (states & starred)) ^ starred)
+
+    def search(self, text: str) -> bool:
+        """True when the pattern matches anywhere in ``text``."""
+        start, accept, starred, table = self._start, self._accept, self._starred, self._ascii
+        if start & accept:
+            return True
+        active = 0
+        for ch in text:
+            code = ord(ch)
+            moved = (active | start) & (table[code] if code < 128 else self._mask(ch))
+            moved = (moved << 1) | (moved & starred)
+            # self._closure(moved), inlined: this loop runs once per character.
+            active = moved | ((starred + (moved & starred)) ^ starred)
+            if active & accept:
+                return True
+        return False
+
+
 @lru_cache(maxsize=256)
-def _compile(pattern: str) -> re.Pattern[str]:
-    return re.compile(pattern)
+def _compile(pattern: str) -> re.Pattern[str] | _BitsetNFA:
+    """The matcher for a pattern: the bitset NFA inside the dialect, ``re`` outside it.
+
+    Raises ``re.error`` for every pattern ``re`` rejects, in the dialect or not.
+    """
+    regex = re.compile(pattern)
+    tokens = _tokenize(pattern)
+    return regex if tokens is None else _BitsetNFA(tokens)
+
+
+def is_linear_time(pattern: str) -> bool:
+    """True when a valid pattern lies in the dialect that matches in linear time."""
+    return isinstance(_compile(pattern), _BitsetNFA)
 
 
 @dataclass(frozen=True)
@@ -208,13 +355,13 @@ def evaluate_rule(rule: LexicalRule, sources: Sequence[tuple[str, str]]) -> Rule
     matches; a MUST_NOT_MATCH rule exactly when it does not. With no source
     files nothing matches, so MUST_MATCH fails and MUST_NOT_MATCH holds.
     """
-    regex = _compile(rule.pattern)
+    matcher = _compile(rule.pattern)
     matched = False
     warnings: list[str] = []
     for name, text in sources:
         prepared = preprocess_source(text, rule.strip_comments, rule.strip_strings)
         warnings.extend(f"{name}: {message}" for message in prepared.warnings)
-        if regex.search(prepared.text):
+        if matcher.search(prepared.text):
             matched = True
     satisfied = matched if rule.polarity is RulePolarity.MUST_MATCH else not matched
     return RuleResult(

@@ -310,6 +310,19 @@ class GradingSession:
                 summary.record(report)
         return summary
 
+    def check_watch_inputs(self, inbox: Path, poll_interval: float) -> Path:
+        """Return the absolute inbox that :meth:`watch_inbox` would poll.
+
+        Raises ValueError for a poll interval under ``MIN_POLL_INTERVAL``
+        seconds or an inbox that is also the workspace or reports directory.
+        """
+        if poll_interval < MIN_POLL_INTERVAL:
+            raise ValueError(f"poll interval must be at least {MIN_POLL_INTERVAL:g} second, got {poll_interval:g}")
+        inbox = Path(inbox).absolute()
+        if inbox in (self.workspace_root, self.reports_dir):
+            raise ValueError("inbox must be distinct from the workspace and reports directories")
+        return inbox
+
     def watch_inbox(
         self,
         inbox: Path,
@@ -327,14 +340,9 @@ class GradingSession:
         everything processed; in-flight submissions are finished before
         returning.
 
-        Raises ValueError for a poll interval under ``MIN_POLL_INTERVAL``
-        seconds or an inbox that is also the workspace or reports directory.
+        Raises ValueError when :meth:`check_watch_inputs` does.
         """
-        if poll_interval < MIN_POLL_INTERVAL:
-            raise ValueError(f"poll interval must be at least {MIN_POLL_INTERVAL:g} second, got {poll_interval:g}")
-        inbox = Path(inbox).absolute()
-        if inbox in (self.workspace_root, self.reports_dir):
-            raise ValueError("inbox must be distinct from the workspace and reports directories")
+        inbox = self.check_watch_inputs(inbox, poll_interval)
         stop = stop or threading.Event()
         summary = BatchSummary()
         scanner = InboxScanner(inbox)

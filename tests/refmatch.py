@@ -9,6 +9,11 @@ check the two agree without one implementation quietly validating itself.
 
 Only a boolean unanchored ``search`` is provided; the grader never needs
 capture groups or match positions.
+
+It is an oracle for ASCII text only, and not for all of that: its ``\\s`` is
+the six characters in :data:`WHITESPACE`, while ``re``'s is ``str.isspace``,
+which also holds for ``\\x1c``-``\\x1f`` and for Unicode spaces such as
+``\\xa0`` and ``\\x85``.
 """
 
 from __future__ import annotations

@@ -39,9 +39,29 @@ def test_parser_requires_a_command_and_a_spec(capsys):
 
 def test_validate_spec_reports_ok(capsys):
     rc = main(["validate-spec", str(SPEC_PATH)])
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
     assert rc == 0
-    assert "ok (assignment 3, 1 rules, 4 tests)" in out
+    assert "ok (assignment 3, 1 rules, 4 tests)" in captured.out
+    assert captured.err == ""
+
+
+def test_validate_spec_flags_backtracking_patterns(tmp_path, capsys):
+    spec = tmp_path / "goto.yaml"
+    spec.write_text(
+        "assignment: 3\n"
+        "rules:\n"
+        "  - id: no-goto\n"
+        "    polarity: must-not-match\n"
+        "    pattern: '\\bgoto\\b'\n"
+        "  - id: has-if\n"
+        "    pattern: 'if\\s*\\('\n",
+        encoding="utf-8",
+    )
+    rc = main(["validate-spec", str(spec)])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.err == "rule no-goto: pattern uses re's backtracking engine (no time bound)\n"
+    assert "ok (assignment 3, 2 rules, 0 tests)" in captured.out
 
 
 def test_validate_spec_lists_problems(tmp_path, capsys):
@@ -134,6 +154,7 @@ def test_watch_rejects_sub_second_interval(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "at least 1 second" in err
+    assert "watching" not in err
 
 
 def test_unwritable_log_is_a_fatal_error(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import random
+import re
+import time
 
 import pytest
 
@@ -9,11 +11,14 @@ from gradepipe.lexcheck import (
     collect_sources,
     evaluate_rule,
     evaluate_ruleset,
+    is_linear_time,
     join_pattern_lines,
     preprocess_source,
 )
+from gradepipe.specfile import load_spec
 
-from support import source
+import refmatch
+from support import SPEC_PATH, source
 
 
 # -- preprocessing ------------------------------------------------------------
@@ -196,6 +201,65 @@ def test_warnings_are_attributed_to_files():
     rule = LexicalRule("any", "anything", r"x", RulePolarity.MUST_MATCH)
     result = evaluate_rule(rule, [("broken.cpp", 'x = "unclosed')])
     assert result.warnings == ("broken.cpp: unterminated string literal",)
+
+
+# -- matching engines -----------------------------------------------------------
+
+
+def verdict(pattern: str, text: str) -> bool:
+    """The production verdict on unpreprocessed text."""
+    rule = LexicalRule("r", "d", pattern, RulePolarity.MUST_MATCH, strip_comments=False, strip_strings=False)
+    return evaluate_rule(rule, [("main.cpp", text)]).matched
+
+
+# Texts mix C punctuation with characters where the engines' ideas of
+# whitespace differ: \xa0 and \x1c are str.isspace(), so \s to re, but not
+# to refmatch.
+TEXT_ALPHABET = "ab {}()\n\t\xa0\x1c"
+DIALECT_ATOMS = (
+    "a", "b", " ", "\n", "\t", "\xa0", "\x1c", "]",
+    r"\{", r"\}", r"\(", r"\)", r"\\", r"\*", r"\ ",
+    r"\s", r"\S", r"[\s\S]", r"[ab{]", r"[\s(]", r"[\S)]", "[a^]", "[*.(]", "[\xa0]",
+)
+
+
+def test_dialect_engine_agrees_with_re_and_refmatch():
+    rng = random.Random(4242)
+    for _ in range(3000):
+        pattern = "".join(
+            rng.choice(DIALECT_ATOMS) + ("*" if rng.random() < 0.4 else "") for _ in range(rng.randint(0, 6))
+        )
+        text = "".join(rng.choice(TEXT_ALPHABET) for _ in range(rng.randint(0, 24)))
+        assert is_linear_time(pattern), pattern
+        expected = re.search(pattern, text) is not None
+        assert verdict(pattern, text) == expected, (pattern, text)
+        # refmatch rejects a "^" anywhere in a class; re reads "[a^]" as two characters.
+        if "^" not in pattern and all(ch.isspace() == (ch in refmatch.WHITESPACE) for ch in text):
+            assert refmatch.search(pattern, text) == expected, (pattern, text)
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [r"\bgoto\b", r"\d", r"\n", "[a-c]", "[^x]", "[]x]", "a.b", "a+", "x{2}", "(a)", "^a", "a$", "a|b"],
+)
+def test_patterns_outside_the_dialect_keep_re_verdicts(pattern):
+    # Each is a construct refmatch would misread (\b as "b", [a-c] as three
+    # characters) or does not know; re must judge it.
+    assert not is_linear_time(pattern)
+    texts = ["", "a", "b", "-", "x", "]", "1", "\n", "ab", "aa", "xx", "a-c", "axb", "a\nb", "goto", "goto;", "bgotob"]
+    for text in texts:
+        assert verdict(pattern, text) == (re.search(pattern, text) is not None), (pattern, text)
+
+
+def test_nested_branch_rule_fails_fast_on_a_long_flat_chain():
+    # re backtracks on this for more than five minutes at 200 lines.
+    rule = load_spec(SPEC_PATH).rules[0]
+    assert is_linear_time(rule.pattern)
+    chain = "if (x) { y(); }\n" * 1600
+    started = time.perf_counter()
+    result = evaluate_rule(rule, [("main.cpp", chain)])
+    assert time.perf_counter() - started < 1.0
+    assert not result.matched
 
 
 # -- report arithmetic ---------------------------------------------------------
