@@ -14,6 +14,7 @@ distinct verdict instead of an exception.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import signal
 import subprocess
@@ -196,14 +197,12 @@ def run_test(
     def feed_stdin() -> None:
         stream = process.stdin
         assert stream is not None
-        try:
+        # The program may exit without reading its input; that is its
+        # prerogative and will show up in the output comparison. Closing
+        # then fails to flush, but the pipe is closed all the same.
+        with contextlib.suppress(OSError), stream:
             if case.stdin_text:
                 stream.write(case.stdin_text.encode("utf-8"))
-            stream.close()
-        except OSError:
-            # The program exited without reading its input; that is its
-            # prerogative and will show up in the output comparison.
-            pass
 
     reader = threading.Thread(target=drain_stdout, daemon=True)
     writer = threading.Thread(target=feed_stdin, daemon=True)
@@ -225,6 +224,10 @@ def run_test(
         _kill_hard(process)
         reader.join(timeout=5.0)
     writer.join(timeout=5.0)
+    if not reader.is_alive():
+        # A reader still blocked in read() holds the stream's lock, so
+        # closing would block too; that pipe is left to the collector.
+        process.stdout.close()
 
     expected = normalize_output(case.expected_stdout, policy)
     actual = normalize_output(captured.decode("utf-8", errors="replace"), policy)

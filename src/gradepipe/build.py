@@ -26,6 +26,7 @@ OUTPUT_TOKEN = "{output}"
 # The binary the compiler writes into the workspace.
 OUTPUT_NAME = "program"
 
+DEFAULT_COMPILER_COMMAND = ("g++", "-std=c++17", SOURCES_TOKEN, "-o", OUTPUT_TOKEN)
 DEFAULT_COMPILE_TIMEOUT = 30.0
 
 
@@ -77,7 +78,7 @@ class CompilerProfile:
     the binary name, possibly embedded as in ``-o{output}``).
     """
 
-    command: tuple[str, ...]
+    command: tuple[str, ...] = DEFAULT_COMPILER_COMMAND
     timeout_secs: float = DEFAULT_COMPILE_TIMEOUT
 
     def __post_init__(self) -> None:

@@ -243,23 +243,36 @@ class GradingSession:
             return self._write_report_files(report)
 
     def _write_report_files(self, report: AssessmentReport) -> str | None:
-        """Write the report pair; if that fails, mark the report Errored and return why."""
+        """Write the report pair; if that fails, mark the report Errored and return why.
+
+        Both halves go to temporary files in the reports directory and are
+        renamed over the previous pair only once both are written, so a
+        failed write leaves the previous pair as it was and no partial file.
+        """
         if report.identity is None:
             return None
         stem = report.identity.stem()
+        # Unique per process and thread: a resubmission may be written while
+        # an earlier one of the same stem is still being written.
+        tag = f"{os.getpid()}.{threading.get_ident()}.tmp"
+        written: list[tuple[Path, Path]] = []
         try:
             self.reports_dir.mkdir(parents=True, exist_ok=True)
-            (self.reports_dir / f"{stem}.report.txt").write_text(
-                render_report_text(report), encoding="utf-8"
-            )
-            (self.reports_dir / f"{stem}.report.json").write_text(
-                render_report_json(report), encoding="utf-8"
-            )
+            for suffix, render in ((".report.txt", render_report_text), (".report.json", render_report_json)):
+                final = self.reports_dir / f"{stem}{suffix}"
+                temp = final.with_name(f".{final.name}.{tag}")
+                written.append((temp, final))
+                temp.write_text(render(report), encoding="utf-8")
+            for temp, final in written:
+                os.replace(temp, final)
         except OSError as exc:
             report.status = ReportStatus.ERRORED
             report.detail = REASON_REPORT_UNWRITABLE
             report.score = None
             return str(exc)
+        finally:
+            for temp, _ in written:
+                temp.unlink(missing_ok=True)
         return None
 
     def _conclude(self, report: AssessmentReport, message: str) -> AssessmentReport:
@@ -314,13 +327,14 @@ class GradingSession:
         """Return the absolute inbox that :meth:`watch_inbox` would poll.
 
         Raises ValueError for a poll interval under ``MIN_POLL_INTERVAL``
-        seconds or an inbox that is also the workspace or reports directory.
+        seconds or an inbox that is also the workspace, reports or quarantine
+        directory.
         """
         if poll_interval < MIN_POLL_INTERVAL:
             raise ValueError(f"poll interval must be at least {MIN_POLL_INTERVAL:g} second, got {poll_interval:g}")
         inbox = Path(inbox).absolute()
-        if inbox in (self.workspace_root, self.reports_dir):
-            raise ValueError("inbox must be distinct from the workspace and reports directories")
+        if inbox in (self.workspace_root, self.reports_dir, self.quarantine_dir):
+            raise ValueError("inbox must be distinct from the workspace, reports and quarantine directories")
         return inbox
 
     def watch_inbox(

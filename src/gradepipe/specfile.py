@@ -6,31 +6,27 @@ submissions, the lexical rules, the black-box tests, and how the rubric
 weighs it all. Validation is eager and exhaustive: a bad spec is rejected
 before any grading starts, and every problem in the file is reported at
 once rather than one per run.
+
+One table drives the reader: ``_SECTIONS`` maps each mapping section to the
+config class it builds and each of its keys to a type reader, which only
+checks and converts the YAML value (a number is never a bool); rule and
+test entries name theirs the same way. Omitted keys take the class's own
+default, and range checks live only in the classes' ``__post_init__``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Iterator
 
 import yaml
 
 from .assess import Rubric
-from .blackbox import DEFAULT_OUTPUT_CAP, DEFAULT_TEST_TIMEOUT, NormalizationPolicy, TestCase
+from .blackbox import DEFAULT_OUTPUT_CAP, NormalizationPolicy, TestCase
 from .build import CompilerProfile
 from .ingest import ExtractionLimits
 from .lexcheck import LexicalRule, RulePolarity, join_pattern_lines
-
-DEFAULT_COMPILER_COMMAND = ("g++", "-std=c++17", "{sources}", "-o", "{output}")
-
-_TOP_LEVEL_KEYS = {"assignment", "compiler", "rubric", "normalization", "extraction", "output_cap", "rules", "tests"}
-_COMPILER_KEYS = {"command", "timeout_secs"}
-_RUBRIC_KEYS = {"lexical_weight", "blackbox_weight", "compile_gate", "scale"}
-_NORMALIZATION_KEYS = {"unify_line_endings", "trim_trailing_ws", "drop_trailing_blank_lines", "case_sensitive"}
-_EXTRACTION_KEYS = {"max_total_bytes", "max_entry_count", "max_path_depth", "allowed_extensions"}
-_RULE_KEYS = {"id", "description", "pattern", "polarity", "weight", "strip_comments", "strip_strings"}
-_TEST_KEYS = {"id", "stdin", "expected_stdout", "expected_stdout_file", "args", "timeout_secs", "weight"}
 
 
 class SpecError(ValueError):
@@ -58,7 +54,73 @@ class AssignmentSpec:
 
 
 def _is_number(value: Any) -> bool:
+    # YAML ``true`` is a bool, and a bool is an int to Python.
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value: Any) -> float:
+    if not _is_number(value):
+        raise ValueError("must be a number")
+    return float(value)
+
+
+def _integer(value: Any) -> int:
+    if not _is_integer(value):
+        raise ValueError("must be an integer")
+    return value
+
+
+def _boolean(value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError("must be a boolean")
+    return value
+
+
+def _strings(value: Any) -> tuple[str, ...]:
+    if not (isinstance(value, list) and value and all(isinstance(token, str) for token in value)):
+        raise ValueError("must be a non-empty list of strings")
+    return tuple(value)
+
+
+def _extensions(value: Any) -> frozenset[str]:
+    if not (isinstance(value, list) and all(isinstance(item, str) and item for item in value)):
+        raise ValueError("must be a list of extension strings")
+    lowered = (item.lower() for item in value)
+    return frozenset(item if item.startswith(".") else "." + item for item in lowered)
+
+
+_Readers = dict[str, Callable[[Any], Any]]
+
+_SECTIONS: dict[str, tuple[type, _Readers]] = {
+    "compiler": (CompilerProfile, {"command": _strings, "timeout_secs": _number}),
+    "rubric": (
+        Rubric,
+        {"lexical_weight": _number, "blackbox_weight": _number, "compile_gate": _boolean, "scale": _number},
+    ),
+    "normalization": (
+        NormalizationPolicy,
+        dict.fromkeys(
+            ("unify_line_endings", "trim_trailing_ws", "drop_trailing_blank_lines", "case_sensitive"), _boolean
+        ),
+    ),
+    "extraction": (
+        ExtractionLimits,
+        {
+            **dict.fromkeys(("max_total_bytes", "max_entry_count", "max_path_depth"), _integer),
+            "allowed_extensions": _extensions,
+        },
+    ),
+}
+_RULE_READERS: _Readers = {"weight": _number, "strip_comments": _boolean, "strip_strings": _boolean}
+_TEST_READERS: _Readers = {"timeout_secs": _number, "weight": _number}
+
+_TOP_LEVEL_KEYS = {"assignment", "output_cap", "rules", "tests", *_SECTIONS}
+_RULE_KEYS = {"id", "description", "pattern", "polarity", *_RULE_READERS}
+_TEST_KEYS = {"id", "stdin", "expected_stdout", "expected_stdout_file", "args", *_TEST_READERS}
 
 
 def _as_text(value: Any) -> str | None:
@@ -75,237 +137,123 @@ def _as_text(value: Any) -> str | None:
     return None
 
 
-def _check_keys(section: dict[str, Any], allowed: set[str], where: str, problems: list[str]) -> None:
-    for key in sorted(set(section) - allowed):
+def _check_keys(mapping: dict[Any, Any], allowed: set[str], where: str, problems: list[str]) -> None:
+    for key in sorted(set(mapping) - allowed, key=str):
         problems.append(f"{where}: unknown key {key!r}")
 
 
-def _parse_compiler(section: Any, problems: list[str]) -> CompilerProfile:
-    default = CompilerProfile(command=DEFAULT_COMPILER_COMMAND)
+def _read(mapping: dict[Any, Any], readers: _Readers, where: str, problems: list[str]) -> dict[str, Any]:
+    """Read every key of ``readers`` that ``mapping`` gives, leaving out and
+    reporting the invalid ones so that they take the class default."""
+    values: dict[str, Any] = {}
+    for key, reader in readers.items():
+        if key in mapping:
+            try:
+                values[key] = reader(mapping[key])
+            except ValueError as exc:
+                problems.append(f"{where}: {key} {exc}")
+    return values
+
+
+def _parse_section(name: str, section: Any, problems: list[str]) -> Any:
+    """Build the config class of a mapping section; its defaults on any problem."""
+    cls, readers = _SECTIONS[name]
     if section is None:
-        return default
+        return cls()
     if not isinstance(section, dict):
-        problems.append("compiler: must be a mapping")
-        return default
-    _check_keys(section, _COMPILER_KEYS, "compiler", problems)
-    command = section.get("command", list(DEFAULT_COMPILER_COMMAND))
-    if not (isinstance(command, list) and command and all(isinstance(token, str) for token in command)):
-        problems.append("compiler.command: must be a non-empty list of strings")
-        return default
-    timeout = section.get("timeout_secs", default.timeout_secs)
-    if not _is_number(timeout):
-        problems.append("compiler.timeout_secs: must be a number")
-        return default
+        problems.append(f"{name}: must be a mapping")
+        return cls()
+    _check_keys(section, set(readers), name, problems)
     try:
-        return CompilerProfile(command=tuple(command), timeout_secs=float(timeout))
+        return cls(**_read(section, readers, name, problems))
     except ValueError as exc:
-        problems.append(f"compiler: {exc}")
-        return default
+        problems.append(f"{name}: {exc}")
+        return cls()
 
 
-def _parse_rubric(section: Any, problems: list[str]) -> Rubric:
+def _entries(name: str, section: Any, allowed: set[str], problems: list[str]) -> Iterator[tuple[str, str, dict]]:
+    """Yield ``(where, id, entry)`` for each entry of a list section with a new id."""
     if section is None:
-        return Rubric()
-    if not isinstance(section, dict):
-        problems.append("rubric: must be a mapping")
-        return Rubric()
-    _check_keys(section, _RUBRIC_KEYS, "rubric", problems)
-    gate = section.get("compile_gate", True)
-    if not isinstance(gate, bool):
-        problems.append("rubric.compile_gate: must be a boolean")
-        gate = True
-    values = {}
-    for key, fallback in (("lexical_weight", 0.3), ("blackbox_weight", 0.7), ("scale", 100.0)):
-        value = section.get(key, fallback)
-        if not _is_number(value):
-            problems.append(f"rubric.{key}: must be a number")
-            value = fallback
-        values[key] = float(value)
-    try:
-        return Rubric(
-            lexical_weight=values["lexical_weight"],
-            blackbox_weight=values["blackbox_weight"],
-            compile_gate=gate,
-            scale=values["scale"],
-        )
-    except ValueError as exc:
-        problems.append(f"rubric: {exc}")
-        return Rubric()
-
-
-def _parse_normalization(section: Any, problems: list[str]) -> NormalizationPolicy:
-    if section is None:
-        return NormalizationPolicy()
-    if not isinstance(section, dict):
-        problems.append("normalization: must be a mapping")
-        return NormalizationPolicy()
-    _check_keys(section, _NORMALIZATION_KEYS, "normalization", problems)
-    kwargs = {}
-    for key in _NORMALIZATION_KEYS:
-        if key in section:
-            if isinstance(section[key], bool):
-                kwargs[key] = section[key]
-            else:
-                problems.append(f"normalization.{key}: must be a boolean")
-    return NormalizationPolicy(**kwargs)
-
-
-def _parse_extraction(section: Any, problems: list[str]) -> ExtractionLimits:
-    if section is None:
-        return ExtractionLimits()
-    if not isinstance(section, dict):
-        problems.append("extraction: must be a mapping")
-        return ExtractionLimits()
-    _check_keys(section, _EXTRACTION_KEYS, "extraction", problems)
-    kwargs: dict[str, Any] = {}
-    for key in ("max_total_bytes", "max_entry_count", "max_path_depth"):
-        if key in section:
-            value = section[key]
-            if isinstance(value, int) and not isinstance(value, bool):
-                kwargs[key] = value
-            else:
-                problems.append(f"extraction.{key}: must be an integer")
-    if "allowed_extensions" in section:
-        raw = section["allowed_extensions"]
-        if isinstance(raw, list) and all(isinstance(item, str) and item for item in raw):
-            normalized = []
-            for item in raw:
-                item = item.lower()
-                normalized.append(item if item.startswith(".") else "." + item)
-            kwargs["allowed_extensions"] = frozenset(normalized)
-        else:
-            problems.append("extraction.allowed_extensions: must be a list of extension strings")
-    try:
-        return ExtractionLimits(**kwargs)
-    except ValueError as exc:
-        problems.append(f"extraction: {exc}")
-        return ExtractionLimits()
-
-
-def _parse_rules(section: Any, problems: list[str]) -> tuple[LexicalRule, ...]:
-    if section is None:
-        return ()
+        return
     if not isinstance(section, list):
-        problems.append("rules: must be a list")
-        return ()
-    rules: list[LexicalRule] = []
+        problems.append(f"{name}: must be a list")
+        return
     seen_ids: set[str] = set()
     for index, entry in enumerate(section):
-        where = f"rules[{index}]"
+        where = f"{name}[{index}]"
         if not isinstance(entry, dict):
             problems.append(f"{where}: must be a mapping")
             continue
-        _check_keys(entry, _RULE_KEYS, where, problems)
-        rule_id = entry.get("id")
-        if not isinstance(rule_id, str) or not rule_id:
+        _check_keys(entry, allowed, where, problems)
+        entry_id = entry.get("id")
+        if not isinstance(entry_id, str) or not entry_id:
             problems.append(f"{where}: missing or non-string id")
             continue
-        if rule_id in seen_ids:
-            problems.append(f"{where}: duplicate rule id {rule_id!r}")
+        if entry_id in seen_ids:
+            problems.append(f"{where}: duplicate {name[:-1]} id {entry_id!r}")
             continue
-        seen_ids.add(rule_id)
+        seen_ids.add(entry_id)
+        yield f"{where} ({entry_id})", entry_id, entry
+
+
+def _parse_rules(section: Any, problems: list[str]) -> tuple[LexicalRule, ...]:
+    rules: list[LexicalRule] = []
+    for where, rule_id, entry in _entries("rules", section, _RULE_KEYS, problems):
         pattern = entry.get("pattern")
         if not isinstance(pattern, str) or not pattern.strip():
-            problems.append(f"{where} ({rule_id}): missing or empty pattern")
+            problems.append(f"{where}: missing or empty pattern")
             continue
-        polarity_raw = entry.get("polarity", "must-match")
         try:
-            polarity = RulePolarity(polarity_raw)
+            polarity = RulePolarity(entry.get("polarity", "must-match"))
         except ValueError:
-            problems.append(f"{where} ({rule_id}): polarity must be 'must-match' or 'must-not-match'")
+            problems.append(f"{where}: polarity must be 'must-match' or 'must-not-match'")
             continue
-        weight = entry.get("weight", 1.0)
-        flags = {}
-        for key in ("strip_comments", "strip_strings"):
-            value = entry.get(key, True)
-            if not isinstance(value, bool):
-                problems.append(f"{where} ({rule_id}): {key} must be a boolean")
-                value = True
-            flags[key] = value
         description = entry.get("description", rule_id)
         if not isinstance(description, str):
-            problems.append(f"{where} ({rule_id}): description must be a string")
+            problems.append(f"{where}: description must be a string")
             description = rule_id
+        values = _read(entry, _RULE_READERS, where, problems)
         try:
-            rule = LexicalRule(
-                rule_id=rule_id,
-                description=description,
-                pattern=join_pattern_lines(pattern),
-                polarity=polarity,
-                weight=float(weight) if _is_number(weight) else weight,
-                **flags,
-            )
+            rules.append(LexicalRule(rule_id, description, join_pattern_lines(pattern), polarity, **values))
         except ValueError as exc:
             problems.append(f"{where}: {exc}")
-            continue
-        rules.append(rule)
     return tuple(rules)
 
 
 def _parse_tests(section: Any, spec_dir: Path, problems: list[str]) -> tuple[TestCase, ...]:
-    if section is None:
-        return ()
-    if not isinstance(section, list):
-        problems.append("tests: must be a list")
-        return ()
     tests: list[TestCase] = []
-    seen_ids: set[str] = set()
-    for index, entry in enumerate(section):
-        where = f"tests[{index}]"
-        if not isinstance(entry, dict):
-            problems.append(f"{where}: must be a mapping")
-            continue
-        _check_keys(entry, _TEST_KEYS, where, problems)
-        test_id = entry.get("id")
-        if not isinstance(test_id, str) or not test_id:
-            problems.append(f"{where}: missing or non-string id")
-            continue
-        if test_id in seen_ids:
-            problems.append(f"{where}: duplicate test id {test_id!r}")
-            continue
-        seen_ids.add(test_id)
+    for where, test_id, entry in _entries("tests", section, _TEST_KEYS, problems):
         if "expected_stdout" in entry and "expected_stdout_file" in entry:
-            problems.append(f"{where} ({test_id}): give expected_stdout or expected_stdout_file, not both")
+            problems.append(f"{where}: give expected_stdout or expected_stdout_file, not both")
             continue
         if "expected_stdout_file" in entry:
             ref = entry["expected_stdout_file"]
             if not isinstance(ref, str):
-                problems.append(f"{where} ({test_id}): expected_stdout_file must be a path string")
+                problems.append(f"{where}: expected_stdout_file must be a path string")
                 continue
-            expected_path = spec_dir / ref
             try:
-                expected = expected_path.read_text(encoding="utf-8")
+                expected = (spec_dir / ref).read_text(encoding="utf-8")
             except OSError as exc:
-                problems.append(f"{where} ({test_id}): cannot read expected output file: {exc}")
+                problems.append(f"{where}: cannot read expected output file: {exc}")
                 continue
         else:
             expected = _as_text(entry.get("expected_stdout"))
             if expected is None:
-                problems.append(f"{where} ({test_id}): missing expected_stdout")
+                problems.append(f"{where}: missing expected_stdout")
                 continue
         stdin_text = _as_text(entry.get("stdin", ""))
         if stdin_text is None:
-            problems.append(f"{where} ({test_id}): stdin must be text")
+            problems.append(f"{where}: stdin must be text")
             continue
-        args_raw = entry.get("args", [])
-        if not (isinstance(args_raw, list) and all(isinstance(arg, str) for arg in args_raw)):
-            problems.append(f"{where} ({test_id}): args must be a list of strings")
+        args = entry.get("args", [])
+        if not (isinstance(args, list) and all(isinstance(arg, str) for arg in args)):
+            problems.append(f"{where}: args must be a list of strings")
             continue
-        timeout = entry.get("timeout_secs", DEFAULT_TEST_TIMEOUT)
-        weight = entry.get("weight", 1.0)
+        values = _read(entry, _TEST_READERS, where, problems)
         try:
-            case = TestCase(
-                test_id=test_id,
-                expected_stdout=expected,
-                stdin_text=stdin_text,
-                args=tuple(args_raw),
-                timeout_secs=float(timeout) if _is_number(timeout) else timeout,
-                weight=float(weight) if _is_number(weight) else weight,
-            )
-        except (ValueError, TypeError) as exc:
-            problems.append(f"{where} ({test_id}): {exc}")
-            continue
-        tests.append(case)
+            tests.append(TestCase(test_id, expected, stdin_text, tuple(args), **values))
+        except ValueError as exc:
+            problems.append(f"{where}: {exc}")
     return tuple(tests)
 
 
@@ -328,31 +276,23 @@ def load_spec(path: Path | str) -> AssignmentSpec:
     _check_keys(raw, _TOP_LEVEL_KEYS, "spec", problems)
 
     assignment = raw.get("assignment")
-    if not (isinstance(assignment, int) and not isinstance(assignment, bool) and assignment >= 0):
+    if not (_is_integer(assignment) and assignment >= 0):
         problems.append("assignment: required, must be a non-negative integer")
-        assignment = 0
 
-    compiler = _parse_compiler(raw.get("compiler"), problems)
-    rubric = _parse_rubric(raw.get("rubric"), problems)
-    normalization = _parse_normalization(raw.get("normalization"), problems)
-    extraction = _parse_extraction(raw.get("extraction"), problems)
+    sections = {name: _parse_section(name, raw.get(name), problems) for name in _SECTIONS}
     rules = _parse_rules(raw.get("rules"), problems)
     tests = _parse_tests(raw.get("tests"), path.parent, problems)
 
     output_cap = raw.get("output_cap", DEFAULT_OUTPUT_CAP)
-    if not (isinstance(output_cap, int) and not isinstance(output_cap, bool) and output_cap > 0):
+    if not (_is_integer(output_cap) and output_cap > 0):
         problems.append("output_cap: must be a positive integer")
-        output_cap = DEFAULT_OUTPUT_CAP
 
     if problems:
         raise SpecError(str(path), problems)
     return AssignmentSpec(
         assignment_number=assignment,
-        compiler=compiler,
-        rubric=rubric,
-        normalization=normalization,
-        extraction=extraction,
         rules=rules,
         tests=tests,
         output_cap=output_cap,
+        **sections,
     )

@@ -1,5 +1,7 @@
+import gc
 import random
 import time
+import warnings
 from itertools import product
 from pathlib import Path
 
@@ -176,6 +178,20 @@ def test_program_may_ignore_stdin(tmp_path):
 
 
 # -- suites --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "body, stdin_text",
+    [("cat", "2000\n"), ("exit 0", "y" * 1_000_000)],
+    ids=["reads-stdin", "ignores-large-stdin"],
+)
+def test_run_test_closes_its_pipes(tmp_path, body, stdin_text):
+    program = make_program(tmp_path, body)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        run_test(program, TestCase("t", "2000\n", stdin_text=stdin_text))
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_suite_runs_in_order_and_counts(tmp_path):

@@ -5,6 +5,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from gradepipe import pipeline
 from gradepipe.assess import GradingLogError, ReportStatus, read_log_events
 from gradepipe.blackbox import SpawnFailure
 from gradepipe.build import CompilerProfile
@@ -217,6 +218,31 @@ def test_unwritable_reports_dir_after_quarantine_logs_one_terminal_event(leap_sp
     assert events[-1]["reason"] == "report-unwritable"
 
 
+def test_failed_report_write_keeps_the_previous_pair(leap_spec, session_factory, tmp_path, monkeypatch):
+    session = session_factory(leap_spec)
+    inbox = tmp_path / "inbox"
+    drop(inbox, "Ada_Lovelace_3.zip", {"main.cpp": source("leap_nested.cpp")})
+    session.grade_archive(inbox / "Ada_Lovelace_3.zip", received_at=T0)
+    before = {path.name: path.read_bytes() for path in session.reports_dir.iterdir()}
+    assert sorted(before) == ["Ada_Lovelace_3.report.json", "Ada_Lovelace_3.report.txt"]
+
+    def disk_full(report):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(pipeline, "render_report_json", disk_full)
+    make_zip(inbox / "Ada_Lovelace_3.zip", {"main.cpp": source("leap_flat.cpp")})
+    report = session.grade_archive(inbox / "Ada_Lovelace_3.zip", received_at=T0 + timedelta(minutes=5))
+
+    assert report.status is ReportStatus.ERRORED
+    assert report.detail == "report-unwritable"
+    after = {path.name: path.read_bytes() for path in session.reports_dir.iterdir()}
+    assert after == before, "the previous pair stays byte-identical and no temporary file remains"
+    events = read_log_events(session.log.path)
+    assert [e["kind"] for e in events] == ["received", "graded", "received", "superseded", "errored"]
+    assert events[-1]["reason"] == "report-unwritable"
+    assert "No space left" in events[-1]["message"]
+
+
 def test_closed_log_aborts_grading_loudly(leap_spec, session_factory, tmp_path):
     session = session_factory(leap_spec)
     archive = drop(tmp_path / "inbox", "Ada_Lovelace_3.zip", {"main.cpp": source("leap_nested.cpp")})
@@ -345,7 +371,7 @@ def test_watch_inbox_rejects_overlapping_dirs(leap_spec, session_factory, tmp_pa
     session = session_factory(leap_spec)
     stopped = threading.Event()
     stopped.set()  # a watcher that wrongly accepts the inbox returns at once
-    for overlapping in (session.workspace_root, session.reports_dir):
+    for overlapping in (session.workspace_root, session.reports_dir, session.quarantine_dir):
         overlapping.mkdir(parents=True, exist_ok=True)
         with pytest.raises(ValueError):
             session.watch_inbox(overlapping, poll_interval=1.0, stop=stopped)

@@ -1,8 +1,10 @@
 import pytest
 
+from gradepipe.assess import DEFAULT_BLACKBOX_WEIGHT, DEFAULT_LEXICAL_WEIGHT, DEFAULT_SCALE
 from gradepipe.blackbox import DEFAULT_OUTPUT_CAP
+from gradepipe.build import DEFAULT_COMPILER_COMMAND
 from gradepipe.lexcheck import RulePolarity
-from gradepipe.specfile import DEFAULT_COMPILER_COMMAND, SpecError, load_spec
+from gradepipe.specfile import SpecError, load_spec
 
 from support import SPEC_PATH
 
@@ -203,12 +205,28 @@ tests:
         ("assignment: 2\nextraction:\n  max_total_bytes: lots\n", "must be an integer"),
         ("assignment: 2\noutput_cap: 0\n", "output_cap"),
         ("assignment: yes\n", "assignment:"),
+        ("assignment: 2\nrules:\n  - id: r\n    pattern: x\n    weight: true\n", "weight must be a number"),
+        ("assignment: 2\ntests:\n  - id: t\n    expected_stdout: ok\n    weight: true\n", "weight must be a number"),
+        (
+            "assignment: 2\ntests:\n  - id: t\n    expected_stdout: ok\n    timeout_secs: true\n",
+            "timeout_secs must be a number",
+        ),
+        ("assignment: 2\nrubric:\n  1: a\n  foo: b\n", "unknown key 1"),
+        ("assignment: 2\nrubric:\n  lexical_weight: 0.5\n", "must sum to 1.0"),
     ],
 )
 def test_specific_problems_are_caught(tmp_path, body, needle):
     with pytest.raises(SpecError) as excinfo:
         load_spec(write_spec(tmp_path, body))
     assert any(needle in p for p in excinfo.value.problems)
+
+
+def test_omitted_rubric_keys_take_the_assess_defaults(tmp_path):
+    spec = load_spec(write_spec(tmp_path, "assignment: 2\nrubric:\n  compile_gate: false\n"))
+    assert spec.rubric.lexical_weight == DEFAULT_LEXICAL_WEIGHT
+    assert spec.rubric.blackbox_weight == DEFAULT_BLACKBOX_WEIGHT
+    assert spec.rubric.scale == DEFAULT_SCALE
+    assert spec.rubric.compile_gate is False
 
 
 def test_numeric_stdin_and_expected_are_coerced(tmp_path):
