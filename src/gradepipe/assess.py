@@ -51,11 +51,11 @@ class Rubric:
     def __post_init__(self) -> None:
         for name in ("lexical_weight", "blackbox_weight"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
+            if not (isinstance(value, (int, float)) and not isinstance(value, bool) and 0.0 <= value <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
         if abs(self.lexical_weight + self.blackbox_weight - 1.0) > 1e-9:
             raise ValueError("lexical_weight and blackbox_weight must sum to 1.0")
-        if not (isinstance(self.scale, (int, float)) and self.scale > 0):
+        if not (isinstance(self.scale, (int, float)) and not isinstance(self.scale, bool) and self.scale > 0):
             raise ValueError(f"scale must be positive, got {self.scale!r}")
 
 

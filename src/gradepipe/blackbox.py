@@ -86,9 +86,10 @@ class TestCase:
     def __post_init__(self) -> None:
         if not self.test_id:
             raise ValueError("test_id must be non-empty")
-        if not (isinstance(self.timeout_secs, (int, float)) and self.timeout_secs > 0):
+        if not (isinstance(self.timeout_secs, (int, float)) and not isinstance(self.timeout_secs, bool)
+                and self.timeout_secs > 0):
             raise ValueError(f"test {self.test_id!r}: timeout_secs must be positive")
-        if not (isinstance(self.weight, (int, float)) and self.weight > 0):
+        if not (isinstance(self.weight, (int, float)) and not isinstance(self.weight, bool) and self.weight > 0):
             raise ValueError(f"test {self.test_id!r}: weight must be positive")
 
 

@@ -90,7 +90,8 @@ class CompilerProfile:
             raise ValueError(f"compiler command must contain a {OUTPUT_TOKEN} token")
         if self.command[0] in (SOURCES_TOKEN, OUTPUT_TOKEN):
             raise ValueError("first command token must be the compiler executable")
-        if not (isinstance(self.timeout_secs, (int, float)) and self.timeout_secs > 0):
+        if not (isinstance(self.timeout_secs, (int, float)) and not isinstance(self.timeout_secs, bool)
+                and self.timeout_secs > 0):
             raise ValueError(f"timeout_secs must be positive, got {self.timeout_secs!r}")
 
     def expand(self, sources: list[str], output_name: str) -> tuple[str, ...]:

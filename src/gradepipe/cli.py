@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .assess import GradingLogError, ReportStatus, render_report_text
 from .lexcheck import is_linear_time
-from .pipeline import DEFAULT_POLL_INTERVAL, BatchSummary, GradingSession
+from .pipeline import DEFAULT_POLL_INTERVAL, SCANS_PER_INTERVAL, BatchSummary, GradingSession
 from .specfile import SpecError, load_spec
 
 
@@ -56,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_watch = sub.add_parser("watch", parents=[run_opts], help="poll an inbox and grade archives as they arrive")
     p_watch.add_argument("inbox", type=Path, help="directory to poll for submission archives")
     p_watch.add_argument("--interval", type=float, default=DEFAULT_POLL_INTERVAL, metavar="SECS",
-                         help="seconds between inbox polls (default: 30, minimum 1)")
+                         help=f"seconds an upload must stay unchanged before it is graded; the inbox is "
+                              f"listed {SCANS_PER_INTERVAL} times per interval (default: 30, minimum 1)")
 
     p_validate = sub.add_parser("validate-spec", help="check an assignment spec file and list every problem")
     p_validate.add_argument("spec_file", type=Path, help="spec file to validate")
@@ -143,7 +144,11 @@ def main(argv: list[str] | None = None) -> int:
                 except ValueError as exc:
                     print(f"error: {exc}", file=sys.stderr)
                     return 2
-                print(f"watching {args.inbox} every {args.interval:g} s; Ctrl-C to stop", file=sys.stderr)
+                print(
+                    f"watching {args.inbox}: grading each upload once it has stayed unchanged for "
+                    f"{args.interval:g} s, listing {SCANS_PER_INTERVAL} times per interval; Ctrl-C to stop",
+                    file=sys.stderr,
+                )
                 summary = session.watch_inbox(args.inbox, args.interval, stop)
                 _print_summary(summary)
                 errored = summary.errored > 0

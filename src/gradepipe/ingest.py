@@ -11,6 +11,7 @@ machine-readable reason.
 from __future__ import annotations
 
 import shutil
+import time
 import zipfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -122,34 +123,41 @@ def render_submission_filename(identity: SubmissionIdentity) -> str:
     return identity.stem() + ARCHIVE_SUFFIX
 
 
-# A file observation: (size in bytes, mtime). Two identical consecutive
-# observations are taken as proof the upload has finished.
+# A file observation: (size in bytes, mtime). An upload counts as finished
+# once every listing over the settle window has seen the same stamp.
 FileStamp = tuple[int, float]
 
 
 class InboxScanner:
-    """Repeated polling of an inbox for uploads that have settled.
+    """Repeated listing of an inbox for uploads that have settled.
 
-    A file is ready once its (size, mtime) stamp matches the previous poll.
-    It is handed out once per distinct stamp while it stays in the inbox: a
-    resubmission under the same name gets a fresh stamp and is handed out
-    again. All state is keyed by the names of the latest listing, so a file
-    that leaves the inbox leaves nothing behind.
+    A file is ready once its (size, mtime) stamp matches the previous
+    listing and it has shown that stamp for at least ``settle_secs`` seconds
+    of ``time.monotonic()``, counted from the first listing that saw it; any
+    stamp change restarts the window. With ``settle_secs=0`` a file is ready
+    at the second listing that sees it unchanged. It is handed out once per
+    distinct stamp while it stays in the inbox: a resubmission under the
+    same name gets a fresh stamp and is handed out again. All state is keyed
+    by the names of the latest listing, so a file that leaves the inbox
+    leaves nothing behind.
     """
 
-    def __init__(self, inbox: Path):
+    def __init__(self, inbox: Path, settle_secs: float):
         self.inbox = inbox
-        self._observed: dict[str, FileStamp] = {}
+        self.settle_secs = settle_secs
+        # name -> (stamp, monotonic time of the first listing with that stamp)
+        self._observed: dict[str, tuple[FileStamp, float]] = {}
         self._handed: dict[str, FileStamp] = {}
 
     def poll(self) -> list[Path]:
         """One pass over the inbox; returns the newly ready files in name order."""
+        now = time.monotonic()
         try:
             entries = sorted(path for path in self.inbox.iterdir() if path.is_file())
         except OSError as exc:
             raise InboxUnreadable(f"cannot list inbox {self.inbox}: {exc}") from exc
         ready: list[Path] = []
-        observed: dict[str, FileStamp] = {}
+        observed: dict[str, tuple[FileStamp, float]] = {}
         handed: dict[str, FileStamp] = {}
         for path in entries:
             try:
@@ -158,10 +166,13 @@ class InboxScanner:
                 # Vanished between listing and stat; pretend we never saw it.
                 continue
             stamp: FileStamp = (stat.st_size, stat.st_mtime)
-            observed[path.name] = stamp
+            previous = self._observed.get(path.name)
+            unchanged = previous is not None and previous[0] == stamp
+            first_seen = previous[1] if unchanged else now
+            observed[path.name] = (stamp, first_seen)
             if self._handed.get(path.name) == stamp:
                 handed[path.name] = stamp
-            elif self._observed.get(path.name) == stamp:
+            elif unchanged and now - first_seen >= self.settle_secs:
                 ready.append(path)
                 handed[path.name] = stamp
         self._observed, self._handed = observed, handed
@@ -201,7 +212,7 @@ class ExtractionLimits:
     def __post_init__(self) -> None:
         for name in ("max_total_bytes", "max_entry_count", "max_path_depth"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value <= 0:
+            if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
                 raise ValueError(f"{name} must be a positive int, got {value!r}")
         for ext in self.allowed_extensions:
             if not ext.startswith(".") or ext != ext.lower():

@@ -311,7 +311,7 @@ class LexicalRule:
             _compile(self.pattern)
         except re.error as exc:
             raise ValueError(f"rule {self.rule_id!r}: invalid pattern: {exc}") from exc
-        if not isinstance(self.weight, (int, float)) or self.weight <= 0:
+        if not isinstance(self.weight, (int, float)) or isinstance(self.weight, bool) or self.weight <= 0:
             raise ValueError(f"rule {self.rule_id!r}: weight must be positive, got {self.weight!r}")
 
 

@@ -64,6 +64,9 @@ REASON_REPORT_UNWRITABLE = "report-unwritable"
 
 DEFAULT_POLL_INTERVAL = 30.0
 MIN_POLL_INTERVAL = 1.0
+# Watch mode lists the inbox this many times per poll interval, so an upload
+# is first seen at most a quarter interval after it lands, not a whole one.
+SCANS_PER_INTERVAL = 4
 
 
 @dataclass
@@ -219,9 +222,10 @@ class GradingSession:
 
         If a submission with the same stem and a newer receipt time has
         already been graded, this report is marked Superseded and its files
-        are not written; otherwise it replaces the previous report and the
-        replacement is noted in the log. Returns why the pair could not be
-        written, if it could not.
+        are not written; otherwise it replaces the previous report. Only a
+        pair that was written takes over the registry and notes the
+        replacement in the log. Returns why the pair could not be written,
+        if it could not.
         """
         report.generated_at = utc_now()
         report.check_invariants()
@@ -232,6 +236,9 @@ class GradingSession:
             if prior is not None and prior > report.received_at:
                 report.status = ReportStatus.SUPERSEDED
                 return None
+            failure = self._write_report_files(report)
+            if failure is not None:
+                return failure
             if prior is not None:
                 self.log.append(
                     EVENT_SUPERSEDED,
@@ -240,7 +247,7 @@ class GradingSession:
                     superseded_received_at=prior.isoformat(),
                 )
             self._registry[stem] = report.received_at
-            return self._write_report_files(report)
+            return None
 
     def _write_report_files(self, report: AssessmentReport) -> str | None:
         """Write the report pair; if that fails, mark the report Errored and return why.
@@ -346,20 +353,23 @@ class GradingSession:
         """Poll the inbox until ``stop`` is set, grading archives as they settle.
 
         A file is picked up once its size and mtime have stayed unchanged
-        across two consecutive polls, so half-uploaded archives are never
-        opened. Resubmissions under the same name are graded again and the
-        older report is superseded. Each poll counts the submissions that
-        have finished since the last one, so an unwritable audit log raises
-        :class:`GradingLogError` within one poll interval. Returns counts for
-        everything processed; in-flight submissions are finished before
-        returning.
+        for ``poll_interval`` seconds, so half-uploaded archives are never
+        opened. The inbox is listed ``SCANS_PER_INTERVAL`` times per
+        interval, and a file is picked up only when every listing over the
+        whole interval has seen it unchanged; an upload then waits about one
+        interval, not up to two. Resubmissions under the same name are
+        graded again and the older report is superseded. Each listing also
+        counts the submissions that have finished since the last one, so an
+        unwritable audit log raises :class:`GradingLogError` within a
+        quarter interval. Returns counts for everything processed; in-flight
+        submissions are finished before returning.
 
         Raises ValueError when :meth:`check_watch_inputs` does.
         """
         inbox = self.check_watch_inputs(inbox, poll_interval)
         stop = stop or threading.Event()
         summary = BatchSummary()
-        scanner = InboxScanner(inbox)
+        scanner = InboxScanner(inbox, settle_secs=poll_interval)
         in_flight: list[Future[AssessmentReport]] = []
         executor = ThreadPoolExecutor(max_workers=self.jobs)
         try:
@@ -372,7 +382,7 @@ class GradingSession:
                 for future in [future for future in in_flight if future.done()]:
                     in_flight.remove(future)
                     summary.record(future.result())
-                stop.wait(poll_interval)
+                stop.wait(poll_interval / SCANS_PER_INTERVAL)
         except KeyboardInterrupt:
             stop.set()
         finally:

@@ -5,6 +5,7 @@ from datetime import datetime, timezone
 
 import pytest
 
+from gradepipe import ingest
 from gradepipe.ingest import (
     ArchiveRejected,
     ExtractionLimits,
@@ -127,7 +128,7 @@ def test_scan_requires_two_stable_observations(tmp_path):
     upload.write_bytes(b"partial")
     _stamp(upload, 1000.0)
 
-    scanner = InboxScanner(inbox)
+    scanner = InboxScanner(inbox, settle_secs=0)
     assert scanner.poll() == []  # first sighting is never ready
 
     # Upload still growing: stamp changed, so still not ready.
@@ -147,7 +148,7 @@ def test_scan_resubmission_gets_fresh_key(tmp_path):
     upload.write_bytes(b"v1")
     _stamp(upload, 1000.0)
 
-    scanner = InboxScanner(inbox)
+    scanner = InboxScanner(inbox, settle_secs=0)
     assert scanner.poll() == []
     assert scanner.poll() == [upload]
     assert scanner.poll() == []
@@ -168,14 +169,14 @@ def test_scan_ignores_directories_and_orders_output(tmp_path):
     for path in (b, a):
         path.write_bytes(b"x")
         _stamp(path, 1000.0)
-    scanner = InboxScanner(inbox)
+    scanner = InboxScanner(inbox, settle_secs=0)
     scanner.poll()
     assert scanner.poll() == [a, b]
 
 
 def test_scan_unreadable_inbox_raises(tmp_path):
     with pytest.raises(InboxUnreadable):
-        InboxScanner(tmp_path / "missing").poll()
+        InboxScanner(tmp_path / "missing", settle_secs=0).poll()
 
 
 def test_scan_forgets_a_removed_file(tmp_path):
@@ -184,19 +185,94 @@ def test_scan_forgets_a_removed_file(tmp_path):
     upload = inbox / "Ada_Lovelace_3.zip"
     upload.write_bytes(b"v1")
     _stamp(upload, 1000.0)
-    scanner = InboxScanner(inbox)
+    scanner = InboxScanner(inbox, settle_secs=0)
     scanner.poll()
     assert scanner.poll() == [upload]
 
     upload.unlink()
     assert scanner.poll() == []
-    assert vars(scanner) == vars(InboxScanner(inbox)), "a removed file must leave no state behind"
+    assert vars(scanner) == vars(InboxScanner(inbox, settle_secs=0)), "a removed file must leave no state behind"
 
     # The same bytes uploaded again are a new arrival while they stay.
     upload.write_bytes(b"v1")
     _stamp(upload, 1000.0)
     assert scanner.poll() == []
     assert scanner.poll() == [upload]
+
+
+class _Clock:
+    """Stands in for the ``time`` module in ingest: a clock moved by hand."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        return self.now
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    fake = _Clock()
+    monkeypatch.setattr(ingest, "time", fake)
+    return fake
+
+
+@pytest.fixture
+def settling(tmp_path, clock):
+    """An upload with a fixed stamp and a scanner with a one-second window."""
+    inbox = tmp_path / "inbox"
+    inbox.mkdir()
+    upload = inbox / "Ada_Lovelace_3.zip"
+    upload.write_bytes(b"v1")
+    _stamp(upload, 1000.0)
+    return InboxScanner(inbox, settle_secs=1.0), upload
+
+
+def _poll_at(scanner, clock, now):
+    clock.now = now
+    return scanner.poll()
+
+
+@pytest.mark.parametrize("listings", [(0.0, 0.25, 0.5, 0.75, 1.0), (0.0, 0.75, 1.25)])
+def test_scan_hands_out_at_the_first_listing_past_the_window(settling, clock, listings):
+    scanner, upload = settling
+    *early, last = listings
+    for now in early:
+        assert _poll_at(scanner, clock, now) == [], f"handed out at {now} s, inside the window"
+    assert _poll_at(scanner, clock, last) == [upload]
+
+
+def test_scan_restarts_the_window_on_a_stamp_change(settling, clock):
+    scanner, upload = settling
+    assert _poll_at(scanner, clock, 0.0) == []
+    assert _poll_at(scanner, clock, 0.25) == []
+    upload.write_bytes(b"v1-and-more")
+    _stamp(upload, 1001.0)
+    for now in (0.5, 0.75, 1.0, 1.25):
+        assert _poll_at(scanner, clock, now) == [], f"handed out at {now} s, inside the restarted window"
+    assert _poll_at(scanner, clock, 1.5) == [upload]
+
+
+def test_scan_hands_a_settled_file_out_once(settling, clock):
+    scanner, upload = settling
+    handed = [path for step in range(13) for path in _poll_at(scanner, clock, step * 0.25)]
+    assert handed == [upload]
+
+
+def test_scan_removed_file_leaves_no_state(settling, clock):
+    scanner, upload = settling
+    assert _poll_at(scanner, clock, 0.0) == []
+    assert _poll_at(scanner, clock, 0.25) == []
+    upload.unlink()
+    assert _poll_at(scanner, clock, 0.5) == []
+    assert vars(scanner) == vars(InboxScanner(scanner.inbox, settle_secs=1.0))
+
+    # Back with the same stamp: a new arrival whose window starts now.
+    upload.write_bytes(b"v1")
+    _stamp(upload, 1000.0)
+    for now in (0.75, 1.0, 1.25, 1.5):
+        assert _poll_at(scanner, clock, now) == []
+    assert _poll_at(scanner, clock, 1.75) == [upload]
 
 
 # -- extraction ---------------------------------------------------------------

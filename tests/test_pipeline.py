@@ -238,9 +238,35 @@ def test_failed_report_write_keeps_the_previous_pair(leap_spec, session_factory,
     after = {path.name: path.read_bytes() for path in session.reports_dir.iterdir()}
     assert after == before, "the previous pair stays byte-identical and no temporary file remains"
     events = read_log_events(session.log.path)
-    assert [e["kind"] for e in events] == ["received", "graded", "received", "superseded", "errored"]
+    assert [e["kind"] for e in events] == ["received", "graded", "received", "errored"]
     assert events[-1]["reason"] == "report-unwritable"
     assert "No space left" in events[-1]["message"]
+
+
+def test_failed_report_write_does_not_take_over_latest_wins(leap_spec, session_factory, tmp_path, monkeypatch):
+    session = session_factory(leap_spec)
+    inbox = tmp_path / "inbox"
+    drop(inbox, "Ada_Lovelace_3.zip", {"main.cpp": source("leap_flat.cpp")})
+    session.grade_archive(inbox / "Ada_Lovelace_3.zip", received_at=T0)
+
+    def disk_full(report):
+        raise OSError(28, "No space left on device")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "render_report_json", disk_full)
+        failed = session.grade_archive(inbox / "Ada_Lovelace_3.zip", received_at=T0 + timedelta(minutes=5))
+    assert failed.status is ReportStatus.ERRORED
+
+    # Received between the two: newer than the only pair that was written.
+    make_zip(inbox / "Ada_Lovelace_3.zip", {"main.cpp": source("leap_nested.cpp")})
+    report = session.grade_archive(inbox / "Ada_Lovelace_3.zip", received_at=T0 + timedelta(minutes=2))
+
+    assert report.status is ReportStatus.GRADED
+    assert report.score == 100.0
+    assert read_report(session.reports_dir, "Ada_Lovelace_3")["score"] == 100.0
+    events = read_log_events(session.log.path)
+    assert [e["kind"] for e in events] == ["received", "graded", "received", "errored", "received", "superseded", "graded"]
+    assert events[-2]["superseded_received_at"] == T0.isoformat()
 
 
 def test_closed_log_aborts_grading_loudly(leap_spec, session_factory, tmp_path):
@@ -392,6 +418,31 @@ def test_watch_raises_while_running_when_the_log_fails(leap_spec, session_factor
     finally:
         deadline.cancel()
     assert not stop.is_set(), "a worker's log failure must end the watch, not wait for stop"
+
+
+def test_watch_lists_the_inbox_four_times_per_settle_window(leap_spec, session_factory, tmp_path, monkeypatch):
+    session = session_factory(leap_spec)
+    inbox = tmp_path / "inbox"
+    inbox.mkdir()
+    scanners = []
+
+    class RecordingScanner(pipeline.InboxScanner):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            scanners.append(self)
+
+    waits = []
+
+    class StopAtFirstWait(threading.Event):
+        def wait(self, timeout=None):
+            waits.append(timeout)
+            self.set()
+            return True
+
+    monkeypatch.setattr(pipeline, "InboxScanner", RecordingScanner)
+    session.watch_inbox(inbox, poll_interval=2.0, stop=StopAtFirstWait())
+    assert [scanner.settle_secs for scanner in scanners] == [2.0]
+    assert waits == [0.5]
 
 
 def test_watch_grades_a_settled_upload(leap_spec, session_factory, tmp_path):

@@ -1,9 +1,10 @@
 import pytest
 
-from gradepipe.assess import DEFAULT_BLACKBOX_WEIGHT, DEFAULT_LEXICAL_WEIGHT, DEFAULT_SCALE
-from gradepipe.blackbox import DEFAULT_OUTPUT_CAP
-from gradepipe.build import DEFAULT_COMPILER_COMMAND
-from gradepipe.lexcheck import RulePolarity
+from gradepipe.assess import DEFAULT_BLACKBOX_WEIGHT, DEFAULT_LEXICAL_WEIGHT, DEFAULT_SCALE, Rubric
+from gradepipe.blackbox import DEFAULT_OUTPUT_CAP, TestCase
+from gradepipe.build import DEFAULT_COMPILER_COMMAND, CompilerProfile
+from gradepipe.ingest import ExtractionLimits
+from gradepipe.lexcheck import LexicalRule, RulePolarity
 from gradepipe.specfile import SpecError, load_spec
 
 from support import SPEC_PATH
@@ -219,6 +220,34 @@ def test_specific_problems_are_caught(tmp_path, body, needle):
     with pytest.raises(SpecError) as excinfo:
         load_spec(write_spec(tmp_path, body))
     assert any(needle in p for p in excinfo.value.problems)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TestCase("t", "ok", weight=True),
+        lambda: TestCase("t", "ok", timeout_secs=True),
+        lambda: Rubric(lexical_weight=True, blackbox_weight=0),
+        lambda: Rubric(lexical_weight=0, blackbox_weight=True),
+        lambda: Rubric(scale=True),
+        lambda: LexicalRule("r", "d", "x", RulePolarity.MUST_MATCH, weight=True),
+        lambda: CompilerProfile(timeout_secs=True),
+        lambda: ExtractionLimits(max_entry_count=True),
+    ],
+    ids=[
+        "test-weight",
+        "test-timeout",
+        "rubric-lexical-weight",
+        "rubric-blackbox-weight",
+        "rubric-scale",
+        "rule-weight",
+        "compiler-timeout",
+        "extraction-limit",
+    ],
+)
+def test_config_classes_reject_a_bool_for_a_number(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_omitted_rubric_keys_take_the_assess_defaults(tmp_path):
