@@ -6,11 +6,20 @@ Compilation runs with the workspace as the working directory and sources
 given as relative paths; diagnostics therefore never leak absolute paths and
 identical submissions produce byte-identical diagnostics wherever they are
 graded.
+
+Parsing ``<iostream>`` is most of the compile time of a small program, so a
+session can precompile it once with the assignment's own command; see
+:class:`PrecompiledHeaders`.
 """
 
 from __future__ import annotations
 
+import os
+import re
+import shutil
 import subprocess
+import tempfile
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -28,6 +37,24 @@ OUTPUT_NAME = "program"
 
 DEFAULT_COMPILER_COMMAND = ("g++", "-std=c++17", SOURCES_TOKEN, "-o", OUTPUT_TOKEN)
 DEFAULT_COMPILE_TIMEOUT = 30.0
+
+# Captured compiler output is cut after either limit, and the cut is noted.
+MAX_OUTPUT_BYTES = 64 * 1024
+MAX_OUTPUT_LINES = 500
+
+# A translation unit that includes <iostream> spends most of its compile time
+# parsing it, so a session precompiles that header. <cstdio> is left out; its
+# PCH saves 8 ms of an 88 ms compile.
+PCH_HEADER = "iostream"
+# Blanks only, never \s: a match must not run on across lines.
+_PCH_INCLUDE = re.compile(rb"^[ \t]*#[ \t]*include[ \t]*<iostream>", re.M)
+# Only a compile that prints nothing keeps its result under the PCH; any other
+# runs again cold. The build costs about what three compiles save, so it waits
+# for this many silent compiles that include the header, and the PCH is built
+# and used only while the noisy ones are no more than the silent ones. (For a
+# leap-year program, g++ 12 on 2 vCPUs, a silent compile saves about 0.37 s
+# and a noisy one costs about 0.25 s more: past about 60% noisy it loses.)
+PCH_BUILD_AFTER_SILENT = 2
 
 
 class CompilerNotFound(RuntimeError):
@@ -117,7 +144,176 @@ class CompileResult:
         return sum(1 for d in self.diagnostics if d.severity is DiagnosticSeverity.ERROR)
 
 
-def compile_workspace(workspace: Path, profile: CompilerProfile, files: Sequence[str]) -> CompileResult:
+def _cap_output(raw: str) -> str:
+    """Keep the first lines of compiler output, up to both output limits.
+
+    Anything past ``MAX_OUTPUT_LINES`` lines or ``MAX_OUTPUT_BYTES`` bytes
+    (UTF-8) is dropped, and one ``note: N lines omitted`` line says how
+    many lines went. Output within both limits is returned unchanged.
+    """
+    lines = raw.splitlines(keepends=True)
+    kept = size = 0
+    for line in lines[:MAX_OUTPUT_LINES]:
+        size += len(line.encode("utf-8"))
+        if size > MAX_OUTPUT_BYTES:
+            break
+        kept += 1
+    if kept == len(lines):
+        return raw
+    return "".join(lines[:kept]) + f"note: {len(lines) - kept} lines omitted\n"
+
+
+def _names_gcc(executable: str, timeout: float) -> bool:
+    """Whether ``executable --version`` reads like GCC's banner."""
+    try:
+        completed = subprocess.run(
+            [executable, "--version"],
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            timeout=timeout,
+            text=True,
+            errors="replace",
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return False
+    # "g++ (Debian 12.2.0-14) 12.2.0" ... "Free Software Foundation"; clang
+    # says "clang version", and a shell's banner has no "(...) N" shape.
+    banner = completed.stdout
+    return (
+        completed.returncode == 0
+        and re.match(r"\S+ \([^)\n]*\) \d", banner) is not None
+        and "Free Software Foundation" in banner
+    )
+
+
+def _includes_iostream(workspace: Path, sources: Sequence[str]) -> bool:
+    """Whether a translation unit among ``sources`` has a line ``#include <iostream>``."""
+    return any(_PCH_INCLUDE.search((workspace / name).read_bytes()) for name in sources)
+
+
+def _stamp(include: Path) -> tuple[int, ...] | None:
+    """Identity and last change of ``include`` and its ``.gch``, or None if either is gone.
+
+    A write, a new entry or a replaced file changes the ``st_ctime_ns`` of
+    one of the two, and no process can set that back.
+    """
+    try:
+        stats = (include.stat(), (include / f"{PCH_HEADER}.gch").stat())
+    except OSError:
+        return None
+    return tuple(n for st in stats for n in (st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns))
+
+
+class PrecompiledHeaders:
+    """The precompiled ``<iostream>`` of one session, built once it pays off.
+
+    It counts the compiles whose sources include ``<iostream>`` as silent
+    (succeeded and printed nothing) or noisy. Once ``PCH_BUILD_AFTER_SILENT``
+    were silent and no more were noisy, :meth:`include_dir` builds
+    ``iostream.gch`` once, with that compile's command and flags (other
+    compiles run cold meanwhile), so GCC accepts it exactly where it would
+    have parsed the header itself. GCC looks for ``iostream.gch`` in each
+    include directory before ``iostream``, so a compile that names the
+    returned directory first in ``CPLUS_INCLUDE_PATH`` loads it instead of
+    parsing the header. There is no PCH unless ``<compiler> --version``
+    names GCC (clang would need ``-include-pch``, which changes the command)
+    and the build exits 0 without printing anything.
+
+    The PCH is not used while noisy compiles outnumber silent ones, and is
+    dropped for the rest of the session if the directory or the ``.gch``
+    changes after the build (a student binary runs as the same user and
+    could rewrite it).
+
+    Nothing runs and nothing is created until the build. The files live in
+    one ``.pch-*`` directory under ``root``, which :meth:`close` removes.
+    """
+
+    def __init__(self, root: Path):
+        self.root = root
+        self._lock = threading.Lock()
+        self._silent = 0
+        self._noisy = 0
+        self._started = False
+        self._dir: Path | None = None
+        self._stamp: tuple[int, ...] | None = None
+
+    def include_dir(self, profile: CompilerProfile) -> Path | None:
+        """The directory to search first for a compile that wants the PCH, or None to compile cold."""
+        with self._lock:
+            pays = self._silent >= PCH_BUILD_AFTER_SILENT and self._noisy <= self._silent
+            build = pays and not self._started
+            self._started = self._started or build
+        if build:
+            # Only one compile gets here; the others compile cold meanwhile.
+            stamp = _stamp(self._dir / "include") if self._build(profile) else None
+            with self._lock:
+                self._stamp = stamp
+        with self._lock:
+            if not pays or self._stamp is None:
+                return None
+            if _stamp(self._dir / "include") != self._stamp:
+                self._stamp = None
+                return None
+            return self._dir / "include"
+
+    def record(self, silent: bool) -> None:
+        """Count a finished compile that wanted the PCH."""
+        with self._lock:
+            if silent:
+                self._silent += 1
+            else:
+                self._noisy += 1
+
+    def _build(self, profile: CompilerProfile) -> bool:
+        if not _names_gcc(profile.command[0], profile.timeout_secs):
+            return False
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+            self._dir = Path(tempfile.mkdtemp(prefix=".pch-", dir=self.root))
+        except OSError:
+            return False
+        # The wrapper lives outside the include directory: found there, it
+        # would include itself.
+        wrapper = Path("wrap", PCH_HEADER)
+        target = self._dir / "include" / f"{PCH_HEADER}.gch"
+        partial = target.with_name(target.name + ".tmp")
+        try:
+            (self._dir / wrapper).parent.mkdir()
+            (self._dir / wrapper).write_text(f"#include <{PCH_HEADER}>\n", encoding="utf-8")
+            target.parent.mkdir()
+            completed = subprocess.run(
+                profile.expand(["-x", "c++-header", str(wrapper)], str(partial.relative_to(self._dir))),
+                cwd=self._dir,
+                stdin=subprocess.DEVNULL,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.STDOUT,
+                timeout=profile.timeout_secs,
+            )
+            if completed.returncode != 0 or completed.stdout or not partial.is_file():
+                return False
+            os.replace(partial, target)
+            return True
+        except (OSError, subprocess.TimeoutExpired):
+            return False
+        finally:
+            partial.unlink(missing_ok=True)
+
+    def close(self) -> None:
+        """Remove the PCH directory, if one was made."""
+        with self._lock:
+            self._stamp = None
+            if self._dir is not None:
+                shutil.rmtree(self._dir, ignore_errors=True)
+                self._dir = None
+
+
+def compile_workspace(
+    workspace: Path,
+    profile: CompilerProfile,
+    files: Sequence[str],
+    pch: PrecompiledHeaders | None = None,
+) -> CompileResult:
     """Compile the translation units among ``files`` into one binary.
 
     ``files`` are workspace-relative paths in sorted order, as extraction
@@ -128,6 +324,15 @@ def compile_workspace(workspace: Path, profile: CompilerProfile, files: Sequence
     claims success without producing the binary. Only a missing compiler
     executable raises, as :class:`CompilerNotFound`, because that is an
     environment fault rather than a property of the submission.
+
+    With ``pch``, a workspace that includes ``<iostream>`` may first be
+    compiled with the PCH directory prepended to ``CPLUS_INCLUDE_PATH`` in
+    the compiler's environment. That result is kept only if the compiler
+    exited 0, printed nothing and wrote the binary. Otherwise the binary is
+    deleted and the cold compile runs, and its result is returned: under a
+    PCH a note inside a library header names the wrapper header in its
+    include chain, not the student's file. The command is the same either
+    way.
     """
     sources = [name for name in files if Path(name).suffix.lower() in COMPILE_EXTENSIONS]
     if not sources:
@@ -135,10 +340,31 @@ def compile_workspace(workspace: Path, profile: CompilerProfile, files: Sequence
         return CompileResult(False, (diagnostic,), (), raw_output=diagnostic.text)
 
     command = profile.expand(sources, OUTPUT_NAME)
+    if pch is None or not _includes_iostream(workspace, sources):
+        return _run_compiler(command, workspace, profile, None)
+    include_dir = pch.include_dir(profile)
+    if include_dir is not None:
+        inherited = os.environ.get("CPLUS_INCLUDE_PATH")
+        # An empty element would mean the working directory.
+        search = os.pathsep.join([str(include_dir)] + ([inherited] if inherited else []))
+        warm = _run_compiler(command, workspace, profile, {**os.environ, "CPLUS_INCLUDE_PATH": search})
+        if warm.succeeded and not warm.raw_output:
+            pch.record(silent=True)
+            return warm
+        (workspace / OUTPUT_NAME).unlink(missing_ok=True)
+    cold = _run_compiler(command, workspace, profile, None)
+    pch.record(silent=include_dir is None and cold.succeeded and not cold.raw_output)
+    return cold
+
+
+def _run_compiler(
+    command: tuple[str, ...], workspace: Path, profile: CompilerProfile, env: dict[str, str] | None
+) -> CompileResult:
     try:
         completed = subprocess.run(
             command,
             cwd=workspace,
+            env=env,
             stdin=subprocess.DEVNULL,
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
@@ -152,11 +378,12 @@ def compile_workspace(workspace: Path, profile: CompilerProfile, files: Sequence
         partial = exc.stdout or ""
         if isinstance(partial, bytes):
             partial = partial.decode("utf-8", errors="replace")
+        partial = _cap_output(partial)
         notice = f"error: compilation exceeded the {profile.timeout_secs:g} second limit"
         raw = partial + ("\n" if partial and not partial.endswith("\n") else "") + notice
         return CompileResult(False, classify_diagnostics(raw), command, raw_output=raw)
 
-    raw = completed.stdout or ""
+    raw = _cap_output(completed.stdout or "")
     output_path = workspace / OUTPUT_NAME
     if completed.returncode == 0 and not output_path.is_file():
         notice = "error: compiler reported success but produced no output file"

@@ -20,6 +20,7 @@ On disk a run looks like::
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -44,7 +45,7 @@ from .assess import (
     score_submission,
 )
 from .blackbox import SpawnFailure, run_test_suite
-from .build import CompilerNotFound, compile_workspace
+from .build import CompilerNotFound, PrecompiledHeaders, compile_workspace
 from .ingest import (
     ArchiveRejected,
     InboxScanner,
@@ -96,6 +97,19 @@ def _default_jobs() -> int:
     return min(8, os.cpu_count() or 1)
 
 
+@dataclass(frozen=True, order=True)
+class Receipt:
+    """When the session took an archive in, in latest-wins order.
+
+    ``at`` is the receipt time the report shows (UTC, whole seconds);
+    ``seq`` counts receipts across the session, so of two archives received
+    in the same second the one found later is the newer.
+    """
+
+    at: datetime
+    seq: int
+
+
 class GradingSession:
     """One grading run: shared directories, audit log, and duplicate tracking.
 
@@ -123,10 +137,13 @@ class GradingSession:
         self.quarantine_dir = Path(quarantine_dir).absolute()
         self.jobs = jobs if jobs and jobs > 0 else _default_jobs()
         self.log = GradingLog(Path(log_path).absolute())
-        self._registry: dict[str, datetime] = {}
+        self._pch = PrecompiledHeaders(self.workspace_root)
+        self._receipts = itertools.count()
+        self._registry: dict[str, Receipt] = {}
         self._registry_lock = threading.Lock()
 
     def close(self) -> None:
+        self._pch.close()
         self.log.close()
 
     def __enter__(self) -> GradingSession:
@@ -137,24 +154,34 @@ class GradingSession:
 
     # -- single submission ------------------------------------------------
 
-    def grade_archive(self, archive_path: Path, received_at: datetime | None = None) -> AssessmentReport:
+    def grade_archive(
+        self, archive_path: Path, received_at: datetime | Receipt | None = None
+    ) -> AssessmentReport:
         """Grade one archive through the full pipeline.
 
-        Always returns a finished report; student-caused problems become
-        Quarantined, environment problems become Errored. Only
-        :class:`GradingLogError` escapes.
+        ``received_at`` is the receipt time (now, if omitted), or the
+        :class:`Receipt` that the session stamped when its own listing
+        found the archive. Always returns a finished report;
+        student-caused problems become Quarantined, environment problems
+        become Errored. Only :class:`GradingLogError` escapes.
         """
         archive_path = Path(archive_path)
-        received = received_at or utc_now()
+        receipt = received_at if isinstance(received_at, Receipt) else self._receive(received_at)
         try:
-            return self._grade(archive_path, received)
+            return self._grade(archive_path, receipt)
         except GradingLogError:
             raise
         except Exception as exc:  # noqa: BLE001 - one submission must not sink the batch
-            report = AssessmentReport(None, archive_path.name, received)
+            report = AssessmentReport(None, archive_path.name, receipt.at)
             return self._end(report, ReportStatus.ERRORED, f"internal-error:{type(exc).__name__}", str(exc))
 
-    def _grade(self, archive_path: Path, received: datetime) -> AssessmentReport:
+    def _receive(self, at: datetime | None = None) -> Receipt:
+        """Stamp an archive as received now (or at ``at``), after every earlier receipt."""
+        # next() on an itertools.count is atomic, so receipts from threads never repeat.
+        return Receipt(at or utc_now(), next(self._receipts))
+
+    def _grade(self, archive_path: Path, receipt: Receipt) -> AssessmentReport:
+        received = receipt.at
         owner = archive_owner(archive_path)
         self.log.append(EVENT_RECEIVED, received, archive=archive_path.name, owner=owner)
         report = AssessmentReport(None, archive_path.name, received, owner, scale=self.spec.rubric.scale)
@@ -177,7 +204,7 @@ class GradingSession:
             return self._end(report, ReportStatus.QUARANTINED, reason, str(exc))
 
         try:
-            compile_result = compile_workspace(workspace, self.spec.compiler, files)
+            compile_result = compile_workspace(workspace, self.spec.compiler, files, self._pch)
         except CompilerNotFound as exc:
             return self._end(report, ReportStatus.ERRORED, "compiler-not-found", str(exc))
         report.compile_result = compile_result
@@ -206,7 +233,7 @@ class GradingSession:
 
         report.score = score_submission(compile_result, report.lexical, report.blackbox, self.spec.rubric)
         report.status = ReportStatus.GRADED
-        return self._conclude(report, self._finalize(report) or "")
+        return self._conclude(report, self._finalize(report, receipt) or "")
 
     # -- terminal states ---------------------------------------------------
 
@@ -217,15 +244,16 @@ class GradingSession:
         report.generated_at = utc_now()
         return self._conclude(report, self._write_report_files(report) or message)
 
-    def _finalize(self, report: AssessmentReport) -> str | None:
+    def _finalize(self, report: AssessmentReport, receipt: Receipt) -> str | None:
         """Apply latest-wins resolution and write the report pair.
 
-        If a submission with the same stem and a newer receipt time has
-        already been graded, this report is marked Superseded and its files
-        are not written; otherwise it replaces the previous report. Only a
-        pair that was written takes over the registry and notes the
-        replacement in the log. Returns why the pair could not be written,
-        if it could not.
+        If a submission with the same stem and a newer receipt has already
+        been graded, this report is marked Superseded and its files are not
+        written; otherwise it replaces the previous report. Receipts order
+        by time, then by the order the session found them, so the outcome
+        does not depend on which grading finishes first. Only a pair that
+        was written takes over the registry and notes the replacement in
+        the log. Returns why the pair could not be written, if it could not.
         """
         report.generated_at = utc_now()
         report.check_invariants()
@@ -233,7 +261,7 @@ class GradingSession:
         stem = report.identity.stem()
         with self._registry_lock:
             prior = self._registry.get(stem)
-            if prior is not None and prior > report.received_at:
+            if prior is not None and prior > receipt:
                 report.status = ReportStatus.SUPERSEDED
                 return None
             failure = self._write_report_files(report)
@@ -244,9 +272,9 @@ class GradingSession:
                     EVENT_SUPERSEDED,
                     report.generated_at,
                     submission=stem,
-                    superseded_received_at=prior.isoformat(),
+                    superseded_received_at=prior.at.isoformat(),
                 )
-            self._registry[stem] = report.received_at
+            self._registry[stem] = receipt
             return None
 
     def _write_report_files(self, report: AssessmentReport) -> str | None:
@@ -316,17 +344,21 @@ class GradingSession:
         A one-shot pass takes the inbox as-is (no upload debouncing, unlike
         watch mode). Files without a .zip suffix are logged as ignored and
         left untouched. Submissions grade in parallel up to ``jobs`` workers.
+        Archives are received in name order as they are listed, so of two
+        that resolve to one submission the later name is the newer.
         """
         summary = BatchSummary()
         entries = sorted(path for path in Path(inbox).iterdir() if path.is_file())
         archives: list[Path] = []
+        receipts: list[Receipt] = []
         for path in entries:
             if path.suffix.lower() == ".zip":
                 archives.append(path)
+                receipts.append(self._receive())
             else:
                 self._ignore(path, summary)
         with ThreadPoolExecutor(max_workers=self.jobs) as executor:
-            for report in executor.map(self.grade_archive, archives):
+            for report in executor.map(self.grade_archive, archives, receipts):
                 summary.record(report)
         return summary
 
@@ -378,7 +410,7 @@ class GradingSession:
                     if path.suffix.lower() != ".zip":
                         self._ignore(path, summary)
                         continue
-                    in_flight.append(executor.submit(self.grade_archive, path))
+                    in_flight.append(executor.submit(self.grade_archive, path, self._receive()))
                 for future in [future for future in in_flight if future.done()]:
                     in_flight.remove(future)
                     summary.record(future.result())

@@ -32,3 +32,11 @@ def make_program(directory: Path, body: str, name: str = "prog.sh") -> Path:
 
 def read_report(reports_dir: Path, stem: str) -> dict:
     return json.loads((reports_dir / f"{stem}.report.json").read_text(encoding="utf-8"))
+
+
+
+def built_pch(pch, profile) -> Path:
+    """Build the PCH as a compile that wants it would, and return its include directory."""
+    include = pch.include_dir(profile)
+    assert include is not None, "the precompiled header was not built"
+    return include

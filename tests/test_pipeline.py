@@ -5,12 +5,12 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from gradepipe import pipeline
+from gradepipe import build, pipeline
 from gradepipe.assess import GradingLogError, ReportStatus, read_log_events
 from gradepipe.blackbox import SpawnFailure
 from gradepipe.build import CompilerProfile
 
-from support import make_zip, read_report, source
+from support import DATA_DIR, make_zip, read_report, source, built_pch
 
 T0 = datetime(2026, 8, 25, 9, 0, 0, tzinfo=timezone.utc)
 
@@ -327,6 +327,39 @@ def test_quarantined_resubmission_replaces_report_files(leap_spec, session_facto
     assert payload["detail"] == "corrupt-archive"
 
 
+def test_same_second_resubmission_resolves_by_discovery_not_finish_order(
+    leap_spec, session_factory, tmp_path, monkeypatch
+):
+    # Both names are submission Ada_Lovelace_3; the batch lists "..._03.zip"
+    # first, so "..._3.zip" is the newer even though both arrive in one second.
+    session = session_factory(leap_spec, jobs=2)
+    inbox = tmp_path / "inbox"
+    drop(inbox, "Ada_Lovelace_03.zip", {"main.cpp": source("leap_flat.cpp")})
+    drop(inbox, "Ada_Lovelace_3.zip", {"main.cpp": source("leap_nested.cpp")})
+    newer_written = threading.Event()
+    parse, render = pipeline.parse_submission_filename, pipeline.render_report_json
+
+    def older_waits(name):
+        if name == "Ada_Lovelace_03.zip":
+            assert newer_written.wait(30), "the newer archive was never written"
+        return parse(name)
+
+    def note_newer(report):
+        if report.archive_name == "Ada_Lovelace_3.zip":
+            newer_written.set()
+        return render(report)
+
+    monkeypatch.setattr(pipeline, "parse_submission_filename", older_waits)
+    monkeypatch.setattr(pipeline, "render_report_json", note_newer)
+    monkeypatch.setattr(pipeline, "utc_now", lambda: T0)
+    summary = session.run_batch(inbox)
+
+    assert (summary.graded, summary.superseded) == (1, 1)
+    assert read_report(session.reports_dir, "Ada_Lovelace_3")["score"] == 100.0, "the newer is nested"
+    terminal = [(e["kind"], e.get("status")) for e in read_log_events(session.log.path) if e["kind"] != "received"]
+    assert terminal == [("graded", "Graded"), ("superseded", "Superseded")], "the older one finished last"
+
+
 # -- batch mode -----------------------------------------------------------------
 
 
@@ -380,6 +413,38 @@ def test_parallel_batch_matches_serial_batch(leap_spec, session_factory, tmp_pat
         for key in ("received_at", "generated_at"):
             a[key] = b[key] = None
         assert a == b
+
+
+def test_pch_leaves_every_fixture_report_and_event_identical(leap_spec, session_factory, tmp_path, monkeypatch):
+    # One test with a one-second timeout keeps the hanging fixture cheap; the
+    # compile, which is what the PCH touches, is the spec's own.
+    spec = dataclasses.replace(leap_spec, tests=(dataclasses.replace(leap_spec.tests[0], timeout_secs=1.0),))
+    inbox = tmp_path / "inbox"
+    for path in sorted(DATA_DIR.glob("*.cpp")):
+        drop(inbox, f"{path.stem.replace('_', '-').title()}_Student_3.zip", {"main.cpp": path.read_text()})
+    monkeypatch.setattr(pipeline, "utc_now", lambda: T0)
+
+    outputs = {}
+    for run in ("cold", "warm"):
+        session = session_factory(spec, subdir=run, jobs=2)
+        with monkeypatch.context() as patch:
+            if run == "cold":
+                patch.setattr(build, "_names_gcc", lambda *args: False)
+            else:
+                # Every <iostream> fixture tries the PCH, the broken one included.
+                patch.setattr(build, "PCH_BUILD_AFTER_SILENT", 0)
+                patch.setattr(build.PrecompiledHeaders, "record", lambda self, silent: None)
+                built_pch(session._pch, spec.compiler)
+            summary = session.run_batch(inbox)
+        assert summary.graded == len(list(DATA_DIR.glob("*.cpp")))
+        pch_dirs = list(session.workspace_root.glob(".pch-*"))
+        assert len(pch_dirs) == (run == "warm")
+        session.close()
+        assert list(session.workspace_root.glob(".pch-*")) == [], "close() removes the PCH directory"
+        reports = {path.name: path.read_bytes() for path in sorted(session.reports_dir.iterdir())}
+        events = sorted(session.log.path.read_text(encoding="utf-8").splitlines())
+        outputs[run] = (reports, events)
+    assert outputs["warm"] == outputs["cold"]
 
 
 # -- watch mode -----------------------------------------------------------------
