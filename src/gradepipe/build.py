@@ -14,12 +14,16 @@ session can precompile it once with the assignment's own command; see
 
 from __future__ import annotations
 
+import codecs
+import io
 import os
 import re
+import selectors
 import shutil
 import subprocess
 import tempfile
 import threading
+import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -41,6 +45,10 @@ DEFAULT_COMPILE_TIMEOUT = 30.0
 # Captured compiler output is cut after either limit, and the cut is noted.
 MAX_OUTPUT_BYTES = 64 * 1024
 MAX_OUTPUT_LINES = 500
+# Compiler output is read this many bytes at a time.
+_READ_SIZE = 16 * 1024
+# The line boundaries of str.splitlines once "\r" has become "\n".
+_LINE_ENDS = "\n\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 # A translation unit that includes <iostream> spends most of its compile time
 # parsing it, so a session precompiles that header. <cstdio> is left out; its
@@ -144,23 +152,89 @@ class CompileResult:
         return sum(1 for d in self.diagnostics if d.severity is DiagnosticSeverity.ERROR)
 
 
-def _cap_output(raw: str) -> str:
-    """Keep the first lines of compiler output, up to both output limits.
+class _CappedOutput:
+    """Compiler output taken in as it is read, keeping only what the output limits allow.
 
-    Anything past ``MAX_OUTPUT_LINES`` lines or ``MAX_OUTPUT_BYTES`` bytes
-    (UTF-8) is dropped, and one ``note: N lines omitted`` line says how
-    many lines went. Output within both limits is returned unchanged.
+    The first lines, up to ``MAX_OUTPUT_LINES`` lines and ``MAX_OUTPUT_BYTES``
+    bytes (UTF-8), are kept, and one ``note: N lines omitted`` line says how
+    many went; output within both limits is returned unchanged. Lines are
+    those of ``str.splitlines`` on the whole output, decoded as UTF-8 with
+    universal newlines, but no more than one read and the kept lines are held.
     """
-    lines = raw.splitlines(keepends=True)
-    kept = size = 0
-    for line in lines[:MAX_OUTPUT_LINES]:
-        size += len(line.encode("utf-8"))
-        if size > MAX_OUTPUT_BYTES:
-            break
-        kept += 1
-    if kept == len(lines):
-        return raw
-    return "".join(lines[:kept]) + f"note: {len(lines) - kept} lines omitted\n"
+
+    def __init__(self) -> None:
+        utf8 = codecs.getincrementaldecoder("utf-8")(errors="replace")
+        self._decoder = io.IncrementalNewlineDecoder(utf8, translate=True)
+        self._kept: list[str] = []
+        self._size = 0
+        self._omitted = 0
+        self._cut = False
+        # The unfinished last line; once cut, only whether there is one.
+        self._open = ""
+
+    def _add(self, line: str) -> None:
+        size = self._size + len(line.encode("utf-8"))
+        if self._cut or len(self._kept) == MAX_OUTPUT_LINES or size > MAX_OUTPUT_BYTES:
+            self._cut = True
+            self._omitted += 1
+        else:
+            self._kept.append(line)
+            self._size = size
+
+    def feed(self, data: bytes, final: bool = False) -> None:
+        text = self._decoder.decode(data, final)
+        if self._cut:
+            self._omitted += sum(map(text.count, _LINE_ENDS))
+            if text:
+                self._open = "" if text[-1] in _LINE_ENDS else text[-1]
+        else:
+            lines = (self._open + text).splitlines(keepends=True)
+            self._open = lines.pop() if lines and lines[-1][-1] not in _LINE_ENDS else ""
+            for line in lines:
+                self._add(line)
+            if len(self._open) > MAX_OUTPUT_BYTES:  # a line this long can never be kept
+                self._cut = True
+            if self._cut:
+                self._open = self._open[:1]
+        if final and self._open:
+            self._add(self._open)
+            self._open = ""
+
+    def text(self) -> str:
+        kept = "".join(self._kept)
+        return kept + f"note: {self._omitted} lines omitted\n" if self._omitted else kept
+
+
+def _read_capped(process: subprocess.Popen, timeout: float) -> tuple[str, bool]:
+    """Read ``process``'s output until it exits, killing it after ``timeout`` seconds.
+
+    Returns the output cut to the output limits, and whether time ran out.
+    """
+    output = _CappedOutput()
+    deadline = time.monotonic() + timeout
+    timed_out = False
+    with selectors.DefaultSelector() as selector:
+        selector.register(process.stdout, selectors.EVENT_READ)
+        while True:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                timed_out = True
+                break
+            if selector.select(left):
+                chunk = os.read(process.stdout.fileno(), _READ_SIZE)
+                if not chunk:
+                    break
+                output.feed(chunk)
+    if not timed_out:
+        try:
+            process.wait(max(deadline - time.monotonic(), 0))
+        except subprocess.TimeoutExpired:
+            timed_out = True
+    if timed_out:
+        process.kill()
+        process.wait()
+    output.feed(b"", final=True)
+    return output.text(), timed_out
 
 
 def _names_gcc(executable: str, timeout: float) -> bool:
@@ -361,34 +435,32 @@ def _run_compiler(
     command: tuple[str, ...], workspace: Path, profile: CompilerProfile, env: dict[str, str] | None
 ) -> CompileResult:
     try:
-        completed = subprocess.run(
+        process = subprocess.Popen(
             command,
             cwd=workspace,
             env=env,
             stdin=subprocess.DEVNULL,
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
-            timeout=profile.timeout_secs,
-            text=True,
-            errors="replace",
         )
     except FileNotFoundError as exc:
         raise CompilerNotFound(f"compiler executable {command[0]!r} not found") from exc
-    except subprocess.TimeoutExpired as exc:
-        partial = exc.stdout or ""
-        if isinstance(partial, bytes):
-            partial = partial.decode("utf-8", errors="replace")
-        partial = _cap_output(partial)
+    with process:
+        try:
+            raw, timed_out = _read_capped(process, profile.timeout_secs)
+        except BaseException:
+            process.kill()
+            raise
+    if timed_out:
         notice = f"error: compilation exceeded the {profile.timeout_secs:g} second limit"
-        raw = partial + ("\n" if partial and not partial.endswith("\n") else "") + notice
+        raw = raw + ("\n" if raw and not raw.endswith("\n") else "") + notice
         return CompileResult(False, classify_diagnostics(raw), command, raw_output=raw)
 
-    raw = _cap_output(completed.stdout or "")
     output_path = workspace / OUTPUT_NAME
-    if completed.returncode == 0 and not output_path.is_file():
+    if process.returncode == 0 and not output_path.is_file():
         notice = "error: compiler reported success but produced no output file"
         raw = raw + ("\n" if raw and not raw.endswith("\n") else "") + notice
         return CompileResult(False, classify_diagnostics(raw), command, raw_output=raw)
-    if completed.returncode != 0:
+    if process.returncode != 0:
         return CompileResult(False, classify_diagnostics(raw), command, raw_output=raw)
     return CompileResult(True, classify_diagnostics(raw), command, output_path=output_path, raw_output=raw)

@@ -11,15 +11,14 @@ The preprocessing deliberately preserves newlines and overall layout: line
 and column positions in the filtered text still correspond to the original
 file, and running the filter twice yields the same text as running it once.
 
-A pattern written in the linear-time dialect runs on a bit-parallel NFA in
-O(text x pattern) time, whatever the text. The dialect is a sequence of
-atoms, each optionally followed by ``*``: a literal character other than
-``. ^ $ * + ? { } [ ( ) | \\``, a backslash before an ASCII character that
-is not a letter or digit, ``\\s``, ``\\S``, or a bracket class of those (no
-ranges, no negation, no ``[`` or ``-`` inside, no leading ``]``). ``\\s`` means
-``str.isspace``, as it does to ``re``, so the NFA's verdict equals
-``re.search``'s. Every other pattern runs on ``re``, whose backtracking has no
-time bound; :func:`is_linear_time` tells the two apart.
+Every rule runs on one matcher, in O(text x pattern) time whatever the text.
+It takes the regular subset of ``re`` syntax: characters, escapes and classes
+(``.``, ranges, negation, ``\\d \\w \\s`` and their negations, with ``re``'s
+Unicode meaning), groups, ``|``, ``* + ? {m,n}`` and their lazy forms, the
+anchors ``^ $ \\A \\Z \\b \\B``, and the flags ``(?i)``, ``(?s)`` and ``(?x)``.
+On that subset its verdict is ``re.search``'s. A rule is rejected when its
+pattern uses a backreference, lookaround, a conditional or atomic group, a
+possessive repeat, another flag, or repeats that expand past 5000 states.
 """
 
 from __future__ import annotations
@@ -29,6 +28,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
+from re import _compiler, _parser
+from re import _constants as _C
 from typing import NamedTuple, Sequence
 
 # Files the lexical pass reads. Supporting data files (e.g. .txt) are not
@@ -150,146 +151,149 @@ class RulePolarity(Enum):
     MUST_NOT_MATCH = "must-not-match"
 
 
-# Outside a bracket class these characters are operators to ``re``.
-_OPERATORS = frozenset(".^$*+?{}[()|\\")
-
-# An atom is the set of characters it accepts, as (every character for which
-# str.isspace() holds, every other character, these literal characters).
-_Atom = tuple[bool, bool, frozenset[str]]
-
-
-def _escape(escaped: str) -> _Atom | None:
-    """The atom a backslash before ``escaped`` stands for, or None outside the dialect."""
-    if escaped == "s":
-        return (True, False, frozenset())
-    if escaped == "S":
-        return (False, True, frozenset())
-    if len(escaped) == 1 and escaped.isascii() and not escaped.isalnum():
-        return (False, False, frozenset(escaped))
-    return None
-
-
-def _bracket(pattern: str, i: int) -> tuple[_Atom | None, int]:
-    """Parse the class whose body starts at ``pattern[i]``; return the atom and the index after ``]``."""
-    if pattern[i : i + 1] in ("^", "]"):
-        return None, i
-    space = nonspace = False
-    chars: set[str] = set()
-    while i < len(pattern):
-        ch = pattern[i]
-        if ch == "]":
-            return (space, nonspace, frozenset(chars)), i + 1
-        if ch in "[-":
-            return None, i
-        if ch == "\\":
-            atom = _escape(pattern[i + 1 : i + 2])
-            if atom is None:
-                return None, i
-            space |= atom[0]
-            nonspace |= atom[1]
-            chars |= atom[2]
-            i += 2
-        else:
-            chars.add(ch)
-            i += 1
-    return None, i
+_STATE_CAP = 5000  # NFA states a pattern may expand to, counted repeats included
+_CACHE_CAP = 10_000  # lazy-DFA transitions kept before the cache is cleared
+# The flags the matcher implements; any other one in a pattern is rejected.
+_FLAGS = _C.SRE_FLAG_IGNORECASE | _C.SRE_FLAG_DOTALL | _C.SRE_FLAG_UNICODE | _C.SRE_FLAG_VERBOSE
+# Context of a position: a word character before it, one after it, the start,
+# the end, and a final newline right after it. A character's class bits sit above.
+_WORD_BEFORE, _WORD_AFTER, _START, _END, _FINAL_NL, _SHIFT = 1, 2, 4, 8, 16, 5
+_ASSERTIONS = {
+    _C.AT_BEGINNING: lambda ctx: ctx & _START,
+    _C.AT_BEGINNING_STRING: lambda ctx: ctx & _START,
+    _C.AT_END: lambda ctx: ctx & (_END | _FINAL_NL),
+    _C.AT_END_STRING: lambda ctx: ctx & _END,
+    _C.AT_BOUNDARY: lambda ctx: ctx & 3 in (1, 2),
+    # Like re, \B never holds in an empty string.
+    _C.AT_NON_BOUNDARY: lambda ctx: ctx & 3 in (0, 3) and ctx & (_START | _END) != _START | _END,
+}
+_UNSUPPORTED = {_C.GROUPREF: "a backreference", _C.ASSERT: "lookaround", _C.ASSERT_NOT: "lookaround",
+                _C.GROUPREF_EXISTS: "a conditional group", _C.ATOMIC_GROUP: "an atomic group",
+                _C.POSSESSIVE_REPEAT: "a possessive repeat"}
 
 
-def _tokenize(pattern: str) -> list[tuple[_Atom, bool]] | None:
-    """Split a pattern into (atom, starred) tokens, or None when it lies outside the dialect."""
-    tokens: list[tuple[_Atom, bool]] = []
-    i = 0
-    while i < len(pattern):
-        ch = pattern[i]
-        if ch == "\\":
-            atom = _escape(pattern[i + 1 : i + 2])
-            i += 2
-        elif ch == "[":
-            atom, i = _bracket(pattern, i + 1)
-        elif ch in _OPERATORS:
-            return None
-        else:
-            atom = (False, False, frozenset(ch))
-            i += 1
-        if atom is None:
-            return None
-        starred = pattern.startswith("*", i)
-        i += starred
-        tokens.append((atom, starred))
-    return tokens
+class _Matcher:
+    """Thompson NFA whose states are the bits of an int, searched through a lazy DFA.
 
-
-class _BitsetNFA:
-    """Shift-and search for a sequence of atoms, each optionally starred.
-
-    Bit ``j`` of a state set means "token ``j`` is next"; bit ``len(tokens)``
-    means a match. A starred token keeps its own bit when it consumes a
-    character and can be skipped without one.
+    Each character costs one lookup in a cache from (search state, character)
+    to the next search state. The cache is cleared when full, so a search
+    never costs more than O(text x pattern).
     """
 
-    __slots__ = ("_space", "_nonspace", "_chars", "_starred", "_start", "_accept", "_ascii")
+    def __init__(self, pattern: str):
+        parsed = _parser.parse(pattern)
+        self._edges: list[list[tuple]] = []  # per state: (assertion or None, next state) epsilon moves
+        self._moves: dict[int, int] = {}  # bit of a character state -> bit of the state after it
+        self._classes: dict[tuple, tuple] = {}  # atom key -> (fullmatch, its character states)
+        self._accept = 1 << self._state()  # state 0
+        self._start = 1 << self._build(parsed, parsed.state.flags, 0)
+        self._forks = sum(1 << state for state, edges in enumerate(self._edges) if edges)
+        self._kinds: dict[str, int] = {}
+        self._cache: dict[tuple[int, str], int] = {}
 
-    def __init__(self, tokens: list[tuple[_Atom, bool]]):
-        self._space = self._nonspace = self._starred = 0
-        self._chars: dict[str, int] = {}
-        for j, ((space, nonspace, chars), starred) in enumerate(tokens):
-            bit = 1 << j
-            self._space |= bit if space else 0
-            self._nonspace |= bit if nonspace else 0
-            self._starred |= bit if starred else 0
-            for ch in chars:
-                self._chars[ch] = self._chars.get(ch, 0) | bit
-        self._accept = 1 << len(tokens)
-        self._start = self._closure(1)
-        # Other characters are computed per occurrence: a table of every
-        # character seen would grow without bound on hostile Unicode input.
-        self._ascii = tuple(self._mask(chr(code)) for code in range(128))
+    def _state(self, *edges: tuple) -> int:
+        if len(self._edges) >= _STATE_CAP:
+            raise ValueError(f"pattern expands to more than {_STATE_CAP} states")
+        self._edges.append(list(edges))
+        return len(self._edges) - 1
 
-    def _mask(self, ch: str) -> int:
-        """The tokens that accept ``ch``."""
-        return (self._space if ch.isspace() else self._nonspace) | self._chars.get(ch, 0)
+    def _build(self, items, flags: int, out: int) -> int:
+        """Add states for ``items`` leading to ``out``; return the entry state."""
+        if flags & ~_FLAGS:
+            raise ValueError(f"unsupported flag {re.RegexFlag(flags & ~_FLAGS)!r}")
+        for op, av in reversed(items):
+            if op in (_C.LITERAL, _C.NOT_LITERAL, _C.ANY, _C.IN):
+                state = self._state()
+                self._moves[1 << state] = 1 << out
+                key = (op, repr(av), flags)
+                match, states = self._classes.get(key) or (
+                    _compiler.compile(_parser.SubPattern(_parser.State(), [(op, av)]), flags).fullmatch, 0
+                )
+                self._classes[key] = (match, states | 1 << state)
+                out = state
+            elif op is _C.AT and av in _ASSERTIONS:
+                out = self._state((_ASSERTIONS[av], out))
+            elif op is _C.BRANCH:
+                out = self._state(*((None, self._build(branch, flags, out)) for branch in av[1]))
+            elif op is _C.SUBPATTERN:
+                out = self._build(av[3], (flags | av[1]) & ~av[2], out)
+            elif op in (_C.MAX_REPEAT, _C.MIN_REPEAT):
+                low, high, item = av
+                if item.getwidth()[1] == 0:  # repeating an empty match adds nothing
+                    low, high = min(low, 1), 1
+                if high == _C.MAXREPEAT:
+                    loop = self._state((None, out))
+                    self._edges[loop].append((None, self._build(item, flags, loop)))
+                    out, high = loop, low
+                for _ in range(high - low):
+                    out = self._state((None, self._build(item, flags, out)), (None, out))
+                for _ in range(low):
+                    out = self._build(item, flags, out)
+            else:
+                raise ValueError(f"{_UNSUPPORTED.get(op, str(op).lower())} is not supported")
+        return out
 
-    def _closure(self, states: int) -> int:
-        """Add every state reached by skipping starred tokens.
+    def _kind(self, ch: str) -> int:
+        """The character states that accept ``ch`` (above _SHIFT), and whether it is a word character."""
+        # The accepting state (bit _SHIFT) consumes nothing; setting it keeps every kind nonzero.
+        kind = 1 << _SHIFT | (_WORD_AFTER if ch.isalnum() or ch == "_" else 0)  # re's \w
+        for match, states in self._classes.values():
+            if match(ch):
+                kind |= states << _SHIFT
+        if len(self._kinds) >= _CACHE_CAP:
+            self._kinds.clear()
+        self._kinds[ch] = kind
+        return kind
 
-        Adding the seeds that sit in a run of starred tokens to the run's
-        bits carries from the lowest seed to one past the run's end; the
-        bits that flip are the states those seeds reach.
+    def _closure(self, states: int, ctx: int) -> int:
+        """Add every state reached from ``states`` by epsilon moves whose assertion holds in ``ctx``."""
+        todo, forks = [], states & self._forks
+        while forks:
+            todo.append((forks & -forks).bit_length() - 1)
+            forks &= forks - 1
+        while todo:
+            for assertion, target in self._edges[todo.pop()]:
+                if not states >> target & 1 and (assertion is None or assertion(ctx)):
+                    states |= 1 << target
+                    todo.append(target)
+        return states
+
+    def _advance(self, state: int, ch: str, context: int = 0) -> int:
+        """The search state after ``ch``, or 0 once a match is found.
+
+        A search state holds the live NFA states, the start state among them,
+        above the context left of the next position (_START or _WORD_BEFORE).
         """
-        starred = self._starred
-        return states | ((starred + (states & starred)) ^ starred)
+        kind = self._kinds.get(ch) or self._kind(ch)
+        closed = self._closure(state >> 3, state & 7 | context | kind & _WORD_AFTER)
+        after, moved = self._start, closed & ~self._accept & kind >> _SHIFT
+        while moved:
+            low = moved & -moved
+            after |= self._moves[low]
+            moved ^= low
+        after = 0 if closed & self._accept else after << 3 | kind >> 1 & _WORD_BEFORE
+        if not context:
+            if len(self._cache) >= _CACHE_CAP:
+                self._cache.clear()
+            self._cache[state, ch] = after
+        return after
 
     def search(self, text: str) -> bool:
         """True when the pattern matches anywhere in ``text``."""
-        start, accept, starred, table = self._start, self._accept, self._starred, self._ascii
-        if start & accept:
-            return True
-        active = 0
-        for ch in text:
-            code = ord(ch)
-            moved = (active | start) & (table[code] if code < 128 else self._mask(ch))
-            moved = (moved << 1) | (moved & starred)
-            # self._closure(moved), inlined: this loop runs once per character.
-            active = moved | ((starred + (moved & starred)) ^ starred)
-            if active & accept:
+        state, cache = self._start << 3 | _START, self._cache
+        for ch in text[:-1]:
+            state = cache.get((state, ch)) or self._advance(state, ch)
+            if not state:
                 return True
-        return False
+        if text:
+            state = self._advance(state, text[-1], _FINAL_NL if text[-1] == "\n" else 0)
+            if not state:
+                return True
+        return bool(self._closure(state >> 3, state & 7 | _END) & self._accept)
 
 
-@lru_cache(maxsize=256)
-def _compile(pattern: str) -> re.Pattern[str] | _BitsetNFA:
-    """The matcher for a pattern: the bitset NFA inside the dialect, ``re`` outside it.
-
-    Raises ``re.error`` for every pattern ``re`` rejects, in the dialect or not.
-    """
-    regex = re.compile(pattern)
-    tokens = _tokenize(pattern)
-    return regex if tokens is None else _BitsetNFA(tokens)
-
-
-def is_linear_time(pattern: str) -> bool:
-    """True when a valid pattern lies in the dialect that matches in linear time."""
-    return isinstance(_compile(pattern), _BitsetNFA)
+# Raises re.error or ValueError for a pattern the matcher cannot run.
+_compile = lru_cache(maxsize=256)(_Matcher)
 
 
 @dataclass(frozen=True)
@@ -309,7 +313,7 @@ class LexicalRule:
             raise ValueError("rule_id must be non-empty")
         try:
             _compile(self.pattern)
-        except re.error as exc:
+        except (re.error, ValueError) as exc:
             raise ValueError(f"rule {self.rule_id!r}: invalid pattern: {exc}") from exc
         if not isinstance(self.weight, (int, float)) or isinstance(self.weight, bool) or self.weight <= 0:
             raise ValueError(f"rule {self.rule_id!r}: weight must be positive, got {self.weight!r}")

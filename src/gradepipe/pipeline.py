@@ -12,7 +12,7 @@ grades without an audit trail are worse than no grades.
 On disk a run looks like::
 
     inbox/                     student uploads, watched or batch-read
-    workspace/First_Last_N/    per-submission build dirs (replaced each run)
+    workspace/First_Last_N.S/  per-archive build dirs, S the session's receipt number
     reports/First_Last_N.report.txt and .report.json
     quarantine/                rejected archives plus *.reason.txt files
     grading.log                append-only JSONL event log
@@ -193,7 +193,9 @@ class GradingSession:
                     f"archive is for assignment {identity.assignment_number}, "
                     f"this session grades assignment {self.spec.assignment_number}",
                 )
-            workspace = self.workspace_root / identity.stem()
+            # A "." cannot occur in a stem, so no other submission or the .pch-* directory
+            # can take this name, and two archives of one submission never share a tree.
+            workspace = self.workspace_root / f"{identity.stem()}.{receipt.seq}"
             record = SubmissionRecord(identity, archive_path, received)
             files = extract_archive(record, self.spec.extraction, workspace)
             if isinstance(files, ArchiveRejected):

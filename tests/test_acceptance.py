@@ -157,6 +157,9 @@ def test_criterion_2_pattern_matches_independent_engine(leap_spec, capsys):
             problems.append(f"snippet {index}: stdlib says {shipped}, independent engine says {independent}")
         if shipped != expected:
             problems.append(f"snippet {index}: verdict {shipped}, design expected {expected}")
+        production = evaluate_rule(leap_spec.rules[0], [("main.cpp", snippet)]).matched
+        if production != expected:
+            problems.append(f"snippet {index}: grader verdict {production}, design expected {expected}")
     conclude(capsys, 2, "nested-branch pattern oracle equivalence", problems)
 
 

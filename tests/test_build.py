@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -206,6 +207,22 @@ def test_capped_output_counts_what_it_omits(tmp_path, line, kept):
     result = compile_workspace(tmp_path, profile, ["main.cpp"])
     assert result.raw_output == f"{line}\n" * kept + f"note: {1000 - kept} lines omitted\n"
     assert result.error_count == kept
+
+
+def test_an_output_storm_is_capped_while_it_is_read(tmp_path):
+    (tmp_path / "main.cpp").write_text("int main() {}\n")
+    script = "seq 200000 | sed 's/^/error: storm line /'; exit 1"
+    profile = CompilerProfile(command=("/bin/sh", "-c", script, "sh", "{sources}", "-o", "{output}"))
+    tracemalloc.start()
+    try:
+        result = compile_workspace(tmp_path, profile, ["main.cpp"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    head = "".join(f"error: storm line {n}\n" for n in range(1, MAX_OUTPUT_LINES + 1))
+    assert result.raw_output == head + f"note: {200_000 - MAX_OUTPUT_LINES} lines omitted\n"
+    # The whole output is about 4 MB.
+    assert peak < 4 * MAX_OUTPUT_BYTES
 
 
 # -- precompiled headers: diagnostics ----------------------------------------------

@@ -45,23 +45,24 @@ def test_validate_spec_reports_ok(capsys):
     assert captured.err == ""
 
 
-def test_validate_spec_flags_backtracking_patterns(tmp_path, capsys):
-    spec = tmp_path / "goto.yaml"
+def test_validate_spec_rejects_a_backreference_naming_the_rule(tmp_path, capsys):
+    spec = tmp_path / "twice.yaml"
     spec.write_text(
         "assignment: 3\n"
         "rules:\n"
-        "  - id: no-goto\n"
-        "    polarity: must-not-match\n"
-        "    pattern: '\\bgoto\\b'\n"
+        "  - id: doubled-word\n"
+        "    pattern: '(\\w+) \\1'\n"
         "  - id: has-if\n"
         "    pattern: 'if\\s*\\('\n",
         encoding="utf-8",
     )
     rc = main(["validate-spec", str(spec)])
     captured = capsys.readouterr()
-    assert rc == 0
-    assert captured.err == "rule no-goto: pattern uses re's backtracking engine (no time bound)\n"
-    assert "ok (assignment 3, 2 rules, 0 tests)" in captured.out
+    assert rc == 2
+    assert "rules[0] (doubled-word)" in captured.err
+    assert "a backreference is not supported" in captured.err
+    assert "has-if" not in captured.err
+    assert captured.out == ""
 
 
 def test_validate_spec_lists_problems(tmp_path, capsys):

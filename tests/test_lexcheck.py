@@ -11,7 +11,6 @@ from gradepipe.lexcheck import (
     collect_sources,
     evaluate_rule,
     evaluate_ruleset,
-    is_linear_time,
     join_pattern_lines,
     preprocess_source,
 )
@@ -203,7 +202,7 @@ def test_warnings_are_attributed_to_files():
     assert result.warnings == ("broken.cpp: unterminated string literal",)
 
 
-# -- matching engines -----------------------------------------------------------
+# -- matching -----------------------------------------------------------------
 
 
 def verdict(pattern: str, text: str) -> bool:
@@ -212,30 +211,63 @@ def verdict(pattern: str, text: str) -> bool:
     return evaluate_rule(rule, [("main.cpp", text)]).matched
 
 
-# Texts mix C punctuation with characters where the engines' ideas of
-# whitespace differ: \xa0 and \x1c are str.isspace(), so \s to re, but not
-# to refmatch.
+# Texts mix C punctuation with characters where ideas of a class differ:
+# \xa0 and \x1c are str.isspace(), so \s to re, but not to refmatch; \u0661
+# (Arabic-Indic one) is \d and \w, \xe9 is \w; under (?i) \u017f (long s)
+# matches s and \u212a (Kelvin sign) matches k.
 TEXT_ALPHABET = "ab {}()\n\t\xa0\x1c"
+UNICODE_ALPHABET = "abksAS _1.-;\n\xa0\x1c\u0661\xe9\u017f\u212a"
 DIALECT_ATOMS = (
     "a", "b", " ", "\n", "\t", "\xa0", "\x1c", "]",
     r"\{", r"\}", r"\(", r"\)", r"\\", r"\*", r"\ ",
     r"\s", r"\S", r"[\s\S]", r"[ab{]", r"[\s(]", r"[\S)]", "[a^]", "[*.(]", "[\xa0]",
 )
+ATOMS = (
+    "a", "b", "k", "s", "S", "\u212a", "\xe9", " ", r"\n", ".", r"\.", "[a-c]", "[^a ]", "[^\n]",
+    r"[\s\d]", r"[^\W_]", r"\d", r"\D", r"\w", r"\W", r"\s", r"\S",
+)
+ASSERTIONS = ("^", "$", r"\A", r"\Z", r"\b", r"\B")
+QUANTIFIERS = ("*", "+", "?", "{2}", "{1,3}", "{0,2}", "{2,}", "*?", "+?", "??", "{1,2}?")
+GROUPS = ("(", "(?:", "(?i:", "(?s:", "(?-i:")
 
 
-def test_dialect_engine_agrees_with_re_and_refmatch():
+def random_pattern(rng: random.Random, depth: int = 0) -> str:
+    """A pattern over the whole subset the matcher implements."""
+    parts = []
+    for _ in range(rng.randint(1, 4)):
+        roll = rng.random()
+        if roll < 0.15:
+            parts.append(rng.choice(ASSERTIONS))
+            continue
+        if roll < 0.35 and depth < 2:
+            branches = "|".join(random_pattern(rng, depth + 1) for _ in range(rng.randint(1, 3)))
+            part = rng.choice(GROUPS) + branches + ")"
+        else:
+            part = rng.choice(ATOMS)
+        parts.append(part + (rng.choice(QUANTIFIERS) if rng.random() < 0.35 else ""))
+    return (rng.choice(("", "", "(?i)", "(?s)")) if depth == 0 else "") + "".join(parts)
+
+
+def test_matcher_agrees_with_re_and_refmatch():
     rng = random.Random(4242)
-    for _ in range(3000):
-        pattern = "".join(
-            rng.choice(DIALECT_ATOMS) + ("*" if rng.random() < 0.4 else "") for _ in range(rng.randint(0, 6))
-        )
-        text = "".join(rng.choice(TEXT_ALPHABET) for _ in range(rng.randint(0, 24)))
-        assert is_linear_time(pattern), pattern
-        expected = re.search(pattern, text) is not None
-        assert verdict(pattern, text) == expected, (pattern, text)
-        # refmatch rejects a "^" anywhere in a class; re reads "[a^]" as two characters.
-        if "^" not in pattern and all(ch.isspace() == (ch in refmatch.WHITESPACE) for ch in text):
-            assert refmatch.search(pattern, text) == expected, (pattern, text)
+    for case in range(4000):
+        if case % 4:
+            pattern = random_pattern(rng)
+            alphabet = UNICODE_ALPHABET
+        else:
+            pattern = "".join(
+                rng.choice(DIALECT_ATOMS) + ("*" if rng.random() < 0.4 else "") for _ in range(rng.randint(0, 6))
+            )
+            alphabet = TEXT_ALPHABET
+        for _ in range(3):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 16)))
+            expected = re.search(pattern, text) is not None
+            assert verdict(pattern, text) == expected, (pattern, text)
+            # refmatch knows only the dialect, and rejects a "^" anywhere in a
+            # class; re reads "[a^]" as two characters.
+            in_dialect = case % 4 == 0 and "^" not in pattern
+            if in_dialect and all(ch.isspace() == (ch in refmatch.WHITESPACE) for ch in text):
+                assert refmatch.search(pattern, text) == expected, (pattern, text)
 
 
 @pytest.mark.parametrize(
@@ -244,17 +276,37 @@ def test_dialect_engine_agrees_with_re_and_refmatch():
 )
 def test_patterns_outside_the_dialect_keep_re_verdicts(pattern):
     # Each is a construct refmatch would misread (\b as "b", [a-c] as three
-    # characters) or does not know; re must judge it.
-    assert not is_linear_time(pattern)
+    # characters) or does not know; the matcher must agree with re.
     texts = ["", "a", "b", "-", "x", "]", "1", "\n", "ab", "aa", "xx", "a-c", "axb", "a\nb", "goto", "goto;", "bgotob"]
     for text in texts:
         assert verdict(pattern, text) == (re.search(pattern, text) is not None), (pattern, text)
 
 
+def thrashing_text() -> str:
+    # Every window of "a" and "r" is a distinct set of live states, more than the cache holds.
+    rng = random.Random(7)
+    return "".join(rng.choice("ar") for _ in range(100_000))
+
+
+@pytest.mark.parametrize(
+    "pattern, text",
+    [
+        ("(a|a)*b", "a" * 100_000),
+        ("(x+x+)+y", "x" * 100_000),
+        (r"\b(\w+\s*)*;", "ab " * 33_334),
+        ("[a-q][^u-z]{13}x", thrashing_text()),
+    ],
+    ids=["alternation", "nested-plus", "word-runs", "cache-thrash"],
+)
+def test_backtracking_worst_cases_finish_fast(pattern, text):
+    started = time.perf_counter()
+    assert not verdict(pattern, text)
+    assert time.perf_counter() - started < 1.0
+
+
 def test_nested_branch_rule_fails_fast_on_a_long_flat_chain():
     # re backtracks on this for more than five minutes at 200 lines.
     rule = load_spec(SPEC_PATH).rules[0]
-    assert is_linear_time(rule.pattern)
     chain = "if (x) { y(); }\n" * 1600
     started = time.perf_counter()
     result = evaluate_rule(rule, [("main.cpp", chain)])

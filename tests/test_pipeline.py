@@ -360,6 +360,19 @@ def test_same_second_resubmission_resolves_by_discovery_not_finish_order(
     assert terminal == [("graded", "Graded"), ("superseded", "Superseded")], "the older one finished last"
 
 
+def test_archives_of_one_submission_graded_at_once_keep_their_own_files(leap_spec, session_factory, tmp_path):
+    # Both names are submission Ada_Lovelace_3 and grade side by side; each
+    # must be built and judged from its own archive.
+    inbox = tmp_path / "inbox"
+    drop(inbox, "Ada_Lovelace_03.zip", {"main.cpp": source("leap_flat.cpp")})
+    drop(inbox, "Ada_Lovelace_3.zip", {"main.cpp": source("leap_nested.cpp")})
+    for run in range(5):
+        session = session_factory(leap_spec, subdir=f"run{run}", jobs=2)
+        summary = session.run_batch(inbox)
+        assert summary.errored == 0, f"run {run}"
+        assert read_report(session.reports_dir, "Ada_Lovelace_3")["score"] == 100.0, f"run {run}: the newer is nested"
+
+
 # -- batch mode -----------------------------------------------------------------
 
 

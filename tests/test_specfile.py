@@ -223,6 +223,30 @@ def test_specific_problems_are_caught(tmp_path, body, needle):
 
 
 @pytest.mark.parametrize(
+    "pattern, needle",
+    [
+        (r"(a)\1", "a backreference"),
+        ("(?=a)", "lookaround"),
+        ("(?<!a)b", "lookaround"),
+        ("(?(1)a|b)", "invalid group reference"),
+        ("(a)?(?(1)a|b)", "a conditional group"),
+        ("(?>a)", "an atomic group"),
+        ("a++", "a possessive repeat"),
+        ("a{6000}", "more than 5000 states"),
+        ("(?m)^a", "MULTILINE"),
+        (r"(?a:\w)", "ASCII"),
+    ],
+)
+def test_patterns_the_matcher_cannot_run_are_rejected(tmp_path, pattern, needle):
+    body = f"assignment: 2\nrules:\n  - id: odd-one\n    pattern: '{pattern}'\n"
+    with pytest.raises(SpecError) as excinfo:
+        load_spec(write_spec(tmp_path, body))
+    [problem] = excinfo.value.problems
+    assert problem.startswith("rules[0] (odd-one): rule 'odd-one': invalid pattern: ")
+    assert needle in problem
+
+
+@pytest.mark.parametrize(
     "build",
     [
         lambda: TestCase("t", "ok", weight=True),
