@@ -8,22 +8,20 @@ program's internals; a submission passes by behaving correctly, not by
 looking correct.
 
 Misbehaving programs cannot take the grader down with them: wall-clock
-timeouts and an output volume cap both kill the child process and produce a
-distinct verdict instead of an exception.
+timeouts and an output volume cap both kill the program, with everything it
+started, and produce a distinct verdict instead of an exception.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 import signal
-import subprocess
-import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
+
+from .child import run_child
 
 DEFAULT_TEST_TIMEOUT = 5.0
 DEFAULT_OUTPUT_CAP = 1024 * 1024
@@ -137,20 +135,6 @@ def _signal_name(exit_code: int) -> str:
         return f"signal {-exit_code}"
 
 
-def _kill_hard(process: subprocess.Popen) -> None:
-    # The child runs as its own session leader, so its pid doubles as the
-    # process-group id. Killing the whole group also takes down anything it
-    # forked; otherwise an orphaned grandchild could keep the stdout pipe
-    # open and stall the reader long after the verdict.
-    try:
-        os.killpg(process.pid, signal.SIGKILL)
-    except (ProcessLookupError, PermissionError, OSError):
-        try:
-            process.kill()
-        except OSError:
-            pass
-
-
 def run_test(
     executable: Path,
     case: TestCase,
@@ -166,74 +150,31 @@ def run_test(
     exit status with matching output still passes; the exit code is recorded
     for the report but is not part of the contract.
     """
+    # One byte past the cap is kept to tell a full stdout from an overflowing one.
+    captured = bytearray()
+
+    def take(chunk: bytes) -> bool:
+        captured.extend(chunk[: output_cap + 1 - len(captured)])
+        return len(captured) <= output_cap
+
+    start = time.monotonic()
     try:
-        process = subprocess.Popen(
+        exit_code, timed_out = run_child(
             [str(executable), *case.args],
-            cwd=executable.parent,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            start_new_session=True,
+            executable.parent,
+            case.timeout_secs,
+            take,
+            stdin=case.stdin_text.encode("utf-8"),
         )
     except OSError as exc:
         raise SpawnFailure(f"cannot start {executable}: {exc}") from exc
-
-    captured = bytearray()
-    overflowed = threading.Event()
-
-    def drain_stdout() -> None:
-        stream = process.stdout
-        assert stream is not None
-        while True:
-            chunk = stream.read(64 * 1024)
-            if not chunk:
-                return
-            if len(captured) + len(chunk) > output_cap:
-                captured.extend(chunk[: output_cap - len(captured)])
-                overflowed.set()
-                _kill_hard(process)
-                return
-            captured.extend(chunk)
-
-    def feed_stdin() -> None:
-        stream = process.stdin
-        assert stream is not None
-        # The program may exit without reading its input; that is its
-        # prerogative and will show up in the output comparison. Closing
-        # then fails to flush, but the pipe is closed all the same.
-        with contextlib.suppress(OSError), stream:
-            if case.stdin_text:
-                stream.write(case.stdin_text.encode("utf-8"))
-
-    reader = threading.Thread(target=drain_stdout, daemon=True)
-    writer = threading.Thread(target=feed_stdin, daemon=True)
-    start = time.monotonic()
-    reader.start()
-    writer.start()
-
-    timed_out = False
-    try:
-        exit_code = process.wait(timeout=case.timeout_secs)
-    except subprocess.TimeoutExpired:
-        timed_out = True
-        _kill_hard(process)
-        exit_code = process.wait()
     duration = time.monotonic() - start
-    reader.join(timeout=1.0)
-    if reader.is_alive():
-        # The program exited but something it spawned still holds the pipe.
-        _kill_hard(process)
-        reader.join(timeout=5.0)
-    writer.join(timeout=5.0)
-    if not reader.is_alive():
-        # A reader still blocked in read() holds the stream's lock, so
-        # closing would block too; that pipe is left to the collector.
-        process.stdout.close()
+    overflowed = len(captured) > output_cap
 
     expected = normalize_output(case.expected_stdout, policy)
-    actual = normalize_output(captured.decode("utf-8", errors="replace"), policy)
+    actual = normalize_output(captured[:output_cap].decode("utf-8", errors="replace"), policy)
 
-    if overflowed.is_set():
+    if overflowed:
         outcome = TestOutcome.OUTPUT_OVERFLOW
         detail = f"stdout exceeded {output_cap} bytes; process killed"
     elif timed_out:
@@ -254,7 +195,7 @@ def run_test(
         outcome=outcome,
         expected=expected,
         actual=actual,
-        exit_code=None if timed_out or overflowed.is_set() else exit_code,
+        exit_code=None if overflowed else exit_code,
         weight=case.weight,
         duration_secs=duration,
         detail=detail,

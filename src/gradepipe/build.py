@@ -18,16 +18,15 @@ import codecs
 import io
 import os
 import re
-import selectors
 import shutil
-import subprocess
 import tempfile
 import threading
-import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
+
+from .child import run_child
 
 # Extensions handed to the compiler as translation units. Headers are found
 # by the compiler itself via include paths.
@@ -45,8 +44,6 @@ DEFAULT_COMPILE_TIMEOUT = 30.0
 # Captured compiler output is cut after either limit, and the cut is noted.
 MAX_OUTPUT_BYTES = 64 * 1024
 MAX_OUTPUT_LINES = 500
-# Compiler output is read this many bytes at a time.
-_READ_SIZE = 16 * 1024
 # The line boundaries of str.splitlines once "\r" has become "\n".
 _LINE_ENDS = "\n\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
@@ -181,7 +178,7 @@ class _CappedOutput:
             self._kept.append(line)
             self._size = size
 
-    def feed(self, data: bytes, final: bool = False) -> None:
+    def feed(self, data: bytes, final: bool = False) -> bool:
         text = self._decoder.decode(data, final)
         if self._cut:
             self._omitted += sum(map(text.count, _LINE_ENDS))
@@ -199,63 +196,27 @@ class _CappedOutput:
         if final and self._open:
             self._add(self._open)
             self._open = ""
+        return True  # the output is cut, never the compiler
 
     def text(self) -> str:
+        """The kept output and the omission note, once the output has ended."""
+        self.feed(b"", final=True)
         kept = "".join(self._kept)
         return kept + f"note: {self._omitted} lines omitted\n" if self._omitted else kept
 
 
-def _read_capped(process: subprocess.Popen, timeout: float) -> tuple[str, bool]:
-    """Read ``process``'s output until it exits, killing it after ``timeout`` seconds.
-
-    Returns the output cut to the output limits, and whether time ran out.
-    """
-    output = _CappedOutput()
-    deadline = time.monotonic() + timeout
-    timed_out = False
-    with selectors.DefaultSelector() as selector:
-        selector.register(process.stdout, selectors.EVENT_READ)
-        while True:
-            left = deadline - time.monotonic()
-            if left <= 0:
-                timed_out = True
-                break
-            if selector.select(left):
-                chunk = os.read(process.stdout.fileno(), _READ_SIZE)
-                if not chunk:
-                    break
-                output.feed(chunk)
-    if not timed_out:
-        try:
-            process.wait(max(deadline - time.monotonic(), 0))
-        except subprocess.TimeoutExpired:
-            timed_out = True
-    if timed_out:
-        process.kill()
-        process.wait()
-    output.feed(b"", final=True)
-    return output.text(), timed_out
-
-
 def _names_gcc(executable: str, timeout: float) -> bool:
     """Whether ``executable --version`` reads like GCC's banner."""
+    output = _CappedOutput()
     try:
-        completed = subprocess.run(
-            [executable, "--version"],
-            stdin=subprocess.DEVNULL,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            timeout=timeout,
-            text=True,
-            errors="replace",
-        )
-    except (OSError, subprocess.TimeoutExpired):
+        exit_code, _ = run_child([executable, "--version"], None, timeout, output.feed, merge_stderr=True)
+    except OSError:
         return False
     # "g++ (Debian 12.2.0-14) 12.2.0" ... "Free Software Foundation"; clang
     # says "clang version", and a shell's banner has no "(...) N" shape.
-    banner = completed.stdout
+    banner = output.text()
     return (
-        completed.returncode == 0
+        exit_code == 0
         and re.match(r"\S+ \([^)\n]*\) \d", banner) is not None
         and "Free Software Foundation" in banner
     )
@@ -356,19 +317,19 @@ class PrecompiledHeaders:
             (self._dir / wrapper).parent.mkdir()
             (self._dir / wrapper).write_text(f"#include <{PCH_HEADER}>\n", encoding="utf-8")
             target.parent.mkdir()
-            completed = subprocess.run(
+            # A build that prints anything is not used, so its first output ends it.
+            exit_code, _ = run_child(
                 profile.expand(["-x", "c++-header", str(wrapper)], str(partial.relative_to(self._dir))),
-                cwd=self._dir,
-                stdin=subprocess.DEVNULL,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.STDOUT,
-                timeout=profile.timeout_secs,
+                self._dir,
+                profile.timeout_secs,
+                lambda chunk: False,
+                merge_stderr=True,
             )
-            if completed.returncode != 0 or completed.stdout or not partial.is_file():
+            if exit_code != 0 or not partial.is_file():
                 return False
             os.replace(partial, target)
             return True
-        except (OSError, subprocess.TimeoutExpired):
+        except OSError:
             return False
         finally:
             partial.unlink(missing_ok=True)
@@ -434,33 +395,22 @@ def compile_workspace(
 def _run_compiler(
     command: tuple[str, ...], workspace: Path, profile: CompilerProfile, env: dict[str, str] | None
 ) -> CompileResult:
+    output = _CappedOutput()
     try:
-        process = subprocess.Popen(
-            command,
-            cwd=workspace,
-            env=env,
-            stdin=subprocess.DEVNULL,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
+        exit_code, timed_out = run_child(
+            command, workspace, profile.timeout_secs, output.feed, env=env, merge_stderr=True
         )
     except FileNotFoundError as exc:
         raise CompilerNotFound(f"compiler executable {command[0]!r} not found") from exc
-    with process:
-        try:
-            raw, timed_out = _read_capped(process, profile.timeout_secs)
-        except BaseException:
-            process.kill()
-            raise
+    raw = output.text()
+    output_path = workspace / OUTPUT_NAME
     if timed_out:
         notice = f"error: compilation exceeded the {profile.timeout_secs:g} second limit"
-        raw = raw + ("\n" if raw and not raw.endswith("\n") else "") + notice
-        return CompileResult(False, classify_diagnostics(raw), command, raw_output=raw)
-
-    output_path = workspace / OUTPUT_NAME
-    if process.returncode == 0 and not output_path.is_file():
+    elif exit_code == 0 and not output_path.is_file():
         notice = "error: compiler reported success but produced no output file"
+    else:
+        notice = ""
+    if notice:
         raw = raw + ("\n" if raw and not raw.endswith("\n") else "") + notice
-        return CompileResult(False, classify_diagnostics(raw), command, raw_output=raw)
-    if process.returncode != 0:
-        return CompileResult(False, classify_diagnostics(raw), command, raw_output=raw)
-    return CompileResult(True, classify_diagnostics(raw), command, output_path=output_path, raw_output=raw)
+    succeeded = exit_code == 0 and not notice
+    return CompileResult(succeeded, classify_diagnostics(raw), command, output_path if succeeded else None, raw)

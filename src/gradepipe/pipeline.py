@@ -12,7 +12,7 @@ grades without an audit trail are worse than no grades.
 On disk a run looks like::
 
     inbox/                     student uploads, watched or batch-read
-    workspace/First_Last_N.S/  per-archive build dirs, S the session's receipt number
+    workspace/First_Last_N.S/  build dir of receipt S, removed once its submission ends
     reports/First_Last_N.report.txt and .report.json
     quarantine/                rejected archives plus *.reason.txt files
     grading.log                append-only JSONL event log
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import shutil
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -185,57 +186,63 @@ class GradingSession:
         owner = archive_owner(archive_path)
         self.log.append(EVENT_RECEIVED, received, archive=archive_path.name, owner=owner)
         report = AssessmentReport(None, archive_path.name, received, owner, scale=self.spec.rubric.scale)
+        workspace: Path | None = None
         try:
-            identity = report.identity = parse_submission_filename(archive_path.name)
-            if identity.assignment_number != self.spec.assignment_number:
-                raise ArchiveRejected(
-                    REASON_WRONG_ASSIGNMENT,
-                    f"archive is for assignment {identity.assignment_number}, "
-                    f"this session grades assignment {self.spec.assignment_number}",
-                )
-            # A "." cannot occur in a stem, so no other submission or the .pch-* directory
-            # can take this name, and two archives of one submission never share a tree.
-            workspace = self.workspace_root / f"{identity.stem()}.{receipt.seq}"
-            record = SubmissionRecord(identity, archive_path, received)
-            files = extract_archive(record, self.spec.extraction, workspace)
-            if isinstance(files, ArchiveRejected):
-                raise files
-        except (MalformedName, ArchiveRejected) as exc:
-            reason = f"malformed-name:{exc.reason}" if isinstance(exc, MalformedName) else exc.reason
-            quarantine_archive(archive_path, reason, self.quarantine_dir)
-            return self._end(report, ReportStatus.QUARANTINED, reason, str(exc))
-
-        try:
-            compile_result = compile_workspace(workspace, self.spec.compiler, files, self._pch)
-        except CompilerNotFound as exc:
-            return self._end(report, ReportStatus.ERRORED, "compiler-not-found", str(exc))
-        report.compile_result = compile_result
-        if not compile_result.succeeded:
-            self.log.append(
-                EVENT_COMPILE_ERROR,
-                utc_now(),
-                submission=identity.stem(),
-                diagnostics=[d.text for d in compile_result.diagnostics],
-            )
-
-        # Lexical rules read source text, so they apply whether or not the
-        # build succeeded; behaviour tests need a binary.
-        report.lexical = evaluate_ruleset(self.spec.rules, collect_sources(workspace, files))
-        if compile_result.succeeded:
-            assert compile_result.output_path is not None
             try:
-                report.blackbox = run_test_suite(
-                    compile_result.output_path,
-                    self.spec.tests,
-                    self.spec.normalization,
-                    self.spec.output_cap,
-                )
-            except SpawnFailure as exc:
-                return self._end(report, ReportStatus.ERRORED, "spawn-failure", str(exc))
+                identity = report.identity = parse_submission_filename(archive_path.name)
+                if identity.assignment_number != self.spec.assignment_number:
+                    raise ArchiveRejected(
+                        REASON_WRONG_ASSIGNMENT,
+                        f"archive is for assignment {identity.assignment_number}, "
+                        f"this session grades assignment {self.spec.assignment_number}",
+                    )
+                # A "." cannot occur in a stem, so no other submission or the .pch-* directory
+                # can take this name, and two archives of one submission never share a tree.
+                workspace = self.workspace_root / f"{identity.stem()}.{receipt.seq}"
+                record = SubmissionRecord(identity, archive_path, received)
+                files = extract_archive(record, self.spec.extraction, workspace)
+                if isinstance(files, ArchiveRejected):
+                    raise files
+            except (MalformedName, ArchiveRejected) as exc:
+                reason = f"malformed-name:{exc.reason}" if isinstance(exc, MalformedName) else exc.reason
+                quarantine_archive(archive_path, reason, self.quarantine_dir)
+                return self._end(report, ReportStatus.QUARANTINED, reason, str(exc))
 
-        report.score = score_submission(compile_result, report.lexical, report.blackbox, self.spec.rubric)
-        report.status = ReportStatus.GRADED
-        return self._conclude(report, self._finalize(report, receipt) or "")
+            try:
+                compile_result = compile_workspace(workspace, self.spec.compiler, files, self._pch)
+            except CompilerNotFound as exc:
+                return self._end(report, ReportStatus.ERRORED, "compiler-not-found", str(exc))
+            report.compile_result = compile_result
+            if not compile_result.succeeded:
+                self.log.append(
+                    EVENT_COMPILE_ERROR,
+                    utc_now(),
+                    submission=identity.stem(),
+                    diagnostics=[d.text for d in compile_result.diagnostics],
+                )
+
+            # Lexical rules read source text, so they apply whether or not the
+            # build succeeded; behaviour tests need a binary.
+            report.lexical = evaluate_ruleset(self.spec.rules, collect_sources(workspace, files))
+            if compile_result.succeeded:
+                assert compile_result.output_path is not None
+                try:
+                    report.blackbox = run_test_suite(
+                        compile_result.output_path,
+                        self.spec.tests,
+                        self.spec.normalization,
+                        self.spec.output_cap,
+                    )
+                except SpawnFailure as exc:
+                    return self._end(report, ReportStatus.ERRORED, "spawn-failure", str(exc))
+
+            report.score = score_submission(compile_result, report.lexical, report.blackbox, self.spec.rubric)
+            report.status = ReportStatus.GRADED
+            return self._conclude(report, self._finalize(report, receipt) or "")
+        finally:
+            # With whatever the tests wrote into it: disk use is bounded by the submissions in flight.
+            if workspace is not None:
+                shutil.rmtree(workspace, ignore_errors=True)
 
     # -- terminal states ---------------------------------------------------
 

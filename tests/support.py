@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import time
 import zipfile
 from pathlib import Path
 
@@ -40,3 +42,25 @@ def built_pch(pch, profile) -> Path:
     include = pch.include_dir(profile)
     assert include is not None, "the precompiled header was not built"
     return include
+
+
+def wait_until_dead(pid: int, within: float = 1.0) -> bool:
+    """Whether ``pid`` is gone or a zombie within ``within`` seconds.
+
+    A zombie counts as dead: nothing runs, and an orphan's zombie may never
+    be reaped where PID 1 does not reap. A pid still running after the wait
+    is killed, so a failed check leaves nothing behind.
+    """
+    deadline = time.monotonic() + within
+    while True:
+        try:
+            with open(f"/proc/{pid}/stat", encoding="ascii") as stat:
+                state = stat.read().rsplit(")", 1)[1].split()[0]
+        except FileNotFoundError:
+            return True
+        if state == "Z":
+            return True
+        if time.monotonic() >= deadline:
+            os.kill(pid, 9)
+            return False
+        time.sleep(0.01)

@@ -1,5 +1,6 @@
-"""The public surface: the package exports and the names the benchmark traces."""
+"""The public surface: the package exports and the names the benchmark traces, and where children start."""
 
+import ast
 import inspect
 from pathlib import Path
 
@@ -62,3 +63,22 @@ def test_traced_names_exist_with_their_call_shapes():
     # The tracer reads the archive size through the first argument.
     assert params(ingest.extract_archive)[0] == "record"
     assert "archive_path" in {field.name for field in ingest.SubmissionRecord.__dataclass_fields__.values()}
+
+
+def test_only_the_child_module_imports_subprocess_and_no_module_starts_a_thread():
+    importers, thread_starters = set(), set()
+    for path in sorted(Path(gradepipe.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                if any(alias.name.split(".")[0] == "subprocess" for alias in node.names):
+                    importers.add(path.name)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                if node.module == "subprocess":
+                    importers.add(path.name)
+                if node.module == "threading" and any(alias.name == "Thread" for alias in node.names):
+                    thread_starters.add(path.name)
+            elif isinstance(node, ast.Attribute) and node.attr == "Thread":
+                if isinstance(node.value, ast.Name) and node.value.id == "threading":
+                    thread_starters.add(path.name)
+    assert importers == {"child.py"}
+    assert thread_starters == set()

@@ -19,7 +19,7 @@ from gradepipe.blackbox import (
     run_test_suite,
 )
 
-from support import make_program
+from support import make_program, wait_until_dead
 
 
 # -- normalization -------------------------------------------------------------
@@ -182,8 +182,8 @@ def test_program_may_ignore_stdin(tmp_path):
 
 @pytest.mark.parametrize(
     "body, stdin_text",
-    [("cat", "2000\n"), ("exit 0", "y" * 1_000_000)],
-    ids=["reads-stdin", "ignores-large-stdin"],
+    [("cat", "2000\n"), ("exit 0", "y" * 1_000_000), ("echo 2000; sleep 30 &", "")],
+    ids=["reads-stdin", "ignores-large-stdin", "background-holds-stdout"],
 )
 def test_run_test_closes_its_pipes(tmp_path, body, stdin_text):
     program = make_program(tmp_path, body)
@@ -192,6 +192,17 @@ def test_run_test_closes_its_pipes(tmp_path, body, stdin_text):
         run_test(program, TestCase("t", "2000\n", stdin_text=stdin_text))
         gc.collect()
     assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_a_background_child_holding_stdout_is_killed_after_a_grace(tmp_path):
+    program = make_program(tmp_path, "echo 2000; sleep 30 & echo $! > bg.pid")
+    start = time.monotonic()
+    result = run_test(program, TestCase("t", "2000\n", timeout_secs=10))
+    elapsed = time.monotonic() - start
+    assert result.outcome is TestOutcome.PASS
+    assert (result.actual, result.exit_code) == ("2000", 0)
+    assert 0.9 < elapsed < 3.0, "the exit starts a 1 s grace, not the 10 s timeout"
+    assert wait_until_dead(int((tmp_path / "bg.pid").read_text()))
 
 
 def test_suite_runs_in_order_and_counts(tmp_path):

@@ -1,3 +1,4 @@
+import gc
 import os
 import re
 import subprocess
@@ -5,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -21,7 +23,7 @@ from gradepipe.build import (
     compile_workspace,
 )
 
-from support import DATA_DIR, source, built_pch
+from support import DATA_DIR, source, built_pch, wait_until_dead
 
 GXX = CompilerProfile(command=("g++", "-std=c++17", "-O0", "{sources}", "-o", "{output}"))
 
@@ -167,6 +169,35 @@ def test_compile_timeout_becomes_failed_result(tmp_path):
     assert not result.succeeded
     assert any("exceeded" in d.text for d in result.diagnostics)
     assert result.error_count >= 1
+
+
+def test_a_timed_out_compile_leaves_no_process_behind(tmp_path):
+    (tmp_path / "main.cpp").write_text("int main() {}\n")
+    script = "sleep 30 & echo $! > bg.pid; wait"
+    profile = CompilerProfile(
+        command=("/bin/sh", "-c", script, "sh", "{sources}", "-o", "{output}"), timeout_secs=0.3
+    )
+    result = compile_workspace(tmp_path, profile, ["main.cpp"])
+    assert any("exceeded" in d.text for d in result.diagnostics)
+    assert wait_until_dead(int((tmp_path / "bg.pid").read_text()), within=0.5)
+
+
+@pytest.mark.parametrize(
+    "script, timeout",
+    [(": > program", 30.0), ("sleep 10", 0.3)],
+    ids=["succeeds", "times-out"],
+)
+def test_compile_closes_its_pipes(tmp_path, script, timeout):
+    (tmp_path / "main.cpp").write_text("int main() {}\n")
+    profile = CompilerProfile(
+        command=("/bin/sh", "-c", script, "sh", "{sources}", "-o", "{output}"), timeout_secs=timeout
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        result = compile_workspace(tmp_path, profile, ["main.cpp"])
+        gc.collect()
+    assert result.succeeded is (timeout == 30.0)
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_success_without_binary_is_a_failure(tmp_path):
@@ -477,6 +508,21 @@ def test_warning_under_the_pch_reruns_cold_without_the_pch_binary(tmp_path):
         "main.cpp:2:5: warning: unused\nerror: compiler reported success but produced no output file"
     )
     assert not (workspace / "program").exists()
+    pch.close()
+
+
+@pytest.mark.usefixtures("no_inherited_include_path", "build_on_first_use")
+def test_a_timed_out_header_build_leaves_no_process_behind(tmp_path):
+    pid_file = tmp_path / "bg.pid"
+    profile, log = stub_compiler(tmp_path, header_step=f"sleep 30 & echo $! > '{pid_file}'; wait")
+    profile = CompilerProfile(command=profile.command, timeout_secs=0.3)
+    root = tmp_path / "root"
+    pch = PrecompiledHeaders(root)
+    start = time.monotonic()
+    assert compile_workspace(workspace_with(root, "ws", IOSTREAM_MAIN), profile, ["main.cpp"], pch).succeeded
+    assert time.monotonic() - start < 5.0, "the build is killed at its deadline"
+    assert calls(log) == ["version", "build wrap/iostream", "compile unset"]
+    assert wait_until_dead(int(pid_file.read_text()), within=0.5)
     pch.close()
 
 

@@ -400,6 +400,29 @@ def test_batch_grades_everything_and_ignores_strays(leap_spec, session_factory, 
     assert scores == {"Ada_Lovelace_3": 100.0, "Flat_Fiona_3": 70.0, "Broken_Bob_3": 0.0}
 
 
+def test_build_dirs_are_removed_once_their_submissions_end(leap_spec, session_factory, tmp_path):
+    # Fiona's program also writes a file into its working directory on every test.
+    writer = "#include <fstream>\n" + source("leap_flat.cpp").replace(
+        "cin >> year;", 'cin >> year;\n    ofstream("scratch.txt") << year;'
+    )
+    session = session_factory(leap_spec)
+    inbox = tmp_path / "inbox"
+    drop(inbox, "Ada_Lovelace_3.zip", {"main.cpp": source("leap_nested.cpp")})
+    drop(inbox, "Flat_Fiona_3.zip", {"main.cpp": writer})
+    drop(inbox, "Broken_Bob_3.zip", {"main.cpp": source("leap_broken.cpp")})
+
+    assert session.run_batch(inbox).graded == 3
+
+    scores = {
+        stem: read_report(session.reports_dir, stem)["score"]
+        for stem in ("Ada_Lovelace_3", "Flat_Fiona_3", "Broken_Bob_3")
+    }
+    assert scores == {"Ada_Lovelace_3": 100.0, "Flat_Fiona_3": 70.0, "Broken_Bob_3": 0.0}
+    assert sorted(kinds(session)) == sorted(["received"] * 3 + ["compile_error"] + ["graded"] * 3)
+    # Only the session's precompiled headers may remain until it closes.
+    assert [path.name for path in session.workspace_root.iterdir() if not path.name.startswith(".pch-")] == []
+
+
 def test_batch_of_empty_inbox_is_a_quiet_noop(leap_spec, session_factory, tmp_path):
     session = session_factory(leap_spec)
     inbox = tmp_path / "inbox"
