@@ -10,6 +10,10 @@ one directory, or a long-lived watcher) plus a spec linter for instructors:
 
 Exit status is 0 only when no submission ended up Errored; student mistakes
 (quarantines, failed tests) are normal outcomes, not tool failures.
+
+SIGTERM stops every subcommand cleanly: nothing new is started, and what is
+in flight finishes within its own time limits, so no compiler or student
+binary outlives the grader.
 """
 
 from __future__ import annotations
@@ -18,7 +22,9 @@ import argparse
 import signal
 import sys
 import threading
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 from .assess import GradingLogError, ReportStatus, render_report_text
 from .pipeline import DEFAULT_POLL_INTERVAL, SCANS_PER_INTERVAL, BatchSummary, GradingSession
@@ -55,8 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_watch = sub.add_parser("watch", parents=[run_opts], help="poll an inbox and grade archives as they arrive")
     p_watch.add_argument("inbox", type=Path, help="directory to poll for submission archives")
     p_watch.add_argument("--interval", type=float, default=DEFAULT_POLL_INTERVAL, metavar="SECS",
-                         help=f"seconds an upload must stay unchanged before it is graded; the inbox is "
-                              f"listed {SCANS_PER_INTERVAL} times per interval (default: 30, minimum 1)")
+                         help=f"the inbox is listed {SCANS_PER_INTERVAL} times per interval; an upload is graded "
+                              f"at the second listing that sees it unchanged if it is a whole zip, else once it "
+                              f"has stayed unchanged this many seconds (default: 30, minimum 1)")
 
     p_validate = sub.add_parser("validate-spec", help="check an assignment spec file and list every problem")
     p_validate.add_argument("spec_file", type=Path, help="spec file to validate")
@@ -90,6 +97,21 @@ def _cmd_validate(spec_file: Path) -> int:
     return 0
 
 
+@contextmanager
+def _sigterm_sets(stop: threading.Event) -> Iterator[None]:
+    """Within the block, SIGTERM sets ``stop`` instead of ending the process."""
+    try:
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: stop.set())
+    except ValueError:
+        # Not the main thread; SIGTERM handling stays as it is.
+        yield
+        return
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "validate-spec":
@@ -102,8 +124,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     errored = False
+    stop = threading.Event()
     try:
-        with GradingSession(
+        with _sigterm_sets(stop), GradingSession(
             spec,
             workspace_root=args.workspace_dir,
             reports_dir=args.reports_dir,
@@ -122,27 +145,22 @@ def main(argv: list[str] | None = None) -> int:
                 if not args.inbox.is_dir():
                     print(f"error: no such inbox directory: {args.inbox}", file=sys.stderr)
                     return 2
-                summary = session.run_batch(args.inbox)
+                summary = session.run_batch(args.inbox, stop)
                 _print_summary(summary)
                 errored = summary.errored > 0
             else:
                 if not args.inbox.is_dir():
                     print(f"error: no such inbox directory: {args.inbox}", file=sys.stderr)
                     return 2
-                stop = threading.Event()
-                try:
-                    signal.signal(signal.SIGTERM, lambda signum, frame: stop.set())
-                except ValueError:
-                    # Not the main thread; SIGTERM handling stays default.
-                    pass
                 try:
                     session.check_watch_inputs(args.inbox, args.interval)
                 except ValueError as exc:
                     print(f"error: {exc}", file=sys.stderr)
                     return 2
                 print(
-                    f"watching {args.inbox}: grading each upload once it has stayed unchanged for "
-                    f"{args.interval:g} s, listing {SCANS_PER_INTERVAL} times per interval; Ctrl-C to stop",
+                    f"watching {args.inbox}, listing it {SCANS_PER_INTERVAL} times every {args.interval:g} s: "
+                    f"grading each upload at the second listing that sees it unchanged if it is a whole zip, "
+                    f"else once it has stayed unchanged for {args.interval:g} s; Ctrl-C to stop",
                     file=sys.stderr,
                 )
                 summary = session.watch_inbox(args.inbox, args.interval, stop)

@@ -10,7 +10,9 @@ machine-readable reason.
 
 from __future__ import annotations
 
+import os
 import shutil
+import struct
 import time
 import zipfile
 from dataclasses import dataclass
@@ -124,18 +126,66 @@ def render_submission_filename(identity: SubmissionIdentity) -> str:
 
 
 # A file observation: (size in bytes, mtime). An upload counts as finished
-# once every listing over the settle window has seen the same stamp.
+# once every listing over the settle window has seen the same stamp, or once
+# two listings have seen it and its bytes are a whole zip.
 FileStamp = tuple[int, float]
+
+_LOCAL_HEADER = b"PK\x03\x04"
+# The end-of-central-directory record: signature, this disk, the directory's
+# disk, entries on this disk, entries in all, directory size, directory
+# offset, comment length; the comment follows it.
+_END_RECORD = struct.Struct("<4s4H2LH")
+_END_SIGNATURE = b"PK\x05\x06"
+_END_SEARCH = _END_RECORD.size + 0xFFFF
+
+
+def _is_whole_zip(path: Path, stamp: FileStamp) -> bool:
+    """Whether the file at ``path``, still at ``stamp``, is one complete zip and nothing else.
+
+    It must start with a local file header and end with an end record whose
+    comment runs exactly to the last byte, on one disk, with at least one
+    entry and no Zip64 sentinel, and whose central directory ends where the
+    record starts. A file written front to back has no end record until its
+    last byte, so no proper prefix of it passes; nor does data before or
+    after the archive. Reads the first 4 bytes and at most the last 64 KiB
+    plus 22, and decompresses nothing.
+    """
+    size = stamp[0]
+    start = max(0, size - _END_SEARCH)
+    try:
+        with open(path, "rb") as upload:
+            now = os.fstat(upload.fileno())
+            if (now.st_size, now.st_mtime) != stamp or upload.read(4) != _LOCAL_HEADER:
+                return False
+            upload.seek(start)
+            tail = upload.read(size - start)
+    except OSError:
+        return False
+    at = tail.rfind(_END_SIGNATURE)
+    if at < 0 or len(tail) - at < _END_RECORD.size:
+        return False
+    _, disk, cd_disk, on_disk, entries, cd_size, cd_offset, comment = _END_RECORD.unpack_from(tail, at)
+    return (
+        start + at + _END_RECORD.size + comment == size
+        and disk == cd_disk == 0
+        and 0 < on_disk == entries < 0xFFFF
+        and cd_size < 0xFFFFFFFF
+        and cd_offset < 0xFFFFFFFF
+        and cd_offset + cd_size == start + at
+    )
 
 
 class InboxScanner:
     """Repeated listing of an inbox for uploads that have settled.
 
     A file is ready once its (size, mtime) stamp matches the previous
-    listing and it has shown that stamp for at least ``settle_secs`` seconds
-    of ``time.monotonic()``, counted from the first listing that saw it; any
-    stamp change restarts the window. With ``settle_secs=0`` a file is ready
-    at the second listing that sees it unchanged. It is handed out once per
+    listing and either it has shown that stamp for at least ``settle_secs``
+    seconds of ``time.monotonic()``, counted from the first listing that saw
+    it, or its bytes are a whole zip archive (see :func:`_is_whole_zip`);
+    any stamp change restarts the window. So a finished upload is ready at
+    the second listing that sees it, and a partial, corrupt or non-zip file
+    waits out the window. With ``settle_secs=0`` every file is ready at the
+    second listing that sees it unchanged. It is handed out once per
     distinct stamp while it stays in the inbox: a resubmission under the
     same name gets a fresh stamp and is handed out again. All state is keyed
     by the names of the latest listing, so a file that leaves the inbox
@@ -172,7 +222,7 @@ class InboxScanner:
             observed[path.name] = (stamp, first_seen)
             if self._handed.get(path.name) == stamp:
                 handed[path.name] = stamp
-            elif unchanged and now - first_seen >= self.settle_secs:
+            elif unchanged and (now - first_seen >= self.settle_secs or _is_whole_zip(path, stamp)):
                 ready.append(path)
                 handed[path.name] = stamp
         self._observed, self._handed = observed, handed

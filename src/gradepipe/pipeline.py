@@ -347,14 +347,16 @@ class GradingSession:
         self.log.append(EVENT_IGNORED, utc_now(), archive=path.name, reason="not-a-zip-archive")
         summary.ignored += 1
 
-    def run_batch(self, inbox: Path) -> BatchSummary:
+    def run_batch(self, inbox: Path, stop: threading.Event | None = None) -> BatchSummary:
         """Grade every archive currently in the inbox, then return counts.
 
         A one-shot pass takes the inbox as-is (no upload debouncing, unlike
         watch mode). Files without a .zip suffix are logged as ignored and
         left untouched. Submissions grade in parallel up to ``jobs`` workers.
         Archives are received in name order as they are listed, so of two
-        that resolve to one submission the later name is the newer.
+        that resolve to one submission the later name is the newer. Once
+        ``stop`` is set no further archive is started; those in flight
+        finish, and the rest stay in the inbox ungraded and uncounted.
         """
         summary = BatchSummary()
         entries = sorted(path for path in Path(inbox).iterdir() if path.is_file())
@@ -366,9 +368,18 @@ class GradingSession:
                 receipts.append(self._receive())
             else:
                 self._ignore(path, summary)
-        with ThreadPoolExecutor(max_workers=self.jobs) as executor:
-            for report in executor.map(self.grade_archive, archives, receipts):
-                summary.record(report)
+
+        def grade(path: Path, receipt: Receipt) -> AssessmentReport | None:
+            return None if stop is not None and stop.is_set() else self.grade_archive(path, receipt)
+
+        self._pch.expect(len(archives))
+        try:
+            with ThreadPoolExecutor(max_workers=self.jobs) as executor:
+                for report in executor.map(grade, archives, receipts):
+                    if report is not None:
+                        summary.record(report)
+        finally:
+            self._pch.expect(None)
         return summary
 
     def check_watch_inputs(self, inbox: Path, poll_interval: float) -> Path:
@@ -393,17 +404,19 @@ class GradingSession:
     ) -> BatchSummary:
         """Poll the inbox until ``stop`` is set, grading archives as they settle.
 
-        A file is picked up once its size and mtime have stayed unchanged
-        for ``poll_interval`` seconds, so half-uploaded archives are never
-        opened. The inbox is listed ``SCANS_PER_INTERVAL`` times per
-        interval, and a file is picked up only when every listing over the
-        whole interval has seen it unchanged; an upload then waits about one
-        interval, not up to two. Resubmissions under the same name are
-        graded again and the older report is superseded. Each listing also
-        counts the submissions that have finished since the last one, so an
-        unwritable audit log raises :class:`GradingLogError` within a
-        quarter interval. Returns counts for everything processed; in-flight
-        submissions are finished before returning.
+        The inbox is listed ``SCANS_PER_INTERVAL`` times per interval. A
+        file is picked up once two listings in a row have seen its size and
+        mtime unchanged and either its bytes are one whole zip archive or
+        every listing over ``poll_interval`` seconds has seen it unchanged
+        (see :class:`InboxScanner`), so an upload written front to back is
+        never opened half-written. A finished upload then waits a quarter to
+        half an interval, anything else about one interval. Resubmissions
+        under the same name are graded again and the older report is
+        superseded. Each listing also counts the submissions that have
+        finished since the last one, so an unwritable audit log raises
+        :class:`GradingLogError` within a quarter interval. Returns counts
+        for everything processed; in-flight submissions are finished before
+        returning.
 
         Raises ValueError when :meth:`check_watch_inputs` does.
         """

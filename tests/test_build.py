@@ -18,6 +18,8 @@ from gradepipe.build import (
     CompilerProfile,
     Diagnostic,
     DiagnosticSeverity,
+    PCH_BUILD_AFTER_SILENT,
+    PCH_BUILD_FOR_AT_LEAST,
     PrecompiledHeaders,
     classify_diagnostics,
     compile_workspace,
@@ -408,6 +410,27 @@ def test_pch_is_built_and_used_only_while_noisy_compiles_are_no_more_than_silent
         cold,  # 3 silent, 4 noisy: not tried
         cold,  # 3 silent, 5 noisy: not tried
     ]
+    pch.close()
+
+
+@pytest.mark.usefixtures("no_inherited_include_path")
+@pytest.mark.parametrize(
+    "expected, built",
+    [
+        (PCH_BUILD_AFTER_SILENT + PCH_BUILD_FOR_AT_LEAST - 1, False),
+        (PCH_BUILD_AFTER_SILENT + PCH_BUILD_FOR_AT_LEAST, True),
+        (None, True),
+    ],
+)
+def test_pch_is_built_only_for_enough_expected_compiles(tmp_path, expected, built):
+    profile, log = stub_compiler(tmp_path)
+    root = tmp_path / "root"
+    pch = PrecompiledHeaders(root)
+    pch.expect(expected)
+    for i in range(PCH_BUILD_AFTER_SILENT + 2):
+        compile_workspace(workspace_with(root, f"ws{i}", IOSTREAM_MAIN), profile, ["main.cpp"], pch)
+    assert ("build wrap/iostream" in calls(log)) is built
+    assert len(list(root.glob(".pch-*"))) == built
     pch.close()
 
 

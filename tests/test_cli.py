@@ -1,10 +1,18 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import gradepipe
+from gradepipe.child import LINGER_SECS
 from gradepipe.cli import build_parser, main
 
-from support import SPEC_PATH, make_zip, source
+from support import SPEC_PATH, make_zip, source, wait_until_dead
 
 
 def run_dirs(tmp_path):
@@ -184,3 +192,66 @@ def test_batch_with_default_relative_dirs(tmp_path, monkeypatch, capsys):
     assert "graded 1" in out
     payload = json.loads((tmp_path / "reports" / "Ada_Lovelace_3.report.json").read_text(encoding="utf-8"))
     assert payload["score"] == 100.0
+
+
+def test_main_restores_the_sigterm_handler(tmp_path, capsys):
+    before = signal.getsignal(signal.SIGTERM)
+    (tmp_path / "inbox").mkdir()
+    assert main(["batch", str(tmp_path / "inbox"), "--spec", str(SPEC_PATH), *run_dirs(tmp_path)]) == 0
+    capsys.readouterr()
+    assert signal.getsignal(signal.SIGTERM) is before
+
+
+def _child_named(pid, name):
+    """The pid of a running child of ``pid`` whose command is ``name``, or None."""
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii", errors="replace") as stat:
+                text = stat.read()
+        except (OSError, ValueError):
+            continue
+        comm, rest = text[text.index("(") + 1 :].rsplit(")", 1)
+        if comm == name and int(rest.split()[1]) == pid:
+            return int(entry)
+    return None
+
+
+def test_batch_stops_on_sigterm_and_leaves_no_program_running(tmp_path):
+    # One test of the spec, with its 2 s limit, so an in-flight hang ends within 2 s.
+    text = SPEC_PATH.read_text(encoding="utf-8")
+    spec = tmp_path / "one-test.yaml"
+    spec.write_text(text[: text.index("  - id: year-1900")], encoding="utf-8")
+    timeout = 2.0
+    inbox = tmp_path / "inbox"
+    make_zip(inbox / "Hang_Harry_3.zip", {"main.cpp": source("leap_hang.cpp")})
+    make_zip(inbox / "Later_Lucy_3.zip", {"main.cpp": source("leap_nested.cpp")})
+    src = Path(gradepipe.__file__).parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gradepipe.cli", "batch", str(inbox), "--spec", str(spec), "--jobs", "1",
+         *run_dirs(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while (program := _child_named(proc.pid, "program")) is None:
+            assert proc.poll() is None, "the batch ended before the hanging program started"
+            assert time.monotonic() < deadline, "the hanging program never started"
+            time.sleep(0.02)
+        proc.send_signal(signal.SIGTERM)
+        sent = time.monotonic()
+        out, _ = proc.communicate(timeout=timeout + LINGER_SECS + 10)
+        assert time.monotonic() - sent < timeout + LINGER_SECS + 3
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert wait_until_dead(program), "the hanging program outlived the grader"
+    assert proc.returncode == 0
+    assert out.splitlines() == ["graded 1, quarantined 0, errored 0"]
+    assert sorted(path.name for path in (tmp_path / "reports").iterdir()) == [
+        "Hang_Harry_3.report.json", "Hang_Harry_3.report.txt"
+    ], "no archive starts after SIGTERM"
+    assert sorted(path.name for path in inbox.iterdir()) == ["Hang_Harry_3.zip", "Later_Lucy_3.zip"]

@@ -1,5 +1,7 @@
+import io
 import os
 import random
+import struct
 import zipfile
 from datetime import datetime, timezone
 
@@ -273,6 +275,132 @@ def test_scan_removed_file_leaves_no_state(settling, clock):
     for now in (0.75, 1.0, 1.25, 1.5):
         assert _poll_at(scanner, clock, now) == []
     assert _poll_at(scanner, clock, 1.75) == [upload]
+
+
+def _zip_bytes(files, comment=b"", compression=zipfile.ZIP_DEFLATED):
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", compression) as archive:
+        for name, content in files.items():
+            archive.writestr(name, content)
+        archive.comment = comment
+    return buffer.getvalue()
+
+
+SOURCES = {"main.cpp": "#include <iostream>\nint main() { std::cout << 1; }\n", "notes.txt": "v1\n"}
+PLAIN = _zip_bytes(SOURCES)
+INNER = _zip_bytes({"old.cpp": "int main() {}\n"})
+# The last entry is itself a zip, stored, so its end record sits intact inside the outer file.
+NESTED = _zip_bytes({**SOURCES, "old.zip": INNER}, compression=zipfile.ZIP_STORED)
+END = PLAIN.rindex(b"PK\x05\x06")
+
+
+def _upload(settling, data, mtime=1000.0):
+    scanner, upload = settling
+    upload.write_bytes(data)
+    _stamp(upload, mtime)
+    return scanner, upload
+
+
+def _handed_at(scanner, clock, listings):
+    """The first listing time at which ``scanner`` hands anything out, or None."""
+    return next((now for now in listings if _poll_at(scanner, clock, now)), None)
+
+
+def test_scan_hands_a_whole_zip_out_at_the_second_listing(settling, clock):
+    scanner, upload = _upload(settling, PLAIN)
+    assert _poll_at(scanner, clock, 0.0) == []
+    assert _poll_at(scanner, clock, 0.25) == [upload]
+    assert all(_poll_at(scanner, clock, step * 0.25) == [] for step in range(2, 8))
+
+
+@pytest.mark.parametrize(
+    "archive",
+    [PLAIN, _zip_bytes(SOURCES, comment=b"resubmitted after the deadline"), NESTED],
+    ids=["plain", "comment", "stored-inner-zip"],
+)
+def test_scan_hands_no_proper_prefix_of_a_zip_out_before_the_window(tmp_path, clock, archive):
+    inbox = tmp_path / "inbox"
+    inbox.mkdir()
+    upload = inbox / "Ada_Lovelace_3.zip"
+    for cut in range(len(archive) + 1):
+        upload.write_bytes(archive[:cut])
+        _stamp(upload, 1000.0 + cut)
+        scanner = InboxScanner(inbox, settle_secs=1.0)
+        handed = _handed_at(scanner, clock, (0.0, 0.25, 0.5, 0.75, 1.0))
+        expected = 0.25 if cut == len(archive) else 1.0
+        assert handed == expected, f"cut at {cut} of {len(archive)} bytes handed out at {handed} s"
+
+
+def test_nested_archive_has_a_proper_prefix_that_ends_with_an_end_record():
+    # The cut the prefix test must survive: the stored inner archive's end record ends it.
+    inner_end = NESTED.index(INNER) + len(INNER)
+    assert inner_end < len(NESTED)
+    assert NESTED.rfind(b"PK\x05\x06", 0, inner_end) == inner_end - 22
+
+
+def _zip64():
+    """A real archive with a Zip64 end record and locator, as a writer with more than 65,535 entries makes."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zipfile, "ZIP_FILECOUNT_LIMIT", 0)
+        data = _zip_bytes(SOURCES)
+    assert b"PK\x06\x06" in data and b"PK\x06\x07" in data
+    return data
+
+
+def _with_end_field(data, offset, value):
+    """``data`` with the 16-bit field at ``offset`` in its end record set to ``value``."""
+    end = data.rindex(b"PK\x05\x06")
+    return data[: end + offset] + struct.pack("<H", value) + data[end + offset + 2 :]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        pytest.param(b"#!/bin/sh\nexit 0\n" + PLAIN, id="self-extracting"),
+        # Starts with a local header; only the directory offset gives it away.
+        pytest.param(PLAIN[:30] + PLAIN, id="prepended-local-header"),
+        pytest.param(b"\0" + PLAIN[1:], id="no-local-header"),
+        pytest.param(PLAIN + b"\0" * 16, id="trailing-junk"),
+        pytest.param(PLAIN + b"PK\x05\x06", id="trailing-signature"),
+        # zipfile too reads the last signature, here the one in the comment.
+        pytest.param(_zip_bytes(SOURCES, comment=b"PK\x05\x06" + bytes(18)), id="signature-in-comment"),
+        pytest.param(_zip64(), id="zip64"),
+        pytest.param(_with_end_field(_with_end_field(PLAIN, 8, 0xFFFF), 10, 0xFFFF), id="entry-count-sentinel"),
+        pytest.param(_with_end_field(PLAIN, 4, 1), id="second-disk"),
+        pytest.param(b"PK\x03\x04" + b"\0" * 200, id="header-only"),
+        pytest.param(b"v1", id="not-a-zip"),
+        pytest.param(b"", id="empty"),
+    ],
+)
+def test_scan_waits_the_window_for_bytes_that_are_not_one_whole_zip(settling, clock, data):
+    scanner, upload = _upload(settling, data)
+    assert _handed_at(scanner, clock, (0.0, 0.25, 0.5, 0.75, 1.0)) == 1.0
+
+
+@pytest.mark.parametrize("offset", range(22))
+def test_scan_waits_the_window_for_any_byte_changed_in_the_end_record(settling, clock, offset):
+    data = bytearray(PLAIN)
+    data[END + offset] ^= 0xFF
+    scanner, upload = _upload(settling, bytes(data))
+    assert _handed_at(scanner, clock, (0.0, 0.25, 0.5, 0.75, 1.0)) == 1.0
+
+
+def test_a_zip_that_changed_since_its_listing_is_not_whole(settling):
+    scanner, upload = _upload(settling, PLAIN)
+    stat = upload.stat()
+    assert ingest._is_whole_zip(upload, (stat.st_size, stat.st_mtime))
+    assert not ingest._is_whole_zip(upload, (stat.st_size, stat.st_mtime - 1))
+    assert not ingest._is_whole_zip(upload, (stat.st_size - 1, stat.st_mtime))
+
+
+def test_scan_restarts_the_window_when_a_whole_zip_changes(settling, clock):
+    scanner, upload = _upload(settling, PLAIN)
+    assert _poll_at(scanner, clock, 0.0) == []
+    _upload(settling, PLAIN[:-1], mtime=1001.0)
+    assert _handed_at(scanner, clock, (0.25, 0.5, 0.75, 1.0)) is None
+    _upload(settling, NESTED, mtime=1002.0)
+    assert _poll_at(scanner, clock, 1.25) == [], "a changed stamp is never ready at the listing that sees it"
+    assert _poll_at(scanner, clock, 1.5) == [upload]
 
 
 # -- extraction ---------------------------------------------------------------

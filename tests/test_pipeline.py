@@ -432,6 +432,19 @@ def test_batch_of_empty_inbox_is_a_quiet_noop(leap_spec, session_factory, tmp_pa
     assert summary.ignored == 0
 
 
+def test_batch_stopped_before_it_starts_grades_nothing(leap_spec, session_factory, tmp_path):
+    session = session_factory(leap_spec)
+    inbox = tmp_path / "inbox"
+    drop(inbox, "Ada_Lovelace_3.zip", {"main.cpp": source("leap_nested.cpp")})
+    drop(inbox, "Broken_Bob_3.zip", {"main.cpp": source("leap_broken.cpp")})
+    stop = threading.Event()
+    stop.set()
+    assert session.run_batch(inbox, stop).total == 0
+    assert kinds(session) == []
+    assert sorted(path.name for path in inbox.iterdir()) == ["Ada_Lovelace_3.zip", "Broken_Bob_3.zip"]
+    assert not session.reports_dir.exists()
+
+
 def test_parallel_batch_matches_serial_batch(leap_spec, session_factory, tmp_path):
     inbox = tmp_path / "inbox"
     drop(inbox, "Ada_Lovelace_3.zip", {"main.cpp": source("leap_nested.cpp")})
