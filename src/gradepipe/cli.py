@@ -31,6 +31,14 @@ from .pipeline import DEFAULT_POLL_INTERVAL, SCANS_PER_INTERVAL, BatchSummary, G
 from .specfile import SpecError, load_spec
 
 
+# How `watch` picks uploads up; the --interval help and the start-up banner both say it.
+WATCH_RULE = (
+    "an upload is graded as soon as a listing finds it to be a whole zip whose entries pass their CRC check, "
+    "else once it has stayed unchanged for {interval}; the inbox is listed on each Linux inotify event where "
+    f"the filesystem raises them, and {SCANS_PER_INTERVAL} times per interval in any case"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gradepipe",
@@ -61,9 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_watch = sub.add_parser("watch", parents=[run_opts], help="poll an inbox and grade archives as they arrive")
     p_watch.add_argument("inbox", type=Path, help="directory to poll for submission archives")
     p_watch.add_argument("--interval", type=float, default=DEFAULT_POLL_INTERVAL, metavar="SECS",
-                         help=f"the inbox is listed {SCANS_PER_INTERVAL} times per interval; an upload is graded "
-                              f"at the second listing that sees it unchanged if it is a whole zip, else once it "
-                              f"has stayed unchanged this many seconds (default: 30, minimum 1)")
+                         help=WATCH_RULE.format(interval="this many seconds") + " (default: 30, minimum 1)")
 
     p_validate = sub.add_parser("validate-spec", help="check an assignment spec file and list every problem")
     p_validate.add_argument("spec_file", type=Path, help="spec file to validate")
@@ -157,12 +163,7 @@ def main(argv: list[str] | None = None) -> int:
                 except ValueError as exc:
                     print(f"error: {exc}", file=sys.stderr)
                     return 2
-                print(
-                    f"watching {args.inbox}, listing it {SCANS_PER_INTERVAL} times every {args.interval:g} s: "
-                    f"grading each upload at the second listing that sees it unchanged if it is a whole zip, "
-                    f"else once it has stayed unchanged for {args.interval:g} s; Ctrl-C to stop",
-                    file=sys.stderr,
-                )
+                print(f"watching {args.inbox}: {WATCH_RULE.format(interval=f'{args.interval:g} s')}; Ctrl-C to stop", file=sys.stderr)
                 summary = session.watch_inbox(args.inbox, args.interval, stop)
                 _print_summary(summary)
                 errored = summary.errored > 0

@@ -10,14 +10,17 @@ machine-readable reason.
 
 from __future__ import annotations
 
+import lzma
 import os
 import shutil
 import struct
 import time
 import zipfile
+import zlib
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import BinaryIO, Iterator
 
 ARCHIVE_SUFFIX = ".zip"
 
@@ -125,12 +128,26 @@ def render_submission_filename(identity: SubmissionIdentity) -> str:
     return identity.stem() + ARCHIVE_SUFFIX
 
 
-# A file observation: (size in bytes, mtime). An upload counts as finished
-# once every listing over the settle window has seen the same stamp, or once
-# two listings have seen it and its bytes are a whole zip.
+# A file observation: (size in bytes, mtime). An upload is finished at the
+# first listing that sees its stamp if it is a whole zip that passes its CRC
+# check, else once every listing over the settle window has seen that stamp.
 FileStamp = tuple[int, float]
 
+# What zipfile raises reading a damaged archive: bad deflate or LZMA data (bzip2
+# raises OSError), a seek to a negative offset, an undecodable UTF-8 name,
+# encryption, unknown methods, truncation. Extraction quarantines on these.
+ARCHIVE_READ_ERRORS = (
+    zipfile.BadZipFile, zlib.error, lzma.LZMAError, EOFError, OSError, RuntimeError, NotImplementedError,
+    UnicodeDecodeError,
+)
+# Inflated bytes the scanner may read to check an upload at its first listing.
+CRC_CHECK_BUDGET = 4 * 1024 * 1024
+
 _LOCAL_HEADER = b"PK\x03\x04"
+_LOCAL_HEADER_SIZE = 30  # name and extra-field lengths at 26 and 28
+# Flag bit 3: a descriptor of 12 bytes, or 16 with its optional signature, follows the data.
+_HAS_DESCRIPTOR = 0x08
+_DESCRIPTOR_SIGNATURE = b"PK\x07\x08"
 # The end-of-central-directory record: signature, this disk, the directory's
 # disk, entries on this disk, entries in all, directory size, directory
 # offset, comment length; the comment follows it.
@@ -139,33 +156,26 @@ _END_SIGNATURE = b"PK\x05\x06"
 _END_SEARCH = _END_RECORD.size + 0xFFFF
 
 
-def _is_whole_zip(path: Path, stamp: FileStamp) -> bool:
-    """Whether the file at ``path``, still at ``stamp``, is one complete zip and nothing else.
+def _directory_offset(upload: BinaryIO, size: int) -> int | None:
+    """Where the central directory starts, if the ``size`` bytes of ``upload`` hold one zip and nothing else.
 
-    It must start with a local file header and end with an end record whose
-    comment runs exactly to the last byte, on one disk, with at least one
-    entry and no Zip64 sentinel, and whose central directory ends where the
-    record starts. A file written front to back has no end record until its
-    last byte, so no proper prefix of it passes; nor does data before or
-    after the archive. Reads the first 4 bytes and at most the last 64 KiB
-    plus 22, and decompresses nothing.
+    They must start with a local file header and end with an end record
+    whose comment runs exactly to the last byte, on one disk, with at least
+    one entry and no Zip64 sentinel, and whose central directory ends where
+    the record starts. A file written front to back has no end record until
+    its last byte, so no proper prefix of it passes; nor does data before or
+    after the archive. Reads the first 4 bytes and at most the last 64 KiB plus 22.
     """
-    size = stamp[0]
     start = max(0, size - _END_SEARCH)
-    try:
-        with open(path, "rb") as upload:
-            now = os.fstat(upload.fileno())
-            if (now.st_size, now.st_mtime) != stamp or upload.read(4) != _LOCAL_HEADER:
-                return False
-            upload.seek(start)
-            tail = upload.read(size - start)
-    except OSError:
-        return False
+    if upload.read(4) != _LOCAL_HEADER:
+        return None
+    upload.seek(start)
+    tail = upload.read(size - start)
     at = tail.rfind(_END_SIGNATURE)
     if at < 0 or len(tail) - at < _END_RECORD.size:
-        return False
+        return None
     _, disk, cd_disk, on_disk, entries, cd_size, cd_offset, comment = _END_RECORD.unpack_from(tail, at)
-    return (
+    whole = (
         start + at + _END_RECORD.size + comment == size
         and disk == cd_disk == 0
         and 0 < on_disk == entries < 0xFFFF
@@ -173,23 +183,69 @@ def _is_whole_zip(path: Path, stamp: FileStamp) -> bool:
         and cd_offset < 0xFFFFFFFF
         and cd_offset + cd_size == start + at
     )
+    return cd_offset if whole else None
+
+
+def _entries_fill(upload: BinaryIO, directory: int) -> bool:
+    """Whether the zip's entries fill ``upload`` up to ``directory`` and each passes its CRC check.
+
+    In offset order, each entry's local header, data and descriptor start
+    where the previous one ended, and the last ends at ``directory``. Each
+    entry inflates with a matching CRC-32, within ``CRC_CHECK_BUDGET`` in all.
+    """
+    budget, at = CRC_CHECK_BUDGET, 0
+    try:
+        with _open_zip(upload) as archive:
+            for info in sorted(archive.infolist(), key=lambda info: info.header_offset):
+                upload.seek(at)
+                header = upload.read(_LOCAL_HEADER_SIZE)
+                if info.header_offset != at or len(header) < _LOCAL_HEADER_SIZE:
+                    return False
+                at += _LOCAL_HEADER_SIZE + sum(struct.unpack_from("<2H", header, 26)) + info.compress_size
+                if info.flag_bits & _HAS_DESCRIPTOR:
+                    upload.seek(at)
+                    at += 16 if upload.read(4) == _DESCRIPTOR_SIGNATURE else 12
+                for chunk in _inflate(archive, info):
+                    budget -= len(chunk)
+                    if budget < 0:
+                        return False
+    except ArchiveRejected:
+        return False
+    return at == directory
+
+
+def _is_whole_zip(path: Path, stamp: FileStamp) -> bool:
+    """Whether the file at ``path``, still at ``stamp`` after both checks read it, is one whole zip.
+
+    The entry checks turn away a preallocated file filled out of order while
+    holes remain with its header and end record in place: a zeroed run fails
+    a CRC or breaks the chain of entries. Any error at all fails the check,
+    so an upload zipfile cannot read waits out the settle window and
+    extraction, not the watch loop, deals with it.
+    """
+    try:
+        with open(path, "rb") as upload:
+            directory = _directory_offset(upload, stamp[0])
+            whole = directory is not None and _entries_fill(upload, directory)
+            now = os.fstat(upload.fileno())
+    except Exception:
+        return False
+    return whole and (now.st_size, now.st_mtime) == stamp
 
 
 class InboxScanner:
     """Repeated listing of an inbox for uploads that have settled.
 
-    A file is ready once its (size, mtime) stamp matches the previous
-    listing and either it has shown that stamp for at least ``settle_secs``
-    seconds of ``time.monotonic()``, counted from the first listing that saw
-    it, or its bytes are a whole zip archive (see :func:`_is_whole_zip`);
-    any stamp change restarts the window. So a finished upload is ready at
-    the second listing that sees it, and a partial, corrupt or non-zip file
-    waits out the window. With ``settle_secs=0`` every file is ready at the
-    second listing that sees it unchanged. It is handed out once per
-    distinct stamp while it stays in the inbox: a resubmission under the
-    same name gets a fresh stamp and is handed out again. All state is keyed
-    by the names of the latest listing, so a file that leaves the inbox
-    leaves nothing behind.
+    A file is ready at the first listing that sees its (size, mtime) stamp
+    if its bytes are a whole zip whose entries pass their CRC check (see
+    :func:`_is_whole_zip`, run once per name and stamp). Anything else,
+    partial, corrupt, over budget or no zip, is ready once its stamp matches
+    the previous listing and has been shown for ``settle_secs`` seconds of
+    ``time.monotonic()`` since the first listing that saw it; any stamp
+    change restarts the window. A file is handed out once per distinct stamp
+    while it stays in the inbox: a resubmission under the same name gets a
+    fresh stamp and is handed out again. All state is keyed by the names of
+    the latest listing, so a file that leaves the inbox leaves nothing behind.
     """
 
     def __init__(self, inbox: Path, settle_secs: float):
@@ -222,7 +278,7 @@ class InboxScanner:
             observed[path.name] = (stamp, first_seen)
             if self._handed.get(path.name) == stamp:
                 handed[path.name] = stamp
-            elif unchanged and (now - first_seen >= self.settle_secs or _is_whole_zip(path, stamp)):
+            elif (now - first_seen >= self.settle_secs) if unchanged else _is_whole_zip(path, stamp):
                 ready.append(path)
                 handed[path.name] = stamp
         self._observed, self._handed = observed, handed
@@ -309,7 +365,7 @@ def _plan(infos: list[zipfile.ZipInfo], limits: ExtractionLimits) -> dict[str, z
         parts = _entry_parts(name)
         if name.startswith(("/", "\\")) or any(part == ".." for part in parts):
             raise ArchiveRejected(REASON_PATH_TRAVERSAL, f"entry {name!r} escapes the workspace")
-        if info.is_dir() or not parts:
+        if not parts or info.is_dir():
             continue
         if len(parts) > limits.max_path_depth:
             raise ArchiveRejected(REASON_LIMIT_PATH_DEPTH, f"entry {name!r} is nested too deeply")
@@ -325,13 +381,29 @@ def _plan(infos: list[zipfile.ZipInfo], limits: ExtractionLimits) -> dict[str, z
     return plan
 
 
-def _unpack(archive_path: Path, limits: ExtractionLimits, workspace_dir: Path) -> tuple[str, ...]:
+def _open_zip(upload: BinaryIO) -> zipfile.ZipFile:
+    """The zip in the open file ``upload``; one that cannot be read is rejected as corrupt."""
     try:
-        archive = zipfile.ZipFile(archive_path)
-    except (zipfile.BadZipFile, NotImplementedError) as exc:
+        return zipfile.ZipFile(upload)
+    except ARCHIVE_READ_ERRORS as exc:
         raise ArchiveRejected(REASON_CORRUPT_ARCHIVE, str(exc)) from exc
 
-    with archive:
+
+def _inflate(archive: zipfile.ZipFile, info: zipfile.ZipInfo) -> Iterator[bytes]:
+    """The entry's bytes in 64 KiB chunks, CRC-checked; an error reading them rejects the archive as corrupt.
+
+    An error the caller raises between chunks, writing the workspace say, stays the caller's.
+    """
+    try:
+        with archive.open(info) as source:
+            while chunk := source.read(64 * 1024):
+                yield chunk
+    except ARCHIVE_READ_ERRORS as exc:
+        raise ArchiveRejected(REASON_CORRUPT_ARCHIVE, str(exc)) from exc
+
+
+def _unpack(archive_path: Path, limits: ExtractionLimits, workspace_dir: Path) -> tuple[str, ...]:
+    with open(archive_path, "rb") as upload, _open_zip(upload) as archive:
         infos = archive.infolist()
         if len(infos) > limits.max_entry_count:
             raise ArchiveRejected(REASON_LIMIT_ENTRY_COUNT, f"{len(infos)} entries")
@@ -348,20 +420,17 @@ def _unpack(archive_path: Path, limits: ExtractionLimits, workspace_dir: Path) -
             for path, info in plan.items():
                 target = workspace_dir / path
                 target.parent.mkdir(parents=True, exist_ok=True)
-                with archive.open(info) as source, open(target, "wb") as sink:
-                    while chunk := source.read(64 * 1024):
+                with open(target, "wb") as sink:
+                    for chunk in _inflate(archive, info):
                         remaining -= len(chunk)
                         if remaining < 0:
-                            shutil.rmtree(workspace_dir, ignore_errors=True)
                             raise ArchiveRejected(
                                 REASON_LIMIT_TOTAL_BYTES, f"more than {limits.max_total_bytes} bytes unpacked"
                             )
                         sink.write(chunk)
-        except (zipfile.BadZipFile, RuntimeError, NotImplementedError, EOFError) as exc:
-            # Truncated/encrypted/unsupported payloads surface here rather
-            # than at open time.
+        except ArchiveRejected:
             shutil.rmtree(workspace_dir, ignore_errors=True)
-            raise ArchiveRejected(REASON_CORRUPT_ARCHIVE, str(exc)) from exc
+            raise
 
     return tuple(sorted(plan))
 

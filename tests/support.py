@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import time
@@ -22,6 +23,21 @@ def make_zip(path: Path, files: dict[str, str | bytes]) -> Path:
         for name, content in files.items():
             archive.writestr(name, content)
     return path
+
+
+def damaged_lzma_zip(name: str, content: str, part: str) -> bytes:
+    """A one-entry ZIP_LZMA archive with its ``part``, "properties" or "data", overwritten with 0xFF bytes.
+
+    zipfile's LZMA decompressor raises ``lzma.LZMAError`` reading either one.
+    """
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", zipfile.ZIP_LZMA) as archive:
+        archive.writestr(name, content)
+    data = buffer.getvalue()
+    # The entry's data opens with a 2-byte version and a 2-byte size, then 5 bytes of properties.
+    start = 30 + len(name.encode()) + 4 + (5 if part == "data" else 0)
+    length = {"properties": 5, "data": 8}[part]
+    return data[:start] + b"\xff" * length + data[start + length :]
 
 
 def make_program(directory: Path, body: str, name: str = "prog.sh") -> Path:

@@ -1,4 +1,5 @@
 import io
+import lzma
 import os
 import random
 import struct
@@ -22,7 +23,7 @@ from gradepipe.ingest import (
     render_submission_filename,
 )
 
-from support import make_zip
+from support import damaged_lzma_zip, make_zip
 
 RECEIVED = datetime(2026, 8, 25, 12, 0, 0, tzinfo=timezone.utc)
 
@@ -277,13 +278,27 @@ def test_scan_removed_file_leaves_no_state(settling, clock):
     assert _poll_at(scanner, clock, 1.75) == [upload]
 
 
-def _zip_bytes(files, comment=b"", compression=zipfile.ZIP_DEFLATED):
-    buffer = io.BytesIO()
+class _Stream(io.RawIOBase):
+    """A pipe-like sink: zipfile cannot seek back, so it writes a data descriptor after each entry."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.data += data
+        return len(data)
+
+
+def _zip_bytes(files, comment=b"", compression=zipfile.ZIP_DEFLATED, sink=io.BytesIO):
+    buffer = sink()
     with zipfile.ZipFile(buffer, "w", compression) as archive:
         for name, content in files.items():
             archive.writestr(name, content)
         archive.comment = comment
-    return buffer.getvalue()
+    return bytes(buffer.data) if isinstance(buffer, _Stream) else buffer.getvalue()
 
 
 SOURCES = {"main.cpp": "#include <iostream>\nint main() { std::cout << 1; }\n", "notes.txt": "v1\n"}
@@ -291,6 +306,8 @@ PLAIN = _zip_bytes(SOURCES)
 INNER = _zip_bytes({"old.cpp": "int main() {}\n"})
 # The last entry is itself a zip, stored, so its end record sits intact inside the outer file.
 NESTED = _zip_bytes({**SOURCES, "old.zip": INNER}, compression=zipfile.ZIP_STORED)
+STREAMED = _zip_bytes(SOURCES, sink=_Stream)
+LZMA = _zip_bytes(SOURCES, compression=zipfile.ZIP_LZMA)
 END = PLAIN.rindex(b"PK\x05\x06")
 
 
@@ -306,17 +323,16 @@ def _handed_at(scanner, clock, listings):
     return next((now for now in listings if _poll_at(scanner, clock, now)), None)
 
 
-def test_scan_hands_a_whole_zip_out_at_the_second_listing(settling, clock):
+def test_scan_hands_a_whole_zip_out_at_the_first_listing(settling, clock):
     scanner, upload = _upload(settling, PLAIN)
-    assert _poll_at(scanner, clock, 0.0) == []
-    assert _poll_at(scanner, clock, 0.25) == [upload]
-    assert all(_poll_at(scanner, clock, step * 0.25) == [] for step in range(2, 8))
+    assert _poll_at(scanner, clock, 0.0) == [upload]
+    assert all(_poll_at(scanner, clock, step * 0.25) == [] for step in range(1, 8))
 
 
 @pytest.mark.parametrize(
     "archive",
-    [PLAIN, _zip_bytes(SOURCES, comment=b"resubmitted after the deadline"), NESTED],
-    ids=["plain", "comment", "stored-inner-zip"],
+    [PLAIN, _zip_bytes(SOURCES, comment=b"resubmitted after the deadline"), NESTED, STREAMED],
+    ids=["plain", "comment", "stored-inner-zip", "data-descriptors"],
 )
 def test_scan_hands_no_proper_prefix_of_a_zip_out_before_the_window(tmp_path, clock, archive):
     inbox = tmp_path / "inbox"
@@ -327,8 +343,12 @@ def test_scan_hands_no_proper_prefix_of_a_zip_out_before_the_window(tmp_path, cl
         _stamp(upload, 1000.0 + cut)
         scanner = InboxScanner(inbox, settle_secs=1.0)
         handed = _handed_at(scanner, clock, (0.0, 0.25, 0.5, 0.75, 1.0))
-        expected = 0.25 if cut == len(archive) else 1.0
+        expected = 0.0 if cut == len(archive) else 1.0
         assert handed == expected, f"cut at {cut} of {len(archive)} bytes handed out at {handed} s"
+
+
+def test_streamed_archive_has_data_descriptors():
+    assert STREAMED.count(b"PK\x07\x08") == len(SOURCES)
 
 
 def test_nested_archive_has_a_proper_prefix_that_ends_with_an_end_record():
@@ -353,6 +373,12 @@ def _with_end_field(data, offset, value):
     return data[: end + offset] + struct.pack("<H", value) + data[end + offset + 2 :]
 
 
+def _entry_crc_flipped(data):
+    """``data`` with the CRC-32 in its first central directory record changed."""
+    crc = data.index(b"PK\x01\x02") + 16
+    return data[:crc] + bytes(b ^ 0xFF for b in data[crc : crc + 4]) + data[crc + 4 :]
+
+
 @pytest.mark.parametrize(
     "data",
     [
@@ -370,6 +396,11 @@ def _with_end_field(data, offset, value):
         pytest.param(b"PK\x03\x04" + b"\0" * 200, id="header-only"),
         pytest.param(b"v1", id="not-a-zip"),
         pytest.param(b"", id="empty"),
+        pytest.param(_entry_crc_flipped(PLAIN), id="crc-flipped"),
+        pytest.param(_zip_bytes({**SOURCES, "big.txt": bytes(ingest.CRC_CHECK_BUDGET)}), id="over-budget"),
+        # zipfile raises lzma.LZMAError for these, which is neither OSError nor BadZipFile.
+        pytest.param(damaged_lzma_zip("main.cpp", SOURCES["main.cpp"], "properties"), id="lzma-bad-properties"),
+        pytest.param(damaged_lzma_zip("main.cpp", SOURCES["main.cpp"], "data"), id="lzma-bad-data"),
     ],
 )
 def test_scan_waits_the_window_for_bytes_that_are_not_one_whole_zip(settling, clock, data):
@@ -385,6 +416,23 @@ def test_scan_waits_the_window_for_any_byte_changed_in_the_end_record(settling, 
     assert _handed_at(scanner, clock, (0.0, 0.25, 0.5, 0.75, 1.0)) == 1.0
 
 
+@pytest.mark.parametrize("part", ["properties", "data"])
+def test_damaged_lzma_archive_raises_lzma_error_in_zipfile(part):
+    data = damaged_lzma_zip("main.cpp", SOURCES["main.cpp"], part)
+    with zipfile.ZipFile(io.BytesIO(data)) as archive, pytest.raises(lzma.LZMAError):
+        archive.read("main.cpp")
+
+
+def test_scan_treats_any_error_in_the_entry_check_as_not_whole(settling, monkeypatch):
+    def broken(upload, directory):
+        raise ValueError("not an error zipfile is known to raise")
+
+    monkeypatch.setattr(ingest, "_entries_fill", broken)
+    scanner, upload = _upload(settling, PLAIN)
+    stat = upload.stat()
+    assert not ingest._is_whole_zip(upload, (stat.st_size, stat.st_mtime))
+
+
 def test_a_zip_that_changed_since_its_listing_is_not_whole(settling):
     scanner, upload = _upload(settling, PLAIN)
     stat = upload.stat()
@@ -395,12 +443,57 @@ def test_a_zip_that_changed_since_its_listing_is_not_whole(settling):
 
 def test_scan_restarts_the_window_when_a_whole_zip_changes(settling, clock):
     scanner, upload = _upload(settling, PLAIN)
-    assert _poll_at(scanner, clock, 0.0) == []
+    assert _poll_at(scanner, clock, 0.0) == [upload]
     _upload(settling, PLAIN[:-1], mtime=1001.0)
     assert _handed_at(scanner, clock, (0.25, 0.5, 0.75, 1.0)) is None
     _upload(settling, NESTED, mtime=1002.0)
-    assert _poll_at(scanner, clock, 1.25) == [], "a changed stamp is never ready at the listing that sees it"
-    assert _poll_at(scanner, clock, 1.5) == [upload]
+    assert _poll_at(scanner, clock, 1.25) == [upload], "a whole zip is ready at the listing that sees its new stamp"
+
+
+def _files_of(data, tmp_path, name):
+    """What ``extract_archive`` writes for ``data``: {path: bytes}, or its rejection reason."""
+    archive = tmp_path / f"{name}.zip"
+    archive.write_bytes(data)
+    workspace = tmp_path / name
+    files = extract(archive, workspace)
+    return files.reason if isinstance(files, ArchiveRejected) else {f: (workspace / f).read_bytes() for f in files}
+
+
+@pytest.mark.parametrize("archive", [PLAIN, NESTED, STREAMED], ids=["plain", "stored-inner-zip", "data-descriptors"])
+def test_scan_hands_out_a_zip_with_a_hole_only_if_it_extracts_as_the_whole(tmp_path, clock, archive):
+    # A writer that fills a preallocated file out of order leaves zeroed runs behind
+    # while its header and end record are already in place.
+    finished = _files_of(archive, tmp_path, "finished")
+    inbox = tmp_path / "inbox"
+    inbox.mkdir()
+    upload = inbox / "Ada_Lovelace_3.zip"
+    early = 0
+    for hole in range(0, len(archive) - 15):
+        data = archive[:hole] + bytes(16) + archive[hole + 16 :]
+        upload.write_bytes(data)
+        _stamp(upload, 1000.0 + hole)
+        handed = _handed_at(InboxScanner(inbox, settle_secs=1.0), clock, (0.0, 0.25, 0.5, 0.75, 1.0))
+        assert handed in (0.0, 1.0), f"hole at {hole} handed out at {handed} s"
+        if handed == 0.0:
+            early += 1
+            assert _files_of(data, tmp_path, f"hole{hole}") == finished, f"hole at {hole} extracts differently"
+    assert 0 < early < len(archive) // 2
+
+
+def test_scan_checks_each_stamp_of_a_file_once(settling, clock, monkeypatch):
+    checked = []
+
+    def counting(path, stamp, check=ingest._is_whole_zip):
+        checked.append(stamp)
+        return check(path, stamp)
+
+    monkeypatch.setattr(ingest, "_is_whole_zip", counting)
+    scanner, upload = _upload(settling, b"v1")
+    assert _handed_at(scanner, clock, [step * 0.25 for step in range(8)]) == 1.0
+    _upload(settling, PLAIN, mtime=1001.0)
+    assert _poll_at(scanner, clock, 2.0) == [upload]
+    assert all(_poll_at(scanner, clock, 2.0 + step * 0.25) == [] for step in range(1, 8))
+    assert checked == [(2, 1000.0), (len(PLAIN), 1001.0)]
 
 
 # -- extraction ---------------------------------------------------------------
@@ -474,6 +567,35 @@ def test_extract_truncated_archive_cleans_up(tmp_path):
     truncated.write_bytes(data[: len(data) // 2])
     assert rejection(truncated, tmp_path / "ws") == "corrupt-archive"
     assert not (tmp_path / "ws").exists()
+
+
+def test_extract_returns_files_or_a_rejection_for_any_damaged_archive(tmp_path):
+    # 1 to 4 random bytes of a real archive changed: bad deflate or LZMA data, negative
+    # offsets, undecodable UTF-8 names and empty names must all be quarantined.
+    rng = random.Random(10)
+    archive = tmp_path / "Ada_Lovelace_3.zip"
+    rejected = 0
+    for trial in range(2000):
+        data = bytearray(rng.choice((PLAIN, NESTED, LZMA)))
+        for _ in range(rng.randint(1, 4)):
+            data[rng.randrange(len(data))] = rng.randrange(256)
+        archive.write_bytes(data)
+        stat = archive.stat()
+        whole = ingest._is_whole_zip(archive, (stat.st_size, stat.st_mtime))
+        result = extract(archive, tmp_path / "ws")
+        assert isinstance(result, (tuple, ArchiveRejected)), f"trial {trial}: {result!r}"
+        if isinstance(result, ArchiveRejected):
+            rejected += 1
+            assert not (whole and result.reason == "corrupt-archive"), f"trial {trial} passed the scanner's CRC check"
+    assert 0 < rejected < 2000
+
+
+def test_extract_skips_an_entry_with_an_empty_name(tmp_path):
+    archive = tmp_path / "Ada_Lovelace_3.zip"
+    with zipfile.ZipFile(archive, "w") as writer:
+        writer.writestr(zipfile.ZipInfo(""), b"nameless")
+        writer.writestr("main.cpp", "int main() {}\n")
+    assert extract(archive, tmp_path / "ws") == ("main.cpp",)
 
 
 def test_extract_no_source_files(tmp_path):

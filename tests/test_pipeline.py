@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import threading
 import time
 from datetime import datetime, timedelta, timezone
@@ -10,7 +11,7 @@ from gradepipe.assess import GradingLogError, ReportStatus, read_log_events
 from gradepipe.blackbox import SpawnFailure
 from gradepipe.build import CompilerProfile
 
-from support import DATA_DIR, make_zip, read_report, source, built_pch
+from support import DATA_DIR, damaged_lzma_zip, make_zip, read_report, source, built_pch
 
 T0 = datetime(2026, 8, 25, 9, 0, 0, tzinfo=timezone.utc)
 
@@ -97,6 +98,33 @@ def test_corrupt_archive_is_quarantined(leap_spec, session_factory, tmp_path):
     assert report.status is ReportStatus.QUARANTINED
     assert report.detail == "corrupt-archive"
     assert (session.quarantine_dir / "Greta_Garbo_3.zip").exists()
+
+
+# Uploads whose ZIP_LZMA entry has damaged properties or data: zipfile raises lzma.LZMAError reading them.
+LZMA_DAMAGE = {"Lzma_Props_3.zip": "properties", "Lzma_Data_3.zip": "data"}
+
+
+def test_archive_that_fails_while_it_is_read_is_quarantined_not_errored(leap_spec, session_factory, tmp_path):
+    intact = make_zip(tmp_path / "intact.zip", {"main.cpp": source("leap_nested.cpp")}).read_bytes()
+    named = bytearray(intact)
+    entry = intact.index(b"PK\x01\x02")
+    named[entry + 9] |= 0x08  # flags a central directory name as UTF-8 ...
+    named[entry + 46] = 0xDC  # ... that is not
+    inflated = bytearray(intact)
+    inflated[30 + len("main.cpp")] = 0xFF  # deflate data that opens with the reserved block type
+    inbox = tmp_path / "inbox"
+    inbox.mkdir()
+    (inbox / "Ada_Lovelace_3.zip").write_bytes(named)
+    (inbox / "Bob_Byron_3.zip").write_bytes(inflated)
+    for name, part in LZMA_DAMAGE.items():
+        (inbox / name).write_bytes(damaged_lzma_zip("main.cpp", source("leap_nested.cpp"), part))
+
+    session = session_factory(leap_spec)
+    summary = session.run_batch(inbox)
+    assert (summary.quarantined, summary.errored) == (4, 0)
+    assert not any(inbox.iterdir()), "every archive left the inbox"
+    for name in ("Ada_Lovelace_3.zip", "Bob_Byron_3.zip", *LZMA_DAMAGE):
+        assert (session.quarantine_dir / f"{name}.reason.txt").read_text() == "corrupt-archive\n"
 
 
 def test_archive_with_no_extractable_entries_is_quarantined(leap_spec, session_factory, tmp_path):
@@ -517,6 +545,10 @@ def test_watch_inbox_rejects_overlapping_dirs(leap_spec, session_factory, tmp_pa
             session.watch_inbox(overlapping, poll_interval=1.0, stop=stopped)
 
 
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
 def test_watch_raises_while_running_when_the_log_fails(leap_spec, session_factory, tmp_path):
     session = session_factory(leap_spec)
     inbox = tmp_path / "inbox"
@@ -526,12 +558,14 @@ def test_watch_raises_while_running_when_the_log_fails(leap_spec, session_factor
     stop = threading.Event()
     deadline = threading.Timer(20.0, stop.set)
     deadline.start()
+    fds = _open_fds()
     try:
         with pytest.raises(GradingLogError):
             session.watch_inbox(inbox, poll_interval=1.0, stop=stop)
     finally:
         deadline.cancel()
     assert not stop.is_set(), "a worker's log failure must end the watch, not wait for stop"
+    assert _open_fds() == fds, "the inotify fd outlived the watch"
 
 
 def test_watch_lists_the_inbox_four_times_per_settle_window(leap_spec, session_factory, tmp_path, monkeypatch):
@@ -547,16 +581,149 @@ def test_watch_lists_the_inbox_four_times_per_settle_window(leap_spec, session_f
 
     waits = []
 
-    class StopAtFirstWait(threading.Event):
-        def wait(self, timeout=None):
-            waits.append(timeout)
-            self.set()
-            return True
+    def stop_at_first_wait(events, stop, timeout):
+        waits.append(timeout)
+        stop.set()
 
     monkeypatch.setattr(pipeline, "InboxScanner", RecordingScanner)
-    session.watch_inbox(inbox, poll_interval=2.0, stop=StopAtFirstWait())
+    monkeypatch.setattr(pipeline, "_wait_for_inbox", stop_at_first_wait)
+    session.watch_inbox(inbox, poll_interval=2.0)
     assert [scanner.settle_secs for scanner in scanners] == [2.0]
     assert waits == [0.5]
+
+
+class _Watcher:
+    """``watch_inbox`` on a thread, with the start of each listing recorded."""
+
+    def __init__(self, session, inbox, poll_interval, monkeypatch):
+        self.listings = []  # when each listing started
+        self.stop = threading.Event()
+        self.outcome = {}
+        poll = pipeline.InboxScanner.poll
+
+        def counted(scanner):
+            self.listings.append(time.monotonic())
+            return poll(scanner)
+
+        monkeypatch.setattr(pipeline.InboxScanner, "poll", counted)
+        self.thread = threading.Thread(target=self._run, args=(session, inbox, poll_interval))
+        self.thread.start()
+        deadline = time.monotonic() + 5.0
+        while not self.listings and time.monotonic() < deadline:
+            time.sleep(0.01)
+
+    def _run(self, session, inbox, poll_interval):
+        self.outcome["summary"] = session.watch_inbox(inbox, poll_interval=poll_interval, stop=self.stop)
+
+    def finish(self, within=15.0):
+        """Stop the watcher; returns how long it took to return."""
+        started = time.monotonic()
+        self.stop.set()
+        self.thread.join(timeout=within)
+        assert not self.thread.is_alive(), "the watcher did not stop"
+        return time.monotonic() - started
+
+
+def _wait_for(path, within):
+    deadline = time.monotonic() + within
+    while time.monotonic() < deadline and not path.exists():
+        time.sleep(0.02)
+    return path.exists()
+
+
+def test_watch_grades_an_upload_moved_in_at_once_at_a_long_interval(leap_spec, session_factory, tmp_path, monkeypatch):
+    session = session_factory(leap_spec)
+    inbox = tmp_path / "inbox"
+    inbox.mkdir()
+    staged = drop(tmp_path / "staging", "Fast_Fred_3.zip", {"main.cpp": source("leap_fast.cpp")})
+    fds = _open_fds()
+    watcher = _Watcher(session, inbox, 30.0, monkeypatch)
+    try:
+        assert any(os.readlink(f"/proc/self/fd/{fd}") == "anon_inode:inotify" for fd in _open_fds())
+        os.replace(staged, inbox / staged.name)
+        assert _wait_for(session.reports_dir / "Fast_Fred_3.report.json", 3.0), "not graded within 3 s"
+    finally:
+        watcher.finish()
+    assert watcher.outcome["summary"].graded == 1
+    assert _open_fds() == fds, "the inotify fd outlived the watch"
+
+
+def test_watch_without_inotify_still_grades_at_its_idle_cadence(leap_spec, session_factory, tmp_path, monkeypatch):
+    import ctypes
+
+    def no_libc(*args, **kwargs):
+        raise OSError("no inotify here")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_libc)
+    session = session_factory(leap_spec)
+    inbox = tmp_path / "inbox"
+    inbox.mkdir()
+    staged = drop(tmp_path / "staging", "Fast_Fred_3.zip", {"main.cpp": source("leap_fast.cpp")})
+    watcher = _Watcher(session, inbox, 1.0, monkeypatch)
+    try:
+        os.replace(staged, inbox / staged.name)
+        assert _wait_for(session.reports_dir / "Fast_Fred_3.report.json", 15.0), "watch mode never graded the upload"
+    finally:
+        watcher.finish()
+    assert watcher.outcome["summary"].graded == 1
+    assert read_report(session.reports_dir, "Fast_Fred_3")["score"] == 100.0
+
+
+def test_watch_stops_promptly_at_a_long_interval(leap_spec, session_factory, tmp_path, monkeypatch):
+    session = session_factory(leap_spec)
+    inbox = tmp_path / "inbox"
+    inbox.mkdir()
+    watcher = _Watcher(session, inbox, 30.0, monkeypatch)
+    time.sleep(0.3)
+    assert watcher.finish() < 0.5
+
+
+def test_watch_lists_a_burst_of_uploads_far_fewer_times_than_it_has_events(
+    leap_spec, session_factory, tmp_path, monkeypatch
+):
+    session = session_factory(leap_spec)
+    inbox, staging = tmp_path / "inbox", tmp_path / "staging"
+    inbox.mkdir()
+    staging.mkdir()
+    for number in range(200):
+        (staging / f"upload{number}.txt").write_text("not yet\n")
+    watcher = _Watcher(session, inbox, 30.0, monkeypatch)
+    try:
+        first = len(watcher.listings)
+        for number in range(100):
+            os.replace(staging / f"upload{number}.txt", inbox / f"upload{number}.txt")
+        time.sleep(0.3)
+        second = len(watcher.listings)
+        for number in range(100, 200):  # a trickle, about 1 ms apart
+            os.replace(staging / f"upload{number}.txt", inbox / f"upload{number}.txt")
+            time.sleep(0.001)
+        time.sleep(0.3)
+    finally:
+        watcher.finish()
+    assert 1 <= second - first <= 10, f"100 renames at once cost {second - first} listings"
+    trickle = watcher.listings[second - 1 :]
+    gaps = [later - earlier for earlier, later in zip(trickle, trickle[1:])]
+    assert len(gaps) >= 2 and min(gaps) >= 0.009, f"listings woken by events came {min(gaps):.4f} s apart"
+
+
+def test_watch_survives_uploads_that_fail_while_they_are_read(leap_spec, session_factory, tmp_path, monkeypatch):
+    session = session_factory(leap_spec)
+    inbox = tmp_path / "inbox"
+    drop(inbox, "Fast_Fred_3.zip", {"main.cpp": source("leap_fast.cpp")})
+    for name, part in LZMA_DAMAGE.items():
+        (inbox / name).write_bytes(damaged_lzma_zip("main.cpp", source("leap_fast.cpp"), part))
+    watcher = _Watcher(session, inbox, 1.0, monkeypatch)
+    try:
+        for name in LZMA_DAMAGE:
+            assert _wait_for(session.quarantine_dir / f"{name}.reason.txt", 15.0), f"{name} was never quarantined"
+        assert _wait_for(session.reports_dir / "Fast_Fred_3.report.json", 15.0), "the whole upload was never graded"
+        assert watcher.thread.is_alive(), "the watcher died"
+    finally:
+        watcher.finish()
+    summary = watcher.outcome["summary"]
+    assert (summary.graded, summary.quarantined, summary.errored) == (1, 2, 0)
+    for name in LZMA_DAMAGE:
+        assert (session.quarantine_dir / f"{name}.reason.txt").read_text() == "corrupt-archive\n"
 
 
 def test_watch_grades_a_settled_upload(leap_spec, session_factory, tmp_path):
@@ -584,4 +751,3 @@ def test_watch_grades_a_settled_upload(leap_spec, session_factory, tmp_path):
     assert not worker.is_alive()
     assert outcome["summary"].graded == 1
     assert read_report(session.reports_dir, "Fast_Fred_3")["score"] == 100.0
-
