@@ -13,7 +13,9 @@ grading log that serves as the audit trail for the whole batch.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import threading
 from dataclasses import dataclass
 from datetime import datetime
@@ -278,6 +280,9 @@ class GradingLog:
             self._handle = open(path, "a", encoding="utf-8")
         except OSError as exc:
             raise GradingLogError(f"cannot open grading log {path}: {exc}") from exc
+        with contextlib.suppress(OSError), open(path, "rb") as tail:  # a log it cannot read shows no torn line
+            if (end := self._handle.tell()) and os.pread(tail.fileno(), 1, end - 1) != b"\n":
+                self._handle.write("\n")  # a torn last line must not swallow the next event
 
     def append(self, kind: str, timestamp: datetime, **fields: Any) -> None:
         event: dict[str, Any] = {"timestamp": timestamp.isoformat(), "kind": kind}
@@ -305,11 +310,10 @@ class GradingLog:
 
 
 def read_log_events(path: Path) -> list[dict[str, Any]]:
-    """Parse a grading log back into event dicts (primarily for auditing)."""
+    """Parse a grading log back into event dicts, skipping a last line whose append never finished."""
     events = []
     with open(path, encoding="utf-8") as handle:
         for line in handle:
-            line = line.strip()
-            if line:
+            if line.endswith("\n") and line.strip():
                 events.append(json.loads(line))
     return events

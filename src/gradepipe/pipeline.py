@@ -1,13 +1,14 @@
 """End-to-end grading pipeline.
 
 A :class:`GradingSession` owns the directories and the audit log for one
-grading run and drives each submission through the same path: validate the
-filename, unpack under limits, compile, apply lexical rules, run black-box
-tests, score, and write the report pair. Nothing a student uploads can abort
-a session; every failure mode lands in exactly one of three terminal states
-per submission (Graded, Quarantined, Errored). The single exception is the
-audit log itself becoming unwritable, which stops the batch loudly because
-grades without an audit trail are worse than no grades.
+grading run. Batch and watch mode hand archives in through one dispatch,
+and each submission takes the same path: validate the filename, unpack
+under limits, compile, apply lexical rules, run black-box tests and score.
+It leaves through one exit in exactly one terminal state (Graded,
+Quarantined, Errored), where only the newest receipt of a submission that
+has ended so far writes the report pair. Nothing a student uploads can
+abort a session; only an unwritable audit log stops the batch, loudly,
+because grades without an audit trail are worse than no grades.
 
 On disk a run looks like::
 
@@ -50,6 +51,7 @@ from .assess import (
 from .blackbox import SpawnFailure, run_test_suite
 from .build import CompilerNotFound, PrecompiledHeaders, compile_workspace
 from .ingest import (
+    ARCHIVE_SUFFIX,
     ArchiveRejected,
     InboxScanner,
     MalformedName,
@@ -77,6 +79,10 @@ _EVENT_COALESCE_SECS = 0.01
 _STOP_CHECK_SECS = 0.1  # a wait notices ``stop`` within this
 _IN_CLOSE_WRITE = 0x08  # from <sys/inotify.h>
 _IN_MOVED_TO = 0x80
+
+
+def _is_archive(path: Path) -> bool:
+    return path.suffix.lower() == ARCHIVE_SUFFIX
 
 
 def _inbox_events(inbox: Path) -> int | None:
@@ -119,7 +125,9 @@ class BatchSummary:
     superseded: int = 0
     ignored: int = 0
 
-    def record(self, report: AssessmentReport) -> None:
+    def record(self, report: AssessmentReport | None) -> None:
+        if report is None:  # an archive that was never started
+            return
         if report.status is ReportStatus.GRADED:
             self.graded += 1
         elif report.status is ReportStatus.QUARANTINED:
@@ -214,7 +222,7 @@ class GradingSession:
             raise
         except Exception as exc:  # noqa: BLE001 - one submission must not sink the batch
             report = AssessmentReport(None, archive_path.name, receipt.at)
-            return self._end(report, ReportStatus.ERRORED, f"internal-error:{type(exc).__name__}", str(exc))
+            return self._finish(report, receipt, ReportStatus.ERRORED, f"internal-error:{type(exc).__name__}", str(exc))
 
     def _receive(self, at: datetime | None = None) -> Receipt:
         """Stamp an archive as received now (or at ``at``), after every earlier receipt."""
@@ -246,12 +254,12 @@ class GradingSession:
             except (MalformedName, ArchiveRejected) as exc:
                 reason = f"malformed-name:{exc.reason}" if isinstance(exc, MalformedName) else exc.reason
                 quarantine_archive(archive_path, reason, self.quarantine_dir)
-                return self._end(report, ReportStatus.QUARANTINED, reason, str(exc))
+                return self._finish(report, receipt, ReportStatus.QUARANTINED, reason, str(exc))
 
             try:
                 compile_result = compile_workspace(workspace, self.spec.compiler, files, self._pch)
             except CompilerNotFound as exc:
-                return self._end(report, ReportStatus.ERRORED, "compiler-not-found", str(exc))
+                return self._finish(report, receipt, ReportStatus.ERRORED, "compiler-not-found", str(exc))
             report.compile_result = compile_result
             if not compile_result.succeeded:
                 self.log.append(
@@ -274,11 +282,10 @@ class GradingSession:
                         self.spec.output_cap,
                     )
                 except SpawnFailure as exc:
-                    return self._end(report, ReportStatus.ERRORED, "spawn-failure", str(exc))
+                    return self._finish(report, receipt, ReportStatus.ERRORED, "spawn-failure", str(exc))
 
             report.score = score_submission(compile_result, report.lexical, report.blackbox, self.spec.rubric)
-            report.status = ReportStatus.GRADED
-            return self._conclude(report, self._finalize(report, receipt) or "")
+            return self._finish(report, receipt, ReportStatus.GRADED)
         finally:
             # With whatever the tests wrote into it: disk use is bounded by the submissions in flight.
             if workspace is not None:
@@ -286,56 +293,51 @@ class GradingSession:
 
     # -- terminal states ---------------------------------------------------
 
-    def _end(self, report: AssessmentReport, status: ReportStatus, reason: str, message: str) -> AssessmentReport:
-        """End an unscored submission as Quarantined or Errored and write its report pair."""
+    def _finish(
+        self, report: AssessmentReport, receipt: Receipt, status: ReportStatus, reason: str = "", message: str = ""
+    ) -> AssessmentReport:
+        """End a submission: resolve latest-wins, write its pair, append its one terminal event.
+
+        Only the newest receipt of a stem that has ended so far writes its
+        pair, whatever its status; an older one writes nothing and keeps its
+        status, but Graded becomes Superseded. Receipts order by time, then
+        by the order the session found them, so the pair on disk does not
+        depend on which grading finishes first. Only a written pair takes
+        over the registry and logs the replacement.
+        """
         report.status = status
         report.detail = reason
-        report.generated_at = utc_now()
-        return self._conclude(report, self._write_report_files(report) or message)
-
-    def _finalize(self, report: AssessmentReport, receipt: Receipt) -> str | None:
-        """Apply latest-wins resolution and write the report pair.
-
-        If a submission with the same stem and a newer receipt has already
-        been graded, this report is marked Superseded and its files are not
-        written; otherwise it replaces the previous report. Receipts order
-        by time, then by the order the session found them, so the outcome
-        does not depend on which grading finishes first. Only a pair that
-        was written takes over the registry and notes the replacement in
-        the log. Returns why the pair could not be written, if it could not.
-        """
-        report.generated_at = utc_now()
+        now = report.generated_at = utc_now()
         report.check_invariants()
-        assert report.identity is not None
-        stem = report.identity.stem()
-        with self._registry_lock:
-            prior = self._registry.get(stem)
-            if prior is not None and prior > receipt:
-                report.status = ReportStatus.SUPERSEDED
-                return None
-            failure = self._write_report_files(report)
-            if failure is not None:
-                return failure
-            if prior is not None:
-                self.log.append(
-                    EVENT_SUPERSEDED,
-                    report.generated_at,
-                    submission=stem,
-                    superseded_received_at=prior.at.isoformat(),
-                )
-            self._registry[stem] = receipt
-            return None
+        stem = report.identity.stem() if report.identity else None
+        if stem is not None:
+            with self._registry_lock:
+                prior = self._registry.get(stem)
+                if prior is not None and prior > receipt:
+                    if report.status is ReportStatus.GRADED:
+                        report.status = ReportStatus.SUPERSEDED
+                elif (failure := self._write_report_files(report, stem)) is not None:
+                    message = failure
+                else:
+                    if prior is not None:
+                        replaced = prior.at.isoformat()
+                        self.log.append(EVENT_SUPERSEDED, now, submission=stem, superseded_received_at=replaced)
+                    self._registry[stem] = receipt
+        if report.status in (ReportStatus.GRADED, ReportStatus.SUPERSEDED):
+            kind = EVENT_GRADED if report.status is ReportStatus.GRADED else EVENT_SUPERSEDED
+            self.log.append(kind, now, submission=stem, score=report.score, status=report.status.value)
+        else:
+            kind = EVENT_QUARANTINED if report.status is ReportStatus.QUARANTINED else EVENT_ERRORED
+            self.log.append(kind, now, archive=report.archive_name, submission=stem, reason=report.detail, message=message)
+        return report
 
-    def _write_report_files(self, report: AssessmentReport) -> str | None:
+    def _write_report_files(self, report: AssessmentReport, stem: str) -> str | None:
         """Write the report pair; if that fails, mark the report Errored and return why.
 
         Both halves go to temporary files in the reports directory and are
         renamed over the previous pair only once both are written, so a
         failed write leaves the previous pair as it was and no partial file.
         """
-        if report.identity is None:
-            return None
-        stem = report.identity.stem()
         # Unique per process and thread: a resubmission may be written while
         # an earlier one of the same stem is still being written.
         tag = f"{os.getpid()}.{threading.get_ident()}.tmp"
@@ -359,66 +361,61 @@ class GradingSession:
                 temp.unlink(missing_ok=True)
         return None
 
-    def _conclude(self, report: AssessmentReport, message: str) -> AssessmentReport:
-        """Append the submission's one terminal event, chosen by its final status."""
-        submission = report.identity.stem() if report.identity else None
-        if report.status in (ReportStatus.GRADED, ReportStatus.SUPERSEDED):
-            self.log.append(
-                EVENT_GRADED if report.status is ReportStatus.GRADED else EVENT_SUPERSEDED,
-                report.generated_at,
-                submission=submission,
-                score=report.score,
-                status=report.status.value,
-            )
-        else:
-            self.log.append(
-                EVENT_QUARANTINED if report.status is ReportStatus.QUARANTINED else EVENT_ERRORED,
-                report.generated_at,
-                archive=report.archive_name,
-                submission=submission,
-                reason=report.detail,
-                message=message,
-            )
-        return report
-
     # -- batch and watch ----------------------------------------------------
 
-    def _ignore(self, path: Path, summary: BatchSummary) -> None:
-        self.log.append(EVENT_IGNORED, utc_now(), archive=path.name, reason="not-a-zip-archive")
-        summary.ignored += 1
+    def _dispatch(
+        self,
+        paths: list[Path],
+        executor: ThreadPoolExecutor,
+        stop: threading.Event,
+        halt: threading.Event,
+        summary: BatchSummary,
+    ) -> list[Future[AssessmentReport | None]]:
+        """Stamp and submit each listed archive in order, and ignore other files.
+
+        A task starts nothing once ``stop`` or the run's ``halt`` is set; one that raises sets ``halt``.
+        """
+
+        def start(path: Path, receipt: Receipt) -> AssessmentReport | None:
+            if stop.is_set() or halt.is_set():
+                return None
+            try:
+                return self.grade_archive(path, receipt)
+            except BaseException:
+                halt.set()
+                raise
+
+        futures = []
+        for path in paths:
+            if _is_archive(path):
+                futures.append(executor.submit(start, path, self._receive()))
+            else:
+                self.log.append(EVENT_IGNORED, utc_now(), archive=path.name, reason="not-a-zip-archive")
+                summary.ignored += 1
+        return futures
 
     def run_batch(self, inbox: Path, stop: threading.Event | None = None) -> BatchSummary:
         """Grade every archive currently in the inbox, then return counts.
 
         A one-shot pass takes the inbox as-is (no upload debouncing, unlike
-        watch mode). Files without a .zip suffix are logged as ignored and
-        left untouched. Submissions grade in parallel up to ``jobs`` workers.
-        Archives are received in name order as they are listed, so of two
-        that resolve to one submission the later name is the newer. Once
-        ``stop`` is set no further archive is started; those in flight
-        finish, and the rest stay in the inbox ungraded and uncounted.
+        watch mode) in name order, through the dispatch watch mode uses: a
+        file without a .zip suffix is logged as ignored and left untouched,
+        and of two archives of one submission the later name is the newer.
+        Submissions grade in parallel up to ``jobs`` workers. Once ``stop``
+        is set, or a submission raises, nothing more starts; those in flight
+        finish, and the rest stay in the inbox uncounted.
         """
         summary = BatchSummary()
         entries = sorted(path for path in Path(inbox).iterdir() if path.is_file())
-        archives: list[Path] = []
-        receipts: list[Receipt] = []
-        for path in entries:
-            if path.suffix.lower() == ".zip":
-                archives.append(path)
-                receipts.append(self._receive())
-            else:
-                self._ignore(path, summary)
-
-        def grade(path: Path, receipt: Receipt) -> AssessmentReport | None:
-            return None if stop is not None and stop.is_set() else self.grade_archive(path, receipt)
-
-        self._pch.expect(len(archives))
+        self._pch.expect(sum(map(_is_archive, entries)))
+        halt = threading.Event()
+        executor = ThreadPoolExecutor(max_workers=self.jobs)
         try:
-            with ThreadPoolExecutor(max_workers=self.jobs) as executor:
-                for report in executor.map(grade, archives, receipts):
-                    if report is not None:
-                        summary.record(report)
+            for future in self._dispatch(entries, executor, stop or threading.Event(), halt, summary):
+                summary.record(future.result())
         finally:
+            halt.set()  # left early (an unwritable log, Ctrl-C): start nothing queued
+            executor.shutdown()
             self._pch.expect(None)
         return summary
 
@@ -455,9 +452,9 @@ class GradingSession:
         Resubmissions under the same name are graded again and the older
         report is superseded. Each listing also counts the submissions that
         have finished since the last one, so an unwritable audit log raises
-        :class:`GradingLogError` within a quarter interval. Returns counts
-        for everything processed; in-flight submissions are finished before
-        returning.
+        :class:`GradingLogError` within a quarter interval. Once ``stop`` is
+        set, or a submission raises, nothing more starts; those in flight
+        finish, and the rest stay in the inbox uncounted.
 
         Raises ValueError when :meth:`check_watch_inputs` does.
         """
@@ -465,16 +462,13 @@ class GradingSession:
         stop = stop or threading.Event()
         summary = BatchSummary()
         scanner = InboxScanner(inbox, settle_secs=poll_interval)
-        in_flight: list[Future[AssessmentReport]] = []
+        in_flight: list[Future[AssessmentReport | None]] = []
+        halt = threading.Event()
         executor = ThreadPoolExecutor(max_workers=self.jobs)
         events = _inbox_events(inbox)
         try:
             while not stop.is_set():
-                for path in scanner.poll():
-                    if path.suffix.lower() != ".zip":
-                        self._ignore(path, summary)
-                        continue
-                    in_flight.append(executor.submit(self.grade_archive, path, self._receive()))
+                in_flight += self._dispatch(scanner.poll(), executor, stop, halt, summary)
                 for future in [future for future in in_flight if future.done()]:
                     in_flight.remove(future)
                     summary.record(future.result())
@@ -482,9 +476,10 @@ class GradingSession:
         except KeyboardInterrupt:
             stop.set()
         finally:
+            halt.set()  # stopped or raising: start nothing queued
             if events is not None:
                 os.close(events)
-            executor.shutdown(wait=True)
+            executor.shutdown()
         for future in in_flight:
             summary.record(future.result())
         return summary

@@ -4,6 +4,7 @@ from datetime import datetime, timezone
 
 import pytest
 
+from gradepipe import assess
 from gradepipe.assess import (
     AssessmentReport,
     GradingLog,
@@ -257,6 +258,40 @@ def test_log_is_append_only_across_sessions(tmp_path):
         log.append("received", RECEIVED, archive="second.zip")
     events = read_log_events(path)
     assert [e["archive"] for e in events] == ["first.zip", "second.zip"]
+
+
+def test_torn_last_line_is_skipped_and_the_next_session_starts_a_fresh_line(tmp_path):
+    path = tmp_path / "grading.log"
+    with GradingLog(path) as log:
+        log.append("received", RECEIVED, archive="first.zip")
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write('{"timestamp": "x", "ki')  # an append cut off before its newline
+    assert [e["archive"] for e in read_log_events(path)] == ["first.zip"], "only the torn last line is skipped"
+
+    with GradingLog(path) as log:
+        log.append("received", RECEIVED, archive="second.zip")
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[1] == '{"timestamp": "x", "ki\n', "the torn line is kept, ended by the new session"
+    assert json.loads(lines[2])["archive"] == "second.zip", "the next event is whole on its own line"
+    with pytest.raises(json.JSONDecodeError):
+        read_log_events(path)  # a malformed line that ends in a newline is not skipped
+
+
+def test_a_log_that_can_be_appended_to_but_not_read_still_opens(tmp_path, monkeypatch):
+    path = tmp_path / "grading.log"
+    with GradingLog(path) as log:
+        log.append("received", RECEIVED, archive="first.zip")
+
+    def write_only(file, mode="r", *args, **kwargs):
+        if "r" in mode or "+" in mode:  # any mode that reads
+            raise PermissionError(13, "Permission denied", str(file))
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(assess, "open", write_only, raising=False)
+    with GradingLog(path) as log:
+        log.append("received", RECEIVED, archive="second.zip")
+    monkeypatch.undo()
+    assert [e["archive"] for e in read_log_events(path)] == ["first.zip", "second.zip"]
 
 
 def test_log_survives_concurrent_appends(tmp_path):

@@ -388,6 +388,61 @@ def test_same_second_resubmission_resolves_by_discovery_not_finish_order(
     assert terminal == [("graded", "Graded"), ("superseded", "Superseded")], "the older one finished last"
 
 
+ENDS = ("Graded", "Quarantined", "Errored")
+
+
+def _ending(inbox, name, status):
+    """An archive that ends ``status``: a corrupt zip is Quarantined, and Errored needs a failed spawn."""
+    if status == "Quarantined":
+        inbox.mkdir(parents=True, exist_ok=True)
+        (inbox / name).write_bytes(b"PK\x03\x04 but the rest is nonsense")
+        return inbox / name
+    return drop(inbox, name, {"main.cpp": "int main() { return 0; }\n"})
+
+
+def _terminal(event):
+    return event["kind"] in ("graded", "quarantined", "errored") or "status" in event
+
+
+@pytest.mark.parametrize("newer", ENDS)
+@pytest.mark.parametrize("older", ENDS)
+def test_pair_on_disk_is_the_newest_receipts_whatever_the_finish_order(
+    older, newer, leap_spec, session_factory, tmp_path, monkeypatch
+):
+    # Both names are submission Ada_Lovelace_3; each order grades the two one after the other.
+    receipts = {
+        "older": ("Ada_Lovelace_03.zip", older, T0),
+        "newer": ("Ada_Lovelace_3.zip", newer, T0 + timedelta(minutes=5)),
+    }
+
+    def refuse(*args, **kwargs):
+        raise SpawnFailure("simulated resource exhaustion")
+
+    monkeypatch.setattr(pipeline, "utc_now", lambda: T0)
+    pairs, ends = {}, {}
+    for order in (("older", "newer"), ("newer", "older")):
+        run = "-then-".join(order)
+        session = session_factory(leap_spec, subdir=run)
+        for which in order:
+            name, status, at = receipts[which]
+            archive = _ending(tmp_path / run / "inbox", name, status)
+            seen = len(read_log_events(session.log.path))
+            with monkeypatch.context() as patch:
+                if status == "Errored":
+                    patch.setattr(pipeline, "run_test_suite", refuse)
+                ends[run, which] = session.grade_archive(archive, received_at=at).status.value
+            events = read_log_events(session.log.path)[seen:]
+            assert [_terminal(event) for event in events].count(True) == 1, f"{run}: {which} {events}"
+        pairs[run] = {path.name: path.read_bytes() for path in sorted(session.reports_dir.iterdir())}
+
+    assert pairs["older-then-newer"] == pairs["newer-then-older"], "finish order picked the pair"
+    payload = read_report(tmp_path / "newer-then-older" / "reports", "Ada_Lovelace_3")
+    assert (payload["status"], payload["received_at"]) == (newer, receipts["newer"][2].isoformat())
+    assert ends["older-then-newer", "older"] == older
+    assert ends["older-then-newer", "newer"] == ends["newer-then-older", "newer"] == newer
+    assert ends["newer-then-older", "older"] == ("Superseded" if older == "Graded" else older)
+
+
 def test_archives_of_one_submission_graded_at_once_keep_their_own_files(leap_spec, session_factory, tmp_path):
     # Both names are submission Ada_Lovelace_3 and grade side by side; each
     # must be built and judged from its own archive.
@@ -471,6 +526,63 @@ def test_batch_stopped_before_it_starts_grades_nothing(leap_spec, session_factor
     assert kinds(session) == []
     assert sorted(path.name for path in inbox.iterdir()) == ["Ada_Lovelace_3.zip", "Broken_Bob_3.zip"]
     assert not session.reports_dir.exists()
+
+
+QUEUED = ["Ada_Lovelace_3.zip", "Broken_Bob_3.zip", "Fast_Fred_3.zip", "Flat_Fiona_3.zip"]
+
+
+@pytest.mark.parametrize("mode", ["batch", "watch"])
+def test_a_run_whose_grading_raises_starts_no_archive_it_queued(mode, leap_spec, session_factory, tmp_path, monkeypatch):
+    session = session_factory(leap_spec, jobs=1)
+    inbox = tmp_path / "inbox"
+    for name in QUEUED:
+        drop(inbox, name, {"main.cpp": source("leap_fast.cpp")})
+    grade = session.grade_archive
+    started = []
+
+    def fail_first(path, received_at=None):
+        started.append(path.name)
+        if len(started) == 1:
+            time.sleep(0.05)  # the run has gone back to waiting when the failure comes
+            raise GradingLogError("simulated log failure")
+        return grade(path, received_at)
+
+    monkeypatch.setattr(session, "grade_archive", fail_first)
+    stop = threading.Event()
+    deadline = threading.Timer(20.0, stop.set)
+    deadline.start()
+    try:
+        with pytest.raises(GradingLogError):
+            if mode == "batch":
+                session.run_batch(inbox, stop)
+            else:
+                session.watch_inbox(inbox, poll_interval=1.0, stop=stop)
+    finally:
+        deadline.cancel()
+    assert started == QUEUED[:1], "the one worker took no queued archive after the failure"
+    assert kinds(session) == []
+    assert sorted(path.name for path in inbox.iterdir()) == QUEUED
+    assert not stop.is_set(), "the failure ended the run, not the deadline"
+
+
+def test_interrupted_batch_finishes_what_is_in_flight_and_starts_nothing_queued(
+    leap_spec, session_factory, tmp_path, monkeypatch
+):
+    session = session_factory(leap_spec, jobs=1)
+    inbox = tmp_path / "inbox"
+    for name in QUEUED:
+        drop(inbox, name, {"main.cpp": source("leap_fast.cpp")})
+
+    def interrupt(summary, report):
+        raise KeyboardInterrupt  # Ctrl-C while the batch waits on its first result
+
+    monkeypatch.setattr(pipeline.BatchSummary, "record", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        session.run_batch(inbox)
+    received = [event["archive"] for event in read_log_events(session.log.path) if event["kind"] == "received"]
+    # The one worker may already hold the second archive; it finishes, and no later one starts.
+    assert received in (QUEUED[:1], QUEUED[:2])
+    assert kinds(session).count("graded") == len(received), "what started was graded to the end"
 
 
 def test_parallel_batch_matches_serial_batch(leap_spec, session_factory, tmp_path):
@@ -676,6 +788,31 @@ def test_watch_stops_promptly_at_a_long_interval(leap_spec, session_factory, tmp
     watcher = _Watcher(session, inbox, 30.0, monkeypatch)
     time.sleep(0.3)
     assert watcher.finish() < 0.5
+
+
+def test_stopped_watch_starts_no_archive_it_has_not_started(leap_spec, session_factory, tmp_path, monkeypatch):
+    session = session_factory(leap_spec, jobs=1)
+    inbox = tmp_path / "inbox"
+    names = ["Ada_Lovelace_3.zip", "Broken_Bob_3.zip", "Fast_Fred_3.zip", "Flat_Fiona_3.zip"]
+    for name in names:
+        drop(inbox, name, {"main.cpp": source("leap_fast.cpp")})
+    stop = threading.Event()
+    parse = pipeline.parse_submission_filename
+
+    def stop_while_grading(name):
+        stop.set()
+        return parse(name)
+
+    monkeypatch.setattr(pipeline, "parse_submission_filename", stop_while_grading)
+    deadline = threading.Timer(20.0, stop.set)
+    deadline.start()
+    try:
+        summary = session.watch_inbox(inbox, poll_interval=1.0, stop=stop)
+    finally:
+        deadline.cancel()
+    received = [event["archive"] for event in read_log_events(session.log.path) if event["kind"] == "received"]
+    assert summary.total == len(received) == 1, "only the archive in flight when stop was set is graded"
+    assert sorted(path.name for path in inbox.iterdir()) == names, "the others stay in the inbox"
 
 
 def test_watch_lists_a_burst_of_uploads_far_fewer_times_than_it_has_events(
