@@ -310,10 +310,18 @@ class GradingLog:
 
 
 def read_log_events(path: Path) -> list[dict[str, Any]]:
-    """Parse a grading log back into event dicts, skipping a last line whose append never finished."""
-    events = []
+    """Parse a grading log back into event dicts, skipping a last line whose append never finished.
+
+    A malformed line that does end raises ``json.JSONDecodeError`` naming the log and the line.
+    """
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            if line.endswith("\n") and line.strip():
+        text = handle.read()
+    events, offset = [], 0
+    for line in text.split("\n")[:-1]:  # the last item is what follows the final newline
+        if line.strip():
+            try:
                 events.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise json.JSONDecodeError(f"{path}: {exc.msg}", text, offset + exc.pos) from None
+        offset += len(line) + 1
     return events

@@ -7,9 +7,11 @@ comments and string literals, so that a required construct hidden in a
 comment, or a forbidden one quoted in an output message, is judged the way a
 human reader would judge it.
 
-The preprocessing deliberately preserves newlines and overall layout: line
-and column positions in the filtered text still correspond to the original
-file, and running the filter twice yields the same text as running it once.
+One token regex finds the comments and literals. The filter keeps newlines,
+so a line of its output is that line of the file, with one exception: a
+stripped literal drops an escaped newline together with its backslash. An
+unterminated block comment or literal runs to the end of the file. Running
+the filter twice yields the same text as running it once.
 
 Every rule runs on one matcher, in O(text x pattern) time whatever the text.
 It takes the regular subset of ``re`` syntax: characters, escapes and classes
@@ -46,93 +48,48 @@ class PreprocessedSource(NamedTuple):
     warnings: tuple[str, ...]
 
 
+# A line comment, a block comment (group 1 is its "*/"), or a string or character
+# literal (group 2 or 3 is its closing quote). Repeats are possessive and endings
+# optional, so a started token never backtracks: an unterminated one runs to the end.
+_TOKEN = re.compile(
+    r"//[^\n]*+"
+    r"|/\*(?:[^*]++|\*(?!/))*+(\*/)?"
+    r'|"(?:[^"\\]++|\\[\s\S]?)*+("?)'
+    r"|'(?:[^'\\]++|\\[\s\S]?)*+('?)"
+)
+
+
 def preprocess_source(text: str, strip_comments: bool = True, strip_strings: bool = True) -> PreprocessedSource:
     """Blank comments and/or literal contents out of C/C++-style source.
 
-    A stripped line or block comment becomes a single space; newlines inside
-    block comments are kept so line numbering survives. A stripped string or
-    character literal keeps its quotes, with the contents collapsed to one
-    space (nothing for an empty literal). Escape sequences inside literals
-    are honoured, so an escaped quote does not end the literal. Comment
-    markers inside literals, and quotes inside comments, are inert.
-
-    Unterminated block comments and literals do not fail the pass: the open
-    region is treated as running to end-of-file and a warning is recorded.
-    The transformation is idempotent for any flag combination.
+    A stripped comment becomes one space, plus the newlines of a block comment.
+    A stripped string or character literal keeps its quotes and newlines, and
+    the rest of its contents becomes one space (none for an empty literal).
+    Escapes are honoured: an escaped quote does not end a literal, and an
+    escaped newline is dropped with its backslash. Comment markers inside
+    literals, and quotes inside comments, are inert. An unterminated block
+    comment or literal runs to the end of the file and records a warning. The
+    result is idempotent for any flag combination.
     """
-    out: list[str] = []
     warnings: list[str] = []
-    mode = "code"
-    quote = ""
-    content_seen = False
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if mode == "code":
-            if ch == "/" and i + 1 < n and text[i + 1] == "/":
-                out.append(" " if strip_comments else "//")
-                mode = "line"
-                i += 2
-            elif ch == "/" and i + 1 < n and text[i + 1] == "*":
-                out.append(" " if strip_comments else "/*")
-                mode = "block"
-                i += 2
-            elif ch in "\"'":
-                out.append(ch)
-                mode = "quote"
-                quote = ch
-                content_seen = False
-                i += 1
-            else:
-                out.append(ch)
-                i += 1
-        elif mode == "line":
-            if ch == "\n":
-                out.append("\n")
-                mode = "code"
-            elif not strip_comments:
-                out.append(ch)
-            i += 1
-        elif mode == "block":
-            if ch == "*" and i + 1 < n and text[i + 1] == "/":
-                if not strip_comments:
-                    out.append("*/")
-                mode = "code"
-                i += 2
-            else:
-                if ch == "\n":
-                    out.append("\n")
-                elif not strip_comments:
-                    out.append(ch)
-                i += 1
-        else:  # inside a string or character literal
-            if ch == "\\" and i + 1 < n:
-                if strip_strings:
-                    content_seen = True
-                else:
-                    out.append(text[i : i + 2])
-                i += 2
-            elif ch == quote:
-                if strip_strings and content_seen:
-                    out.append(" ")
-                out.append(ch)
-                mode = "code"
-                i += 1
-            elif ch == "\n":
-                out.append("\n")
-                i += 1
-            else:
-                if strip_strings:
-                    content_seen = True
-                else:
-                    out.append(ch)
-                i += 1
-    if mode == "block":
-        warnings.append(WARN_UNTERMINATED_BLOCK_COMMENT)
-    elif mode == "quote":
-        warnings.append(WARN_UNTERMINATED_STRING if quote == '"' else WARN_UNTERMINATED_CHAR)
-    return PreprocessedSource("".join(out), tuple(warnings))
+
+    def blank(token: re.Match) -> str:
+        whole = token[0]
+        if whole[0] == "/":  # a comment
+            if whole[1] == "*" and not token[1]:
+                warnings.append(WARN_UNTERMINATED_BLOCK_COMMENT)
+            return " " + "\n" * whole.count("\n") if strip_comments else whole
+        quote, end = whole[0], token[2] or token[3] or ""
+        if not end:
+            warnings.append(WARN_UNTERMINATED_STRING if quote == '"' else WARN_UNTERMINATED_CHAR)
+        body = whole[1 : len(whole) - len(end)]
+        if not strip_strings or not body:
+            return whole
+        # Newlines in the body are kept, except one escaped by a backslash.
+        kept = body.count("\n") - body.replace("\\\\", "").count("\\\n")
+        return quote + "\n" * kept + (" " if end and len(body) > kept else "") + end
+
+    return PreprocessedSource(_TOKEN.sub(blank, text), tuple(warnings))
 
 
 def join_pattern_lines(pattern: str) -> str:
@@ -164,7 +121,7 @@ _ASSERTIONS = {
     _C.AT_END: lambda ctx: ctx & (_END | _FINAL_NL),
     _C.AT_END_STRING: lambda ctx: ctx & _END,
     _C.AT_BOUNDARY: lambda ctx: ctx & 3 in (1, 2),
-    # Like re, \B never holds in an empty string.
+    # As in re before Python 3.14, \B never holds in an empty string.
     _C.AT_NON_BOUNDARY: lambda ctx: ctx & 3 in (0, 3) and ctx & (_START | _END) != _START | _END,
 }
 _UNSUPPORTED = {_C.GROUPREF: "a backreference", _C.ASSERT: "lookaround", _C.ASSERT_NOT: "lookaround",

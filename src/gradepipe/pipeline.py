@@ -22,6 +22,7 @@ On disk a run looks like::
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import select
 import shutil
@@ -422,12 +423,13 @@ class GradingSession:
     def check_watch_inputs(self, inbox: Path, poll_interval: float) -> Path:
         """Return the absolute inbox that :meth:`watch_inbox` would poll.
 
-        Raises ValueError for a poll interval under ``MIN_POLL_INTERVAL``
-        seconds or an inbox that is also the workspace, reports or quarantine
-        directory.
+        Raises ValueError for a poll interval that is not a finite number of
+        at least ``MIN_POLL_INTERVAL`` seconds, or an inbox that is also the
+        workspace, reports or quarantine directory.
         """
-        if poll_interval < MIN_POLL_INTERVAL:
-            raise ValueError(f"poll interval must be at least {MIN_POLL_INTERVAL:g} second, got {poll_interval:g}")
+        if not MIN_POLL_INTERVAL <= poll_interval < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"poll interval must be finite and at least {MIN_POLL_INTERVAL:g} second, "
+                             f"got {poll_interval:g}")
         inbox = Path(inbox).absolute()
         if inbox in (self.workspace_root, self.reports_dir, self.quarantine_dir):
             raise ValueError("inbox must be distinct from the workspace, reports and quarantine directories")

@@ -16,6 +16,7 @@ default, and range checks live only in the classes' ``__post_init__``.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator
@@ -65,6 +66,8 @@ def _is_integer(value: Any) -> bool:
 def _number(value: Any) -> float:
     if not _is_number(value):
         raise ValueError("must be a number")
+    if not abs(value) <= sys.float_info.max:  # NaN, an infinity, or an int too large for a float
+        raise ValueError("must be a finite number")
     return float(value)
 
 

@@ -277,6 +277,20 @@ def test_torn_last_line_is_skipped_and_the_next_session_starts_a_fresh_line(tmp_
         read_log_events(path)  # a malformed line that ends in a newline is not skipped
 
 
+def test_a_malformed_line_is_reported_with_the_log_path_and_its_line(tmp_path):
+    path = tmp_path / "grading.log"
+    with GradingLog(path) as log:
+        log.append("received", RECEIVED, archive="first.zip")
+        log.append("received", RECEIVED, archive="second.zip")
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines.insert(1, '{"timestamp": "x", "kind" "received"}\n')  # the middle line of three
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError) as excinfo:
+        read_log_events(path)
+    assert (excinfo.value.lineno, excinfo.value.colno) == (2, 27)
+    assert str(excinfo.value).startswith(f"{path}: Expecting ':' delimiter: line 2 column 27 ")
+
+
 def test_a_log_that_can_be_appended_to_but_not_read_still_opens(tmp_path, monkeypatch):
     path = tmp_path / "grading.log"
     with GradingLog(path) as log:

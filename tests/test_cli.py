@@ -166,6 +166,29 @@ def test_watch_rejects_sub_second_interval(tmp_path, capsys):
     assert "watching" not in err
 
 
+@pytest.mark.parametrize("interval", ["nan", "inf"])
+def test_watch_rejects_an_interval_that_is_not_finite(tmp_path, capsys, monkeypatch, interval):
+    def watch_inbox(*args, **kwargs):
+        raise AssertionError("watch started")  # fail at once rather than watch forever
+
+    monkeypatch.setattr(gradepipe.pipeline.GradingSession, "watch_inbox", watch_inbox)
+    inbox = tmp_path / "inbox"
+    inbox.mkdir()
+    rc = main(["watch", str(inbox), "--spec", str(SPEC_PATH), "--interval", interval, *run_dirs(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "must be finite" in err
+    assert "watching" not in err
+
+
+def test_validate_spec_rejects_an_infinite_timeout(tmp_path, capsys):
+    spec = tmp_path / "spec.yaml"
+    spec.write_text("assignment: 2\ntests:\n  - id: t\n    expected_stdout: ok\n    timeout_secs: .inf\n")
+    rc = main(["validate-spec", str(spec)])
+    assert rc == 2
+    assert "tests[0] (t): timeout_secs must be a finite number" in capsys.readouterr().err
+
+
 def test_unwritable_log_is_a_fatal_error(tmp_path, capsys):
     inbox = tmp_path / "inbox"
     inbox.mkdir()

@@ -647,6 +647,20 @@ def test_watch_inbox_rejects_tight_polling(leap_spec, session_factory, tmp_path)
         session.watch_inbox(inbox, poll_interval=0.1)
 
 
+@pytest.mark.parametrize("interval", [float("nan"), float("inf")])
+def test_watch_inbox_rejects_an_interval_that_is_not_finite(leap_spec, session_factory, tmp_path, interval):
+    # NaN is not below the minimum, and a watcher polling every NaN seconds lists the inbox without pause.
+    session = session_factory(leap_spec)
+    inbox = tmp_path / "inbox"
+    inbox.mkdir()
+    with pytest.raises(ValueError, match="finite"):
+        session.check_watch_inputs(inbox, interval)
+    stopped = threading.Event()
+    stopped.set()  # a watcher that wrongly accepts the interval returns at once
+    with pytest.raises(ValueError, match="finite"):
+        session.watch_inbox(inbox, poll_interval=interval, stop=stopped)
+
+
 def test_watch_inbox_rejects_overlapping_dirs(leap_spec, session_factory, tmp_path):
     session = session_factory(leap_spec)
     stopped = threading.Event()

@@ -222,6 +222,26 @@ def test_specific_problems_are_caught(tmp_path, body, needle):
     assert any(needle in p for p in excinfo.value.problems)
 
 
+NUMERIC_KEYS = {
+    "tests[].timeout_secs": ("tests:\n  - id: t\n    expected_stdout: ok\n    timeout_secs: {}\n", "tests[0] (t)"),
+    "tests[].weight": ("tests:\n  - id: t\n    expected_stdout: ok\n    weight: {}\n", "tests[0] (t)"),
+    "rules[].weight": ("rules:\n  - id: r\n    pattern: x\n    weight: {}\n", "rules[0] (r)"),
+    "compiler.timeout_secs": ("compiler:\n  timeout_secs: {}\n", "compiler"),
+    "rubric.scale": ("rubric:\n  scale: {}\n", "rubric"),
+}
+
+
+@pytest.mark.parametrize("value", [".inf", ".nan", "1" + "0" * 400], ids=["inf", "nan", "huge-int"])
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
+def test_numbers_that_are_not_finite_are_rejected(tmp_path, key, value):
+    # An infinite timeout would end every submission Errored (selectors takes
+    # no infinite timeout), and an infinite weight would grade to a NaN score.
+    body, where = NUMERIC_KEYS[key]
+    with pytest.raises(SpecError) as excinfo:
+        load_spec(write_spec(tmp_path, "assignment: 2\n" + body.format(value)))
+    assert excinfo.value.problems == [f"{where}: {key.split('.')[-1]} must be a finite number"]
+
+
 @pytest.mark.parametrize(
     "pattern, needle",
     [
