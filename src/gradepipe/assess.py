@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from datetime import datetime
@@ -57,8 +58,11 @@ class Rubric:
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
         if abs(self.lexical_weight + self.blackbox_weight - 1.0) > 1e-9:
             raise ValueError("lexical_weight and blackbox_weight must sum to 1.0")
-        if not (isinstance(self.scale, (int, float)) and not isinstance(self.scale, bool) and self.scale > 0):
+        if not (isinstance(self.scale, (int, float)) and not isinstance(self.scale, bool)
+                and 0 < self.scale <= sys.float_info.max):
             raise ValueError(f"scale must be positive, got {self.scale!r}")
+        if not isinstance(self.compile_gate, bool):
+            raise ValueError(f"compile_gate must be a bool, got {self.compile_gate!r}")
 
 
 def score_submission(

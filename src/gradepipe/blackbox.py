@@ -15,6 +15,7 @@ started, and produce a distinct verdict instead of an exception.
 from __future__ import annotations
 
 import signal
+import sys
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -44,6 +45,11 @@ class NormalizationPolicy:
     trim_trailing_ws: bool = True
     drop_trailing_blank_lines: bool = True
     case_sensitive: bool = True
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be a bool, got {value!r}")
 
 
 def normalize_output(text: str, policy: NormalizationPolicy = NormalizationPolicy()) -> str:
@@ -84,11 +90,11 @@ class TestCase:
     def __post_init__(self) -> None:
         if not self.test_id:
             raise ValueError("test_id must be non-empty")
-        if not (isinstance(self.timeout_secs, (int, float)) and not isinstance(self.timeout_secs, bool)
-                and self.timeout_secs > 0):
-            raise ValueError(f"test {self.test_id!r}: timeout_secs must be positive")
-        if not (isinstance(self.weight, (int, float)) and not isinstance(self.weight, bool) and self.weight > 0):
-            raise ValueError(f"test {self.test_id!r}: weight must be positive")
+        for name in ("timeout_secs", "weight"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+                    and 0 < value <= sys.float_info.max):
+                raise ValueError(f"test {self.test_id!r}: {name} must be positive")
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ import io
 import os
 import re
 import shutil
+import sys
 import tempfile
 import threading
 from dataclasses import dataclass
@@ -128,7 +129,7 @@ class CompilerProfile:
         if self.command[0] in (SOURCES_TOKEN, OUTPUT_TOKEN):
             raise ValueError("first command token must be the compiler executable")
         if not (isinstance(self.timeout_secs, (int, float)) and not isinstance(self.timeout_secs, bool)
-                and self.timeout_secs > 0):
+                and 0 < self.timeout_secs <= sys.float_info.max):
             raise ValueError(f"timeout_secs must be positive, got {self.timeout_secs!r}")
 
     def expand(self, sources: list[str], output_name: str) -> tuple[str, ...]:
@@ -145,7 +146,6 @@ class CompilerProfile:
 class CompileResult:
     succeeded: bool
     diagnostics: tuple[Diagnostic, ...]
-    command: tuple[str, ...]
     output_path: Path | None = None
     raw_output: str = ""
 
@@ -161,53 +161,37 @@ class _CappedOutput:
     bytes (UTF-8), are kept, and one ``note: N lines omitted`` line says how
     many went; output within both limits is returned unchanged. Lines are
     those of ``str.splitlines`` on the whole output, decoded as UTF-8 with
-    universal newlines, but no more than one read and the kept lines are held.
+    universal newlines. Text is held until a read takes it past either
+    limit (a character is at least a byte); after that only line ends count.
     """
 
     def __init__(self) -> None:
         utf8 = codecs.getincrementaldecoder("utf-8")(errors="replace")
         self._decoder = io.IncrementalNewlineDecoder(utf8, translate=True)
-        self._kept: list[str] = []
-        self._size = 0
-        self._omitted = 0
-        self._cut = False
-        # The unfinished last line; once cut, only whether there is one.
-        self._open = ""
-
-    def _add(self, line: str) -> None:
-        size = self._size + len(line.encode("utf-8"))
-        if self._cut or len(self._kept) == MAX_OUTPUT_LINES or size > MAX_OUTPUT_BYTES:
-            self._cut = True
-            self._omitted += 1
-        else:
-            self._kept.append(line)
-            self._size = size
+        self._held = ""  # the output, until a read takes it past a limit
+        self._ends = 0  # line ends in the whole output
+        self._open = False  # whether the output so far ends inside a line
 
     def feed(self, data: bytes, final: bool = False) -> bool:
         text = self._decoder.decode(data, final)
-        if self._cut:
-            self._omitted += sum(map(text.count, _LINE_ENDS))
-            if text:
-                self._open = "" if text[-1] in _LINE_ENDS else text[-1]
-        else:
-            lines = (self._open + text).splitlines(keepends=True)
-            self._open = lines.pop() if lines and lines[-1][-1] not in _LINE_ENDS else ""
-            for line in lines:
-                self._add(line)
-            if len(self._open) > MAX_OUTPUT_BYTES:  # a line this long can never be kept
-                self._cut = True
-            if self._cut:
-                self._open = self._open[:1]
-        if final and self._open:
-            self._add(self._open)
-            self._open = ""
+        if len(self._held) <= MAX_OUTPUT_BYTES and self._ends <= MAX_OUTPUT_LINES:
+            self._held += text
+        self._ends += sum(map(text.count, _LINE_ENDS))
+        if text:
+            self._open = text[-1] not in _LINE_ENDS
         return True  # the output is cut, never the compiler
 
     def text(self) -> str:
         """The kept output and the omission note, once the output has ended."""
         self.feed(b"", final=True)
-        kept = "".join(self._kept)
-        return kept + f"note: {self._omitted} lines omitted\n" if self._omitted else kept
+        kept, size = [], 0
+        for line in self._held.splitlines(keepends=True)[:MAX_OUTPUT_LINES]:
+            size += len(line.encode("utf-8"))
+            if size > MAX_OUTPUT_BYTES:
+                break
+            kept.append(line)
+        omitted = self._ends + self._open - len(kept)
+        return "".join(kept) + (f"note: {omitted} lines omitted\n" if omitted else "")
 
 
 def _names_gcc(executable: str, timeout: float) -> bool:
@@ -394,7 +378,7 @@ def compile_workspace(
     sources = [name for name in files if Path(name).suffix.lower() in COMPILE_EXTENSIONS]
     if not sources:
         diagnostic = Diagnostic(DiagnosticSeverity.ERROR, "error: no source files found in submission")
-        return CompileResult(False, (diagnostic,), (), raw_output=diagnostic.text)
+        return CompileResult(False, (diagnostic,), raw_output=diagnostic.text)
 
     command = profile.expand(sources, OUTPUT_NAME)
     if pch is None or not _includes_iostream(workspace, sources):
@@ -435,4 +419,4 @@ def _run_compiler(
     if notice:
         raw = raw + ("\n" if raw and not raw.endswith("\n") else "") + notice
     succeeded = exit_code == 0 and not notice
-    return CompileResult(succeeded, classify_diagnostics(raw), command, output_path if succeeded else None, raw)
+    return CompileResult(succeeded, classify_diagnostics(raw), output_path if succeeded else None, raw)

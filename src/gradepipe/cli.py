@@ -147,24 +147,21 @@ def main(argv: list[str] | None = None) -> int:
                 report = session.grade_archive(args.archive)
                 sys.stdout.write(render_report_text(report))
                 errored = report.status is ReportStatus.ERRORED
-            elif args.command == "batch":
-                if not args.inbox.is_dir():
-                    print(f"error: no such inbox directory: {args.inbox}", file=sys.stderr)
-                    return 2
-                summary = session.run_batch(args.inbox, stop)
-                _print_summary(summary)
-                errored = summary.errored > 0
             else:
                 if not args.inbox.is_dir():
                     print(f"error: no such inbox directory: {args.inbox}", file=sys.stderr)
                     return 2
                 try:
-                    session.check_watch_inputs(args.inbox, args.interval)
-                except ValueError as exc:
+                    if args.command == "batch":
+                        summary = session.run_batch(args.inbox, stop)
+                    else:
+                        session.check_watch_inputs(args.inbox, args.interval)
+                        rule = WATCH_RULE.format(interval=f"{args.interval:g} s")
+                        print(f"watching {args.inbox}: {rule}; Ctrl-C to stop", file=sys.stderr)
+                        summary = session.watch_inbox(args.inbox, args.interval, stop)
+                except ValueError as exc:  # an interval or an inbox the session refuses
                     print(f"error: {exc}", file=sys.stderr)
                     return 2
-                print(f"watching {args.inbox}: {WATCH_RULE.format(interval=f'{args.interval:g} s')}; Ctrl-C to stop", file=sys.stderr)
-                summary = session.watch_inbox(args.inbox, args.interval, stop)
                 _print_summary(summary)
                 errored = summary.errored > 0
     except GradingLogError as exc:

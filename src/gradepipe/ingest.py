@@ -233,6 +233,14 @@ def _is_whole_zip(path: Path, stamp: FileStamp) -> bool:
     return whole and (now.st_size, now.st_mtime) == stamp
 
 
+def list_inbox(inbox: Path) -> list[Path]:
+    """The files in ``inbox`` in name order; InboxUnreadable if it cannot be listed."""
+    try:
+        return sorted(path for path in inbox.iterdir() if path.is_file())
+    except OSError as exc:
+        raise InboxUnreadable(f"cannot list inbox {inbox}: {exc}") from exc
+
+
 class InboxScanner:
     """Repeated listing of an inbox for uploads that have settled.
 
@@ -258,10 +266,7 @@ class InboxScanner:
     def poll(self) -> list[Path]:
         """One pass over the inbox; returns the newly ready files in name order."""
         now = time.monotonic()
-        try:
-            entries = sorted(path for path in self.inbox.iterdir() if path.is_file())
-        except OSError as exc:
-            raise InboxUnreadable(f"cannot list inbox {self.inbox}: {exc}") from exc
+        entries = list_inbox(self.inbox)
         ready: list[Path] = []
         observed: dict[str, tuple[FileStamp, float]] = {}
         handed: dict[str, FileStamp] = {}

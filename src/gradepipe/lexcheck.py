@@ -26,6 +26,7 @@ possessive repeat, another flag, or repeats that expand past 5000 states.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -272,8 +273,12 @@ class LexicalRule:
             _compile(self.pattern)
         except (re.error, ValueError) as exc:
             raise ValueError(f"rule {self.rule_id!r}: invalid pattern: {exc}") from exc
-        if not isinstance(self.weight, (int, float)) or isinstance(self.weight, bool) or self.weight <= 0:
+        if not (isinstance(self.weight, (int, float)) and not isinstance(self.weight, bool)
+                and 0 < self.weight <= sys.float_info.max):
             raise ValueError(f"rule {self.rule_id!r}: weight must be positive, got {self.weight!r}")
+        for name in ("strip_comments", "strip_strings"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"rule {self.rule_id!r}: {name} must be a bool, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """End-to-end grading pipeline.
 
 A :class:`GradingSession` owns the directories and the audit log for one
-grading run. Batch and watch mode hand archives in through one dispatch,
+grading run. Batch and watch mode hand archives in through one loop,
 and each submission takes the same path: validate the filename, unpack
 under limits, compile, apply lexical rules, run black-box tests and score.
 It leaves through one exit in exactly one terminal state (Graded,
@@ -32,6 +32,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
+from typing import Iterable
 
 from .assess import (
     EVENT_COMPILE_ERROR,
@@ -59,6 +60,7 @@ from .ingest import (
     SubmissionRecord,
     archive_owner,
     extract_archive,
+    list_inbox,
     parse_submission_filename,
     quarantine_archive,
     utc_now,
@@ -143,10 +145,6 @@ class BatchSummary:
         return self.graded + self.quarantined + self.errored + self.superseded
 
 
-def _default_jobs() -> int:
-    return min(8, os.cpu_count() or 1)
-
-
 @dataclass(frozen=True, order=True)
 class Receipt:
     """When the session took an archive in, in latest-wins order.
@@ -185,7 +183,7 @@ class GradingSession:
         self.workspace_root = Path(workspace_root).absolute()
         self.reports_dir = Path(reports_dir).absolute()
         self.quarantine_dir = Path(quarantine_dir).absolute()
-        self.jobs = jobs if jobs and jobs > 0 else _default_jobs()
+        self.jobs = jobs if jobs and jobs > 0 else min(8, os.cpu_count() or 1)
         self.log = GradingLog(Path(log_path).absolute())
         self._pch = PrecompiledHeaders(self.workspace_root)
         self._receipts = itertools.count()
@@ -364,18 +362,17 @@ class GradingSession:
 
     # -- batch and watch ----------------------------------------------------
 
-    def _dispatch(
-        self,
-        paths: list[Path],
-        executor: ThreadPoolExecutor,
-        stop: threading.Event,
-        halt: threading.Event,
-        summary: BatchSummary,
-    ) -> list[Future[AssessmentReport | None]]:
-        """Stamp and submit each listed archive in order, and ignore other files.
+    def _run(self, listings: Iterable[list[Path]], stop: threading.Event) -> BatchSummary:
+        """Grade each listing's archives on up to ``jobs`` workers, in listing order, and return counts.
 
-        A task starts nothing once ``stop`` or the run's ``halt`` is set; one that raises sets ``halt``.
+        A ``.zip`` is stamped as it is listed; any other file is logged as
+        ignored. Finished submissions are counted after each listing, and
+        Ctrl-C between listings sets ``stop``. Once ``stop`` or the run's
+        ``halt`` is set (by a task that raised, or on the way out), no task
+        starts; those in flight finish.
         """
+        summary = BatchSummary()
+        halt = threading.Event()
 
         def start(path: Path, receipt: Receipt) -> AssessmentReport | None:
             if stop.is_set() or halt.is_set():
@@ -386,54 +383,66 @@ class GradingSession:
                 halt.set()
                 raise
 
-        futures = []
-        for path in paths:
-            if _is_archive(path):
-                futures.append(executor.submit(start, path, self._receive()))
-            else:
-                self.log.append(EVENT_IGNORED, utc_now(), archive=path.name, reason="not-a-zip-archive")
-                summary.ignored += 1
-        return futures
+        in_flight: list[Future[AssessmentReport | None]] = []
+        executor = ThreadPoolExecutor(max_workers=self.jobs)
+        try:
+            try:
+                for listing in listings:
+                    for path in listing:
+                        if _is_archive(path):
+                            in_flight.append(executor.submit(start, path, self._receive()))
+                        else:
+                            self.log.append(EVENT_IGNORED, utc_now(), archive=path.name, reason="not-a-zip-archive")
+                            summary.ignored += 1
+                    for future in [future for future in in_flight if future.done()]:
+                        in_flight.remove(future)
+                        summary.record(future.result())
+            except KeyboardInterrupt:
+                stop.set()
+            for future in in_flight:
+                summary.record(future.result())
+        finally:
+            halt.set()  # left early (an unwritable log, Ctrl-C while waiting): start nothing queued
+            executor.shutdown()
+        return summary
+
+    def _check_inbox(self, inbox: Path) -> Path:
+        """The absolute ``inbox``; ValueError if it is also the workspace, reports or quarantine directory."""
+        inbox = Path(inbox).absolute()
+        if inbox.resolve() in {path.resolve() for path in (self.workspace_root, self.reports_dir, self.quarantine_dir)}:
+            raise ValueError("inbox must be distinct from the workspace, reports and quarantine directories")
+        return inbox
 
     def run_batch(self, inbox: Path, stop: threading.Event | None = None) -> BatchSummary:
         """Grade every archive currently in the inbox, then return counts.
 
         A one-shot pass takes the inbox as-is (no upload debouncing, unlike
-        watch mode) in name order, through the dispatch watch mode uses: a
+        watch mode) in name order, through the loop watch mode uses: a
         file without a .zip suffix is logged as ignored and left untouched,
         and of two archives of one submission the later name is the newer.
         Submissions grade in parallel up to ``jobs`` workers. Once ``stop``
         is set, or a submission raises, nothing more starts; those in flight
-        finish, and the rest stay in the inbox uncounted.
+        finish, and the rest stay in the inbox uncounted. Raises ValueError,
+        moving nothing, for an inbox that is the workspace, reports or
+        quarantine directory.
         """
-        summary = BatchSummary()
-        entries = sorted(path for path in Path(inbox).iterdir() if path.is_file())
+        entries = list_inbox(self._check_inbox(inbox))
         self._pch.expect(sum(map(_is_archive, entries)))
-        halt = threading.Event()
-        executor = ThreadPoolExecutor(max_workers=self.jobs)
         try:
-            for future in self._dispatch(entries, executor, stop or threading.Event(), halt, summary):
-                summary.record(future.result())
+            return self._run([entries], stop or threading.Event())
         finally:
-            halt.set()  # left early (an unwritable log, Ctrl-C): start nothing queued
-            executor.shutdown()
             self._pch.expect(None)
-        return summary
 
     def check_watch_inputs(self, inbox: Path, poll_interval: float) -> Path:
         """Return the absolute inbox that :meth:`watch_inbox` would poll.
 
         Raises ValueError for a poll interval that is not a finite number of
-        at least ``MIN_POLL_INTERVAL`` seconds, or an inbox that is also the
-        workspace, reports or quarantine directory.
+        at least ``MIN_POLL_INTERVAL`` seconds, or an inbox that ``run_batch`` refuses.
         """
         if not MIN_POLL_INTERVAL <= poll_interval < math.inf:  # NaN fails both comparisons
             raise ValueError(f"poll interval must be finite and at least {MIN_POLL_INTERVAL:g} second, "
                              f"got {poll_interval:g}")
-        inbox = Path(inbox).absolute()
-        if inbox in (self.workspace_root, self.reports_dir, self.quarantine_dir):
-            raise ValueError("inbox must be distinct from the workspace, reports and quarantine directories")
-        return inbox
+        return self._check_inbox(inbox)
 
     def watch_inbox(
         self,
@@ -454,34 +463,22 @@ class GradingSession:
         Resubmissions under the same name are graded again and the older
         report is superseded. Each listing also counts the submissions that
         have finished since the last one, so an unwritable audit log raises
-        :class:`GradingLogError` within a quarter interval. Once ``stop`` is
-        set, or a submission raises, nothing more starts; those in flight
-        finish, and the rest stay in the inbox uncounted.
-
-        Raises ValueError when :meth:`check_watch_inputs` does.
+        :class:`GradingLogError` within a quarter interval. It stops as
+        :meth:`run_batch` does, and raises ValueError when
+        :meth:`check_watch_inputs` does.
         """
         inbox = self.check_watch_inputs(inbox, poll_interval)
         stop = stop or threading.Event()
-        summary = BatchSummary()
         scanner = InboxScanner(inbox, settle_secs=poll_interval)
-        in_flight: list[Future[AssessmentReport | None]] = []
-        halt = threading.Event()
-        executor = ThreadPoolExecutor(max_workers=self.jobs)
         events = _inbox_events(inbox)
-        try:
+
+        def listings() -> Iterable[list[Path]]:
             while not stop.is_set():
-                in_flight += self._dispatch(scanner.poll(), executor, stop, halt, summary)
-                for future in [future for future in in_flight if future.done()]:
-                    in_flight.remove(future)
-                    summary.record(future.result())
+                yield scanner.poll()
                 _wait_for_inbox(events, stop, poll_interval / SCANS_PER_INTERVAL)
-        except KeyboardInterrupt:
-            stop.set()
+
+        try:
+            return self._run(listings(), stop)
         finally:
-            halt.set()  # stopped or raising: start nothing queued
             if events is not None:
                 os.close(events)
-            executor.shutdown()
-        for future in in_flight:
-            summary.record(future.result())
-        return summary

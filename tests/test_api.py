@@ -82,3 +82,14 @@ def test_only_the_child_module_imports_subprocess_and_no_module_starts_a_thread(
                     thread_starters.add(path.name)
     assert importers == {"child.py"}
     assert thread_starters == set()
+
+
+def test_one_thread_pool_runs_every_inbox():
+    # Batch and watch share one loop, so the package builds its workers in one place.
+    pools = [
+        path.name
+        for path in sorted(Path(gradepipe.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "ThreadPoolExecutor"
+    ]
+    assert pools == ["pipeline.py"]

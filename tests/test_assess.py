@@ -28,12 +28,12 @@ IDENTITY = SubmissionIdentity("Ada", "Lovelace", 3)
 
 
 def compile_ok():
-    return CompileResult(True, (), ("g++", "main.cpp", "-o", "program"))
+    return CompileResult(True, ())
 
 
 def compile_broken():
     diagnostic = Diagnostic(DiagnosticSeverity.ERROR, "main.cpp:5:5: error: expected ';'")
-    return CompileResult(False, (diagnostic,), ("g++", "main.cpp", "-o", "program"))
+    return CompileResult(False, (diagnostic,))
 
 
 def lexical(*satisfied, weight=1.0):

@@ -1,5 +1,7 @@
 import gc
+import io
 import os
+import random
 import re
 import subprocess
 import sys
@@ -100,12 +102,20 @@ def test_compile_success(tmp_path):
     assert subprocess.run([str(result.output_path)]).returncode == 0
 
 
-def test_compile_multiple_units(tmp_path):
+def test_compile_multiple_units(tmp_path, monkeypatch):
     (tmp_path / "main.cpp").write_text("int helper();\nint main() { return helper(); }\n")
     (tmp_path / "helper.cpp").write_text("int helper() { return 0; }\n")
+    commands = []
+    run_child = build.run_child
+
+    def recorded(command, *args, **kwargs):
+        commands.append(tuple(command))
+        return run_child(command, *args, **kwargs)
+
+    monkeypatch.setattr(build, "run_child", recorded)
     result = compile_workspace(tmp_path, GXX, ["helper.cpp", "main.cpp"])
     assert result.succeeded
-    assert result.command[3:5] == ("helper.cpp", "main.cpp")  # sorted, relative
+    assert [command[3:5] for command in commands] == [("helper.cpp", "main.cpp")]  # sorted, relative
 
 
 def test_compile_failure_reports_errors(tmp_path):
@@ -242,6 +252,37 @@ def test_capped_output_counts_what_it_omits(tmp_path, line, kept):
     assert result.error_count == kept
 
 
+# Pieces that straddle a read: each line end str.splitlines knows, "\r\n", multi-byte and invalid UTF-8.
+OUTPUT_PIECES = [b"a", b"bc", b"\n", b"\r", b"\r\n", b"\v", b"\f", b"\x1c", "\x85".encode(), "\u2028".encode(),
+                 "\u2029".encode(), "\u00e9".encode(), "\u20ac".encode(), b"\xe2\x82", b"\xff"]
+
+
+def _capped_whole(data, max_bytes, max_lines):
+    """What the cap makes of ``data`` read in one piece."""
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="replace", newline=None).read()
+    lines = text.splitlines(keepends=True)
+    kept, size = 0, 0
+    while kept < min(len(lines), max_lines) and size + len(lines[kept].encode()) <= max_bytes:
+        size += len(lines[kept].encode())
+        kept += 1
+    omitted = len(lines) - kept
+    return "".join(lines[:kept]) + (f"note: {omitted} lines omitted\n" if omitted else "")
+
+
+def test_capped_output_read_in_pieces_matches_the_whole_output_capped(monkeypatch):
+    rng = random.Random(7)
+    for _ in range(3000):
+        max_bytes, max_lines = rng.randint(1, 40), rng.randint(1, 8)
+        monkeypatch.setattr(build, "MAX_OUTPUT_BYTES", max_bytes)
+        monkeypatch.setattr(build, "MAX_OUTPUT_LINES", max_lines)
+        data = b"".join(rng.choices(OUTPUT_PIECES, k=rng.randrange(60)))
+        cuts = sorted(rng.sample(range(len(data) + 1), min(len(data) + 1, rng.randrange(7))))
+        output = build._CappedOutput()
+        for start, end in zip([0, *cuts], [*cuts, len(data)]):
+            output.feed(data[start:end])
+        assert output.text() == _capped_whole(data, max_bytes, max_lines), (data, cuts, max_bytes, max_lines)
+
+
 def test_an_output_storm_is_capped_while_it_is_read(tmp_path):
     (tmp_path / "main.cpp").write_text("int main() {}\n")
     script = "seq 200000 | sed 's/^/error: storm line /'; exit 1"
@@ -302,9 +343,15 @@ def test_diagnostics_are_identical_with_and_without_the_pch(tmp_path, monkeypatc
     profile, text = CASES[case]
     # Noisy cases are not counted, so every case tries the PCH.
     monkeypatch.setattr(PrecompiledHeaders, "record", lambda self, silent: None)
-    envs = []
+    envs, commands = [], {}
     run = build._run_compiler
-    monkeypatch.setattr(build, "_run_compiler", lambda *args: envs.append(args[3]) or run(*args))
+
+    def recorded(command, workspace, profile, env):
+        envs.append(env)
+        commands.setdefault(workspace.name, set()).add(command)
+        return run(command, workspace, profile, env)
+
+    monkeypatch.setattr(build, "_run_compiler", recorded)
     results = {}
     for name, pch in (("cold", None), ("warm", warm_headers(profile))):
         workspace = tmp_path / name
@@ -315,7 +362,7 @@ def test_diagnostics_are_identical_with_and_without_the_pch(tmp_path, monkeypatc
     cold, warm = results["cold"], results["warm"]
     assert warm.raw_output == cold.raw_output
     assert warm.diagnostics == cold.diagnostics
-    assert warm.command == cold.command
+    assert commands["warm"] == commands["cold"]
     assert warm.succeeded is cold.succeeded
     if "#include <iostream>" not in text:
         assert envs == [None]

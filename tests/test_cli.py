@@ -135,6 +135,21 @@ def test_batch_missing_inbox_is_a_usage_error(tmp_path, capsys):
     assert "no such inbox" in err
 
 
+def test_batch_of_the_quarantine_is_a_usage_error_and_moves_nothing(tmp_path, capsys):
+    quarantine = tmp_path / "quarantine"
+    make_zip(quarantine / "Ada_Lovelace_3.zip", {"main.cpp": source("leap_fast.cpp")})
+    (quarantine / "Ada_Lovelace_3.zip.reason.txt").write_text("corrupt-archive\n", encoding="utf-8")
+    before = {path.name: path.read_bytes() for path in quarantine.iterdir()}
+
+    rc = main(["batch", str(quarantine), "--spec", str(SPEC_PATH), *run_dirs(tmp_path)])
+    err = capsys.readouterr().err
+
+    assert rc == 2
+    assert "inbox must be distinct" in err
+    assert {path.name: path.read_bytes() for path in quarantine.iterdir()} == before
+    assert not (tmp_path / "reports").exists()
+
+
 def test_batch_with_environment_failure_exits_nonzero(tmp_path, capsys):
     spec = tmp_path / "toolchain-broken.yaml"
     spec.write_text(

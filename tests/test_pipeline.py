@@ -664,11 +664,27 @@ def test_watch_inbox_rejects_an_interval_that_is_not_finite(leap_spec, session_f
 def test_watch_inbox_rejects_overlapping_dirs(leap_spec, session_factory, tmp_path):
     session = session_factory(leap_spec)
     stopped = threading.Event()
-    stopped.set()  # a watcher that wrongly accepts the inbox returns at once
+    stopped.set()  # a run that wrongly accepts the inbox returns at once
     for overlapping in (session.workspace_root, session.reports_dir, session.quarantine_dir):
         overlapping.mkdir(parents=True, exist_ok=True)
         with pytest.raises(ValueError):
             session.watch_inbox(overlapping, poll_interval=1.0, stop=stopped)
+        with pytest.raises(ValueError):
+            session.run_batch(overlapping, stopped)
+
+
+def test_an_inbox_that_resolves_to_a_session_dir_is_refused(leap_spec, session_factory, tmp_path):
+    session = session_factory(leap_spec)
+    session.quarantine_dir.mkdir(parents=True)
+    link = tmp_path / "link-to-quarantine"
+    link.symlink_to(session.quarantine_dir)
+    stopped = threading.Event()
+    stopped.set()  # a run that wrongly accepts the inbox returns at once
+    for inbox in (link, session.quarantine_dir / ".." / session.quarantine_dir.name):
+        with pytest.raises(ValueError):
+            session.run_batch(inbox, stopped)
+        with pytest.raises(ValueError):
+            session.watch_inbox(inbox, poll_interval=1.0, stop=stopped)
 
 
 def _open_fds():

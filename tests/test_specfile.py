@@ -1,7 +1,10 @@
+import math
+from functools import partial
+
 import pytest
 
 from gradepipe.assess import DEFAULT_BLACKBOX_WEIGHT, DEFAULT_LEXICAL_WEIGHT, DEFAULT_SCALE, Rubric
-from gradepipe.blackbox import DEFAULT_OUTPUT_CAP, TestCase
+from gradepipe.blackbox import DEFAULT_OUTPUT_CAP, NormalizationPolicy, TestCase
 from gradepipe.build import DEFAULT_COMPILER_COMMAND, CompilerProfile
 from gradepipe.ingest import ExtractionLimits
 from gradepipe.lexcheck import LexicalRule, RulePolarity
@@ -229,6 +232,39 @@ NUMERIC_KEYS = {
     "compiler.timeout_secs": ("compiler:\n  timeout_secs: {}\n", "compiler"),
     "rubric.scale": ("rubric:\n  scale: {}\n", "rubric"),
 }
+
+
+CONFIG_CLASSES = {
+    "Rubric": Rubric,
+    "TestCase": partial(TestCase, "t", "ok"),
+    "CompilerProfile": CompilerProfile,
+    "LexicalRule": partial(LexicalRule, "r", "d", "x", RulePolarity.MUST_MATCH),
+    "NormalizationPolicy": NormalizationPolicy,
+}
+
+
+@pytest.mark.parametrize(
+    "cls, field, value",
+    [
+        ("Rubric", "scale", math.inf),
+        ("Rubric", "scale", math.nan),
+        ("Rubric", "compile_gate", "no"),
+        ("TestCase", "timeout_secs", math.inf),
+        ("TestCase", "weight", math.inf),
+        pytest.param("TestCase", "weight", 10**400, id="TestCase-weight-huge-int"),
+        ("CompilerProfile", "timeout_secs", math.inf),
+        ("LexicalRule", "weight", math.inf),
+        ("LexicalRule", "strip_comments", "no"),
+        ("LexicalRule", "strip_strings", 0),
+        ("NormalizationPolicy", "case_sensitive", "no"),
+        ("NormalizationPolicy", "unify_line_endings", 1),
+    ],
+)
+def test_config_classes_take_only_finite_numbers_and_real_bools(cls, field, value):
+    # load_spec rejects these before any class sees them; a library caller reaches the class directly.
+    CONFIG_CLASSES[cls]()
+    with pytest.raises(ValueError, match=field):
+        CONFIG_CLASSES[cls](**{field: value})
 
 
 @pytest.mark.parametrize("value", [".inf", ".nan", "1" + "0" * 400], ids=["inf", "nan", "huge-int"])
