@@ -1,7 +1,7 @@
 """Fusing lexical and behavioural evidence into a grade and a report.
 
-Scoring is a weighted average of two fractions: the weight-share of
-satisfied lexical rules and the weight-share of passing black-box tests,
+Scoring is a weighted average of two shares: the weight share of
+satisfied lexical rules and the weight share of passing black-box tests,
 scaled to the configured grade scale. A compile gate (on by default) floors
 the score at zero when the submission does not build, on the reasoning that
 an unbuildable program demonstrates neither structure nor behaviour.
@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Sequence
 
-from .blackbox import SuiteResult, TestResult
+from .blackbox import SuiteResult, TestOutcome, TestResult
 from .build import CompileResult
 from .ingest import SubmissionIdentity
 from .lexcheck import LexicalReport
@@ -65,25 +65,33 @@ class Rubric:
             raise ValueError(f"compile_gate must be a bool, got {self.compile_gate!r}")
 
 
+def _passed_share(results: Sequence[Any], passed: Callable[[Any], bool]) -> float:
+    """The weight share of the ``results`` that passed, with weights summed in order; 1.0 with none."""
+    total = sum(result.weight for result in results)
+    return sum(result.weight for result in results if passed(result)) / total if total else 1.0
+
+
 def score_submission(
     compile_result: CompileResult | None,
     lexical: LexicalReport | None,
     blackbox: SuiteResult | None,
     rubric: Rubric = Rubric(),
 ) -> float:
-    """Compute the numeric grade for one submission.
+    """Compute the numeric grade for one submission; the only place a share is computed.
 
     With the compile gate on, a failed (or absent) build scores 0 outright.
-    Otherwise the score is ``scale * (lw * rule_fraction + bw * test_fraction)``.
-    A suite that never ran contributes 0: behaviour that was never
-    demonstrated earns no behaviour credit. Absent lexical results count as
-    vacuously satisfied, mirroring an empty rule list.
+    Otherwise the score is ``scale * (lw * rule_share + bw * test_share)``,
+    where each share is the weight share of the satisfied rules or passed
+    tests. An empty rule or test list counts 1.0: it asks for nothing. An
+    absent lexical report counts 1.0 as well, like an empty rule list. A
+    suite that never ran counts 0: behaviour that was never demonstrated
+    earns no behaviour credit.
     """
     if rubric.compile_gate and (compile_result is None or not compile_result.succeeded):
         return 0.0
-    rule_fraction = lexical.fraction if lexical is not None else 1.0
-    test_fraction = blackbox.fraction if blackbox is not None else 0.0
-    return rubric.scale * (rubric.lexical_weight * rule_fraction + rubric.blackbox_weight * test_fraction)
+    rule_share = 1.0 if lexical is None else _passed_share(lexical.results, lambda r: r.satisfied)
+    test_share = 0.0 if blackbox is None else _passed_share(blackbox.results, lambda t: t.outcome is TestOutcome.PASS)
+    return rubric.scale * (rubric.lexical_weight * rule_share + rubric.blackbox_weight * test_share)
 
 
 class ReportStatus(Enum):

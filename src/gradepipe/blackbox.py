@@ -117,22 +117,6 @@ class SuiteResult:
     def passed_count(self) -> int:
         return sum(1 for r in self.results if r.outcome is TestOutcome.PASS)
 
-    @property
-    def total_weight(self) -> float:
-        return sum(r.weight for r in self.results)
-
-    @property
-    def passed_weight(self) -> float:
-        return sum(r.weight for r in self.results if r.outcome is TestOutcome.PASS)
-
-    @property
-    def fraction(self) -> float:
-        """Weighted pass share; vacuously 1.0 for an empty suite."""
-        total = self.total_weight
-        if total == 0:
-            return 1.0
-        return self.passed_weight / total
-
 
 def _signal_name(exit_code: int) -> str:
     try:

@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .assess import GradingLogError, ReportStatus, render_report_text
+from .ingest import ARCHIVE_SUFFIX
 from .pipeline import DEFAULT_POLL_INTERVAL, SCANS_PER_INTERVAL, BatchSummary, GradingSession
 from .specfile import SpecError, load_spec
 
@@ -143,6 +144,13 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "grade":
                 if not args.archive.is_file():
                     print(f"error: no such archive: {args.archive}", file=sys.stderr)
+                    return 2
+                try:  # refuse, moving nothing, what batch would leave where it is
+                    if args.archive.suffix.lower() != ARCHIVE_SUFFIX:
+                        raise ValueError(f"not a {ARCHIVE_SUFFIX} archive: {args.archive}")
+                    session._check_inbox(args.archive.parent)
+                except ValueError as exc:
+                    print(f"error: {exc}", file=sys.stderr)
                     return 2
                 report = session.grade_archive(args.archive)
                 sys.stdout.write(render_report_text(report))

@@ -44,16 +44,23 @@ _NAME_EXTRA_CHARS = "-'"
 _ASCII_DIGITS = frozenset("0123456789")
 
 
-class MalformedName(ValueError):
-    """Raised when an archive filename does not follow First_Last_N.zip.
+class ArchiveRejected(ValueError):
+    """An archive that must be quarantined rather than graded.
 
-    The ``reason`` attribute carries one of the ``REASON_*`` filename codes so
-    callers can quarantine with a stable, machine-readable cause.
+    ``reason`` carries a stable, machine-readable ``REASON_*`` code.
     """
 
     def __init__(self, reason: str, message: str):
         super().__init__(message)
         self.reason = reason
+
+
+class MalformedName(ArchiveRejected):
+    """Raised when an archive filename does not follow First_Last_N.zip.
+
+    ``reason`` is the bare filename code; the pipeline quarantines the
+    archive as ``malformed-name:<reason>``.
+    """
 
 
 class InboxUnreadable(OSError):
@@ -292,23 +299,9 @@ class InboxScanner:
 
 @dataclass(frozen=True)
 class SubmissionRecord:
-    """The archive handed to extraction, with who sent it and when."""
+    """The archive handed to extraction; its path is all that extraction and the benchmark's tracer read."""
 
-    identity: SubmissionIdentity
     archive_path: Path
-    received_at: datetime
-
-
-class ArchiveRejected(ValueError):
-    """An archive that must be quarantined rather than graded.
-
-    Like :class:`MalformedName`, ``reason`` carries a stable,
-    machine-readable ``REASON_*`` code.
-    """
-
-    def __init__(self, reason: str, message: str):
-        super().__init__(message)
-        self.reason = reason
 
 
 @dataclass(frozen=True)

@@ -296,22 +296,6 @@ class RuleResult:
 class LexicalReport:
     results: tuple[RuleResult, ...]
 
-    @property
-    def total_weight(self) -> float:
-        return sum(result.weight for result in self.results)
-
-    @property
-    def satisfied_weight(self) -> float:
-        return sum(result.weight for result in self.results if result.satisfied)
-
-    @property
-    def fraction(self) -> float:
-        """Weighted share of satisfied rules; vacuously 1.0 with no rules."""
-        total = self.total_weight
-        if total == 0:
-            return 1.0
-        return self.satisfied_weight / total
-
 
 def evaluate_rule(rule: LexicalRule, sources: Sequence[tuple[str, str]]) -> RuleResult:
     """Apply one rule to ``(filename, text)`` pairs.

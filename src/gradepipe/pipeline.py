@@ -88,6 +88,13 @@ def _is_archive(path: Path) -> bool:
     return path.suffix.lower() == ARCHIVE_SUFFIX
 
 
+def _same_file(path: Path, stat: os.stat_result) -> bool:
+    try:
+        return os.path.samestat(path.stat(), stat)
+    except OSError:  # gone since it was listed
+        return False
+
+
 def _inbox_events(inbox: Path) -> int | None:
     """A non-blocking inotify fd, readable once a file is written or moved into ``inbox``; None without inotify."""
     import ctypes  # only watch mode pays for it
@@ -185,6 +192,7 @@ class GradingSession:
         self.quarantine_dir = Path(quarantine_dir).absolute()
         self.jobs = jobs if jobs and jobs > 0 else min(8, os.cpu_count() or 1)
         self.log = GradingLog(Path(log_path).absolute())
+        self._log_stat = self.log.path.stat()  # how _run knows the log in an inbox, however its path is spelled
         self._pch = PrecompiledHeaders(self.workspace_root)
         self._receipts = itertools.count()
         self._registry: dict[str, Receipt] = {}
@@ -229,37 +237,27 @@ class GradingSession:
         return Receipt(at or utc_now(), next(self._receipts))
 
     def _grade(self, archive_path: Path, receipt: Receipt) -> AssessmentReport:
-        received = receipt.at
+        """Run the stages in order; the cause that stops them, if any, decides the terminal state."""
         owner = archive_owner(archive_path)
-        self.log.append(EVENT_RECEIVED, received, archive=archive_path.name, owner=owner)
-        report = AssessmentReport(None, archive_path.name, received, owner, scale=self.spec.rubric.scale)
+        self.log.append(EVENT_RECEIVED, receipt.at, archive=archive_path.name, owner=owner)
+        report = AssessmentReport(None, archive_path.name, receipt.at, owner, scale=self.spec.rubric.scale)
+        status, reason, message = ReportStatus.GRADED, "", ""
         workspace: Path | None = None
         try:
-            try:
-                identity = report.identity = parse_submission_filename(archive_path.name)
-                if identity.assignment_number != self.spec.assignment_number:
-                    raise ArchiveRejected(
-                        REASON_WRONG_ASSIGNMENT,
-                        f"archive is for assignment {identity.assignment_number}, "
-                        f"this session grades assignment {self.spec.assignment_number}",
-                    )
-                # A "." cannot occur in a stem, so no other submission or the .pch-* directory
-                # can take this name, and two archives of one submission never share a tree.
-                workspace = self.workspace_root / f"{identity.stem()}.{receipt.seq}"
-                record = SubmissionRecord(identity, archive_path, received)
-                files = extract_archive(record, self.spec.extraction, workspace)
-                if isinstance(files, ArchiveRejected):
-                    raise files
-            except (MalformedName, ArchiveRejected) as exc:
-                reason = f"malformed-name:{exc.reason}" if isinstance(exc, MalformedName) else exc.reason
-                quarantine_archive(archive_path, reason, self.quarantine_dir)
-                return self._finish(report, receipt, ReportStatus.QUARANTINED, reason, str(exc))
-
-            try:
-                compile_result = compile_workspace(workspace, self.spec.compiler, files, self._pch)
-            except CompilerNotFound as exc:
-                return self._finish(report, receipt, ReportStatus.ERRORED, "compiler-not-found", str(exc))
-            report.compile_result = compile_result
+            identity = report.identity = parse_submission_filename(archive_path.name)
+            if identity.assignment_number != self.spec.assignment_number:
+                raise ArchiveRejected(
+                    REASON_WRONG_ASSIGNMENT,
+                    f"archive is for assignment {identity.assignment_number}, "
+                    f"this session grades assignment {self.spec.assignment_number}",
+                )
+            # A "." cannot occur in a stem, so no other submission or the .pch-* directory
+            # can take this name, and two archives of one submission never share a tree.
+            workspace = self.workspace_root / f"{identity.stem()}.{receipt.seq}"
+            files = extract_archive(SubmissionRecord(archive_path), self.spec.extraction, workspace)
+            if isinstance(files, ArchiveRejected):
+                raise files
+            compile_result = report.compile_result = compile_workspace(workspace, self.spec.compiler, files, self._pch)
             if not compile_result.succeeded:
                 self.log.append(
                     EVENT_COMPILE_ERROR,
@@ -267,28 +265,29 @@ class GradingSession:
                     submission=identity.stem(),
                     diagnostics=[d.text for d in compile_result.diagnostics],
                 )
-
             # Lexical rules read source text, so they apply whether or not the
             # build succeeded; behaviour tests need a binary.
             report.lexical = evaluate_ruleset(self.spec.rules, collect_sources(workspace, files))
             if compile_result.succeeded:
                 assert compile_result.output_path is not None
-                try:
-                    report.blackbox = run_test_suite(
-                        compile_result.output_path,
-                        self.spec.tests,
-                        self.spec.normalization,
-                        self.spec.output_cap,
-                    )
-                except SpawnFailure as exc:
-                    return self._finish(report, receipt, ReportStatus.ERRORED, "spawn-failure", str(exc))
-
+                report.blackbox = run_test_suite(
+                    compile_result.output_path, self.spec.tests, self.spec.normalization, self.spec.output_cap
+                )
             report.score = score_submission(compile_result, report.lexical, report.blackbox, self.spec.rubric)
-            return self._finish(report, receipt, ReportStatus.GRADED)
+        except ArchiveRejected as exc:
+            status, reason, message = ReportStatus.QUARANTINED, exc.reason, str(exc)
+            if isinstance(exc, MalformedName):
+                reason = f"malformed-name:{reason}"
+            quarantine_archive(archive_path, reason, self.quarantine_dir)
+        except CompilerNotFound as exc:
+            status, reason, message = ReportStatus.ERRORED, "compiler-not-found", str(exc)
+        except SpawnFailure as exc:
+            status, reason, message = ReportStatus.ERRORED, "spawn-failure", str(exc)
         finally:
             # With whatever the tests wrote into it: disk use is bounded by the submissions in flight.
             if workspace is not None:
                 shutil.rmtree(workspace, ignore_errors=True)
+        return self._finish(report, receipt, status, reason, message)
 
     # -- terminal states ---------------------------------------------------
 
@@ -366,10 +365,11 @@ class GradingSession:
         """Grade each listing's archives on up to ``jobs`` workers, in listing order, and return counts.
 
         A ``.zip`` is stamped as it is listed; any other file is logged as
-        ignored. Finished submissions are counted after each listing, and
-        Ctrl-C between listings sets ``stop``. Once ``stop`` or the run's
-        ``halt`` is set (by a task that raised, or on the way out), no task
-        starts; those in flight finish.
+        ignored, except the session's own log, which is skipped. Finished
+        submissions are counted after each listing, and Ctrl-C between
+        listings sets ``stop``. Once ``stop`` or the run's ``halt`` is set
+        (by a task that raised, or on the way out), no task starts; those in
+        flight finish.
         """
         summary = BatchSummary()
         halt = threading.Event()
@@ -389,6 +389,8 @@ class GradingSession:
             try:
                 for listing in listings:
                     for path in listing:
+                        if _same_file(path, self._log_stat):
+                            continue
                         if _is_archive(path):
                             in_flight.append(executor.submit(start, path, self._receive()))
                         else:

@@ -53,6 +53,13 @@ class AssignmentSpec:
     tests: tuple[TestCase, ...]
     output_cap: int = DEFAULT_OUTPUT_CAP
 
+    def __post_init__(self) -> None:
+        # load_spec checks both before it builds a spec; a library caller reaches the class directly.
+        if not (_is_integer(self.assignment_number) and self.assignment_number >= 0):
+            raise ValueError(f"assignment_number must be a non-negative integer, got {self.assignment_number!r}")
+        if not (_is_integer(self.output_cap) and self.output_cap > 0):
+            raise ValueError(f"output_cap must be a positive integer, got {self.output_cap!r}")
+
 
 def _is_number(value: Any) -> bool:
     # YAML ``true`` is a bool, and a bool is an int to Python.

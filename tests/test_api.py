@@ -93,3 +93,16 @@ def test_one_thread_pool_runs_every_inbox():
         if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "ThreadPoolExecutor"
     ]
     assert pools == ["pipeline.py"]
+
+
+def test_every_submission_ends_at_one_of_two_calls_to_finish():
+    # _grade decides a submission's terminal state in one place; grade_archive's net catches what escapes it.
+    tree = ast.parse(Path(pipeline.__file__).read_text(encoding="utf-8"))
+    callers = [
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "self._finish"
+    ]
+    assert sorted(callers) == ["_grade", "grade_archive"]

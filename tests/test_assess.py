@@ -111,11 +111,23 @@ def test_mixed_fractions():
         suite(PASS, PASS, PASS, FAIL),
     )
     assert score == pytest.approx(100 * (0.3 * 0.5 + 0.7 * 0.75))
+    # Each share is by weight. On a scale of 1, a rubric that weighs one route alone shows its share.
+    rules_only, tests_only = Rubric(1.0, 0.0, scale=1.0), Rubric(0.0, 1.0, scale=1.0)
+    nine_to_one = SuiteResult(suite(PASS, weight=9.0).results + suite(FAIL, weight=1.0).results)
+    assert score_submission(compile_ok(), None, nine_to_one, tests_only) == pytest.approx(0.9)
+    for first, second, share in ((False, False, 0.0), (True, True, 1.0), (True, False, 0.75)):
+        three_to_one = LexicalReport(lexical(first, weight=3.0).results + lexical(second, weight=1.0).results)
+        assert score_submission(compile_ok(), three_to_one, None, rules_only) == share
 
 
 def test_no_rules_is_vacuous_credit():
     score = score_submission(compile_ok(), LexicalReport(()), suite(PASS))
     assert score == pytest.approx(100.0)
+    # No lexical report counts as no rules, and an empty suite that ran as full test
+    # credit; a suite that never ran earns none.
+    assert score_submission(compile_ok(), None, suite(PASS)) == pytest.approx(100.0)
+    assert score_submission(compile_ok(), lexical(False), SuiteResult(())) == pytest.approx(70.0)
+    assert score_submission(compile_ok(), lexical(True), None) == pytest.approx(30.0)
 
 
 def test_custom_scale():

@@ -10,10 +10,8 @@ import pytest
 from gradepipe.blackbox import (
     NormalizationPolicy,
     SpawnFailure,
-    SuiteResult,
     TestCase,
     TestOutcome,
-    TestResult,
     normalize_output,
     run_test,
     run_test_suite,
@@ -220,21 +218,3 @@ def test_suite_runs_in_order_and_counts(tmp_path):
         TestOutcome.PASS,
     ]
     assert suite.passed_count == 2
-    assert suite.fraction == pytest.approx(2 / 3)
-
-
-def test_suite_fraction_respects_weights():
-    def result(test_id, outcome, weight):
-        return TestResult(test_id, outcome, "", "", 0, weight, 0.0)
-
-    suite = SuiteResult(
-        (
-            result("big", TestOutcome.PASS, 9.0),
-            result("small", TestOutcome.FAIL, 1.0),
-        )
-    )
-    assert suite.fraction == pytest.approx(0.9)
-
-
-def test_empty_suite_is_vacuously_passed():
-    assert SuiteResult(()).fraction == 1.0

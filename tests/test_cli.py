@@ -102,6 +102,36 @@ def test_grade_missing_archive_is_a_usage_error(tmp_path, capsys):
     assert "no such archive" in err
 
 
+def test_grade_of_a_quarantined_archive_is_a_usage_error_and_moves_nothing(tmp_path, capsys):
+    quarantine = tmp_path / "quarantine"
+    quarantine.mkdir()
+    (quarantine / "Ada_Lovelace_3.zip").write_bytes(b"PK\x03\x04 but the rest is nonsense")
+    (quarantine / "Ada_Lovelace_3.zip.reason.txt").write_text("corrupt-archive\n", encoding="utf-8")
+    before = {path.name: path.read_bytes() for path in quarantine.iterdir()}
+
+    rc = main(["grade", str(quarantine / "Ada_Lovelace_3.zip"), "--spec", str(SPEC_PATH), *run_dirs(tmp_path)])
+    err = capsys.readouterr().err
+
+    assert rc == 2
+    assert "inbox must be distinct" in err
+    assert {path.name: path.read_bytes() for path in quarantine.iterdir()} == before
+    assert (tmp_path / "grading.log").read_text(encoding="utf-8") == ""
+
+
+def test_grade_of_a_file_that_is_not_a_zip_is_a_usage_error_and_moves_nothing(tmp_path, capsys):
+    notes = tmp_path / "notes.txt"
+    notes.write_text("not a submission\n", encoding="utf-8")
+
+    rc = main(["grade", str(notes), "--spec", str(SPEC_PATH), *run_dirs(tmp_path)])
+    err = capsys.readouterr().err
+
+    assert rc == 2
+    assert "not a .zip archive" in err
+    assert notes.read_text(encoding="utf-8") == "not a submission\n"
+    assert not (tmp_path / "quarantine").exists()
+    assert (tmp_path / "grading.log").read_text(encoding="utf-8") == ""
+
+
 def test_grade_with_bad_spec_is_a_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("assignment: nope\n", encoding="utf-8")

