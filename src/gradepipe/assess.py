@@ -24,10 +24,10 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from .blackbox import SuiteResult, TestOutcome, TestResult
+from .blackbox import TestOutcome, TestResult
 from .build import CompileResult
 from .ingest import SubmissionIdentity
-from .lexcheck import LexicalReport
+from .lexcheck import RuleResult
 
 DEFAULT_LEXICAL_WEIGHT = 0.3
 DEFAULT_BLACKBOX_WEIGHT = 0.7
@@ -73,8 +73,8 @@ def _passed_share(results: Sequence[Any], passed: Callable[[Any], bool]) -> floa
 
 def score_submission(
     compile_result: CompileResult | None,
-    lexical: LexicalReport | None,
-    blackbox: SuiteResult | None,
+    lexical: Sequence[RuleResult] | None,
+    blackbox: Sequence[TestResult] | None,
     rubric: Rubric = Rubric(),
 ) -> float:
     """Compute the numeric grade for one submission; the only place a share is computed.
@@ -89,8 +89,8 @@ def score_submission(
     """
     if rubric.compile_gate and (compile_result is None or not compile_result.succeeded):
         return 0.0
-    rule_share = 1.0 if lexical is None else _passed_share(lexical.results, lambda r: r.satisfied)
-    test_share = 0.0 if blackbox is None else _passed_share(blackbox.results, lambda t: t.outcome is TestOutcome.PASS)
+    rule_share = 1.0 if lexical is None else _passed_share(lexical, lambda r: r.satisfied)
+    test_share = 0.0 if blackbox is None else _passed_share(blackbox, lambda t: t.outcome is TestOutcome.PASS)
     return rubric.scale * (rubric.lexical_weight * rule_share + rubric.blackbox_weight * test_share)
 
 
@@ -120,8 +120,8 @@ class AssessmentReport:
     status: ReportStatus | None = None
     detail: str = ""
     compile_result: CompileResult | None = None
-    lexical: LexicalReport | None = None
-    blackbox: SuiteResult | None = None
+    lexical: tuple[RuleResult, ...] | None = None
+    blackbox: tuple[TestResult, ...] | None = None
     score: float | None = None
     scale: float = DEFAULT_SCALE
     generated_at: datetime | None = None
@@ -173,9 +173,9 @@ def render_report_text(report: AssessmentReport) -> str:
         lines.append("")
 
     if report.lexical is not None:
-        satisfied = sum(1 for r in report.lexical.results if r.satisfied)
-        lines.append(f"Lexical rules: {satisfied}/{len(report.lexical.results)} satisfied")
-        for rule in report.lexical.results:
+        satisfied = sum(1 for r in report.lexical if r.satisfied)
+        lines.append(f"Lexical rules: {satisfied}/{len(report.lexical)} satisfied")
+        for rule in report.lexical:
             marker = "ok " if rule.satisfied else "MISS"
             expectation = "expected present" if rule.polarity.value == "must-match" else "expected absent"
             found = "found" if rule.matched else "not found"
@@ -185,9 +185,9 @@ def render_report_text(report: AssessmentReport) -> str:
         lines.append("")
 
     if report.blackbox is not None:
-        suite = report.blackbox
-        lines.append(f"Black-box tests: {suite.passed_count}/{len(suite.results)} passed")
-        for test in suite.results:
+        passed = sum(1 for t in report.blackbox if t.outcome is TestOutcome.PASS)
+        lines.append(f"Black-box tests: {passed}/{len(report.blackbox)} passed")
+        for test in report.blackbox:
             lines.append(f"  [{test.outcome.value}] {test.test_id}" + (f": {test.detail}" if test.detail else ""))
             if test.outcome.value == "Fail":
                 lines.append(f"         expected: {_excerpt(test.expected)}")
@@ -248,11 +248,11 @@ def report_payload(report: AssessmentReport) -> dict[str, Any]:
                 "weight": r.weight,
                 "warnings": list(r.warnings),
             }
-            for r in report.lexical.results
+            for r in report.lexical
         ]
     tests_payload = []
     if report.blackbox is not None:
-        tests_payload = [_test_payload(t) for t in report.blackbox.results]
+        tests_payload = [_test_payload(t) for t in report.blackbox]
     return {
         "student": report.identity.display_name() if report.identity else None,
         "assignment": report.identity.assignment_number if report.identity else None,

@@ -90,6 +90,8 @@ class TestCase:
     def __post_init__(self) -> None:
         if not self.test_id:
             raise ValueError("test_id must be non-empty")
+        if any("\0" in arg for arg in self.args):  # no program can be started with one
+            raise ValueError(f"test {self.test_id!r}: args must not contain a NUL byte")
         for name in ("timeout_secs", "weight"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -107,15 +109,6 @@ class TestResult:
     weight: float
     duration_secs: float
     detail: str = ""
-
-
-@dataclass(frozen=True)
-class SuiteResult:
-    results: tuple[TestResult, ...]
-
-    @property
-    def passed_count(self) -> int:
-        return sum(1 for r in self.results if r.outcome is TestOutcome.PASS)
 
 
 def _signal_name(exit_code: int) -> str:
@@ -197,10 +190,10 @@ def run_test_suite(
     cases: Sequence[TestCase],
     policy: NormalizationPolicy = NormalizationPolicy(),
     output_cap: int = DEFAULT_OUTPUT_CAP,
-) -> SuiteResult:
+) -> tuple[TestResult, ...]:
     """Run every test case in order against one binary.
 
     Cases run sequentially so resource limits apply to one child at a time;
     grading-level parallelism belongs above this layer, across submissions.
     """
-    return SuiteResult(tuple(run_test(executable, case, policy, output_cap) for case in cases))
+    return tuple(run_test(executable, case, policy, output_cap) for case in cases)

@@ -128,6 +128,8 @@ class CompilerProfile:
             raise ValueError(f"compiler command must contain a {OUTPUT_TOKEN} token")
         if self.command[0] in (SOURCES_TOKEN, OUTPUT_TOKEN):
             raise ValueError("first command token must be the compiler executable")
+        if any("\0" in token for token in self.command):
+            raise ValueError("compiler command tokens must not contain a NUL byte")
         if not (isinstance(self.timeout_secs, (int, float)) and not isinstance(self.timeout_secs, bool)
                 and 0 < self.timeout_secs <= sys.float_info.max):
             raise ValueError(f"timeout_secs must be positive, got {self.timeout_secs!r}")
@@ -148,10 +150,6 @@ class CompileResult:
     diagnostics: tuple[Diagnostic, ...]
     output_path: Path | None = None
     raw_output: str = ""
-
-    @property
-    def error_count(self) -> int:
-        return sum(1 for d in self.diagnostics if d.severity is DiagnosticSeverity.ERROR)
 
 
 class _CappedOutput:
@@ -369,11 +367,12 @@ def compile_workspace(
     With ``pch``, a workspace that includes ``<iostream>`` may first be
     compiled with the PCH directory prepended to ``CPLUS_INCLUDE_PATH`` in
     the compiler's environment. That result is kept only if the compiler
-    exited 0, printed nothing and wrote the binary. Otherwise the binary is
-    deleted and the cold compile runs, and its result is returned: under a
-    PCH a note inside a library header names the wrapper header in its
-    include chain, not the student's file. The command is the same either
-    way.
+    exited 0, printed nothing and wrote the binary, or if it printed nothing
+    before it ran out of time: a cold compile that does that reports the
+    same. Otherwise the binary is deleted and the cold compile runs, and its
+    result is returned: under a PCH a note inside a library header names the
+    wrapper header in its include chain, not the student's file. The command
+    is the same either way.
     """
     sources = [name for name in files if Path(name).suffix.lower() in COMPILE_EXTENSIONS]
     if not sources:
@@ -389,13 +388,18 @@ def compile_workspace(
         # An empty element would mean the working directory.
         search = os.pathsep.join([str(include_dir)] + ([inherited] if inherited else []))
         warm = _run_compiler(command, workspace, profile, {**os.environ, "CPLUS_INCLUDE_PATH": search})
-        if warm.succeeded and not warm.raw_output:
-            pch.record(silent=True)
+        silent = warm.succeeded and not warm.raw_output
+        if silent or warm.raw_output == _timeout_notice(profile):  # a timeout is not run twice
+            pch.record(silent=silent)
             return warm
         (workspace / OUTPUT_NAME).unlink(missing_ok=True)
     cold = _run_compiler(command, workspace, profile, None)
     pch.record(silent=include_dir is None and cold.succeeded and not cold.raw_output)
     return cold
+
+
+def _timeout_notice(profile: CompilerProfile) -> str:
+    return f"error: compilation exceeded the {profile.timeout_secs:g} second limit"
 
 
 def _run_compiler(
@@ -411,7 +415,7 @@ def _run_compiler(
     raw = output.text()
     output_path = workspace / OUTPUT_NAME
     if timed_out:
-        notice = f"error: compilation exceeded the {profile.timeout_secs:g} second limit"
+        notice = _timeout_notice(profile)
     elif exit_code == 0 and not output_path.is_file():
         notice = "error: compiler reported success but produced no output file"
     else:

@@ -18,6 +18,9 @@ from typing import Callable, Mapping, Sequence
 LINGER_SECS = 1.0
 # Output is read this many bytes at a time; a capped reader holds about one read.
 _READ_SIZE = 16 * 1024
+# epoll refuses a wait of 2**31 ms (about 24.8 days) or more, so a longer
+# timeout is waited out in steps of at most this many seconds.
+_MAX_WAIT_SECS = 24 * 3600.0
 
 
 def run_child(
@@ -75,7 +78,7 @@ def _pump(
                 left = deadline - time.monotonic()
                 if left <= 0:
                     return exited, not exited
-                for key, _ in selector.select(left):
+                for key, _ in selector.select(min(left, _MAX_WAIT_SECS)):
                     if key.fd == pidfd:
                         selector.unregister(pidfd)
                         exited = True

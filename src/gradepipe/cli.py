@@ -11,9 +11,10 @@ one directory, or a long-lived watcher) plus a spec linter for instructors:
 Exit status is 0 only when no submission ended up Errored; student mistakes
 (quarantines, failed tests) are normal outcomes, not tool failures.
 
-SIGTERM stops every subcommand cleanly: nothing new is started, and what is
-in flight finishes within its own time limits, so no compiler or student
-binary outlives the grader.
+Ctrl-C (SIGINT) and SIGTERM are one request, and they stop every subcommand
+cleanly: nothing new is started, and what is in flight finishes within its
+own time limits, so no compiler or student binary outlives the grader. A
+repeated signal changes nothing; only SIGKILL abandons work in flight.
 """
 
 from __future__ import annotations
@@ -105,18 +106,21 @@ def _cmd_validate(spec_file: Path) -> int:
 
 
 @contextmanager
-def _sigterm_sets(stop: threading.Event) -> Iterator[None]:
-    """Within the block, SIGTERM sets ``stop`` instead of ending the process."""
-    try:
-        previous = signal.signal(signal.SIGTERM, lambda signum, frame: stop.set())
-    except ValueError:
-        # Not the main thread; SIGTERM handling stays as it is.
-        yield
+def _signals_set(stop: threading.Event) -> Iterator[None]:
+    """Within the block, SIGINT (Ctrl-C) and SIGTERM both set ``stop`` instead of ending the process."""
+    if threading.current_thread() is not threading.main_thread():
+        yield  # only the main thread may install a handler; signal handling stays as it is
         return
+
+    def handler(signum: int, frame: object) -> None:
+        stop.set()
+
+    previous = {signum: signal.signal(signum, handler) for signum in (signal.SIGINT, signal.SIGTERM)}
     try:
         yield
     finally:
-        signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
+        for signum, prior in previous.items():
+            signal.signal(signum, signal.SIG_DFL if prior is None else prior)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -133,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     errored = False
     stop = threading.Event()
     try:
-        with _sigterm_sets(stop), GradingSession(
+        with _signals_set(stop), GradingSession(
             spec,
             workspace_root=args.workspace_dir,
             reports_dir=args.reports_dir,

@@ -130,11 +130,6 @@ def parse_submission_filename(filename: str) -> SubmissionIdentity:
     return SubmissionIdentity(first, last, int(assignment))
 
 
-def render_submission_filename(identity: SubmissionIdentity) -> str:
-    """Inverse of :func:`parse_submission_filename` up to leading zeros."""
-    return identity.stem() + ARCHIVE_SUFFIX
-
-
 # A file observation: (size in bytes, mtime). An upload is finished at the
 # first listing that sees its stamp if it is a whole zip that passes its CRC
 # check, else once every listing over the settle window has seen that stamp.

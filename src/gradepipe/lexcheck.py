@@ -292,11 +292,6 @@ class RuleResult:
     warnings: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class LexicalReport:
-    results: tuple[RuleResult, ...]
-
-
 def evaluate_rule(rule: LexicalRule, sources: Sequence[tuple[str, str]]) -> RuleResult:
     """Apply one rule to ``(filename, text)`` pairs.
 
@@ -325,8 +320,8 @@ def evaluate_rule(rule: LexicalRule, sources: Sequence[tuple[str, str]]) -> Rule
     )
 
 
-def evaluate_ruleset(rules: Sequence[LexicalRule], sources: Sequence[tuple[str, str]]) -> LexicalReport:
-    return LexicalReport(tuple(evaluate_rule(rule, sources) for rule in rules))
+def evaluate_ruleset(rules: Sequence[LexicalRule], sources: Sequence[tuple[str, str]]) -> tuple[RuleResult, ...]:
+    return tuple(evaluate_rule(rule, sources) for rule in rules)
 
 
 def collect_sources(workspace: Path, files: Sequence[str]) -> list[tuple[str, str]]:

@@ -8,7 +8,9 @@ It leaves through one exit in exactly one terminal state (Graded,
 Quarantined, Errored), where only the newest receipt of a submission that
 has ended so far writes the report pair. Nothing a student uploads can
 abort a session; only an unwritable audit log stops the batch, loudly,
-because grades without an audit trail are worse than no grades.
+because grades without an audit trail are worse than no grades. Otherwise
+a batch or a watch stops only when its caller sets the ``stop`` event it
+was given, as the CLI does on SIGINT and SIGTERM.
 
 On disk a run looks like::
 
@@ -366,10 +368,11 @@ class GradingSession:
 
         A ``.zip`` is stamped as it is listed; any other file is logged as
         ignored, except the session's own log, which is skipped. Finished
-        submissions are counted after each listing, and Ctrl-C between
-        listings sets ``stop``. Once ``stop`` or the run's ``halt`` is set
-        (by a task that raised, or on the way out), no task starts; those in
-        flight finish.
+        submissions are counted after each listing. A run ends only through
+        ``stop`` and its own ``halt``: once either is set (``halt`` by a task
+        that raised, or on the way out), no task starts; those in flight
+        finish. An exception raised while it waits (Ctrl-C, where the caller
+        installed no handler for it) propagates once they have.
         """
         summary = BatchSummary()
         halt = threading.Event()
@@ -386,25 +389,22 @@ class GradingSession:
         in_flight: list[Future[AssessmentReport | None]] = []
         executor = ThreadPoolExecutor(max_workers=self.jobs)
         try:
-            try:
-                for listing in listings:
-                    for path in listing:
-                        if _same_file(path, self._log_stat):
-                            continue
-                        if _is_archive(path):
-                            in_flight.append(executor.submit(start, path, self._receive()))
-                        else:
-                            self.log.append(EVENT_IGNORED, utc_now(), archive=path.name, reason="not-a-zip-archive")
-                            summary.ignored += 1
-                    for future in [future for future in in_flight if future.done()]:
-                        in_flight.remove(future)
-                        summary.record(future.result())
-            except KeyboardInterrupt:
-                stop.set()
+            for listing in listings:
+                for path in listing:
+                    if _same_file(path, self._log_stat):
+                        continue
+                    if _is_archive(path):
+                        in_flight.append(executor.submit(start, path, self._receive()))
+                    else:
+                        self.log.append(EVENT_IGNORED, utc_now(), archive=path.name, reason="not-a-zip-archive")
+                        summary.ignored += 1
+                for future in [future for future in in_flight if future.done()]:
+                    in_flight.remove(future)
+                    summary.record(future.result())
             for future in in_flight:
                 summary.record(future.result())
         finally:
-            halt.set()  # left early (an unwritable log, Ctrl-C while waiting): start nothing queued
+            halt.set()  # left early (an unwritable log, an exception while waiting): start nothing queued
             executor.shutdown()
         return summary
 

@@ -1,4 +1,4 @@
-"""The public surface: the package exports and the names the benchmark traces, and where children start."""
+"""The public surface: the package exports and the names the benchmark traces, where children start, and how a run stops."""
 
 import ast
 import inspect
@@ -93,6 +93,20 @@ def test_one_thread_pool_runs_every_inbox():
         if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "ThreadPoolExecutor"
     ]
     assert pools == ["pipeline.py"]
+
+
+def test_only_the_cli_installs_a_signal_handler_and_no_module_catches_ctrl_c():
+    # One stop path: SIGINT and SIGTERM set the run's stop event, and nothing turns Ctrl-C into a stop by catching it.
+    installers, interrupt_names = set(), set()
+    for path in sorted(Path(gradepipe.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if "KeyboardInterrupt" in text:
+            interrupt_names.add(path.name)
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "signal":
+                installers.add(path.name)
+    assert installers == {"cli.py"}
+    assert interrupt_names == set()
 
 
 def test_every_submission_ends_at_one_of_two_calls_to_finish():

@@ -18,10 +18,10 @@ from gradepipe.assess import (
     report_payload,
     score_submission,
 )
-from gradepipe.blackbox import SuiteResult, TestOutcome, TestResult
+from gradepipe.blackbox import TestOutcome, TestResult
 from gradepipe.build import CompileResult, Diagnostic, DiagnosticSeverity
 from gradepipe.ingest import SubmissionIdentity
-from gradepipe.lexcheck import LexicalReport, RulePolarity, RuleResult
+from gradepipe.lexcheck import RulePolarity, RuleResult
 
 RECEIVED = datetime(2026, 8, 25, 12, 0, 0, tzinfo=timezone.utc)
 IDENTITY = SubmissionIdentity("Ada", "Lovelace", 3)
@@ -37,19 +37,17 @@ def compile_broken():
 
 
 def lexical(*satisfied, weight=1.0):
-    results = tuple(
+    return tuple(
         RuleResult(f"rule-{i}", f"rule {i}", RulePolarity.MUST_MATCH, flag, flag, weight)
         for i, flag in enumerate(satisfied)
     )
-    return LexicalReport(results)
 
 
 def suite(*outcomes, weight=1.0):
-    results = tuple(
+    return tuple(
         TestResult(f"test-{i}", outcome, "want", "got", 0, weight, 0.01)
         for i, outcome in enumerate(outcomes)
     )
-    return SuiteResult(results)
 
 
 PASS = TestOutcome.PASS
@@ -113,20 +111,20 @@ def test_mixed_fractions():
     assert score == pytest.approx(100 * (0.3 * 0.5 + 0.7 * 0.75))
     # Each share is by weight. On a scale of 1, a rubric that weighs one route alone shows its share.
     rules_only, tests_only = Rubric(1.0, 0.0, scale=1.0), Rubric(0.0, 1.0, scale=1.0)
-    nine_to_one = SuiteResult(suite(PASS, weight=9.0).results + suite(FAIL, weight=1.0).results)
+    nine_to_one = suite(PASS, weight=9.0) + suite(FAIL, weight=1.0)
     assert score_submission(compile_ok(), None, nine_to_one, tests_only) == pytest.approx(0.9)
     for first, second, share in ((False, False, 0.0), (True, True, 1.0), (True, False, 0.75)):
-        three_to_one = LexicalReport(lexical(first, weight=3.0).results + lexical(second, weight=1.0).results)
+        three_to_one = lexical(first, weight=3.0) + lexical(second, weight=1.0)
         assert score_submission(compile_ok(), three_to_one, None, rules_only) == share
 
 
 def test_no_rules_is_vacuous_credit():
-    score = score_submission(compile_ok(), LexicalReport(()), suite(PASS))
+    score = score_submission(compile_ok(), (), suite(PASS))
     assert score == pytest.approx(100.0)
     # No lexical report counts as no rules, and an empty suite that ran as full test
     # credit; a suite that never ran earns none.
     assert score_submission(compile_ok(), None, suite(PASS)) == pytest.approx(100.0)
-    assert score_submission(compile_ok(), lexical(False), SuiteResult(())) == pytest.approx(70.0)
+    assert score_submission(compile_ok(), lexical(False), ()) == pytest.approx(70.0)
     assert score_submission(compile_ok(), lexical(True), None) == pytest.approx(30.0)
 
 

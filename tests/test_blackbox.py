@@ -16,6 +16,7 @@ from gradepipe.blackbox import (
     run_test,
     run_test_suite,
 )
+from gradepipe.child import run_child
 
 from support import make_program, wait_until_dead
 
@@ -203,6 +204,11 @@ def test_a_background_child_holding_stdout_is_killed_after_a_grace(tmp_path):
     assert wait_until_dead(int((tmp_path / "bg.pid").read_text()))
 
 
+def test_run_child_takes_a_timeout_longer_than_one_epoll_wait():
+    # epoll refuses a single wait of 2**31 ms (about 24.8 days); validation accepts any finite timeout.
+    assert run_child(["true"], None, 1e9, lambda chunk: True) == (0, False)
+
+
 def test_suite_runs_in_order_and_counts(tmp_path):
     program = make_program(tmp_path, "cat")
     cases = [
@@ -211,10 +217,9 @@ def test_suite_runs_in_order_and_counts(tmp_path):
         TestCase("third", expected_stdout="3\n", stdin_text="3\n"),
     ]
     suite = run_test_suite(program, cases)
-    assert [r.test_id for r in suite.results] == ["first", "second", "third"]
-    assert [r.outcome for r in suite.results] == [
+    assert [r.test_id for r in suite] == ["first", "second", "third"]
+    assert [r.outcome for r in suite] == [
         TestOutcome.PASS,
         TestOutcome.FAIL,
         TestOutcome.PASS,
     ]
-    assert suite.passed_count == 2

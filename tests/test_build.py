@@ -32,6 +32,10 @@ from support import DATA_DIR, source, built_pch, wait_until_dead
 GXX = CompilerProfile(command=("g++", "-std=c++17", "-O0", "{sources}", "-o", "{output}"))
 
 
+def error_count(result):
+    return sum(d.severity is DiagnosticSeverity.ERROR for d in result.diagnostics)
+
+
 # -- diagnostic classification --------------------------------------------------
 
 
@@ -123,7 +127,7 @@ def test_compile_failure_reports_errors(tmp_path):
     result = compile_workspace(tmp_path, GXX, ["main.cpp"])
     assert not result.succeeded
     assert result.output_path is None
-    assert result.error_count >= 1
+    assert error_count(result) >= 1
     assert any("error" in d.text.lower() for d in result.diagnostics)
 
 
@@ -180,7 +184,7 @@ def test_compile_timeout_becomes_failed_result(tmp_path):
     result = compile_workspace(tmp_path, profile, ["main.cpp"])
     assert not result.succeeded
     assert any("exceeded" in d.text for d in result.diagnostics)
-    assert result.error_count >= 1
+    assert error_count(result) >= 1
 
 
 def test_a_timed_out_compile_leaves_no_process_behind(tmp_path):
@@ -249,7 +253,7 @@ def test_capped_output_counts_what_it_omits(tmp_path, line, kept):
     profile = CompilerProfile(command=("/bin/sh", "-c", script, "sh", "{sources}", "-o", "{output}"))
     result = compile_workspace(tmp_path, profile, ["main.cpp"])
     assert result.raw_output == f"{line}\n" * kept + f"note: {1000 - kept} lines omitted\n"
-    assert result.error_count == kept
+    assert error_count(result) == kept
 
 
 # Pieces that straddle a read: each line end str.splitlines knows, "\r\n", multi-byte and invalid UTF-8.
@@ -578,6 +582,32 @@ def test_warning_under_the_pch_reruns_cold_without_the_pch_binary(tmp_path):
         "main.cpp:2:5: warning: unused\nerror: compiler reported success but produced no output file"
     )
     assert not (workspace / "program").exists()
+    pch.close()
+
+
+@pytest.mark.usefixtures("no_inherited_include_path", "build_on_first_use")
+@pytest.mark.parametrize(
+    "printed, runs", [("", ["warm"]), ('echo "main.cpp:1:1: note: slow"; ', ["warm", "cold"])], ids=["silent", "noisy"]
+)
+def test_a_warm_compile_that_times_out_silently_is_not_run_again_cold(tmp_path, printed, runs):
+    stub, log = stub_compiler(tmp_path, compile_step=printed + "sleep 30")
+    profile = CompilerProfile(command=stub.command, timeout_secs=0.5)
+    root = tmp_path / "root"
+    pch = PrecompiledHeaders(root)
+    include = built_pch(pch, profile)
+    start = time.monotonic()
+    warm = compile_workspace(workspace_with(root, "warm", IOSTREAM_MAIN), profile, ["main.cpp"], pch)
+    elapsed = time.monotonic() - start
+    names = {f"compile {include}": "warm", "compile unset": "cold"}
+    assert [names[line] for line in calls(log) if line.startswith("compile")] == runs
+    assert len(runs) * profile.timeout_secs <= elapsed < (len(runs) + 0.8) * profile.timeout_secs
+    cold = compile_workspace(workspace_with(root, "cold", IOSTREAM_MAIN), profile, ["main.cpp"])
+    assert (warm.succeeded, warm.output_path) == (False, None)
+    assert (warm.raw_output, warm.diagnostics) == (cold.raw_output, cold.diagnostics)
+    assert warm.raw_output.endswith("error: compilation exceeded the 0.5 second limit")
+    # The timeout counted as noisy: with none silent, the next compile is not tried warm.
+    compile_workspace(workspace_with(root, "next", IOSTREAM_MAIN), profile, ["main.cpp"], pch)
+    assert calls(log)[-1] == "compile unset"
     pch.close()
 
 

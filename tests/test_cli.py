@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import gradepipe
+from gradepipe.assess import read_log_events
 from gradepipe.child import LINGER_SECS
 from gradepipe.cli import build_parser, main
 
@@ -262,12 +263,12 @@ def test_batch_with_default_relative_dirs(tmp_path, monkeypatch, capsys):
     assert payload["score"] == 100.0
 
 
-def test_main_restores_the_sigterm_handler(tmp_path, capsys):
-    before = signal.getsignal(signal.SIGTERM)
+def test_main_restores_the_sigint_and_sigterm_handlers(tmp_path, capsys):
+    before = {signum: signal.getsignal(signum) for signum in (signal.SIGINT, signal.SIGTERM)}
     (tmp_path / "inbox").mkdir()
     assert main(["batch", str(tmp_path / "inbox"), "--spec", str(SPEC_PATH), *run_dirs(tmp_path)]) == 0
     capsys.readouterr()
-    assert signal.getsignal(signal.SIGTERM) is before
+    assert {signum: signal.getsignal(signum) for signum in before} == before
 
 
 def _child_named(pid, name):
@@ -323,3 +324,96 @@ def test_batch_stops_on_sigterm_and_leaves_no_program_running(tmp_path):
         "Hang_Harry_3.report.json", "Hang_Harry_3.report.txt"
     ], "no archive starts after SIGTERM"
     assert sorted(path.name for path in inbox.iterdir()) == ["Hang_Harry_3.zip", "Later_Lucy_3.zip"]
+
+
+def _short_spec(tmp_path):
+    """The fixture spec with 0.5 s test timeouts: a spinning program is graded within about 2 s."""
+    spec = tmp_path / "short.yaml"
+    spec.write_text(SPEC_PATH.read_text(encoding="utf-8").replace("timeout_secs: 2\n", "timeout_secs: 0.5\n"),
+                    encoding="utf-8")
+    return spec
+
+
+def _running_programs_under(root):
+    """The pids of live processes whose executable lies under ``root``."""
+    pids = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            exe = os.readlink(f"/proc/{entry}/exe")
+        except OSError:  # gone, a zombie, or not ours to read
+            continue
+        if exe.startswith(f"{root}/") and not wait_until_dead(int(entry), within=0.5):
+            pids.append(int(entry))  # killed by wait_until_dead, so none is left behind
+    return pids
+
+
+def _interrupted_cli(tmp_path, args, signals):
+    """Run the CLI with ``args``; once a student program runs, send SIGINT ``signals`` times, 0.3 s apart.
+
+    Returns the exit code and stdout, after checking that the CLI exited within its
+    time limits, that no student program outlived it and that no build dir is left.
+    """
+    src = Path(gradepipe.__file__).parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gradepipe.cli", *args, "--spec", str(_short_spec(tmp_path)), *run_dirs(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while _child_named(proc.pid, "program") is None:
+            assert proc.poll() is None, "the grader ended before the spinning program started"
+            assert time.monotonic() < deadline, "the spinning program never started"
+            time.sleep(0.02)
+        proc.send_signal(signal.SIGINT)
+        for _ in range(signals - 1):
+            time.sleep(0.3)
+            proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert _running_programs_under(tmp_path) == [], "a student program outlived the grader"
+    assert [path.name for path in (tmp_path / "workspace").iterdir() if not path.name.startswith(".pch-")] == []
+    assert "Traceback" not in err
+    return proc.returncode, out
+
+
+def _terminal_events_per_receipt(log):
+    events = read_log_events(log)
+    received = [event["archive"] for event in events if event["kind"] == "received"]
+    return {
+        archive: sum(
+            1 for event in events
+            if (event["kind"] in ("graded", "quarantined", "errored") or "status" in event)
+            and archive in (event.get("archive"), f"{event.get('submission')}.zip")
+        )
+        for archive in received
+    }
+
+
+def test_batch_stops_on_two_sigints_like_on_sigterm(tmp_path):
+    inbox = tmp_path / "inbox"
+    for name in ("Hang_Hana_3.zip", "Hang_Harry_3.zip", "Hang_Hugo_3.zip"):
+        make_zip(inbox / name, {"main.cpp": source("leap_hang.cpp")})
+
+    returncode, out = _interrupted_cli(tmp_path, ["batch", str(inbox), "--jobs", "1"], signals=2)
+
+    assert returncode == 0
+    assert out.splitlines() == ["graded 1, quarantined 0, errored 0"]
+    assert _terminal_events_per_receipt(tmp_path / "grading.log") == {"Hang_Hana_3.zip": 1}
+    assert sorted(path.name for path in inbox.iterdir()) == ["Hang_Hana_3.zip", "Hang_Harry_3.zip", "Hang_Hugo_3.zip"]
+
+
+def test_grade_finishes_and_prints_its_report_on_sigint(tmp_path):
+    archive = make_zip(tmp_path / "inbox" / "Hang_Harry_3.zip", {"main.cpp": source("leap_hang.cpp")})
+
+    returncode, out = _interrupted_cli(tmp_path, ["grade", str(archive)], signals=1)
+
+    assert returncode == 0
+    assert "Status:     Graded" in out
+    assert "Black-box tests: 0/4 passed" in out
+    assert _terminal_events_per_receipt(tmp_path / "grading.log") == {"Hang_Harry_3.zip": 1}

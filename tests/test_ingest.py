@@ -9,6 +9,7 @@ import pytest
 
 from gradepipe import ingest
 from gradepipe.ingest import (
+    ARCHIVE_SUFFIX,
     ArchiveRejected,
     ExtractionLimits,
     InboxScanner,
@@ -19,7 +20,6 @@ from gradepipe.ingest import (
     extract_archive,
     parse_submission_filename,
     quarantine_archive,
-    render_submission_filename,
 )
 
 from support import damaged_lzma_zip, make_zip
@@ -101,7 +101,7 @@ def test_render_round_trip_small_sample():
             rng.choice(letters + extras) for _ in range(rng.randint(0, 10))
         )
         identity = SubmissionIdentity(first, last, rng.randint(0, 9999))
-        assert parse_submission_filename(render_submission_filename(identity)) == identity
+        assert parse_submission_filename(identity.stem() + ARCHIVE_SUFFIX) == identity
 
 
 def test_identity_validates_fields():

@@ -357,11 +357,11 @@ def test_ruleset_weighted_fraction():
         LexicalRule("b", "no goto", r"goto", RulePolarity.MUST_NOT_MATCH, weight=1.0),
     )
     report = evaluate_ruleset(rules, [("main.cpp", "goto end;")])
-    assert [r.satisfied for r in report.results] == [False, False]
+    assert [r.satisfied for r in report] == [False, False]
     report = evaluate_ruleset(rules, [("main.cpp", "if (x) {}")])
-    assert [r.satisfied for r in report.results] == [True, True]
+    assert [r.satisfied for r in report] == [True, True]
     report = evaluate_ruleset(rules, [("main.cpp", "if (x) { goto end; }")])
-    assert [(r.satisfied, r.weight) for r in report.results] == [(True, 3.0), (False, 1.0)]
+    assert [(r.satisfied, r.weight) for r in report] == [(True, 3.0), (False, 1.0)]
 
 
 # -- source collection ----------------------------------------------------------

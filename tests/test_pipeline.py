@@ -10,6 +10,7 @@ from gradepipe import build, ingest, pipeline
 from gradepipe.assess import GradingLogError, ReportStatus, read_log_events
 from gradepipe.blackbox import SpawnFailure
 from gradepipe.build import CompilerProfile
+from gradepipe.specfile import load_spec
 
 from support import DATA_DIR, damaged_lzma_zip, make_zip, read_report, source, built_pch
 
@@ -40,6 +41,22 @@ def test_clean_submission_grades_at_full_marks(leap_spec, session_factory, tmp_p
     assert payload["score"] == 100.0
     assert [t["outcome"] for t in payload["tests"]] == ["Pass"] * 4
     assert (session.reports_dir / "Ada_Lovelace_3.report.txt").exists()
+    assert kinds(session) == ["received", "graded"]
+
+
+def test_a_test_timeout_of_weeks_grades_normally(session_factory, tmp_path):
+    spec = tmp_path / "long-timeouts.yaml"
+    spec.write_text((DATA_DIR / "assignment3.yaml").read_text(encoding="utf-8").replace(
+        "timeout_secs: 2\n", "timeout_secs: 3000000\n"), encoding="utf-8")
+    long_spec = load_spec(spec)
+    assert {case.timeout_secs for case in long_spec.tests} == {3e6}
+    session = session_factory(long_spec)
+    archive = drop(tmp_path / "inbox", "Ada_Lovelace_3.zip", {"main.cpp": source("leap_nested.cpp")})
+
+    report = session.grade_archive(archive)
+
+    assert (report.status, report.score) == (ReportStatus.GRADED, 100.0)
+    assert [test.outcome.value for test in report.blackbox] == ["Pass"] * 4
     assert kinds(session) == ["received", "graded"]
 
 

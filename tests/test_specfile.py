@@ -225,6 +225,27 @@ def test_specific_problems_are_caught(tmp_path, body, needle):
     assert any(needle in p for p in excinfo.value.problems)
 
 
+@pytest.mark.parametrize(
+    "body, problem",
+    [
+        (
+            "compiler:\n  command: [g++, \"-D\\0X\", '{sources}', -o, '{output}']\n",
+            "compiler: compiler command tokens must not contain a NUL byte",
+        ),
+        (
+            "tests:\n  - id: t\n    expected_stdout: ok\n    args: [\"a\\0b\"]\n",
+            "tests[0] (t): test 't': args must not contain a NUL byte",
+        ),
+    ],
+    ids=["compiler-command", "test-args"],
+)
+def test_a_nul_byte_in_an_argument_is_a_spec_problem(tmp_path, body, problem):
+    # No program can be started with one, so it would end every submission Errored.
+    with pytest.raises(SpecError) as excinfo:
+        load_spec(write_spec(tmp_path, "assignment: 2\n" + body))
+    assert excinfo.value.problems == [problem]
+
+
 NUMERIC_KEYS = {
     "tests[].timeout_secs": ("tests:\n  - id: t\n    expected_stdout: ok\n    timeout_secs: {}\n", "tests[0] (t)"),
     "tests[].weight": ("tests:\n  - id: t\n    expected_stdout: ok\n    weight: {}\n", "tests[0] (t)"),
