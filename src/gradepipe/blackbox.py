@@ -22,7 +22,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
-from .child import run_child
+from .child import argument_problem, run_child
 
 DEFAULT_TEST_TIMEOUT = 5.0
 DEFAULT_OUTPUT_CAP = 1024 * 1024
@@ -90,8 +90,8 @@ class TestCase:
     def __post_init__(self) -> None:
         if not self.test_id:
             raise ValueError("test_id must be non-empty")
-        if any("\0" in arg for arg in self.args):  # no program can be started with one
-            raise ValueError(f"test {self.test_id!r}: args must not contain a NUL byte")
+        if problem := argument_problem(self.args):
+            raise ValueError(f"test {self.test_id!r}: args {problem}")
         for name in ("timeout_secs", "weight"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and not isinstance(value, bool)

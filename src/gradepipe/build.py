@@ -27,7 +27,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
-from .child import run_child
+from .child import argument_problem, run_child
 
 # Extensions handed to the compiler as translation units. Headers are found
 # by the compiler itself via include paths.
@@ -128,8 +128,8 @@ class CompilerProfile:
             raise ValueError(f"compiler command must contain a {OUTPUT_TOKEN} token")
         if self.command[0] in (SOURCES_TOKEN, OUTPUT_TOKEN):
             raise ValueError("first command token must be the compiler executable")
-        if any("\0" in token for token in self.command):
-            raise ValueError("compiler command tokens must not contain a NUL byte")
+        if problem := argument_problem(self.command):
+            raise ValueError(f"compiler command tokens {problem}")
         if not (isinstance(self.timeout_secs, (int, float)) and not isinstance(self.timeout_secs, bool)
                 and 0 < self.timeout_secs <= sys.float_info.max):
             raise ValueError(f"timeout_secs must be positive, got {self.timeout_secs!r}")

@@ -21,6 +21,26 @@ _READ_SIZE = 16 * 1024
 # epoll refuses a wait of 2**31 ms (about 24.8 days) or more, so a longer
 # timeout is waited out in steps of at most this many seconds.
 _MAX_WAIT_SECS = 24 * 3600.0
+# Linux refuses to start a program (E2BIG) given one argument of MAX_ARG_STRLEN,
+# 32 pages or 131072 bytes, or more counting its NUL, or arguments and
+# environment together over ARG_MAX, a quarter of the stack limit and 2 MiB
+# by default. A spec's items are held to the first, and together to half the
+# second, which leaves room for the environment and for the source paths a
+# compile command adds.
+_MAX_ARG_BYTES = 128 * 1024  # an item must be shorter, as its NUL counts
+_MAX_ARGS_TOTAL_BYTES = 1024 * 1024
+
+
+def argument_problem(items: Sequence[str]) -> str | None:
+    """Why no program could be started with ``items`` among its arguments, or None."""
+    if any("\0" in item for item in items):
+        return "must not contain a NUL byte"
+    sizes = [len(os.fsencode(item)) for item in items]
+    if any(size >= _MAX_ARG_BYTES for size in sizes):
+        return f"must each be under {_MAX_ARG_BYTES} bytes in UTF-8"
+    if sum(sizes) > _MAX_ARGS_TOTAL_BYTES:
+        return f"must total at most {_MAX_ARGS_TOTAL_BYTES} bytes in UTF-8"
+    return None
 
 
 def run_child(

@@ -10,6 +10,7 @@ machine-readable reason.
 
 from __future__ import annotations
 
+import itertools
 import lzma
 import os
 import shutil
@@ -30,6 +31,8 @@ REASON_WRONG_FIELD_COUNT = "wrong-field-count"
 REASON_EMPTY_FIELD = "empty-field"
 REASON_NON_NUMERIC_ASSIGNMENT = "non-numeric-assignment"
 REASON_INVALID_CHARACTER = "invalid-character"
+# Also an archive-content reason: an entry name the filesystem cannot hold.
+REASON_NAME_TOO_LONG = "name-too-long"
 
 # Archive-content quarantine reasons.
 REASON_CORRUPT_ARCHIVE = "corrupt-archive"
@@ -41,6 +44,11 @@ REASON_LIMIT_ENTRY_COUNT = "limit-exceeded:max-entry-count"
 REASON_LIMIT_PATH_DEPTH = "limit-exceeded:max-path-depth"
 
 _NAME_EXTRA_CHARS = "-'"
+# The longest file name, in bytes, that Linux filesystems hold (NAME_MAX).
+_NAME_MAX = 255
+# A stem leaves room for the longest name the session derives from it, "<stem>.report.json",
+# which also covers its build dir "<stem>.<seq>" up to an 11-digit receipt number.
+_STEM_MAX = _NAME_MAX - len(".report.json")
 _ASCII_DIGITS = frozenset("0123456789")
 
 
@@ -127,7 +135,10 @@ def parse_submission_filename(filename: str) -> SubmissionIdentity:
                 REASON_INVALID_CHARACTER,
                 f"name field {value!r} in {filename!r} contains characters outside letters, '-', and \"'\"",
             )
-    return SubmissionIdentity(first, last, int(assignment))
+    identity = SubmissionIdentity(first, last, int(assignment))
+    if len(os.fsencode(identity.stem())) > _STEM_MAX:
+        raise MalformedName(REASON_NAME_TOO_LONG, f"the report name of {filename!r} would exceed {_NAME_MAX} bytes")
+    return identity
 
 
 # A file observation: (size in bytes, mtime). An upload is finished at the
@@ -364,6 +375,8 @@ def _plan(infos: list[zipfile.ZipInfo], limits: ExtractionLimits) -> dict[str, z
             raise ArchiveRejected(REASON_LIMIT_PATH_DEPTH, f"entry {name!r} is nested too deeply")
         if Path(parts[-1]).suffix.lower() not in limits.allowed_extensions:
             continue
+        if any(len(os.fsencode(part)) > _NAME_MAX for part in parts):
+            raise ArchiveRejected(REASON_NAME_TOO_LONG, f"entry {name!r} has a name over {_NAME_MAX} bytes")
         plan["/".join(parts)] = info
     for path in plan:
         parent = path.rpartition("/")[0]
@@ -428,20 +441,26 @@ def _unpack(archive_path: Path, limits: ExtractionLimits, workspace_dir: Path) -
     return tuple(sorted(plan))
 
 
+_REASON_SUFFIX = ".reason.txt"
+
+
 def quarantine_archive(archive_path: Path, reason: str, quarantine_dir: Path) -> Path:
     """Move an archive into quarantine and drop a one-line reason file.
 
     Returns the quarantined archive's new path. Repeated quarantines of the
     same filename get a numeric suffix instead of overwriting the evidence.
+    A name too long to take both suffixes is cut to fit, so the reason file
+    can always be written.
     """
     quarantine_dir.mkdir(parents=True, exist_ok=True)
-    target = quarantine_dir / archive_path.name
-    counter = 2
-    while target.exists():
-        target = quarantine_dir / f"{archive_path.name}.{counter}"
-        counter += 1
+    for counter in itertools.count(1):
+        suffix = f".{counter}" if counter > 1 else ""
+        room = _NAME_MAX - len(suffix) - len(_REASON_SUFFIX)
+        target = quarantine_dir / (os.fsdecode(os.fsencode(archive_path.name)[:room]) + suffix)
+        if not target.exists():
+            break
     shutil.move(str(archive_path), str(target))
-    target.with_name(target.name + ".reason.txt").write_text(reason + "\n", encoding="utf-8")
+    target.with_name(target.name + _REASON_SUFFIX).write_text(reason + "\n", encoding="utf-8")
     return target
 
 

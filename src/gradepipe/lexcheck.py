@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from pathlib import Path
 from re import _compiler, _parser
 from re import _constants as _C
@@ -250,10 +249,6 @@ class _Matcher:
         return bool(self._closure(state >> 3, state & 7 | _END) & self._accept)
 
 
-# Raises re.error or ValueError for a pattern the matcher cannot run.
-_compile = lru_cache(maxsize=256)(_Matcher)
-
-
 @dataclass(frozen=True)
 class LexicalRule:
     """One structural expectation over the submitted sources."""
@@ -265,12 +260,14 @@ class LexicalRule:
     weight: float = 1.0
     strip_comments: bool = True
     strip_strings: bool = True
+    # Built once from ``pattern``: every submission the rule judges reuses it and its DFA cache.
+    _matcher: _Matcher = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.rule_id:
             raise ValueError("rule_id must be non-empty")
         try:
-            _compile(self.pattern)
+            object.__setattr__(self, "_matcher", _Matcher(self.pattern))
         except (re.error, ValueError) as exc:
             raise ValueError(f"rule {self.rule_id!r}: invalid pattern: {exc}") from exc
         if not (isinstance(self.weight, (int, float)) and not isinstance(self.weight, bool)
@@ -300,13 +297,12 @@ def evaluate_rule(rule: LexicalRule, sources: Sequence[tuple[str, str]]) -> Rule
     matches; a MUST_NOT_MATCH rule exactly when it does not. With no source
     files nothing matches, so MUST_MATCH fails and MUST_NOT_MATCH holds.
     """
-    matcher = _compile(rule.pattern)
     matched = False
     warnings: list[str] = []
     for name, text in sources:
         prepared = preprocess_source(text, rule.strip_comments, rule.strip_strings)
         warnings.extend(f"{name}: {message}" for message in prepared.warnings)
-        if matcher.search(prepared.text):
+        if rule._matcher.search(prepared.text):
             matched = True
     satisfied = matched if rule.polarity is RulePolarity.MUST_MATCH else not matched
     return RuleResult(

@@ -338,15 +338,15 @@ class GradingSession:
         renamed over the previous pair only once both are written, so a
         failed write leaves the previous pair as it was and no partial file.
         """
-        # Unique per process and thread: a resubmission may be written while
-        # an earlier one of the same stem is still being written.
+        # Unique per process and thread, since a thread writes one pair at a
+        # time, and not named after the stem, which may leave no room in NAME_MAX.
         tag = f"{os.getpid()}.{threading.get_ident()}.tmp"
         written: list[tuple[Path, Path]] = []
         try:
             self.reports_dir.mkdir(parents=True, exist_ok=True)
             for suffix, render in ((".report.txt", render_report_text), (".report.json", render_report_json)):
                 final = self.reports_dir / f"{stem}{suffix}"
-                temp = final.with_name(f".{final.name}.{tag}")
+                temp = self.reports_dir / f"{suffix}.{tag}"
                 written.append((temp, final))
                 temp.write_text(render(report), encoding="utf-8")
             for temp, final in written:

@@ -9,17 +9,20 @@ once rather than one per run.
 
 One table drives the reader: ``_SECTIONS`` maps each mapping section to the
 config class it builds and each of its keys to a type reader, which only
-checks and converts the YAML value (a number is never a bool); rule and
-test entries name theirs the same way. Omitted keys take the class's own
-default, and range checks live only in the classes' ``__post_init__``.
+checks and converts the YAML value (a number is never a bool), and
+``_RULE_READERS`` and ``_TEST_READERS`` name a reader for every key of a rule
+or test but its id. Omitted keys take the class's own default (a rule's
+description is its id, its polarity must-match; a test's stdin is empty),
+and range checks live only in the classes' ``__post_init__``.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 import yaml
 
@@ -54,11 +57,22 @@ class AssignmentSpec:
     output_cap: int = DEFAULT_OUTPUT_CAP
 
     def __post_init__(self) -> None:
-        # load_spec checks both before it builds a spec; a library caller reaches the class directly.
+        # load_spec checks these before it builds a spec; a library caller reaches the class directly.
         if not (_is_integer(self.assignment_number) and self.assignment_number >= 0):
             raise ValueError(f"assignment_number must be a non-negative integer, got {self.assignment_number!r}")
         if not (_is_integer(self.output_cap) and self.output_cap > 0):
             raise ValueError(f"output_cap must be a positive integer, got {self.output_cap!r}")
+        if problems := _weight_total_problems(self.rules, self.tests):
+            raise ValueError(problems[0])
+
+
+def _weight_total_problems(rules: Sequence[LexicalRule], tests: Sequence[TestCase]) -> list[str]:
+    # The score divides by each total, summed in order; an infinite one would make it NaN.
+    return [
+        f"{name}: weights must sum to a finite number"
+        for name, entries in (("rules", rules), ("tests", tests))
+        if not sum(entry.weight for entry in entries) <= sys.float_info.max
+    ]
 
 
 def _is_number(value: Any) -> bool:
@@ -103,6 +117,49 @@ def _extensions(value: Any) -> frozenset[str]:
     return frozenset(item if item.startswith(".") else "." + item for item in lowered)
 
 
+def _string(value: Any) -> str:
+    if not isinstance(value, str):
+        raise ValueError("must be a string")
+    return value
+
+
+def _text(value: Any) -> str:
+    """A string, or a bare number as its text.
+
+    YAML happily parses ``stdin: 2000`` as an integer; insisting on quotes
+    there would reject specs that read perfectly clearly.
+    """
+    if not (isinstance(value, str) or _is_number(value)):
+        raise ValueError("must be text")
+    return str(value)
+
+
+def _arguments(value: Any) -> tuple[str, ...]:
+    if not (isinstance(value, list) and all(isinstance(item, str) for item in value)):
+        raise ValueError("must be a list of strings")
+    return tuple(value)
+
+
+def _pattern(value: Any) -> str:
+    if not (isinstance(value, str) and value.strip()):
+        raise ValueError("must be a non-empty string")
+    return join_pattern_lines(value)
+
+
+def _polarity(value: Any) -> RulePolarity:
+    if value not in [polarity.value for polarity in RulePolarity]:
+        raise ValueError("must be 'must-match' or 'must-not-match'")
+    return RulePolarity(value)
+
+
+def _text_file(ref: Any, spec_dir: Path) -> str:
+    """The text of the file that ``ref`` names, relative to ``spec_dir``."""
+    try:
+        return (spec_dir / _string(ref)).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"is unusable: cannot read expected output file: {exc}") from exc
+
+
 _Readers = dict[str, Callable[[Any], Any]]
 
 _SECTIONS: dict[str, tuple[type, _Readers]] = {
@@ -125,26 +182,20 @@ _SECTIONS: dict[str, tuple[type, _Readers]] = {
         },
     ),
 }
-_RULE_READERS: _Readers = {"weight": _number, "strip_comments": _boolean, "strip_strings": _boolean}
-_TEST_READERS: _Readers = {"timeout_secs": _number, "weight": _number}
+# Rule keys are LexicalRule's field names.
+_RULE_READERS: _Readers = {
+    "description": _string, "pattern": _pattern, "polarity": _polarity,
+    "weight": _number, "strip_comments": _boolean, "strip_strings": _boolean,
+}
+# ``expected_stdout_file`` is read relative to the spec, so _parse_tests gives it the spec's directory.
+_TEST_READERS: _Readers = {
+    "stdin": _text, "expected_stdout": _text, "expected_stdout_file": _text_file,
+    "args": _arguments, "timeout_secs": _number, "weight": _number,
+}
 
 _TOP_LEVEL_KEYS = {"assignment", "output_cap", "rules", "tests", *_SECTIONS}
-_RULE_KEYS = {"id", "description", "pattern", "polarity", *_RULE_READERS}
-_TEST_KEYS = {"id", "stdin", "expected_stdout", "expected_stdout_file", "args", *_TEST_READERS}
-
-
-def _as_text(value: Any) -> str | None:
-    """Scalar-to-text coercion for stdin/expected fields.
-
-    YAML happily parses ``stdin: 2000`` as an integer; insisting on quotes
-    there would reject specs that read perfectly clearly, so bare numbers
-    are accepted and stringified. Anything else non-string is refused.
-    """
-    if isinstance(value, str):
-        return value
-    if _is_number(value):
-        return str(value)
-    return None
+_RULE_KEYS = {"id", *_RULE_READERS}
+_TEST_KEYS = {"id", *_TEST_READERS}
 
 
 def _check_keys(mapping: dict[Any, Any], allowed: set[str], where: str, problems: list[str]) -> None:
@@ -209,59 +260,31 @@ def _entries(name: str, section: Any, allowed: set[str], problems: list[str]) ->
 def _parse_rules(section: Any, problems: list[str]) -> tuple[LexicalRule, ...]:
     rules: list[LexicalRule] = []
     for where, rule_id, entry in _entries("rules", section, _RULE_KEYS, problems):
-        pattern = entry.get("pattern")
-        if not isinstance(pattern, str) or not pattern.strip():
+        values = _read(entry, _RULE_READERS, where, problems)
+        if "pattern" not in values:
             problems.append(f"{where}: missing or empty pattern")
             continue
         try:
-            polarity = RulePolarity(entry.get("polarity", "must-match"))
-        except ValueError:
-            problems.append(f"{where}: polarity must be 'must-match' or 'must-not-match'")
-            continue
-        description = entry.get("description", rule_id)
-        if not isinstance(description, str):
-            problems.append(f"{where}: description must be a string")
-            description = rule_id
-        values = _read(entry, _RULE_READERS, where, problems)
-        try:
-            rules.append(LexicalRule(rule_id, description, join_pattern_lines(pattern), polarity, **values))
+            rules.append(LexicalRule(rule_id, **{"description": rule_id, "polarity": RulePolarity.MUST_MATCH} | values))
         except ValueError as exc:
             problems.append(f"{where}: {exc}")
     return tuple(rules)
 
 
 def _parse_tests(section: Any, spec_dir: Path, problems: list[str]) -> tuple[TestCase, ...]:
+    readers = {**_TEST_READERS, "expected_stdout_file": partial(_text_file, spec_dir=spec_dir)}
     tests: list[TestCase] = []
     for where, test_id, entry in _entries("tests", section, _TEST_KEYS, problems):
         if "expected_stdout" in entry and "expected_stdout_file" in entry:
             problems.append(f"{where}: give expected_stdout or expected_stdout_file, not both")
             continue
-        if "expected_stdout_file" in entry:
-            ref = entry["expected_stdout_file"]
-            if not isinstance(ref, str):
-                problems.append(f"{where}: expected_stdout_file must be a path string")
-                continue
-            try:
-                expected = (spec_dir / ref).read_text(encoding="utf-8")
-            except OSError as exc:
-                problems.append(f"{where}: cannot read expected output file: {exc}")
-                continue
-        else:
-            expected = _as_text(entry.get("expected_stdout"))
-            if expected is None:
-                problems.append(f"{where}: missing expected_stdout")
-                continue
-        stdin_text = _as_text(entry.get("stdin", ""))
-        if stdin_text is None:
-            problems.append(f"{where}: stdin must be text")
+        values = _read(entry, readers, where, problems)
+        expected = values.pop("expected_stdout", values.pop("expected_stdout_file", None))
+        if expected is None:
+            problems.append(f"{where}: missing expected_stdout")
             continue
-        args = entry.get("args", [])
-        if not (isinstance(args, list) and all(isinstance(arg, str) for arg in args)):
-            problems.append(f"{where}: args must be a list of strings")
-            continue
-        values = _read(entry, _TEST_READERS, where, problems)
         try:
-            tests.append(TestCase(test_id, expected, stdin_text, tuple(args), **values))
+            tests.append(TestCase(test_id, expected, values.pop("stdin", ""), **values))
         except ValueError as exc:
             problems.append(f"{where}: {exc}")
     return tuple(tests)
@@ -273,7 +296,7 @@ def load_spec(path: Path | str) -> AssignmentSpec:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecError(str(path), [f"cannot read file: {exc}"]) from exc
     try:
         raw = yaml.safe_load(text)
@@ -292,6 +315,7 @@ def load_spec(path: Path | str) -> AssignmentSpec:
     sections = {name: _parse_section(name, raw.get(name), problems) for name in _SECTIONS}
     rules = _parse_rules(raw.get("rules"), problems)
     tests = _parse_tests(raw.get("tests"), path.parent, problems)
+    problems += _weight_total_problems(rules, tests)
 
     output_cap = raw.get("output_cap", DEFAULT_OUTPUT_CAP)
     if not (_is_integer(output_cap) and output_cap > 0):

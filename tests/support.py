@@ -52,6 +52,15 @@ def read_report(reports_dir: Path, stem: str) -> dict:
     return json.loads((reports_dir / f"{stem}.report.json").read_text(encoding="utf-8"))
 
 
+def is_terminal(event: dict) -> bool:
+    """Whether a log event ends a receipt.
+
+    A ``superseded`` event has two shapes: the end of an older receipt carries
+    ``status`` and ``score``; the notice that a newer pair replaced an older
+    one carries ``superseded_received_at`` and ends nothing.
+    """
+    return event["kind"] in ("graded", "quarantined", "errored") or "status" in event
+
 
 def built_pch(pch, profile) -> Path:
     """Build the PCH as a compile that wants it would, and return its include directory."""

@@ -1,4 +1,8 @@
-"""The public surface: the package exports and the names the benchmark traces, where children start, and how a run stops."""
+"""The public surface and the code's shape.
+
+The package exports, the names the benchmark traces, where children start,
+how a run stops, and where spec keys and rule matchers live.
+"""
 
 import ast
 import inspect
@@ -120,3 +124,13 @@ def test_every_submission_ends_at_one_of_two_calls_to_finish():
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "self._finish"
     ]
     assert sorted(callers) == ["_grade", "grade_archive"]
+
+
+def test_lexcheck_keeps_no_cache_of_matchers():
+    # Each rule builds its matcher once and keeps it; a bounded cache would rebuild them all past its size.
+    assert "lru_cache" not in Path(lexcheck.__file__).read_text(encoding="utf-8")
+
+
+def test_each_rule_and_test_key_is_named_once_in_its_reader_table():
+    assert specfile._RULE_KEYS == {"id", *specfile._RULE_READERS}
+    assert specfile._TEST_KEYS == {"id", *specfile._TEST_READERS}

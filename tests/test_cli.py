@@ -13,7 +13,7 @@ from gradepipe.assess import read_log_events
 from gradepipe.child import LINGER_SECS
 from gradepipe.cli import build_parser, main
 
-from support import SPEC_PATH, make_zip, source, wait_until_dead
+from support import SPEC_PATH, is_terminal, make_zip, source, wait_until_dead
 
 
 def run_dirs(tmp_path):
@@ -388,8 +388,7 @@ def _terminal_events_per_receipt(log):
     return {
         archive: sum(
             1 for event in events
-            if (event["kind"] in ("graded", "quarantined", "errored") or "status" in event)
-            and archive in (event.get("archive"), f"{event.get('submission')}.zip")
+            if is_terminal(event) and archive in (event.get("archive"), f"{event.get('submission')}.zip")
         )
         for archive in received
     }

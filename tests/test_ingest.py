@@ -89,6 +89,15 @@ def test_parse_rejections_carry_distinct_reasons(name, reason):
     assert excinfo.value.reason == reason
 
 
+def test_parse_rejects_a_stem_whose_derived_names_would_not_fit():
+    # "<stem>.report.json" must fit in NAME_MAX, 255 bytes; "é" takes two of them.
+    assert parse_submission_filename("A" * 232 + "_Lovelace_3.zip").stem() == "A" * 232 + "_Lovelace_3"
+    for name in ("A" * 233 + "_Lovelace_3.zip", "é" * 117 + "_Lovelace_3.zip"):
+        with pytest.raises(MalformedName) as excinfo:
+            parse_submission_filename(name)
+        assert excinfo.value.reason == "name-too-long"
+
+
 def test_render_round_trip_small_sample():
     rng = random.Random(20260825)
     letters = "abcdefghijklmnopqrstuvwxyz"

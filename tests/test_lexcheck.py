@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from gradepipe import lexcheck
 from gradepipe.lexcheck import (
     LexicalRule,
     RulePolarity,
@@ -346,6 +347,26 @@ def test_nested_branch_rule_fails_fast_on_a_long_flat_chain():
     result = evaluate_rule(rule, [("main.cpp", chain)])
     assert time.perf_counter() - started < 1.0
     assert not result.matched
+
+
+def test_each_rule_builds_its_matcher_once_however_many_rules_there_are(tmp_path, monkeypatch):
+    # More distinct patterns than a bounded matcher cache would hold, judged over and over.
+    entries = "".join(f"  - id: r{i}\n    pattern: 'token{i}\\b'\n" for i in range(300))
+    path = tmp_path / "many-rules.yaml"
+    path.write_text(f"assignment: 2\nrules:\n{entries}", encoding="utf-8")
+    rules = load_spec(path).rules
+    built = []
+    build = lexcheck._Matcher.__init__
+
+    def counted(self, pattern):
+        built.append(pattern)
+        build(self, pattern)
+
+    monkeypatch.setattr(lexcheck._Matcher, "__init__", counted)
+    sources = [(f"s{n}.cpp", " ".join(f"token{i}" for i in range(n, 300, 3))) for n in range(3)]
+    for _ in range(2):
+        assert all(result.satisfied for result in evaluate_ruleset(rules, sources))
+    assert built == []
 
 
 # -- report arithmetic ---------------------------------------------------------

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import threading
 import time
+import zipfile
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -12,7 +13,7 @@ from gradepipe.blackbox import SpawnFailure
 from gradepipe.build import CompilerProfile
 from gradepipe.specfile import load_spec
 
-from support import DATA_DIR, damaged_lzma_zip, make_zip, read_report, source, built_pch
+from support import DATA_DIR, built_pch, damaged_lzma_zip, is_terminal, make_zip, read_report, source
 
 T0 = datetime(2026, 8, 25, 9, 0, 0, tzinfo=timezone.utc)
 
@@ -266,6 +267,58 @@ def test_unwritable_reports_dir_after_quarantine_logs_one_terminal_event(leap_sp
     assert events[-1]["reason"] == "report-unwritable"
 
 
+def test_an_entry_name_too_long_for_the_filesystem_is_quarantined(leap_spec, session_factory, tmp_path):
+    session = session_factory(leap_spec)
+    files = {"main.cpp": source("leap_nested.cpp"), "a" * 300 + ".cpp": "int x;\n"}
+    archive = drop(tmp_path / "inbox", "Ada_Lovelace_3.zip", files)
+
+    report = session.grade_archive(archive)
+
+    assert (report.status, report.detail) == (ReportStatus.QUARANTINED, "name-too-long")
+    events = read_log_events(session.log.path)
+    assert [e["kind"] for e in events] == ["received", "quarantined"]
+    assert events[-1]["submission"] == "Ada_Lovelace_3"
+    assert str(session.workspace_root) not in events[-1]["message"]
+    assert list(session.workspace_root.glob("Ada_Lovelace_3.*")) == [], "a build dir was left"
+    assert (session.quarantine_dir / "Ada_Lovelace_3.zip.reason.txt").read_text() == "name-too-long\n"
+
+
+def test_the_longest_name_that_fits_is_graded_and_its_pair_written(leap_spec, session_factory, tmp_path):
+    # 243 bytes leave room for ".report.json" in 255; the temporary report names once grew past that.
+    session = session_factory(leap_spec)
+    stem = "A" * 232 + "_Lovelace_3"
+    archive = drop(tmp_path / "inbox", stem + ".zip", {"main.cpp": source("leap_nested.cpp")})
+
+    report = session.grade_archive(archive)
+
+    assert (report.status, report.score) == (ReportStatus.GRADED, 100.0)
+    assert sorted(path.name for path in session.reports_dir.iterdir()) == [
+        stem + ".report.json",
+        stem + ".report.txt",
+    ]
+    assert kinds(session) == ["received", "graded"]
+
+
+def test_a_255_byte_name_is_quarantined_with_its_reason_file(leap_spec, session_factory, tmp_path):
+    session = session_factory(leap_spec)
+    name = "x" * 251 + ".zip"  # one field, and no room for ".reason.txt" after it
+    for _ in range(2):  # the second copy gets a numbered name in quarantine
+        archive = drop(tmp_path / "inbox", name, {"main.cpp": source("leap_nested.cpp")})
+
+        report = session.grade_archive(archive)
+
+        assert (report.status, report.detail) == (ReportStatus.QUARANTINED, "malformed-name:wrong-field-count")
+        assert not archive.exists()
+    kept = sorted(session.quarantine_dir.iterdir())
+    assert len(kept) == 4
+    archives = [path for path in kept if not path.name.endswith(".reason.txt")]
+    assert len(archives) == 2
+    for path in archives:
+        assert zipfile.is_zipfile(path)
+        assert path.with_name(path.name + ".reason.txt").read_text() == "malformed-name:wrong-field-count\n"
+    assert kinds(session) == ["received", "quarantined"] * 2
+
+
 def test_failed_report_write_keeps_the_previous_pair(leap_spec, session_factory, tmp_path, monkeypatch):
     session = session_factory(leap_spec)
     inbox = tmp_path / "inbox"
@@ -420,10 +473,6 @@ def _ending(inbox, name, status):
     return drop(inbox, name, {"main.cpp": "int main() { return 0; }\n"})
 
 
-def _terminal(event):
-    return event["kind"] in ("graded", "quarantined", "errored") or "status" in event
-
-
 @pytest.mark.parametrize("newer", ENDS)
 @pytest.mark.parametrize("older", ENDS)
 def test_pair_on_disk_is_the_newest_receipts_whatever_the_finish_order(
@@ -452,7 +501,7 @@ def test_pair_on_disk_is_the_newest_receipts_whatever_the_finish_order(
                     patch.setattr(pipeline, "run_test_suite", refuse)
                 ends[run, which] = session.grade_archive(archive, received_at=at).status.value
             events = read_log_events(session.log.path)[seen:]
-            assert [_terminal(event) for event in events].count(True) == 1, f"{run}: {which} {events}"
+            assert [is_terminal(event) for event in events].count(True) == 1, f"{run}: {which} {events}"
         pairs[run] = {path.name: path.read_bytes() for path in sorted(session.reports_dir.iterdir())}
 
     assert pairs["older-then-newer"] == pairs["newer-then-older"], "finish order picked the pair"

@@ -6,6 +6,7 @@ import pytest
 from gradepipe.assess import DEFAULT_BLACKBOX_WEIGHT, DEFAULT_LEXICAL_WEIGHT, DEFAULT_SCALE, Rubric
 from gradepipe.blackbox import DEFAULT_OUTPUT_CAP, NormalizationPolicy, TestCase
 from gradepipe.build import DEFAULT_COMPILER_COMMAND, CompilerProfile
+from gradepipe.cli import main
 from gradepipe.ingest import ExtractionLimits
 from gradepipe.lexcheck import LexicalRule, RulePolarity
 from gradepipe.specfile import AssignmentSpec, SpecError, load_spec
@@ -236,11 +237,29 @@ def test_specific_problems_are_caught(tmp_path, body, needle):
             "tests:\n  - id: t\n    expected_stdout: ok\n    args: [\"a\\0b\"]\n",
             "tests[0] (t): test 't': args must not contain a NUL byte",
         ),
+        # Linux refuses an argument of 131072 bytes or more with its NUL (MAX_ARG_STRLEN).
+        (
+            "compiler:\n  command: [g++, " + "a" * 131072 + ", '{sources}', -o, '{output}']\n",
+            "compiler: compiler command tokens must each be under 131072 bytes in UTF-8",
+        ),
+        (
+            "tests:\n  - id: t\n    expected_stdout: ok\n    args: [" + "é" * 65536 + "]\n",
+            "tests[0] (t): test 't': args must each be under 131072 bytes in UTF-8",
+        ),
+        # Arguments and environment together must stay under ARG_MAX, 2 MiB by default.
+        (
+            "compiler:\n  command: [g++, " + ("a" * 100000 + ", ") * 11 + "'{sources}', -o, '{output}']\n",
+            "compiler: compiler command tokens must total at most 1048576 bytes in UTF-8",
+        ),
+        (
+            "tests:\n  - id: t\n    expected_stdout: ok\n    args: [" + ", ".join(["a" * 100000] * 11) + "]\n",
+            "tests[0] (t): test 't': args must total at most 1048576 bytes in UTF-8",
+        ),
     ],
-    ids=["compiler-command", "test-args"],
+    ids=["compiler-command", "test-args", "compiler-token-size", "test-arg-size", "compiler-total", "test-args-total"],
 )
 def test_a_nul_byte_in_an_argument_is_a_spec_problem(tmp_path, body, problem):
-    # No program can be started with one, so it would end every submission Errored.
+    # No program can be started with such an argument, so it would end every submission Errored.
     with pytest.raises(SpecError) as excinfo:
         load_spec(write_spec(tmp_path, "assignment: 2\n" + body))
     assert excinfo.value.problems == [problem]
@@ -302,6 +321,31 @@ def test_config_classes_take_only_finite_numbers_and_real_bools(cls, field, valu
     CONFIG_CLASSES[cls]()
     with pytest.raises(ValueError, match=field):
         CONFIG_CLASSES[cls](**{field: value})
+
+
+@pytest.mark.parametrize(
+    "section, entry",
+    [
+        ("rules", "  - id: r{}\n    pattern: x\n    weight: 1.0e+308\n"),
+        ("tests", "  - id: t{}\n    expected_stdout: ok\n    weight: 1.0e+308\n"),
+    ],
+    ids=["rules", "tests"],
+)
+def test_weights_whose_total_is_not_finite_are_a_spec_problem(tmp_path, capsys, section, entry):
+    # Each weight is finite, but their sum is not, and the score divides by it: a program passing both would grade NaN.
+    path = write_spec(tmp_path, f"assignment: 2\n{section}:\n" + entry.format(1) + entry.format(2))
+    problem = f"{section}: weights must sum to a finite number"
+    with pytest.raises(SpecError) as excinfo:
+        load_spec(path)
+    assert excinfo.value.problems == [problem]
+    assert main(["validate-spec", str(path)]) == 2
+    assert problem in capsys.readouterr().err
+    items = {
+        "rules": tuple(LexicalRule(f"r{i}", "d", "x", RulePolarity.MUST_MATCH, weight=1e308) for i in range(2)),
+        "tests": tuple(TestCase(f"t{i}", "ok", weight=1e308) for i in range(2)),
+    }
+    with pytest.raises(ValueError, match=problem):
+        CONFIG_CLASSES["AssignmentSpec"](**{section: items[section]})
 
 
 @pytest.mark.parametrize("value", [".inf", ".nan", "1" + "0" * 400], ids=["inf", "nan", "huge-int"])
@@ -395,6 +439,26 @@ def test_missing_file_raises_spec_error(tmp_path):
     with pytest.raises(SpecError) as excinfo:
         load_spec(tmp_path / "absent.yaml")
     assert any("cannot read file" in p for p in excinfo.value.problems)
+
+
+@pytest.mark.parametrize(
+    "spec_bytes, problem",
+    [
+        (b"assignment: 2\n# \xff\n", "cannot read file: 'utf-8' codec can't decode byte 0xff"),
+        (
+            b"assignment: 2\ntests:\n  - id: t\n    expected_stdout_file: golden.txt\n",
+            "tests[0] (t): expected_stdout_file is unusable: cannot read expected output file: 'utf-8' codec",
+        ),
+    ],
+    ids=["spec", "expected-output"],
+)
+def test_a_file_that_is_not_utf8_is_a_spec_problem(tmp_path, spec_bytes, problem):
+    (tmp_path / "golden.txt").write_bytes(b"\xff\xfe")
+    path = tmp_path / "assignment.yaml"
+    path.write_bytes(spec_bytes)
+    with pytest.raises(SpecError) as excinfo:
+        load_spec(path)
+    assert excinfo.value.problems[0].startswith(problem)
 
 
 def test_unparseable_yaml_raises_spec_error(tmp_path):
