@@ -357,8 +357,9 @@ def compile_workspace(
 
     ``files`` are workspace-relative paths in sorted order, as extraction
     returns them; only those with a :data:`COMPILE_EXTENSIONS` suffix are
-    handed to the compiler. Returns a failed result (never raises) for
-    ordinary build problems: student code that does not compile, a workspace
+    handed to the compiler, and one that starts with ``-`` as ``./<path>``,
+    so no file name becomes a compiler option. Returns a failed result
+    (never raises) for ordinary build problems: student code that does not compile, a workspace
     with no sources, a build that exceeds the time limit, or a compiler that
     claims success without producing the binary. Only a missing compiler
     executable raises, as :class:`CompilerNotFound`, because that is an
@@ -374,7 +375,9 @@ def compile_workspace(
     wrapper header in its include chain, not the student's file. The command
     is the same either way.
     """
-    sources = [name for name in files if Path(name).suffix.lower() in COMPILE_EXTENSIONS]
+    # A path that starts with "-" would reach the compiler as an option.
+    sources = [f"./{name}" if name.startswith("-") else name for name in files
+               if Path(name).suffix.lower() in COMPILE_EXTENSIONS]
     if not sources:
         diagnostic = Diagnostic(DiagnosticSeverity.ERROR, "error: no source files found in submission")
         return CompileResult(False, (diagnostic,), raw_output=diagnostic.text)

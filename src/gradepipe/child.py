@@ -1,10 +1,13 @@
 """The one place gradepipe starts a child process: compilers, the ``--version``
 probe, the precompiled-header build and student binaries all run through
-:func:`run_child`, which starts no thread.
+:func:`run_child`, which starts no thread. Every child reads its stdin from a
+sealed in-memory file, empty for all but student binaries, so the parent
+never writes to a child and waits only on its exit and its stdout.
 """
 
 from __future__ import annotations
 
+import fcntl
 import os
 import selectors
 import signal
@@ -21,6 +24,8 @@ _READ_SIZE = 16 * 1024
 # epoll refuses a wait of 2**31 ms (about 24.8 days) or more, so a longer
 # timeout is waited out in steps of at most this many seconds.
 _MAX_WAIT_SECS = 24 * 3600.0
+# A sealed stdin can be neither written, grown nor shrunk, nor its seals changed.
+_SEALS = fcntl.F_SEAL_WRITE | fcntl.F_SEAL_GROW | fcntl.F_SEAL_SHRINK | fcntl.F_SEAL_SEAL
 # Linux refuses to start a program (E2BIG) given one argument of MAX_ARG_STRLEN,
 # 32 pages or 131072 bytes, or more counting its NUL, or arguments and
 # environment together over ARG_MAX, a quarter of the stack limit and 2 MiB
@@ -49,25 +54,33 @@ def run_child(
 ) -> tuple[int | None, bool]:
     """Run ``argv`` in ``cwd`` in its own session, handing each chunk of its stdout to ``take``.
 
-    ``stdin`` is written to the child's input, which is then closed; the child may exit
-    without reading it. stderr is merged into stdout with ``merge_stderr``, else discarded.
-    One ``selectors`` loop under one wall-clock deadline feeds, reads, and watches for the
-    exit through a pidfd (Linux 5.3 or newer). The child's whole process group is killed
-    when ``timeout`` seconds pass, when ``take`` returns False, on any exception, and once
-    the child has exited and its stdout is closed, or ``LINGER_SECS`` after its exit if
-    something it started still holds stdout. Both pipes are closed before this returns.
+    The child's stdin is a sealed in-memory file (``memfd_create``) that holds
+    ``stdin``: it reads those bytes and then EOF, may seek in it or ignore it,
+    and cannot write to it (EPERM). stderr is merged into stdout with
+    ``merge_stderr``, else discarded. One ``selectors`` loop under one
+    wall-clock deadline reads stdout and watches for the exit through a pidfd
+    (Linux 5.3 or newer). The child's whole process group is killed when
+    ``timeout`` seconds pass, when ``take`` returns False, on any exception,
+    and once the child has exited and its stdout is closed, or
+    ``LINGER_SECS`` after its exit if something it started still holds
+    stdout. The parent's copies of stdin and stdout are closed before this returns.
 
     Returns the exit code (negative for a signal), or None if the child was killed before
     it exited, and whether it ran out of time. The ``OSError`` of a child that cannot be
     started propagates.
     """
-    process = subprocess.Popen(
-        argv, bufsize=0, cwd=cwd, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT if merge_stderr else subprocess.DEVNULL, start_new_session=True,
-    )
-    with process:  # leaving it closes both pipes and reaps the child
+    with open(os.memfd_create("stdin", os.MFD_CLOEXEC | os.MFD_ALLOW_SEALING), "w+b") as source:
+        source.write(stdin)
+        source.flush()
+        fcntl.fcntl(source, fcntl.F_ADD_SEALS, _SEALS)
+        source.seek(0)
+        process = subprocess.Popen(
+            argv, bufsize=0, cwd=cwd, env=env, stdin=source, stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT if merge_stderr else subprocess.DEVNULL, start_new_session=True,
+        )
+    with process:  # leaving it closes stdout and reaps the child
         try:
-            exited, timed_out = _pump(process, take, memoryview(stdin), time.monotonic() + timeout)
+            exited, timed_out = _pump(process, take, time.monotonic() + timeout)
         finally:
             # Still unreaped, the child keeps its pid, which names its group,
             # from being reused by another process.
@@ -78,10 +91,8 @@ def run_child(
     return (process.returncode if exited else None), timed_out
 
 
-def _pump(
-    process: subprocess.Popen, take: Callable[[bytes], bool], pending: memoryview, deadline: float
-) -> tuple[bool, bool]:
-    """Feed and drain ``process`` until it exits and closes stdout; return (exited, timed out)."""
+def _pump(process: subprocess.Popen, take: Callable[[bytes], bool], deadline: float) -> tuple[bool, bool]:
+    """Drain ``process`` until it exits and closes stdout; return (exited, timed out)."""
     exited = False
     reading = True
     with selectors.DefaultSelector() as selector:
@@ -89,11 +100,6 @@ def _pump(
         try:
             selector.register(pidfd, selectors.EVENT_READ)
             selector.register(process.stdout, selectors.EVENT_READ)
-            if pending:
-                os.set_blocking(process.stdin.fileno(), False)
-                selector.register(process.stdin, selectors.EVENT_WRITE)
-            else:
-                process.stdin.close()
             while reading or not exited:
                 left = deadline - time.monotonic()
                 if left <= 0:
@@ -103,15 +109,6 @@ def _pump(
                         selector.unregister(pidfd)
                         exited = True
                         deadline = time.monotonic() + LINGER_SECS
-                    elif key.fileobj is process.stdin:
-                        try:
-                            written = os.write(key.fd, pending)
-                        except BrokenPipeError:  # nothing will read the rest
-                            written = len(pending)
-                        pending = pending[written:]
-                        if not pending:
-                            selector.unregister(process.stdin)
-                            process.stdin.close()
                     else:
                         chunk = os.read(key.fd, _READ_SIZE)
                         if not chunk:

@@ -29,7 +29,7 @@ from typing import Iterator
 
 from .assess import GradingLogError, ReportStatus, render_report_text
 from .ingest import ARCHIVE_SUFFIX
-from .pipeline import DEFAULT_POLL_INTERVAL, SCANS_PER_INTERVAL, BatchSummary, GradingSession
+from .pipeline import DEFAULT_POLL_INTERVAL, SCANS_PER_INTERVAL, BatchSummary, GradingSession, check_inbox
 from .specfile import SpecError, load_spec
 
 
@@ -123,6 +123,22 @@ def _signals_set(stop: threading.Event) -> Iterator[None]:
             signal.signal(signum, signal.SIG_DFL if prior is None else prior)
 
 
+def _check_inputs(args: argparse.Namespace) -> None:
+    """Raise ValueError for an input the command refuses, before anything is opened or written."""
+    session_dirs = (args.workspace_dir, args.reports_dir, args.quarantine_dir)
+    if args.command == "grade":
+        if not args.archive.is_file():
+            raise ValueError(f"no such archive: {args.archive}")
+        # Refused, moving nothing, as batch would leave it where it is.
+        if args.archive.suffix.lower() != ARCHIVE_SUFFIX:
+            raise ValueError(f"not a {ARCHIVE_SUFFIX} archive: {args.archive}")
+        check_inbox(args.archive.parent, session_dirs)
+    elif not args.inbox.is_dir():
+        raise ValueError(f"no such inbox directory: {args.inbox}")
+    else:
+        check_inbox(args.inbox, session_dirs, args.interval if args.command == "watch" else None)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "validate-spec":
@@ -133,8 +149,12 @@ def main(argv: list[str] | None = None) -> int:
     except SpecError as exc:
         print(exc, file=sys.stderr)
         return 2
+    try:
+        _check_inputs(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
-    errored = False
     stop = threading.Event()
     try:
         with _signals_set(stop), GradingSession(
@@ -146,44 +166,23 @@ def main(argv: list[str] | None = None) -> int:
             jobs=args.jobs,
         ) as session:
             if args.command == "grade":
-                if not args.archive.is_file():
-                    print(f"error: no such archive: {args.archive}", file=sys.stderr)
-                    return 2
-                try:  # refuse, moving nothing, what batch would leave where it is
-                    if args.archive.suffix.lower() != ARCHIVE_SUFFIX:
-                        raise ValueError(f"not a {ARCHIVE_SUFFIX} archive: {args.archive}")
-                    session._check_inbox(args.archive.parent)
-                except ValueError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return 2
                 report = session.grade_archive(args.archive)
                 sys.stdout.write(render_report_text(report))
-                errored = report.status is ReportStatus.ERRORED
+                return 1 if report.status is ReportStatus.ERRORED else 0
+            if args.command == "batch":
+                summary = session.run_batch(args.inbox, stop)
             else:
-                if not args.inbox.is_dir():
-                    print(f"error: no such inbox directory: {args.inbox}", file=sys.stderr)
-                    return 2
-                try:
-                    if args.command == "batch":
-                        summary = session.run_batch(args.inbox, stop)
-                    else:
-                        session.check_watch_inputs(args.inbox, args.interval)
-                        rule = WATCH_RULE.format(interval=f"{args.interval:g} s")
-                        print(f"watching {args.inbox}: {rule}; Ctrl-C to stop", file=sys.stderr)
-                        summary = session.watch_inbox(args.inbox, args.interval, stop)
-                except ValueError as exc:  # an interval or an inbox the session refuses
-                    print(f"error: {exc}", file=sys.stderr)
-                    return 2
-                _print_summary(summary)
-                errored = summary.errored > 0
+                rule = WATCH_RULE.format(interval=f"{args.interval:g} s")
+                print(f"watching {args.inbox}: {rule}; Ctrl-C to stop", file=sys.stderr)
+                summary = session.watch_inbox(args.inbox, args.interval, stop)
+            _print_summary(summary)
+            return 1 if summary.errored else 0
     except GradingLogError as exc:
         print(f"fatal: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    return 1 if errored else 0
 
 
 if __name__ == "__main__":

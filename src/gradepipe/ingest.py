@@ -10,10 +10,13 @@ machine-readable reason.
 
 from __future__ import annotations
 
+import errno
 import itertools
 import lzma
 import os
+import pwd
 import shutil
+import stat
 import struct
 import time
 import zipfile
@@ -42,6 +45,8 @@ REASON_NO_SOURCE_FILES = "no-source-files"
 REASON_LIMIT_TOTAL_BYTES = "limit-exceeded:max-total-bytes"
 REASON_LIMIT_ENTRY_COUNT = "limit-exceeded:max-entry-count"
 REASON_LIMIT_PATH_DEPTH = "limit-exceeded:max-path-depth"
+# An upload that is a symbolic link, a FIFO or anything else but a regular file.
+REASON_NOT_REGULAR_FILE = "not-a-regular-file"
 
 _NAME_EXTRA_CHARS = "-'"
 # The longest file name, in bytes, that Linux filesystems hold (NAME_MAX).
@@ -227,17 +232,37 @@ def _entries_fill(upload: BinaryIO, directory: int) -> bool:
     return at == directory
 
 
+def _open_upload(path: Path) -> BinaryIO:
+    """The upload at ``path`` opened for reading; ArchiveRejected unless it is a regular file itself.
+
+    The open neither follows a symbolic link nor waits for a FIFO's writer,
+    so nothing in the inbox can make the grader read a file it names or
+    block it.
+    """
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK | os.O_CLOEXEC)
+    except OSError as exc:
+        if exc.errno not in (errno.ELOOP, errno.ENXIO):  # a symbolic link, a socket
+            raise
+        raise ArchiveRejected(REASON_NOT_REGULAR_FILE, f"{path.name} is not a regular file: {exc.strerror}") from exc
+    upload = os.fdopen(fd, "rb")
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        upload.close()
+        raise ArchiveRejected(REASON_NOT_REGULAR_FILE, f"{path.name} is not a regular file")
+    return upload
+
+
 def _is_whole_zip(path: Path, stamp: FileStamp) -> bool:
     """Whether the file at ``path``, still at ``stamp`` after both checks read it, is one whole zip.
 
     The entry checks turn away a preallocated file filled out of order while
     holes remain with its header and end record in place: a zeroed run fails
     a CRC or breaks the chain of entries. Any error at all fails the check,
-    so an upload zipfile cannot read waits out the settle window and
-    extraction, not the watch loop, deals with it.
+    so an upload zipfile cannot read, or one that is not a regular file,
+    waits out the settle window and extraction, not the watch loop, deals with it.
     """
     try:
-        with open(path, "rb") as upload:
+        with _open_upload(path) as upload:
             directory = _directory_offset(upload, stamp[0])
             whole = directory is not None and _entries_fill(upload, directory)
             now = os.fstat(upload.fileno())
@@ -343,8 +368,8 @@ def extract_archive(
     """Unpack ``record.archive_path`` into ``workspace_dir`` under ``limits``.
 
     Returns the sorted workspace-relative paths of the files written, or,
-    for an archive that must be quarantined (corruption, traversal paths,
-    colliding entries, busted limits, nothing extractable), the
+    for an archive that must be quarantined (not a regular file, corruption,
+    traversal paths, colliding entries, busted limits, nothing extractable), the
     :class:`ArchiveRejected` that says why. The rejection is returned rather
     than raised because perfbench's tracer annotates only the calls that
     return, and it reads every extraction's archive size. Entries whose extension is not allowed are silently
@@ -409,7 +434,7 @@ def _inflate(archive: zipfile.ZipFile, info: zipfile.ZipInfo) -> Iterator[bytes]
 
 
 def _unpack(archive_path: Path, limits: ExtractionLimits, workspace_dir: Path) -> tuple[str, ...]:
-    with open(archive_path, "rb") as upload, _open_zip(upload) as archive:
+    with _open_upload(archive_path) as upload, _open_zip(upload) as archive:
         infos = archive.infolist()
         if len(infos) > limits.max_entry_count:
             raise ArchiveRejected(REASON_LIMIT_ENTRY_COUNT, f"{len(infos)} entries")
@@ -457,7 +482,7 @@ def quarantine_archive(archive_path: Path, reason: str, quarantine_dir: Path) ->
         suffix = f".{counter}" if counter > 1 else ""
         room = _NAME_MAX - len(suffix) - len(_REASON_SUFFIX)
         target = quarantine_dir / (os.fsdecode(os.fsencode(archive_path.name)[:room]) + suffix)
-        if not target.exists():
+        if not os.path.lexists(target):
             break
     shutil.move(str(archive_path), str(target))
     target.with_name(target.name + _REASON_SUFFIX).write_text(reason + "\n", encoding="utf-8")
@@ -465,10 +490,10 @@ def quarantine_archive(archive_path: Path, reason: str, quarantine_dir: Path) ->
 
 
 def archive_owner(path: Path) -> str | None:
-    """Best-effort owner of the archive file, recorded for the audit trail."""
+    """Best-effort owner of the archive file itself, not of what a link names, for the audit trail."""
     try:
-        return path.owner()
-    except (KeyError, OSError, NotImplementedError):
+        return pwd.getpwuid(path.lstat().st_uid).pw_name
+    except (KeyError, OSError):
         return None
 
 

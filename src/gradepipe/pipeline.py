@@ -90,6 +90,23 @@ def _is_archive(path: Path) -> bool:
     return path.suffix.lower() == ARCHIVE_SUFFIX
 
 
+def check_inbox(inbox: Path, session_dirs: Iterable[Path], poll_interval: float | None = None) -> Path:
+    """The absolute ``inbox`` that a run over ``session_dirs`` would list.
+
+    Raises ValueError if the inbox is one of the session's workspace, reports
+    and quarantine directories, or, given a watch's ``poll_interval``, if
+    that is not a finite number of at least ``MIN_POLL_INTERVAL`` seconds.
+    Nothing is opened or written, so a caller can refuse before it starts.
+    """
+    if poll_interval is not None and not MIN_POLL_INTERVAL <= poll_interval < math.inf:  # NaN fails both
+        raise ValueError(f"poll interval must be finite and at least {MIN_POLL_INTERVAL:g} second, "
+                         f"got {poll_interval:g}")
+    inbox = Path(inbox).absolute()
+    if inbox.resolve() in {path.resolve() for path in session_dirs}:
+        raise ValueError("inbox must be distinct from the workspace, reports and quarantine directories")
+    return inbox
+
+
 def _same_file(path: Path, stat: os.stat_result) -> bool:
     try:
         return os.path.samestat(path.stat(), stat)
@@ -408,13 +425,6 @@ class GradingSession:
             executor.shutdown()
         return summary
 
-    def _check_inbox(self, inbox: Path) -> Path:
-        """The absolute ``inbox``; ValueError if it is also the workspace, reports or quarantine directory."""
-        inbox = Path(inbox).absolute()
-        if inbox.resolve() in {path.resolve() for path in (self.workspace_root, self.reports_dir, self.quarantine_dir)}:
-            raise ValueError("inbox must be distinct from the workspace, reports and quarantine directories")
-        return inbox
-
     def run_batch(self, inbox: Path, stop: threading.Event | None = None) -> BatchSummary:
         """Grade every archive currently in the inbox, then return counts.
 
@@ -428,7 +438,7 @@ class GradingSession:
         moving nothing, for an inbox that is the workspace, reports or
         quarantine directory.
         """
-        entries = list_inbox(self._check_inbox(inbox))
+        entries = list_inbox(check_inbox(inbox, (self.workspace_root, self.reports_dir, self.quarantine_dir)))
         self._pch.expect(sum(map(_is_archive, entries)))
         try:
             return self._run([entries], stop or threading.Event())
@@ -441,10 +451,7 @@ class GradingSession:
         Raises ValueError for a poll interval that is not a finite number of
         at least ``MIN_POLL_INTERVAL`` seconds, or an inbox that ``run_batch`` refuses.
         """
-        if not MIN_POLL_INTERVAL <= poll_interval < math.inf:  # NaN fails both comparisons
-            raise ValueError(f"poll interval must be finite and at least {MIN_POLL_INTERVAL:g} second, "
-                             f"got {poll_interval:g}")
-        return self._check_inbox(inbox)
+        return check_inbox(inbox, (self.workspace_root, self.reports_dir, self.quarantine_dir), poll_interval)
 
     def watch_inbox(
         self,

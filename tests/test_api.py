@@ -1,7 +1,8 @@
 """The public surface and the code's shape.
 
-The package exports, the names the benchmark traces, where children start,
-how a run stops, and where spec keys and rule matchers live.
+The package exports, the names the benchmark traces, where children start
+and that nothing writes to one, how a run stops, and where spec keys and
+rule matchers live.
 """
 
 import ast
@@ -9,7 +10,7 @@ import inspect
 from pathlib import Path
 
 import gradepipe
-from gradepipe import assess, blackbox, ingest, lexcheck, pipeline, specfile
+from gradepipe import assess, blackbox, child, ingest, lexcheck, pipeline, specfile
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -86,6 +87,13 @@ def test_only_the_child_module_imports_subprocess_and_no_module_starts_a_thread(
                     thread_starters.add(path.name)
     assert importers == {"child.py"}
     assert thread_starters == set()
+
+
+def test_the_child_runner_never_writes_to_a_child():
+    # Every child's stdin is a sealed in-memory file, so the loop waits only on the exit and stdout.
+    text = Path(child.__file__).read_text(encoding="utf-8")
+    assert "EVENT_WRITE" not in text
+    assert "set_blocking" not in text
 
 
 def test_one_thread_pool_runs_every_inbox():

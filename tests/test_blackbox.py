@@ -176,13 +176,24 @@ def test_program_may_ignore_stdin(tmp_path):
     assert result.outcome is TestOutcome.PASS
 
 
+def test_a_program_cannot_write_to_its_stdin(tmp_path):
+    program = make_program(tmp_path, "cat; echo x >&0 2>/dev/null || echo ro")
+    result = run_test(program, TestCase("stdin-is-input", expected_stdout="2000\nro\n", stdin_text="2000\n"))
+    assert result.outcome is TestOutcome.PASS, result.actual
+
+
 # -- suites --------------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
     "body, stdin_text",
-    [("cat", "2000\n"), ("exit 0", "y" * 1_000_000), ("echo 2000; sleep 30 &", "")],
-    ids=["reads-stdin", "ignores-large-stdin", "background-holds-stdout"],
+    [
+        ("cat", "2000\n"),
+        ("exit 0", "y" * 1_000_000),
+        ("echo 2000; sleep 30 &", ""),
+        ("echo 2000", "z" * (4 << 20)),
+    ],
+    ids=["reads-stdin", "ignores-large-stdin", "background-holds-stdout", "never-reads-4mib-stdin"],
 )
 def test_run_test_closes_its_pipes(tmp_path, body, stdin_text):
     program = make_program(tmp_path, body)

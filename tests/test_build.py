@@ -122,6 +122,20 @@ def test_compile_multiple_units(tmp_path, monkeypatch):
     assert [command[3:5] for command in commands] == [("helper.cpp", "main.cpp")]  # sorted, relative
 
 
+def test_a_source_named_like_an_option_is_compiled_not_obeyed(tmp_path):
+    workspace, outside = tmp_path / "workspace", tmp_path / "outside"
+    outside.mkdir()
+    workspace.mkdir()
+    (workspace / "main.cpp").write_text("int main() { return 0; }\n")
+    # Given as is, this path asks the linker to write a map file outside the workspace.
+    option = f"-Wl,-Map={outside}/map.cpp"
+    (workspace / option).parent.mkdir(parents=True)
+    (workspace / option).write_text("int helper() { return 1; }\n")
+    result = compile_workspace(workspace, GXX, sorted([option, "main.cpp"]))
+    assert result.succeeded
+    assert list(outside.iterdir()) == []
+
+
 def test_compile_failure_reports_errors(tmp_path):
     (tmp_path / "main.cpp").write_text(source("leap_broken.cpp"))
     result = compile_workspace(tmp_path, GXX, ["main.cpp"])

@@ -16,13 +16,21 @@ from gradepipe.cli import build_parser, main
 from support import SPEC_PATH, is_terminal, make_zip, source, wait_until_dead
 
 
-def run_dirs(tmp_path):
+def run_dirs(tmp_path, log="grading.log"):
     return [
         "--reports-dir", str(tmp_path / "reports"),
         "--workspace-dir", str(tmp_path / "workspace"),
         "--quarantine-dir", str(tmp_path / "quarantine"),
-        "--log", str(tmp_path / "grading.log"),
+        "--log", str(tmp_path / log),
     ]
+
+
+# A refused command is given its log in a directory of its own, so the check sees that it made neither.
+REFUSED_LOG = "logs/grading.log"
+
+
+def nothing_logged(tmp_path):
+    return not (tmp_path / REFUSED_LOG).exists() and not (tmp_path / REFUSED_LOG).parent.exists()
 
 
 def test_parser_accepts_the_documented_commands():
@@ -97,9 +105,10 @@ def test_grade_prints_the_report(tmp_path, capsys):
 
 
 def test_grade_missing_archive_is_a_usage_error(tmp_path, capsys):
-    rc = main(["grade", str(tmp_path / "absent.zip"), "--spec", str(SPEC_PATH), *run_dirs(tmp_path)])
+    rc = main(["grade", str(tmp_path / "absent.zip"), "--spec", str(SPEC_PATH), *run_dirs(tmp_path, REFUSED_LOG)])
     err = capsys.readouterr().err
     assert rc == 2
+    assert nothing_logged(tmp_path)
     assert "no such archive" in err
 
 
@@ -110,27 +119,28 @@ def test_grade_of_a_quarantined_archive_is_a_usage_error_and_moves_nothing(tmp_p
     (quarantine / "Ada_Lovelace_3.zip.reason.txt").write_text("corrupt-archive\n", encoding="utf-8")
     before = {path.name: path.read_bytes() for path in quarantine.iterdir()}
 
-    rc = main(["grade", str(quarantine / "Ada_Lovelace_3.zip"), "--spec", str(SPEC_PATH), *run_dirs(tmp_path)])
+    archive = quarantine / "Ada_Lovelace_3.zip"
+    rc = main(["grade", str(archive), "--spec", str(SPEC_PATH), *run_dirs(tmp_path, REFUSED_LOG)])
     err = capsys.readouterr().err
 
     assert rc == 2
+    assert nothing_logged(tmp_path)
     assert "inbox must be distinct" in err
     assert {path.name: path.read_bytes() for path in quarantine.iterdir()} == before
-    assert (tmp_path / "grading.log").read_text(encoding="utf-8") == ""
 
 
 def test_grade_of_a_file_that_is_not_a_zip_is_a_usage_error_and_moves_nothing(tmp_path, capsys):
     notes = tmp_path / "notes.txt"
     notes.write_text("not a submission\n", encoding="utf-8")
 
-    rc = main(["grade", str(notes), "--spec", str(SPEC_PATH), *run_dirs(tmp_path)])
+    rc = main(["grade", str(notes), "--spec", str(SPEC_PATH), *run_dirs(tmp_path, REFUSED_LOG)])
     err = capsys.readouterr().err
 
     assert rc == 2
+    assert nothing_logged(tmp_path)
     assert "not a .zip archive" in err
     assert notes.read_text(encoding="utf-8") == "not a submission\n"
     assert not (tmp_path / "quarantine").exists()
-    assert (tmp_path / "grading.log").read_text(encoding="utf-8") == ""
 
 
 def test_grade_with_bad_spec_is_a_usage_error(tmp_path, capsys):
@@ -138,9 +148,10 @@ def test_grade_with_bad_spec_is_a_usage_error(tmp_path, capsys):
     bad.write_text("assignment: nope\n", encoding="utf-8")
     archive = tmp_path / "Ada_Lovelace_3.zip"
     make_zip(archive, {"main.cpp": source("leap_fast.cpp")})
-    rc = main(["grade", str(archive), "--spec", str(bad), *run_dirs(tmp_path)])
+    rc = main(["grade", str(archive), "--spec", str(bad), *run_dirs(tmp_path, REFUSED_LOG)])
     err = capsys.readouterr().err
     assert rc == 2
+    assert nothing_logged(tmp_path)
     assert "invalid assignment spec" in err
 
 
@@ -160,9 +171,10 @@ def test_batch_prints_summary_and_quarantines(tmp_path, capsys):
 
 
 def test_batch_missing_inbox_is_a_usage_error(tmp_path, capsys):
-    rc = main(["batch", str(tmp_path / "nowhere"), "--spec", str(SPEC_PATH), *run_dirs(tmp_path)])
+    rc = main(["batch", str(tmp_path / "nowhere"), "--spec", str(SPEC_PATH), *run_dirs(tmp_path, REFUSED_LOG)])
     err = capsys.readouterr().err
     assert rc == 2
+    assert nothing_logged(tmp_path)
     assert "no such inbox" in err
 
 
@@ -172,10 +184,11 @@ def test_batch_of_the_quarantine_is_a_usage_error_and_moves_nothing(tmp_path, ca
     (quarantine / "Ada_Lovelace_3.zip.reason.txt").write_text("corrupt-archive\n", encoding="utf-8")
     before = {path.name: path.read_bytes() for path in quarantine.iterdir()}
 
-    rc = main(["batch", str(quarantine), "--spec", str(SPEC_PATH), *run_dirs(tmp_path)])
+    rc = main(["batch", str(quarantine), "--spec", str(SPEC_PATH), *run_dirs(tmp_path, REFUSED_LOG)])
     err = capsys.readouterr().err
 
     assert rc == 2
+    assert nothing_logged(tmp_path)
     assert "inbox must be distinct" in err
     assert {path.name: path.read_bytes() for path in quarantine.iterdir()} == before
     assert not (tmp_path / "reports").exists()
@@ -204,10 +217,11 @@ def test_watch_rejects_sub_second_interval(tmp_path, capsys):
     inbox = tmp_path / "inbox"
     inbox.mkdir()
     rc = main([
-        "watch", str(inbox), "--spec", str(SPEC_PATH), "--interval", "0.5", *run_dirs(tmp_path),
+        "watch", str(inbox), "--spec", str(SPEC_PATH), "--interval", "0.5", *run_dirs(tmp_path, REFUSED_LOG),
     ])
     err = capsys.readouterr().err
     assert rc == 2
+    assert nothing_logged(tmp_path)
     assert "at least 1 second" in err
     assert "watching" not in err
 
@@ -220,9 +234,10 @@ def test_watch_rejects_an_interval_that_is_not_finite(tmp_path, capsys, monkeypa
     monkeypatch.setattr(gradepipe.pipeline.GradingSession, "watch_inbox", watch_inbox)
     inbox = tmp_path / "inbox"
     inbox.mkdir()
-    rc = main(["watch", str(inbox), "--spec", str(SPEC_PATH), "--interval", interval, *run_dirs(tmp_path)])
+    rc = main(["watch", str(inbox), "--spec", str(SPEC_PATH), "--interval", interval, *run_dirs(tmp_path, REFUSED_LOG)])
     err = capsys.readouterr().err
     assert rc == 2
+    assert nothing_logged(tmp_path)
     assert "must be finite" in err
     assert "watching" not in err
 

@@ -1,7 +1,9 @@
 import io
 import lzma
 import os
+import pwd
 import random
+import socket
 import struct
 import zipfile
 
@@ -17,6 +19,7 @@ from gradepipe.ingest import (
     MalformedName,
     SubmissionIdentity,
     SubmissionRecord,
+    archive_owner,
     extract_archive,
     parse_submission_filename,
     quarantine_archive,
@@ -438,6 +441,17 @@ def test_scan_treats_any_error_in_the_entry_check_as_not_whole(settling, monkeyp
     assert not ingest._is_whole_zip(upload, (stat.st_size, stat.st_mtime))
 
 
+def test_scan_waits_the_window_for_a_link_to_a_whole_zip(settling, clock):
+    scanner, upload = settling
+    target = upload.parent.parent / "elsewhere.zip"
+    target.write_bytes(PLAIN)
+    _stamp(target, 1000.0)
+    upload.unlink()
+    upload.symlink_to(target)
+    assert _poll_at(scanner, clock, 0.0) == [], "a link is never read as a whole zip"
+    assert _handed_at(scanner, clock, (0.25, 0.5, 0.75, 1.0)) == 1.0
+
+
 def test_a_zip_that_changed_since_its_listing_is_not_whole(settling):
     scanner, upload = _upload(settling, PLAIN)
     stat = upload.stat()
@@ -669,6 +683,18 @@ def test_quarantine_moves_archive_and_writes_reason(tmp_path):
     assert reason == "corrupt-archive\n"
 
 
+@pytest.mark.skipif(os.geteuid() != 0, reason="only root can give a link an owner other than itself")
+def test_archive_owner_is_the_owner_of_a_link_not_of_its_target(tmp_path):
+    target = tmp_path / "Ada_Lovelace_3.zip"
+    target.write_bytes(b"junk")
+    link = tmp_path / "Eve_Mallory_3.zip"
+    link.symlink_to(target)
+    nobody = pwd.getpwnam("nobody")
+    os.lchown(link, nobody.pw_uid, -1)
+    assert archive_owner(link) == "nobody"
+    assert archive_owner(target) == pwd.getpwuid(os.geteuid()).pw_name
+
+
 def test_quarantine_keeps_earlier_evidence(tmp_path):
     quarantine = tmp_path / "quarantine"
     for round_number in (1, 2):
@@ -678,3 +704,21 @@ def test_quarantine_keeps_earlier_evidence(tmp_path):
     names = sorted(p.name for p in quarantine.iterdir())
     assert "Bad.zip" in names
     assert "Bad.zip.2" in names
+
+
+def test_quarantine_keeps_an_earlier_link_whose_target_is_gone(tmp_path):
+    quarantine = tmp_path / "quarantine"
+    link = tmp_path / "Eve_Mallory_3.zip"
+    link.symlink_to(tmp_path / "gone.zip")
+    quarantine_archive(link, "not-a-regular-file", quarantine)
+    link.write_bytes(b"junk")
+    quarantine_archive(link, "corrupt-archive", quarantine)
+    assert (quarantine / "Eve_Mallory_3.zip").is_symlink()
+    assert (quarantine / "Eve_Mallory_3.zip.2").read_bytes() == b"junk"
+
+
+def test_extract_rejects_a_socket(tmp_path):
+    with socket.socket(socket.AF_UNIX) as listener:
+        listener.bind(str(tmp_path / "s.zip"))
+        assert rejection(tmp_path / "s.zip", tmp_path / "ws") == "not-a-regular-file"
+    assert not (tmp_path / "ws").exists()

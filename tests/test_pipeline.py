@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import stat
 import threading
 import time
 import zipfile
@@ -117,6 +118,46 @@ def test_corrupt_archive_is_quarantined(leap_spec, session_factory, tmp_path):
     assert report.detail == "corrupt-archive"
     assert (session.quarantine_dir / "Greta_Garbo_3.zip").exists()
     assert list(session.workspace_root.glob("Greta_Garbo_3.*")) == [], "a build dir was left"
+
+
+def test_a_symlink_upload_is_quarantined_not_graded_as_its_target(leap_spec, session_factory, tmp_path):
+    private = drop(tmp_path / "private", "Ada_Lovelace_3.zip", {"main.cpp": source("leap_nested.cpp")})
+    private.chmod(0o600)
+    inbox = tmp_path / "inbox"
+    inbox.mkdir()
+    link = inbox / "Eve_Mallory_3.zip"
+    link.symlink_to(os.path.relpath(private, inbox))
+    session = session_factory(leap_spec)
+
+    report = session.grade_archive(link)
+
+    assert (report.status, report.detail, report.score) == (ReportStatus.QUARANTINED, "not-a-regular-file", None)
+    moved = session.quarantine_dir / "Eve_Mallory_3.zip"
+    assert moved.is_symlink(), "the link itself is the evidence"
+    assert (session.quarantine_dir / "Eve_Mallory_3.zip.reason.txt").read_text() == "not-a-regular-file\n"
+    assert private.is_file() and not link.exists()
+
+
+def test_a_fifo_upload_is_quarantined_without_waiting_for_a_writer(leap_spec, session_factory, tmp_path):
+    inbox = tmp_path / "inbox"
+    inbox.mkdir()
+    fifo = inbox / "Eve_Mallory_3.zip"
+    os.mkfifo(fifo)
+    session = session_factory(leap_spec)
+    reports = []
+    grading = threading.Thread(target=lambda: reports.append(session.grade_archive(fifo)))
+    grading.start()
+    grading.join(timeout=10)
+    hung = grading.is_alive()
+    if hung:  # a writer's open releases the reader's, and the read then sees EOF
+        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        grading.join()
+
+    assert not hung, "grading blocked opening the FIFO"
+    [report] = reports
+    assert (report.status, report.detail) == (ReportStatus.QUARANTINED, "not-a-regular-file")
+    assert stat.S_ISFIFO((session.quarantine_dir / "Eve_Mallory_3.zip").lstat().st_mode)
+    assert kinds(session) == ["received", "quarantined"]
 
 
 # Uploads whose ZIP_LZMA entry has damaged properties or data: zipfile raises lzma.LZMAError reading them.
