@@ -313,30 +313,26 @@ class PrecompiledHeaders:
         except OSError:
             return False
         # The wrapper lives outside the include directory: found there, it
-        # would include itself.
+        # would include itself. The build writes the .gch in place: include_dir
+        # hands the directory out only once the build succeeded, so what a
+        # failed or killed build leaves is never read, and close() removes it.
         wrapper = Path("wrap", PCH_HEADER)
-        target = self._dir / "include" / f"{PCH_HEADER}.gch"
-        partial = target.with_name(target.name + ".tmp")
+        target = Path("include", f"{PCH_HEADER}.gch")
         try:
             (self._dir / wrapper).parent.mkdir()
             (self._dir / wrapper).write_text(f"#include <{PCH_HEADER}>\n", encoding="utf-8")
-            target.parent.mkdir()
+            (self._dir / target).parent.mkdir()
             # A build that prints anything is not used, so its first output ends it.
             exit_code, _ = run_child(
-                profile.expand(["-x", "c++-header", str(wrapper)], str(partial.relative_to(self._dir))),
+                profile.expand(["-x", "c++-header", str(wrapper)], str(target)),
                 self._dir,
                 profile.timeout_secs,
                 lambda chunk: False,
                 merge_stderr=True,
             )
-            if exit_code != 0 or not partial.is_file():
-                return False
-            os.replace(partial, target)
-            return True
         except OSError:
             return False
-        finally:
-            partial.unlink(missing_ok=True)
+        return exit_code == 0 and (self._dir / target).is_file()
 
     def close(self) -> None:
         """Remove the PCH directory, if one was made."""

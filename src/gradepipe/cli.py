@@ -20,6 +20,7 @@ repeated signal changes nothing; only SIGKILL abandons work in flight.
 from __future__ import annotations
 
 import argparse
+import os
 import signal
 import sys
 import threading
@@ -127,8 +128,12 @@ def _check_inputs(args: argparse.Namespace) -> None:
     """Raise ValueError for an input the command refuses, before anything is opened or written."""
     session_dirs = (args.workspace_dir, args.reports_dir, args.quarantine_dir)
     if args.command == "grade":
-        if not args.archive.is_file():
+        # Only a path that is not there or is a directory is refused: anything else, a FIFO or a link say,
+        # is graded as batch would grade it, and quarantined if it is not a regular file.
+        if not os.path.lexists(args.archive):
             raise ValueError(f"no such archive: {args.archive}")
+        if args.archive.is_dir() and not args.archive.is_symlink():
+            raise ValueError(f"a directory, not an archive: {args.archive}")
         # Refused, moving nothing, as batch would leave it where it is.
         if args.archive.suffix.lower() != ARCHIVE_SUFFIX:
             raise ValueError(f"not a {ARCHIVE_SUFFIX} archive: {args.archive}")

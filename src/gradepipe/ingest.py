@@ -272,9 +272,16 @@ def _is_whole_zip(path: Path, stamp: FileStamp) -> bool:
 
 
 def list_inbox(inbox: Path) -> list[Path]:
-    """The files in ``inbox`` in name order; InboxUnreadable if it cannot be listed."""
+    """Every entry of ``inbox`` that is not itself a directory, in name order; InboxUnreadable if it cannot be listed.
+
+    A symbolic link (dangling or not), a FIFO or a socket is listed like a
+    file, so it reaches :func:`_open_upload`, which refuses it. Where the
+    filesystem reports entry types in the directory read, as Linux local
+    filesystems do, no entry is stat'ed.
+    """
     try:
-        return sorted(path for path in inbox.iterdir() if path.is_file())
+        with os.scandir(inbox) as entries:
+            return sorted(inbox / entry.name for entry in entries if not entry.is_dir(follow_symlinks=False))
     except OSError as exc:
         raise InboxUnreadable(f"cannot list inbox {inbox}: {exc}") from exc
 
@@ -282,49 +289,50 @@ def list_inbox(inbox: Path) -> list[Path]:
 class InboxScanner:
     """Repeated listing of an inbox for uploads that have settled.
 
-    A file is ready at the first listing that sees its (size, mtime) stamp
-    if its bytes are a whole zip whose entries pass their CRC check (see
-    :func:`_is_whole_zip`, run once per name and stamp). Anything else,
-    partial, corrupt, over budget or no zip, is ready once its stamp matches
-    the previous listing and has been shown for ``settle_secs`` seconds of
+    Each entry :func:`list_inbox` returns is stamped with the (size, mtime)
+    of its ``lstat``, so a link, a FIFO or a socket is stamped as itself. An
+    entry is ready at the first listing that sees its stamp if its bytes are
+    a whole zip whose entries pass their CRC check (see :func:`_is_whole_zip`,
+    run once per name and stamp). Anything else, partial, corrupt, over
+    budget, no zip or not a regular file, is ready once its stamp matches the
+    previous listing and has been shown for ``settle_secs`` seconds of
     ``time.monotonic()`` since the first listing that saw it; any stamp
-    change restarts the window. A file is handed out once per distinct stamp
-    while it stays in the inbox: a resubmission under the same name gets a
-    fresh stamp and is handed out again. All state is keyed by the names of
-    the latest listing, so a file that leaves the inbox leaves nothing behind.
+    change restarts the window. An entry is handed out once per distinct
+    stamp while it stays in the inbox: a resubmission under the same name
+    gets a fresh stamp and is handed out again. The one record per name is
+    keyed by the names of the latest listing, so an entry that leaves the
+    inbox leaves nothing behind.
     """
 
     def __init__(self, inbox: Path, settle_secs: float):
         self.inbox = inbox
         self.settle_secs = settle_secs
-        # name -> (stamp, monotonic time of the first listing with that stamp)
-        self._observed: dict[str, tuple[FileStamp, float]] = {}
-        self._handed: dict[str, FileStamp] = {}
+        # name -> (stamp, monotonic time of the first listing with that stamp, handed out at that stamp)
+        self._seen: dict[str, tuple[FileStamp, float, bool]] = {}
 
     def poll(self) -> list[Path]:
-        """One pass over the inbox; returns the newly ready files in name order."""
+        """One pass over the inbox; returns the newly ready entries in name order."""
         now = time.monotonic()
-        entries = list_inbox(self.inbox)
         ready: list[Path] = []
-        observed: dict[str, tuple[FileStamp, float]] = {}
-        handed: dict[str, FileStamp] = {}
-        for path in entries:
+        seen: dict[str, tuple[FileStamp, float, bool]] = {}
+        for path in list_inbox(self.inbox):
             try:
-                stat = path.stat()
+                entry = path.lstat()
             except OSError:
                 # Vanished between listing and stat; pretend we never saw it.
                 continue
-            stamp: FileStamp = (stat.st_size, stat.st_mtime)
-            previous = self._observed.get(path.name)
-            unchanged = previous is not None and previous[0] == stamp
-            first_seen = previous[1] if unchanged else now
-            observed[path.name] = (stamp, first_seen)
-            if self._handed.get(path.name) == stamp:
-                handed[path.name] = stamp
-            elif (now - first_seen >= self.settle_secs) if unchanged else _is_whole_zip(path, stamp):
+            stamp: FileStamp = (entry.st_size, entry.st_mtime)
+            record = self._seen.get(path.name)
+            if record is not None and record[0] == stamp:
+                _, first_seen, handed = record
+                ready_now = not handed and now - first_seen >= self.settle_secs
+            else:
+                first_seen, handed = now, False
+                ready_now = _is_whole_zip(path, stamp)
+            if ready_now:
                 ready.append(path)
-                handed[path.name] = stamp
-        self._observed, self._handed = observed, handed
+            seen[path.name] = (stamp, first_seen, handed or ready_now)
+        self._seen = seen
         return ready
 
 

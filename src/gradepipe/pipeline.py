@@ -30,7 +30,7 @@ import select
 import shutil
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -108,8 +108,9 @@ def check_inbox(inbox: Path, session_dirs: Iterable[Path], poll_interval: float 
 
 
 def _same_file(path: Path, stat: os.stat_result) -> bool:
+    """Whether the entry at ``path`` itself is the file ``stat`` describes; a link to it is not."""
     try:
-        return os.path.samestat(path.stat(), stat)
+        return os.path.samestat(path.lstat(), stat)
     except OSError:  # gone since it was listed
         return False
 
@@ -383,9 +384,11 @@ class GradingSession:
     def _run(self, listings: Iterable[list[Path]], stop: threading.Event) -> BatchSummary:
         """Grade each listing's archives on up to ``jobs`` workers, in listing order, and return counts.
 
-        A ``.zip`` is stamped as it is listed; any other file is logged as
+        A ``.zip`` is stamped as it is listed; any other entry is logged as
         ignored, except the session's own log, which is skipped. Finished
-        submissions are counted after each listing. A run ends only through
+        submissions are counted after each listing and then as each of the
+        rest finishes; a report is dropped once it is counted, so a run holds
+        only the reports it has not counted yet. A run ends only through
         ``stop`` and its own ``halt``: once either is set (``halt`` by a task
         that raised, or on the way out), no task starts; those in flight
         finish. An exception raised while it waits (Ctrl-C, where the caller
@@ -403,7 +406,15 @@ class GradingSession:
                 halt.set()
                 raise
 
-        in_flight: list[Future[AssessmentReport | None]] = []
+        pending: set[Future[AssessmentReport | None]] = set()
+
+        def count(timeout: float | None) -> None:
+            """Count what has finished, waiting up to ``timeout`` seconds (None: without limit) for the first."""
+            nonlocal pending
+            done, pending = wait(pending, timeout, FIRST_COMPLETED)
+            while done:  # one at a time, so each report is freed before the next is counted
+                summary.record(done.pop().result())
+
         executor = ThreadPoolExecutor(max_workers=self.jobs)
         try:
             for listing in listings:
@@ -411,15 +422,13 @@ class GradingSession:
                     if _same_file(path, self._log_stat):
                         continue
                     if _is_archive(path):
-                        in_flight.append(executor.submit(start, path, self._receive()))
+                        pending.add(executor.submit(start, path, self._receive()))
                     else:
                         self.log.append(EVENT_IGNORED, utc_now(), archive=path.name, reason="not-a-zip-archive")
                         summary.ignored += 1
-                for future in [future for future in in_flight if future.done()]:
-                    in_flight.remove(future)
-                    summary.record(future.result())
-            for future in in_flight:
-                summary.record(future.result())
+                count(0)
+            while pending:
+                count(None)
         finally:
             halt.set()  # left early (an unwritable log, an exception while waiting): start nothing queued
             executor.shutdown()
@@ -445,14 +454,6 @@ class GradingSession:
         finally:
             self._pch.expect(None)
 
-    def check_watch_inputs(self, inbox: Path, poll_interval: float) -> Path:
-        """Return the absolute inbox that :meth:`watch_inbox` would poll.
-
-        Raises ValueError for a poll interval that is not a finite number of
-        at least ``MIN_POLL_INTERVAL`` seconds, or an inbox that ``run_batch`` refuses.
-        """
-        return check_inbox(inbox, (self.workspace_root, self.reports_dir, self.quarantine_dir), poll_interval)
-
     def watch_inbox(
         self,
         inbox: Path,
@@ -473,10 +474,11 @@ class GradingSession:
         report is superseded. Each listing also counts the submissions that
         have finished since the last one, so an unwritable audit log raises
         :class:`GradingLogError` within a quarter interval. It stops as
-        :meth:`run_batch` does, and raises ValueError when
-        :meth:`check_watch_inputs` does.
+        :meth:`run_batch` does. Raises ValueError, opening nothing, for a poll
+        interval that is not a finite number of at least ``MIN_POLL_INTERVAL``
+        seconds, or an inbox that ``run_batch`` refuses.
         """
-        inbox = self.check_watch_inputs(inbox, poll_interval)
+        inbox = check_inbox(inbox, (self.workspace_root, self.reports_dir, self.quarantine_dir), poll_interval)
         stop = stop or threading.Event()
         scanner = InboxScanner(inbox, settle_secs=poll_interval)
         events = _inbox_events(inbox)

@@ -640,6 +640,24 @@ def test_a_timed_out_header_build_leaves_no_process_behind(tmp_path):
     pch.close()
 
 
+@pytest.mark.usefixtures("no_inherited_include_path", "build_on_first_use")
+def test_a_header_build_killed_by_its_first_output_leaves_no_pch_in_use(tmp_path):
+    # The build writes its .gch in place, here before it prints: the file stays until close(), unused.
+    profile, log = stub_compiler(tmp_path, header_step=': > "$out"; echo "warning: noisy"; sleep 30')
+    root = tmp_path / "root"
+    pch = PrecompiledHeaders(root)
+    start = time.monotonic()
+    for name in ("a", "b"):
+        assert compile_workspace(workspace_with(root, name, IOSTREAM_MAIN), profile, ["main.cpp"], pch).succeeded
+    assert time.monotonic() - start < 5.0, "the build is killed at its first output"
+    assert calls(log) == ["version", "build wrap/iostream", "compile unset", "compile unset"]
+    (pch_dir,) = root.glob(".pch-*")
+    assert (pch_dir / "include" / "iostream.gch").is_file()
+    assert pch.include_dir(profile) is None
+    pch.close()
+    assert list(root.glob(".pch-*")) == []
+
+
 def _rewrite_in_place(include):
     # Same inode, size and mtime: only the ctime tells.
     gch = include / "iostream.gch"

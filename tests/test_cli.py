@@ -143,6 +143,35 @@ def test_grade_of_a_file_that_is_not_a_zip_is_a_usage_error_and_moves_nothing(tm
     assert not (tmp_path / "quarantine").exists()
 
 
+def test_grade_of_a_fifo_prints_a_quarantined_report(tmp_path, capsys):
+    fifo = tmp_path / "Fi_Fo_3.zip"
+    os.mkfifo(fifo)
+
+    rc = main(["grade", str(fifo), "--spec", str(SPEC_PATH), *run_dirs(tmp_path)])
+    out = capsys.readouterr().out
+
+    assert rc == 0
+    assert "Status:     Quarantined" in out
+    assert "Detail:     not-a-regular-file" in out
+    assert not os.path.lexists(fifo)
+    assert (tmp_path / "quarantine" / "Fi_Fo_3.zip.reason.txt").read_text() == "not-a-regular-file\n"
+
+
+def test_grade_of_a_directory_is_a_usage_error_and_moves_nothing(tmp_path, capsys):
+    directory = tmp_path / "X_Y_3.zip"
+    directory.mkdir()
+    (directory / "main.cpp").write_text(source("leap_fast.cpp"), encoding="utf-8")
+
+    rc = main(["grade", str(directory), "--spec", str(SPEC_PATH), *run_dirs(tmp_path, REFUSED_LOG)])
+    err = capsys.readouterr().err
+
+    assert rc == 2
+    assert nothing_logged(tmp_path)
+    assert "a directory, not an archive" in err
+    assert [path.name for path in directory.iterdir()] == ["main.cpp"]
+    assert not (tmp_path / "quarantine").exists()
+
+
 def test_grade_with_bad_spec_is_a_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("assignment: nope\n", encoding="utf-8")

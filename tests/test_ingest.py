@@ -185,6 +185,19 @@ def test_scan_ignores_directories_and_orders_output(tmp_path):
     assert scanner.poll() == [a, b]
 
 
+def test_list_inbox_takes_every_entry_that_is_not_itself_a_directory(tmp_path):
+    inbox = tmp_path / "inbox"
+    (inbox / "subdir").mkdir(parents=True)
+    (inbox / "file.zip").write_bytes(b"x")
+    (inbox / "dangling.zip").symlink_to(tmp_path / "gone.zip")
+    (inbox / "to-dir.zip").symlink_to(inbox / "subdir")
+    os.mkfifo(inbox / "fifo.zip")
+    with socket.socket(socket.AF_UNIX) as listener:
+        listener.bind(str(inbox / "socket.zip"))
+    names = ["dangling.zip", "fifo.zip", "file.zip", "socket.zip", "to-dir.zip"]
+    assert ingest.list_inbox(inbox) == [inbox / name for name in names]
+
+
 def test_scan_unreadable_inbox_raises(tmp_path):
     with pytest.raises(InboxUnreadable):
         InboxScanner(tmp_path / "missing", settle_secs=0).poll()
@@ -450,6 +463,25 @@ def test_scan_waits_the_window_for_a_link_to_a_whole_zip(settling, clock):
     upload.symlink_to(target)
     assert _poll_at(scanner, clock, 0.0) == [], "a link is never read as a whole zip"
     assert _handed_at(scanner, clock, (0.25, 0.5, 0.75, 1.0)) == 1.0
+
+
+def _dangling_link(path):
+    path.symlink_to(path.with_name("gone.zip"))
+
+
+def _socket(path):
+    with socket.socket(socket.AF_UNIX) as listener:
+        listener.bind(str(path))  # the socket file outlives the socket
+
+
+@pytest.mark.parametrize("make", [_dangling_link, os.mkfifo, _socket], ids=["dangling-link", "fifo", "socket"])
+def test_scan_hands_an_upload_that_is_not_a_regular_file_out_after_the_window(settling, clock, make):
+    scanner, upload = settling
+    upload.unlink()
+    make(upload)
+    assert _poll_at(scanner, clock, 0.0) == []
+    assert _handed_at(scanner, clock, (0.25, 0.5, 0.75, 1.0)) == 1.0
+    assert _poll_at(scanner, clock, 1.25) == [], "handed out once"
 
 
 def test_a_zip_that_changed_since_its_listing_is_not_whole(settling):

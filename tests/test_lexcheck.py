@@ -296,6 +296,8 @@ def test_matcher_agrees_with_re_and_refmatch():
             alphabet = TEXT_ALPHABET
         for _ in range(3):
             text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 16)))
+            if not text and r"\B" in pattern:
+                continue  # re's verdict changed in Python 3.14; the test of \B above pins the matcher's
             expected = re.search(pattern, text) is not None
             assert verdict(pattern, text) == expected, (pattern, text)
             # refmatch knows only the dialect, and rejects a "^" anywhere in a

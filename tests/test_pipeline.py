@@ -1,15 +1,17 @@
 import dataclasses
 import os
+import socket
 import stat
 import threading
 import time
+import weakref
 import zipfile
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
 from gradepipe import build, ingest, pipeline
-from gradepipe.assess import GradingLogError, ReportStatus, read_log_events
+from gradepipe.assess import AssessmentReport, GradingLogError, ReportStatus, read_log_events
 from gradepipe.blackbox import SpawnFailure
 from gradepipe.build import CompilerProfile
 from gradepipe.specfile import load_spec
@@ -616,6 +618,61 @@ def test_build_dirs_are_removed_once_their_submissions_end(leap_spec, session_fa
     assert [path.name for path in session.workspace_root.iterdir() if not path.name.startswith(".pch-")] == []
 
 
+NOT_REGULAR = ["Dan_Gling_3.zip", "Fi_Fo_3.zip", "So_Cket_3.zip"]
+
+
+def test_batch_quarantines_every_upload_that_is_not_a_regular_file(leap_spec, session_factory, tmp_path):
+    inbox = tmp_path / "inbox"
+    inbox.mkdir()
+    (inbox / "Dan_Gling_3.zip").symlink_to(tmp_path / "gone.zip")
+    os.mkfifo(inbox / "Fi_Fo_3.zip")
+    os.mkfifo(inbox / "notes.txt")
+    session = session_factory(leap_spec)
+    outcome = {}
+    with socket.socket(socket.AF_UNIX) as listener:
+        listener.bind(str(inbox / "So_Cket_3.zip"))
+        # A daemon, so a batch blocked on a FIFO fails the test rather than hanging the run.
+        batch = threading.Thread(target=lambda: outcome.update(summary=session.run_batch(inbox)), daemon=True)
+        batch.start()
+        batch.join(timeout=20)
+        assert not batch.is_alive(), "the batch blocked on an upload"
+
+    summary = outcome["summary"]
+    assert (summary.graded, summary.quarantined, summary.errored, summary.ignored) == (0, 3, 0, 1)
+    events = sorted((event["kind"], event["archive"], event.get("reason")) for event in read_log_events(session.log.path))
+    assert events == sorted(
+        [("received", name, None) for name in NOT_REGULAR]
+        + [("quarantined", name, "not-a-regular-file") for name in NOT_REGULAR]
+        + [("ignored", "notes.txt", "not-a-zip-archive")]
+    )
+    assert sorted(path.name for path in inbox.iterdir()) == ["notes.txt"]
+    for name in NOT_REGULAR:
+        assert os.path.lexists(session.quarantine_dir / name), f"{name} was not moved aside itself"
+
+
+def test_a_batch_holds_no_report_it_has_counted(leap_spec, session_factory, tmp_path, monkeypatch):
+    session = session_factory(leap_spec, jobs=1)
+    inbox = tmp_path / "inbox"
+    inbox.mkdir()
+    for number in range(6):
+        (inbox / f"Ada_Lovelace_{number}.zip").write_bytes(b"")
+    counted, alive = [], []
+    record = pipeline.BatchSummary.record
+
+    def graded_at_once(path, received_at=None):
+        return AssessmentReport(None, path.name, received_at.at, status=ReportStatus.GRADED)
+
+    def count(summary, report):
+        alive.append(sum(ref() is not None for ref in counted))
+        counted.append(weakref.ref(report))
+        record(summary, report)
+
+    monkeypatch.setattr(session, "grade_archive", graded_at_once)
+    monkeypatch.setattr(pipeline.BatchSummary, "record", count)
+    assert session.run_batch(inbox).graded == 6
+    assert alive == [0] * 6, "a report outlived its count"
+
+
 def test_batch_never_lists_its_own_log(leap_spec, session_factory, tmp_path):
     inbox = tmp_path / "inbox"
     drop(inbox, "Fast_Fred_3.zip", {"main.cpp": source("leap_fast.cpp")})
@@ -626,6 +683,20 @@ def test_batch_never_lists_its_own_log(leap_spec, session_factory, tmp_path):
 
     assert (summary.graded, summary.ignored) == (1, 0)
     assert "ignored" not in kinds(session)
+
+
+def test_a_link_to_the_log_is_an_upload_like_any_other(leap_spec, session_factory, tmp_path):
+    inbox = tmp_path / "inbox"
+    inbox.mkdir()
+    session = session_factory(leap_spec)
+    (inbox / "Lo_G_3.zip").symlink_to(session.log.path)
+    (inbox / "notes.txt").symlink_to(session.log.path)
+
+    summary = session.run_batch(inbox)
+
+    assert (summary.quarantined, summary.ignored) == (1, 1)
+    assert (session.quarantine_dir / "Lo_G_3.zip").is_symlink()
+    assert session.log.path.is_file() and not session.log.path.is_symlink(), "the log itself stays where it is"
 
 
 def test_batch_of_empty_inbox_is_a_quiet_noop(leap_spec, session_factory, tmp_path):
@@ -776,7 +847,7 @@ def test_watch_inbox_rejects_an_interval_that_is_not_finite(leap_spec, session_f
     inbox = tmp_path / "inbox"
     inbox.mkdir()
     with pytest.raises(ValueError, match="finite"):
-        session.check_watch_inputs(inbox, interval)
+        pipeline.check_inbox(inbox, (), interval)
     stopped = threading.Event()
     stopped.set()  # a watcher that wrongly accepts the interval returns at once
     with pytest.raises(ValueError, match="finite"):
@@ -1035,6 +1106,22 @@ def test_watch_survives_uploads_that_fail_while_they_are_read(leap_spec, session
     assert (summary.graded, summary.quarantined, summary.errored) == (1, 2, 0)
     for name in LZMA_DAMAGE:
         assert (session.quarantine_dir / f"{name}.reason.txt").read_text() == "corrupt-archive\n"
+
+
+def test_watch_quarantines_a_dangling_link_once_its_window_has_passed(leap_spec, session_factory, tmp_path, monkeypatch):
+    session = session_factory(leap_spec)
+    inbox = tmp_path / "inbox"
+    inbox.mkdir()
+    watcher = _Watcher(session, inbox, 1.0, monkeypatch)
+    try:
+        (inbox / "Dan_Gling_3.zip").symlink_to(tmp_path / "gone.zip")
+        assert _wait_for(session.quarantine_dir / "Dan_Gling_3.zip.reason.txt", 15.0), "the link was never quarantined"
+    finally:
+        watcher.finish()
+    assert watcher.outcome["summary"].quarantined == 1
+    assert (session.quarantine_dir / "Dan_Gling_3.zip").is_symlink()
+    assert (session.quarantine_dir / "Dan_Gling_3.zip.reason.txt").read_text() == "not-a-regular-file\n"
+    assert kinds(session) == ["received", "quarantined"]
 
 
 def test_watch_grades_a_settled_upload(leap_spec, session_factory, tmp_path):
