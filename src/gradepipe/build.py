@@ -3,12 +3,14 @@
 The compiler is described by a command template rather than hard-coded, so a
 course can swap g++ flags or an entirely different toolchain per assignment.
 Compilation runs with the workspace as the working directory and sources
-given as relative paths; diagnostics therefore never leak absolute paths and
-identical submissions produce byte-identical diagnostics wherever they are
-graded.
+given as relative paths, and each randomly named object file GCC makes in its
+temporary directory is named ``ccXXXXXX.o`` wherever the linker quotes it;
+diagnostics therefore never leak absolute paths and identical submissions
+produce byte-identical diagnostics wherever they are graded.
 
-Parsing ``<iostream>`` is most of the compile time of a small program, so a
-session can precompile it once with the assignment's own command; see
+Parsing ``<iostream>`` and linking with ``ld.bfd`` are most of the compile
+time of a small program, so a session can precompile ``<iostream>`` once with
+the assignment's own command and link those compiles with ``ld.gold``; see
 :class:`PrecompiledHeaders`.
 """
 
@@ -25,7 +27,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .child import argument_problem, run_child
 
@@ -66,6 +68,17 @@ PCH_BUILD_AFTER_SILENT = 2
 # (With --jobs 2 and all-<iostream> batches on the box above, 8 archives, so
 # 6 left at the build, came out even with no PCH; 4 lost 0.7 s; 9 or more gain.)
 PCH_BUILD_FOR_AT_LEAST = 7
+
+# Debian binutils' root-owned directory whose one entry, "ld", is ld.gold.
+# GCC's collect2 looks for "ld" in COMPILER_PATH before PATH, so naming it
+# there links with gold without changing the command.
+_GOLD_DIR = Path("/usr/lib/gold-ld")
+
+# GCC names its temporary files "<temporary directory>/ccXXXXXX.<suffix>",
+# with six random letters and digits: each translation unit's object file
+# ("ccXXXXXX.o", or "ccXXXXXX.ltrans0.ltrans.o" under -flto) is one, and the
+# linker quotes its name.
+_TEMP_NAME = "ccXXXXXX"
 
 
 class CompilerNotFound(RuntimeError):
@@ -192,21 +205,28 @@ class _CappedOutput:
         return "".join(kept) + (f"note: {omitted} lines omitted\n" if omitted else "")
 
 
-def _names_gcc(executable: str, timeout: float) -> bool:
-    """Whether ``executable --version`` reads like GCC's banner."""
+def _version_banner(executable: str, timeout: float) -> str:
+    """What ``executable --version`` prints, or "" if it cannot run or exits non-zero."""
     output = _CappedOutput()
     try:
         exit_code, _ = run_child([executable, "--version"], None, timeout, output.feed, merge_stderr=True)
     except OSError:
-        return False
+        return ""
+    return output.text() if exit_code == 0 else ""
+
+
+def _names_gcc(executable: str, timeout: float) -> bool:
+    """Whether ``executable --version`` reads like GCC's banner."""
     # "g++ (Debian 12.2.0-14) 12.2.0" ... "Free Software Foundation"; clang
     # says "clang version", and a shell's banner has no "(...) N" shape.
-    banner = output.text()
-    return (
-        exit_code == 0
-        and re.match(r"\S+ \([^)\n]*\) \d", banner) is not None
-        and "Free Software Foundation" in banner
-    )
+    banner = _version_banner(executable, timeout)
+    return re.match(r"\S+ \([^)\n]*\) \d", banner) is not None and "Free Software Foundation" in banner
+
+
+def _find_gold(timeout: float) -> Path | None:
+    """``_GOLD_DIR`` if its ``ld`` is GNU gold, else None."""
+    # "GNU gold (GNU Binutils for Debian 2.40) 1.16"; ld.bfd says "GNU ld".
+    return _GOLD_DIR if _version_banner(str(_GOLD_DIR / "ld"), timeout).startswith("GNU gold") else None
 
 
 def _includes_iostream(workspace: Path, sources: Sequence[str]) -> bool:
@@ -227,20 +247,37 @@ def _stamp(include: Path) -> tuple[int, ...] | None:
     return tuple(n for st in stats for n in (st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns))
 
 
+def _put_first(directory: Path, variable: str) -> str:
+    """The search path ``variable`` with ``directory`` first and its inherited value, if any, after it."""
+    inherited = os.environ.get(variable)
+    # An empty element would mean the working directory.
+    return os.pathsep.join([str(directory)] + ([inherited] if inherited else []))
+
+
 class PrecompiledHeaders:
-    """The precompiled ``<iostream>`` of one session, built once it pays off.
+    """The precompiled ``<iostream>`` of one session, built once it pays off, and its linker.
 
     It counts the compiles whose sources include ``<iostream>`` as silent
     (succeeded and printed nothing) or noisy. Once ``PCH_BUILD_AFTER_SILENT``
-    were silent and no more were noisy, :meth:`include_dir` builds
+    were silent and no more were noisy, :meth:`environment` builds
     ``iostream.gch`` once, with that compile's command and flags (other
     compiles run cold meanwhile), so GCC accepts it exactly where it would
     have parsed the header itself. GCC looks for ``iostream.gch`` in each
-    include directory before ``iostream``, so a compile that names the
-    returned directory first in ``CPLUS_INCLUDE_PATH`` loads it instead of
-    parsing the header. There is no PCH unless ``<compiler> --version``
-    names GCC (clang would need ``-include-pch``, which changes the command)
-    and the build exits 0 without printing anything.
+    include directory before ``iostream``, so a compile run in the returned
+    environment, which names the PCH directory first in
+    ``CPLUS_INCLUDE_PATH``, loads it instead of parsing the header. There is
+    no PCH unless ``<compiler> --version`` names GCC (clang would need
+    ``-include-pch``, which changes the command) and the build exits 0
+    without printing anything.
+
+    The same environment names ``/usr/lib/gold-ld`` first in
+    ``COMPILER_PATH`` if, when the PCH is built, ``/usr/lib/gold-ld/ld
+    --version`` says ``GNU gold``: GCC's ``collect2`` then links with gold,
+    which takes about a third of the time of ``ld.bfd``. Gold words link
+    errors differently, but only a silent compile is kept, so a link error
+    is reported from the cold rerun, in bfd's words. Without gold the
+    environment changes ``CPLUS_INCLUDE_PATH`` only. The directory is
+    root-owned and outside ``root``, so no student binary can rewrite it.
 
     A batch that knows its size bounds the compiles to come with
     :meth:`expect`, and the build is skipped when too few are left to pay it
@@ -262,9 +299,10 @@ class PrecompiledHeaders:
         self._ahead: int | None = None
         self._dir: Path | None = None
         self._stamp: tuple[int, ...] | None = None
+        self._linker: Path | None = None
 
-    def include_dir(self, profile: CompilerProfile) -> Path | None:
-        """The directory to search first for a compile that wants the PCH, or None to compile cold."""
+    def environment(self, profile: CompilerProfile) -> dict[str, str] | None:
+        """The compiler's environment for a compile that wants the PCH, or None to compile cold."""
         with self._lock:
             pays = self._silent >= PCH_BUILD_AFTER_SILENT and self._noisy <= self._silent
             enough = self._ahead is None or self._ahead >= PCH_BUILD_FOR_AT_LEAST
@@ -280,10 +318,14 @@ class PrecompiledHeaders:
         with self._lock:
             if not pays or self._stamp is None:
                 return None
-            if _stamp(self._dir / "include") != self._stamp:
+            include = self._dir / "include"
+            if _stamp(include) != self._stamp:
                 self._stamp = None
                 return None
-            return self._dir / "include"
+        env = {**os.environ, "CPLUS_INCLUDE_PATH": _put_first(include, "CPLUS_INCLUDE_PATH")}
+        if self._linker is not None:
+            env["COMPILER_PATH"] = _put_first(self._linker, "COMPILER_PATH")
+        return env
 
     def expect(self, compiles: int | None) -> None:
         """Bound the compiles still to come that may want the PCH, or lift the bound with None.
@@ -307,13 +349,14 @@ class PrecompiledHeaders:
     def _build(self, profile: CompilerProfile) -> bool:
         if not _names_gcc(profile.command[0], profile.timeout_secs):
             return False
+        self._linker = _find_gold(profile.timeout_secs)
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             self._dir = Path(tempfile.mkdtemp(prefix=".pch-", dir=self.root))
         except OSError:
             return False
         # The wrapper lives outside the include directory: found there, it
-        # would include itself. The build writes the .gch in place: include_dir
+        # would include itself. The build writes the .gch in place: environment()
         # hands the directory out only once the build succeeded, so what a
         # failed or killed build leaves is never read, and close() removes it.
         wrapper = Path("wrap", PCH_HEADER)
@@ -362,14 +405,16 @@ def compile_workspace(
     environment fault rather than a property of the submission.
 
     With ``pch``, a workspace that includes ``<iostream>`` may first be
-    compiled with the PCH directory prepended to ``CPLUS_INCLUDE_PATH`` in
-    the compiler's environment. That result is kept only if the compiler
-    exited 0, printed nothing and wrote the binary, or if it printed nothing
-    before it ran out of time: a cold compile that does that reports the
-    same. Otherwise the binary is deleted and the cold compile runs, and its
-    result is returned: under a PCH a note inside a library header names the
-    wrapper header in its include chain, not the student's file. The command
-    is the same either way.
+    compiled warm, in the environment :meth:`PrecompiledHeaders.environment`
+    hands out: the PCH directory first in ``CPLUS_INCLUDE_PATH`` and, where
+    gold is installed, gold's directory first in ``COMPILER_PATH``. That
+    result is kept only if the compiler exited 0, printed nothing and wrote
+    the binary, or if it printed nothing before it ran out of time: a cold
+    compile that does that reports the same. Otherwise the binary is deleted
+    and the cold compile runs, and its result is returned: under a PCH a
+    note inside a library header names the wrapper header in its include
+    chain, not the student's file, and gold words a link error differently
+    from bfd. The command is the same either way.
     """
     # A path that starts with "-" would reach the compiler as an option.
     sources = [f"./{name}" if name.startswith("-") else name for name in files
@@ -381,19 +426,16 @@ def compile_workspace(
     command = profile.expand(sources, OUTPUT_NAME)
     if pch is None or not _includes_iostream(workspace, sources):
         return _run_compiler(command, workspace, profile, None)
-    include_dir = pch.include_dir(profile)
-    if include_dir is not None:
-        inherited = os.environ.get("CPLUS_INCLUDE_PATH")
-        # An empty element would mean the working directory.
-        search = os.pathsep.join([str(include_dir)] + ([inherited] if inherited else []))
-        warm = _run_compiler(command, workspace, profile, {**os.environ, "CPLUS_INCLUDE_PATH": search})
+    env = pch.environment(profile)
+    if env is not None:
+        warm = _run_compiler(command, workspace, profile, env)
         silent = warm.succeeded and not warm.raw_output
         if silent or warm.raw_output == _timeout_notice(profile):  # a timeout is not run twice
             pch.record(silent=silent)
             return warm
         (workspace / OUTPUT_NAME).unlink(missing_ok=True)
     cold = _run_compiler(command, workspace, profile, None)
-    pch.record(silent=include_dir is None and cold.succeeded and not cold.raw_output)
+    pch.record(silent=env is None and cold.succeeded and not cold.raw_output)
     return cold
 
 
@@ -412,6 +454,9 @@ def _run_compiler(
     except FileNotFoundError as exc:
         raise CompilerNotFound(f"compiler executable {command[0]!r} not found") from exc
     raw = output.text()
+    if raw:
+        temp_dir = _compiler_temp_dir(workspace, os.environ if env is None else env)
+        raw = re.sub(re.escape(f"{temp_dir}/") + r"cc[0-9A-Za-z]{6}(?=\.)", _TEMP_NAME, raw)
     output_path = workspace / OUTPUT_NAME
     if timed_out:
         notice = _timeout_notice(profile)
@@ -423,3 +468,16 @@ def _run_compiler(
         raw = raw + ("\n" if raw and not raw.endswith("\n") else "") + notice
     succeeded = exit_code == 0 and not notice
     return CompileResult(succeeded, classify_diagnostics(raw), output_path if succeeded else None, raw)
+
+
+def _compiler_temp_dir(workspace: Path, env: Mapping[str, str]) -> str:
+    """The directory GCC, run in ``workspace`` with ``env``, makes its temporary files in.
+
+    The first of ``TMPDIR``, ``TMP``, ``TEMP``, ``/tmp``, ``/var/tmp`` and
+    ``/usr/tmp`` that the compiler may read, write and search, as libiberty's
+    ``choose_tmpdir`` picks it, or "." if none.
+    """
+    for directory in (env.get("TMPDIR"), env.get("TMP"), env.get("TEMP"), "/tmp", "/var/tmp", "/usr/tmp"):
+        if directory and os.access(workspace / directory, os.R_OK | os.W_OK | os.X_OK):
+            return directory
+    return "."

@@ -5,12 +5,17 @@ from __future__ import annotations
 import io
 import json
 import os
+import subprocess
 import time
 import zipfile
 from pathlib import Path
 
 DATA_DIR = Path(__file__).parent / "data"
 SPEC_PATH = DATA_DIR / "assignment3.yaml"
+
+# Where Debian binutils puts ld.gold as "ld", for GCC to find through COMPILER_PATH.
+GOLD_DIR = "/usr/lib/gold-ld"
+NO_GOLD = f"{GOLD_DIR}/ld is not GNU gold here, so warm compiles link with the default ld"
 
 
 def source(name: str) -> str:
@@ -62,11 +67,20 @@ def is_terminal(event: dict) -> bool:
     return event["kind"] in ("graded", "quarantined", "errored") or "status" in event
 
 
+def has_gold() -> bool:
+    """Whether ``GOLD_DIR/ld --version`` opens with GNU gold's banner."""
+    try:
+        completed = subprocess.run([f"{GOLD_DIR}/ld", "--version"], capture_output=True, text=True, timeout=30)
+    except OSError:
+        return False
+    return completed.returncode == 0 and completed.stdout.startswith("GNU gold")
+
+
 def built_pch(pch, profile) -> Path:
     """Build the PCH as a compile that wants it would, and return its include directory."""
-    include = pch.include_dir(profile)
-    assert include is not None, "the precompiled header was not built"
-    return include
+    env = pch.environment(profile)
+    assert env is not None, "the precompiled header was not built"
+    return Path(env["CPLUS_INCLUDE_PATH"].split(os.pathsep)[0])
 
 
 def wait_until_dead(pid: int, within: float = 1.0) -> bool:

@@ -27,7 +27,7 @@ from gradepipe.build import (
     compile_workspace,
 )
 
-from support import DATA_DIR, source, built_pch, wait_until_dead
+from support import DATA_DIR, GOLD_DIR, NO_GOLD, source, built_pch, has_gold, wait_until_dead
 
 GXX = CompilerProfile(command=("g++", "-std=c++17", "-O0", "{sources}", "-o", "{output}"))
 
@@ -165,6 +165,34 @@ def test_compile_diagnostics_use_relative_paths(tmp_path):
         assert str(workspace) not in result.raw_output
         outputs.append([ (d.severity, d.text) for d in result.diagnostics ])
     assert outputs[0] == outputs[1]
+
+
+LINK_ERROR = "#include <iostream>\nint f(); int main() { return f(); }\n"
+
+
+@pytest.mark.parametrize(
+    "tmpdir, flags",
+    [(None, ()), ("{tmp}/scratch", ()), ("{tmp}/scratch/", ()), ("scratch", ()), (None, ("-flto",))],
+    ids=["inherited", "absolute", "trailing-slash", "relative", "lto"],
+)
+def test_a_link_error_reports_the_same_bytes_and_no_temporary_path(tmp_path, monkeypatch, tmpdir, flags):
+    # GCC links "<TMPDIR>/ccXXXXXX.o" with six random characters, and bfd quotes it.
+    profile = CompilerProfile(command=GXX.command[:1] + flags + GXX.command[1:])
+    if tmpdir is not None:
+        monkeypatch.setenv("TMPDIR", tmpdir.format(tmp=tmp_path))
+    (tmp_path / "scratch").mkdir()
+    outputs = []
+    for name in ("ws1", "ws2"):
+        workspace = tmp_path / name
+        (workspace / "scratch").mkdir(parents=True)  # a relative TMPDIR is the compiler's, in the workspace
+        (workspace / "main.cpp").write_text(LINK_ERROR)
+        result = compile_workspace(workspace, profile, ["main.cpp"])
+        assert not result.succeeded
+        outputs.append(result.raw_output)
+    assert outputs[0] == outputs[1]
+    assert ": ccXXXXXX." in outputs[0] and "undefined reference to" in outputs[0]
+    assert re.search(r"cc[0-9A-Za-z]{6}\.", outputs[0].replace("ccXXXXXX.", "")) is None
+    assert str(tmp_path) not in outputs[0] and "/tmp/" not in outputs[0]
 
 
 def test_compile_empty_workspace(tmp_path):
@@ -330,6 +358,7 @@ CASES = {
     "library-note": (GXX, LIBRARY_NOTE),
     "wall-warning-only": (WALL, WARNING_ONLY),
     "wall-warning-and-error": (WALL, WARNING_AND_ERROR),
+    "link-error": (GXX, LINK_ERROR),
 }
 
 
@@ -389,6 +418,9 @@ def test_diagnostics_are_identical_with_and_without_the_pch(tmp_path, monkeypatc
     assert os.path.isfile(os.path.join(include_dir, "iostream.gch"))
     # Only a silent success is kept; anything printed is reported from a cold rerun.
     assert envs[1:] == ([] if cold.succeeded and not cold.raw_output else [None])
+    if not has_gold():
+        pytest.skip(NO_GOLD)
+    assert envs[0]["COMPILER_PATH"].split(os.pathsep)[0] == GOLD_DIR
 
 
 # -- precompiled headers: lifecycle ------------------------------------------------
@@ -401,7 +433,8 @@ def stub_compiler(directory, banner=GCC_BANNER, compile_step="", header_step=":"
     """A profile whose compiler is a shell script that logs every call.
 
     ``--version`` prints ``banner``; a ``-x c++-header`` build runs
-    ``header_step`` and writes its output; a compile runs ``compile_step``,
+    ``header_step`` and writes its output; a compile logs its
+    ``CPLUS_INCLUDE_PATH`` and any ``COMPILER_PATH``, runs ``compile_step``,
     then writes ``program``. Returns the profile and the log's path.
     """
     log = directory / "calls.log"
@@ -413,7 +446,7 @@ def stub_compiler(directory, banner=GCC_BANNER, compile_step="", header_step=":"
         f"  --version) echo version >> '{log}'; printf '%s' '{banner}'; exit 0 ;;\n"
         f"  -x) echo \"build $3\" >> '{log}'; {header_step}; : > \"$out\"; exit 0 ;;\n"
         "esac\n"
-        f"echo \"compile ${{CPLUS_INCLUDE_PATH-unset}}\" >> '{log}'\n"
+        f"echo \"compile ${{CPLUS_INCLUDE_PATH-unset}}${{COMPILER_PATH+ linker $COMPILER_PATH}}\" >> '{log}'\n"
         f"{compile_step}\n"
         ': > "$out"\n',
         encoding="utf-8",
@@ -433,12 +466,24 @@ def workspace_with(root, name, text):
     return workspace
 
 
+def stub_linker(directory, banner, exit_code=0):
+    """A directory whose ``ld`` prints ``banner`` to ``--version`` and exits ``exit_code``."""
+    linker = directory / "gold-ld"
+    linker.mkdir()
+    (linker / "ld").write_text(f"#!/bin/sh\nprintf '%s\\n' '{banner}'\nexit {exit_code}\n", encoding="utf-8")
+    (linker / "ld").chmod(0o755)
+    return linker
+
+
 @pytest.fixture
-def no_inherited_include_path(monkeypatch):
+def plain_environment(tmp_path, monkeypatch):
+    """No inherited CPLUS_INCLUDE_PATH or COMPILER_PATH, and no gold: a warm compile sets the include path only."""
     monkeypatch.delenv("CPLUS_INCLUDE_PATH", raising=False)
+    monkeypatch.delenv("COMPILER_PATH", raising=False)
+    monkeypatch.setattr(build, "_GOLD_DIR", tmp_path / "no-gold")
 
 
-@pytest.mark.usefixtures("no_inherited_include_path")
+@pytest.mark.usefixtures("plain_environment")
 def test_pch_is_built_after_two_silent_compiles_that_include_iostream(tmp_path):
     profile, log = stub_compiler(tmp_path)
     root = tmp_path / "root"
@@ -455,7 +500,7 @@ def test_pch_is_built_after_two_silent_compiles_that_include_iostream(tmp_path):
     pch.close()
 
 
-@pytest.mark.usefixtures("no_inherited_include_path")
+@pytest.mark.usefixtures("plain_environment")
 def test_pch_is_built_and_used_only_while_noisy_compiles_are_no_more_than_silent(tmp_path):
     # A program that declares `unused` warns, so under the PCH it reruns cold.
     profile, log = stub_compiler(tmp_path, compile_step='grep -q unused main.cpp && echo "warning: unused"')
@@ -478,7 +523,7 @@ def test_pch_is_built_and_used_only_while_noisy_compiles_are_no_more_than_silent
     pch.close()
 
 
-@pytest.mark.usefixtures("no_inherited_include_path")
+@pytest.mark.usefixtures("plain_environment")
 @pytest.mark.parametrize(
     "expected, built",
     [
@@ -499,7 +544,7 @@ def test_pch_is_built_only_for_enough_expected_compiles(tmp_path, expected, buil
     pch.close()
 
 
-@pytest.mark.usefixtures("no_inherited_include_path", "build_on_first_use")
+@pytest.mark.usefixtures("plain_environment", "build_on_first_use")
 def test_cstdio_workspace_builds_no_pch_and_asks_no_version(tmp_path):
     profile, log = stub_compiler(tmp_path)
     root = tmp_path / "root"
@@ -510,7 +555,7 @@ def test_cstdio_workspace_builds_no_pch_and_asks_no_version(tmp_path):
     assert list(root.glob(".pch-*")) == []
 
 
-@pytest.mark.usefixtures("no_inherited_include_path", "build_on_first_use")
+@pytest.mark.usefixtures("plain_environment", "build_on_first_use")
 def test_concurrent_compiles_build_the_header_once_and_close_removes_it(tmp_path):
     # More compiles than cores, with frequent thread switches. The build
     # finishes only once some other compile has run cold, without it.
@@ -549,7 +594,7 @@ def test_concurrent_compiles_build_the_header_once_and_close_removes_it(tmp_path
     assert list(root.glob(".pch-*")) == []
 
 
-@pytest.mark.usefixtures("no_inherited_include_path", "build_on_first_use")
+@pytest.mark.usefixtures("plain_environment", "build_on_first_use")
 def test_clang_gets_no_pch(tmp_path):
     profile, log = stub_compiler(tmp_path, banner="clang version 15.0.0\nTarget: x86_64-pc-linux-gnu\n")
     root = tmp_path / "root"
@@ -563,22 +608,46 @@ def test_clang_gets_no_pch(tmp_path):
 @pytest.mark.usefixtures("build_on_first_use")
 @pytest.mark.parametrize("inherited", [None, "", "/usr/local/include", "/a:/b"])
 def test_inherited_include_path_is_kept_and_no_empty_element_added(tmp_path, monkeypatch, inherited):
-    if inherited is None:
-        monkeypatch.delenv("CPLUS_INCLUDE_PATH", raising=False)
-    else:
-        monkeypatch.setenv("CPLUS_INCLUDE_PATH", inherited)
+    # The same holds for COMPILER_PATH, which names gold first.
+    for variable in ("CPLUS_INCLUDE_PATH", "COMPILER_PATH"):
+        if inherited is None:
+            monkeypatch.delenv(variable, raising=False)
+        else:
+            monkeypatch.setenv(variable, inherited)
+    gold = stub_linker(tmp_path, "GNU gold (Stub Binutils 2.40) 1.16")
+    monkeypatch.setattr(build, "_GOLD_DIR", gold)
     profile, log = stub_compiler(tmp_path)
     root = tmp_path / "root"
     pch = PrecompiledHeaders(root)
     include = built_pch(pch, profile)
     workspace = workspace_with(root, "ws", IOSTREAM_MAIN)
     assert compile_workspace(workspace, profile, ["main.cpp"], pch).succeeded
-    expected = os.pathsep.join([str(include)] + ([inherited] if inherited else []))
-    assert calls(log)[-1] == f"compile {expected}"
+    include_path, compiler_path = (os.pathsep.join([str(first)] + ([inherited] if inherited else []))
+                                   for first in (include, gold))
+    assert calls(log)[-1] == f"compile {include_path} linker {compiler_path}"
     pch.close()
 
 
-@pytest.mark.usefixtures("no_inherited_include_path", "build_on_first_use")
+@pytest.mark.usefixtures("plain_environment", "build_on_first_use")
+@pytest.mark.parametrize(
+    "banner, exit_code",
+    [(None, 0), ("GNU ld (GNU Binutils for Debian) 2.40", 0), ("LLD 14.0.6", 0), ("GNU gold (Stub) 1.16", 1)],
+    ids=["missing", "bfd", "lld", "failing"],
+)
+def test_without_gold_the_warm_environment_sets_only_the_include_path(tmp_path, monkeypatch, banner, exit_code):
+    if banner is not None:
+        monkeypatch.setattr(build, "_GOLD_DIR", stub_linker(tmp_path, banner, exit_code))
+    profile, log = stub_compiler(tmp_path)
+    root = tmp_path / "root"
+    pch = PrecompiledHeaders(root)
+    include = built_pch(pch, profile)
+    assert pch.environment(profile) == {**os.environ, "CPLUS_INCLUDE_PATH": str(include)}
+    assert compile_workspace(workspace_with(root, "ws", IOSTREAM_MAIN), profile, ["main.cpp"], pch).succeeded
+    assert calls(log)[-1] == f"compile {include}"
+    pch.close()
+
+
+@pytest.mark.usefixtures("plain_environment", "build_on_first_use")
 def test_warning_under_the_pch_reruns_cold_without_the_pch_binary(tmp_path):
     # Under the PCH this compiler warns and writes the binary; cold, it warns
     # and writes nothing, so a binary left over from the first run would pass.
@@ -599,7 +668,7 @@ def test_warning_under_the_pch_reruns_cold_without_the_pch_binary(tmp_path):
     pch.close()
 
 
-@pytest.mark.usefixtures("no_inherited_include_path", "build_on_first_use")
+@pytest.mark.usefixtures("plain_environment", "build_on_first_use")
 @pytest.mark.parametrize(
     "printed, runs", [("", ["warm"]), ('echo "main.cpp:1:1: note: slow"; ', ["warm", "cold"])], ids=["silent", "noisy"]
 )
@@ -625,7 +694,7 @@ def test_a_warm_compile_that_times_out_silently_is_not_run_again_cold(tmp_path, 
     pch.close()
 
 
-@pytest.mark.usefixtures("no_inherited_include_path", "build_on_first_use")
+@pytest.mark.usefixtures("plain_environment", "build_on_first_use")
 def test_a_timed_out_header_build_leaves_no_process_behind(tmp_path):
     pid_file = tmp_path / "bg.pid"
     profile, log = stub_compiler(tmp_path, header_step=f"sleep 30 & echo $! > '{pid_file}'; wait")
@@ -640,7 +709,7 @@ def test_a_timed_out_header_build_leaves_no_process_behind(tmp_path):
     pch.close()
 
 
-@pytest.mark.usefixtures("no_inherited_include_path", "build_on_first_use")
+@pytest.mark.usefixtures("plain_environment", "build_on_first_use")
 def test_a_header_build_killed_by_its_first_output_leaves_no_pch_in_use(tmp_path):
     # The build writes its .gch in place, here before it prints: the file stays until close(), unused.
     profile, log = stub_compiler(tmp_path, header_step=': > "$out"; echo "warning: noisy"; sleep 30')
@@ -653,7 +722,7 @@ def test_a_header_build_killed_by_its_first_output_leaves_no_pch_in_use(tmp_path
     assert calls(log) == ["version", "build wrap/iostream", "compile unset", "compile unset"]
     (pch_dir,) = root.glob(".pch-*")
     assert (pch_dir / "include" / "iostream.gch").is_file()
-    assert pch.include_dir(profile) is None
+    assert pch.environment(profile) is None
     pch.close()
     assert list(root.glob(".pch-*")) == []
 
@@ -676,7 +745,7 @@ def _replace_the_directory(include):
     (include / "iostream.gch").write_bytes(b"")
 
 
-@pytest.mark.usefixtures("no_inherited_include_path", "build_on_first_use")
+@pytest.mark.usefixtures("plain_environment", "build_on_first_use")
 @pytest.mark.parametrize("tamper", [_rewrite_in_place, _add_a_header, _replace_the_directory])
 def test_pch_changed_after_its_build_is_not_used(tmp_path, tamper):
     profile, log = stub_compiler(tmp_path)

@@ -16,7 +16,9 @@ from gradepipe.blackbox import SpawnFailure
 from gradepipe.build import CompilerProfile
 from gradepipe.specfile import load_spec
 
-from support import DATA_DIR, built_pch, damaged_lzma_zip, is_terminal, make_zip, read_report, source
+from support import (
+    DATA_DIR, GOLD_DIR, NO_GOLD, built_pch, damaged_lzma_zip, has_gold, is_terminal, make_zip, read_report, source,
+)
 
 T0 = datetime(2026, 8, 25, 9, 0, 0, tzinfo=timezone.utc)
 
@@ -805,6 +807,13 @@ def test_pch_leaves_every_fixture_report_and_event_identical(leap_spec, session_
     for path in sorted(DATA_DIR.glob("*.cpp")):
         drop(inbox, f"{path.stem.replace('_', '-').title()}_Student_3.zip", {"main.cpp": path.read_text()})
     monkeypatch.setattr(pipeline, "utc_now", lambda: T0)
+    warm_envs = []
+    run_compiler = build._run_compiler
+
+    def recorded(command, workspace, profile, env):
+        if env is not None:
+            warm_envs.append(env)
+        return run_compiler(command, workspace, profile, env)
 
     outputs = {}
     for run in ("cold", "warm"):
@@ -816,6 +825,7 @@ def test_pch_leaves_every_fixture_report_and_event_identical(leap_spec, session_
                 # Every <iostream> fixture tries the PCH, the broken one included.
                 patch.setattr(build, "PCH_BUILD_AFTER_SILENT", 0)
                 patch.setattr(build.PrecompiledHeaders, "record", lambda self, silent: None)
+                patch.setattr(build, "_run_compiler", recorded)
                 built_pch(session._pch, spec.compiler)
             summary = session.run_batch(inbox)
         assert summary.graded == len(list(DATA_DIR.glob("*.cpp")))
@@ -827,6 +837,10 @@ def test_pch_leaves_every_fixture_report_and_event_identical(leap_spec, session_
         events = sorted(session.log.path.read_text(encoding="utf-8").splitlines())
         outputs[run] = (reports, events)
     assert outputs["warm"] == outputs["cold"]
+    assert warm_envs, "no compile ran warm"
+    if not has_gold():
+        pytest.skip(NO_GOLD)
+    assert [env["COMPILER_PATH"].split(os.pathsep)[0] for env in warm_envs] == [GOLD_DIR] * len(warm_envs)
 
 
 # -- watch mode -----------------------------------------------------------------
