@@ -143,7 +143,8 @@ def run_test(
     start = time.monotonic()
     try:
         exit_code, timed_out = run_child(
-            [str(executable), *case.args],
+            # Started by its name in its own directory, so argv[0] names no session path.
+            [f"./{executable.name}", *case.args],
             executable.parent,
             case.timeout_secs,
             take,

@@ -2,11 +2,11 @@
 
 The compiler is described by a command template rather than hard-coded, so a
 course can swap g++ flags or an entirely different toolchain per assignment.
-Compilation runs with the workspace as the working directory and sources
-given as relative paths, and each randomly named object file GCC makes in its
-temporary directory is named ``ccXXXXXX.o`` wherever the linker quotes it;
-diagnostics therefore never leak absolute paths and identical submissions
-produce byte-identical diagnostics wherever they are graded.
+Compilation runs in the workspace with sources given as relative paths. Each
+randomly named object file GCC makes in its temporary directory is named
+``ccXXXXXX.o`` wherever the linker quotes it, and a source it quotes by its
+absolute path (under ``-g``) by its relative one; diagnostics therefore never
+leak absolute paths, and identical submissions get byte-identical diagnostics.
 
 Parsing ``<iostream>`` and linking with ``ld.bfd`` are most of the compile
 time of a small program, so a session can precompile ``<iostream>`` once with
@@ -57,17 +57,15 @@ PCH_HEADER = "iostream"
 # Blanks only, never \s: a match must not run on across lines.
 _PCH_INCLUDE = re.compile(rb"^[ \t]*#[ \t]*include[ \t]*<iostream>", re.M)
 # Only a compile that prints nothing keeps its result under the PCH; any other
-# runs again cold. The build costs about what three compiles save, so it waits
-# for this many silent compiles that include the header, and the PCH is built
-# and used only while the noisy ones are no more than the silent ones. (For a
-# leap-year program, g++ 12 on 2 vCPUs, a silent compile saves about 0.37 s
-# and a noisy one costs about 0.25 s more: past about 60% noisy it loses.)
-PCH_BUILD_AFTER_SILENT = 2
-# A batch bounds the compiles still to come (see expect()), and the build then
-# also waits for at least this many, the one that builds included, to use it.
-# (With --jobs 2 and all-<iostream> batches on the box above, 8 archives, so
-# 6 left at the build, came out even with no PCH; 4 lost 0.7 s; 9 or more gain.)
-PCH_BUILD_FOR_AT_LEAST = 7
+# runs again cold. The first compile that includes the header builds it (other
+# compiles run cold meanwhile), and the PCH is used only while the noisy ones
+# are no more than the silent ones. (For a leap-year program, g++ 12 on 2
+# vCPUs, a silent compile saves about 0.22 s and a noisy one costs about 0.09 s
+# more: past about 70% noisy it loses.) A batch bounds the compiles still to
+# come (see expect()), the one that builds included, and builds only for this
+# many. (With --jobs 2 and all-<iostream> batches on that box, 4 archives lost
+# 0.15 s, 5 came out even, and 6 gained 0.13 s; 10 gained 0.5 s.)
+PCH_BUILD_FOR_AT_LEAST = 6
 
 # Debian binutils' root-owned directory whose one entry, "ld", is ld.gold.
 # GCC's collect2 looks for "ld" in COMPILER_PATH before PATH, so naming it
@@ -255,19 +253,17 @@ def _put_first(directory: Path, variable: str) -> str:
 
 
 class PrecompiledHeaders:
-    """The precompiled ``<iostream>`` of one session, built once it pays off, and its linker.
+    """The precompiled ``<iostream>`` of one session, built by the first compile that wants it, and its linker.
 
-    It counts the compiles whose sources include ``<iostream>`` as silent
-    (succeeded and printed nothing) or noisy. Once ``PCH_BUILD_AFTER_SILENT``
-    were silent and no more were noisy, :meth:`environment` builds
-    ``iostream.gch`` once, with that compile's command and flags (other
-    compiles run cold meanwhile), so GCC accepts it exactly where it would
-    have parsed the header itself. GCC looks for ``iostream.gch`` in each
-    include directory before ``iostream``, so a compile run in the returned
-    environment, which names the PCH directory first in
-    ``CPLUS_INCLUDE_PATH``, loads it instead of parsing the header. There is
-    no PCH unless ``<compiler> --version`` names GCC (clang would need
-    ``-include-pch``, which changes the command) and the build exits 0
+    The first compile whose sources include ``<iostream>`` has
+    :meth:`environment` build ``iostream.gch`` once, with that compile's
+    command and flags (other compiles run cold meanwhile), so GCC accepts it
+    exactly where it would have parsed the header itself. GCC looks for
+    ``iostream.gch`` in each include directory before ``iostream``, so a
+    compile run in the returned environment, which names the PCH directory
+    first in ``CPLUS_INCLUDE_PATH``, loads it instead of parsing the header.
+    There is no PCH unless ``<compiler> --version`` names GCC (clang would
+    need ``-include-pch``, which changes the command) and the build exits 0
     without printing anything.
 
     The same environment names ``/usr/lib/gold-ld`` first in
@@ -279,12 +275,13 @@ class PrecompiledHeaders:
     environment changes ``CPLUS_INCLUDE_PATH`` only. The directory is
     root-owned and outside ``root``, so no student binary can rewrite it.
 
-    A batch that knows its size bounds the compiles to come with
-    :meth:`expect`, and the build is skipped when too few are left to pay it
-    back. The PCH is not used while noisy compiles outnumber silent ones,
-    and is dropped for the rest of the session if the directory or the
-    ``.gch`` changes after the build (a student binary runs as the same
-    user and could rewrite it).
+    Nothing is built until :meth:`expect` says enough compiles are to come
+    to pay the build back: a batch passes its size, a watch passes None, and
+    a single grade builds nothing. The compiles that want the PCH count as
+    silent (succeeded and printed nothing) or noisy, and the PCH is not used
+    while the noisy ones outnumber the silent ones. It is dropped for the
+    rest of the session if the directory or the ``.gch`` changes after the
+    build (a student binary runs as the same user and could rewrite it).
 
     Nothing runs and nothing is created until the build. The files live in
     one ``.pch-*`` directory under ``root``, which :meth:`close` removes.
@@ -296,7 +293,7 @@ class PrecompiledHeaders:
         self._silent = 0
         self._noisy = 0
         self._started = False
-        self._ahead: int | None = None
+        self._ahead: int | None = 0
         self._dir: Path | None = None
         self._stamp: tuple[int, ...] | None = None
         self._linker: Path | None = None
@@ -304,7 +301,7 @@ class PrecompiledHeaders:
     def environment(self, profile: CompilerProfile) -> dict[str, str] | None:
         """The compiler's environment for a compile that wants the PCH, or None to compile cold."""
         with self._lock:
-            pays = self._silent >= PCH_BUILD_AFTER_SILENT and self._noisy <= self._silent
+            pays = self._noisy <= self._silent
             enough = self._ahead is None or self._ahead >= PCH_BUILD_FOR_AT_LEAST
             build = pays and enough and not self._started
             self._started = self._started or build
@@ -331,9 +328,10 @@ class PrecompiledHeaders:
         """Bound the compiles still to come that may want the PCH, or lift the bound with None.
 
         Each compile that wants it counts the bound down, and the build is
-        skipped while fewer than ``PCH_BUILD_FOR_AT_LEAST`` are left. With
-        no bound (watch mode, or outside a batch) the build waits only for
-        the silent compiles.
+        skipped while fewer than ``PCH_BUILD_FOR_AT_LEAST`` are left. The
+        bound starts at 0, so a session outside a batch or a watch builds
+        nothing; with no bound (a watch) the first compile that wants the
+        PCH builds it.
         """
         with self._lock:
             self._ahead = compiles
@@ -457,6 +455,8 @@ def _run_compiler(
     if raw:
         temp_dir = _compiler_temp_dir(workspace, os.environ if env is None else env)
         raw = re.sub(re.escape(f"{temp_dir}/") + r"cc[0-9A-Za-z]{6}(?=\.)", _TEMP_NAME, raw)
+        # Under -g the linker quotes a source by the compiler's working directory, as getcwd() names it.
+        raw = raw.replace(f"{os.path.realpath(workspace)}/", "")
     output_path = workspace / OUTPUT_NAME
     if timed_out:
         notice = _timeout_notice(profile)

@@ -452,7 +452,7 @@ class GradingSession:
         try:
             return self._run([entries], stop or threading.Event())
         finally:
-            self._pch.expect(None)
+            self._pch.expect(0)
 
     def watch_inbox(
         self,
@@ -488,8 +488,10 @@ class GradingSession:
                 yield scanner.poll()
                 _wait_for_inbox(events, stop, poll_interval / SCANS_PER_INTERVAL)
 
+        self._pch.expect(None)
         try:
             return self._run(listings(), stop)
         finally:
+            self._pch.expect(0)
             if events is not None:
                 os.close(events)

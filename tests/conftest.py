@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from gradepipe import blackbox
+from gradepipe import blackbox, build
 from gradepipe.pipeline import GradingSession
 from gradepipe.specfile import load_spec
 
@@ -41,3 +41,11 @@ def session_factory(tmp_path):
     yield factory
     for session in sessions:
         session.close()
+
+
+@pytest.fixture
+def plain_environment(tmp_path, monkeypatch):
+    """No inherited CPLUS_INCLUDE_PATH or COMPILER_PATH, and no gold: a warm compile sets the include path only."""
+    monkeypatch.delenv("CPLUS_INCLUDE_PATH", raising=False)
+    monkeypatch.delenv("COMPILER_PATH", raising=False)
+    monkeypatch.setattr(build, "_GOLD_DIR", tmp_path / "no-gold")

@@ -10,6 +10,8 @@ import time
 import zipfile
 from pathlib import Path
 
+from gradepipe.build import CompilerProfile
+
 DATA_DIR = Path(__file__).parent / "data"
 SPEC_PATH = DATA_DIR / "assignment3.yaml"
 
@@ -76,8 +78,43 @@ def has_gold() -> bool:
     return completed.returncode == 0 and completed.stdout.startswith("GNU gold")
 
 
+GCC_BANNER = "g++ (Stub 12.2.0) 12.2.0\nCopyright (C) 2022 Free Software Foundation, Inc.\n"
+IOSTREAM_MAIN = "#include <iostream>\nint main() {}\n"
+
+
+def stub_compiler(directory: Path, banner: str = GCC_BANNER, compile_step: str = "", header_step: str = ":"):
+    """A profile whose compiler is a shell script that logs every call.
+
+    ``--version`` prints ``banner``; a ``-x c++-header`` build runs
+    ``header_step`` and writes its output; a compile logs its
+    ``CPLUS_INCLUDE_PATH`` and any ``COMPILER_PATH``, runs ``compile_step``,
+    then writes ``program``. Returns the profile and the log's path.
+    """
+    log = directory / "calls.log"
+    script = directory / "cc"
+    script.write_text(
+        "#!/bin/sh\n"
+        'for out; do :; done\n'
+        'case "$1" in\n'
+        f"  --version) echo version >> '{log}'; printf '%s' '{banner}'; exit 0 ;;\n"
+        f"  -x) echo \"build $3\" >> '{log}'; {header_step}; : > \"$out\"; exit 0 ;;\n"
+        "esac\n"
+        f"echo \"compile ${{CPLUS_INCLUDE_PATH-unset}}${{COMPILER_PATH+ linker $COMPILER_PATH}}\" >> '{log}'\n"
+        f"{compile_step}\n"
+        ': > "$out"\n',
+        encoding="utf-8",
+    )
+    script.chmod(0o755)
+    return CompilerProfile(command=(str(script), "{sources}", "-o", "{output}")), log
+
+
+def calls(log: Path) -> list[str]:
+    return log.read_text(encoding="utf-8").splitlines() if log.exists() else []
+
+
 def built_pch(pch, profile) -> Path:
-    """Build the PCH as a compile that wants it would, and return its include directory."""
+    """Build the PCH as a compile that wants it would in a watch, and return its include directory."""
+    pch.expect(None)
     env = pch.environment(profile)
     assert env is not None, "the precompiled header was not built"
     return Path(env["CPLUS_INCLUDE_PATH"].split(os.pathsep)[0])

@@ -20,14 +20,15 @@ from gradepipe.build import (
     CompilerProfile,
     Diagnostic,
     DiagnosticSeverity,
-    PCH_BUILD_AFTER_SILENT,
     PCH_BUILD_FOR_AT_LEAST,
     PrecompiledHeaders,
     classify_diagnostics,
     compile_workspace,
 )
 
-from support import DATA_DIR, GOLD_DIR, NO_GOLD, source, built_pch, has_gold, wait_until_dead
+from support import (
+    DATA_DIR, GOLD_DIR, IOSTREAM_MAIN, NO_GOLD, built_pch, calls, has_gold, source, stub_compiler, wait_until_dead,
+)
 
 GXX = CompilerProfile(command=("g++", "-std=c++17", "-O0", "{sources}", "-o", "{output}"))
 
@@ -193,6 +194,25 @@ def test_a_link_error_reports_the_same_bytes_and_no_temporary_path(tmp_path, mon
     assert ": ccXXXXXX." in outputs[0] and "undefined reference to" in outputs[0]
     assert re.search(r"cc[0-9A-Za-z]{6}\.", outputs[0].replace("ccXXXXXX.", "")) is None
     assert str(tmp_path) not in outputs[0] and "/tmp/" not in outputs[0]
+
+
+@pytest.mark.parametrize("flags", [("-g",), ("-g", "-flto")], ids=["g", "g-lto"])
+def test_a_debug_link_error_reports_the_same_bytes_under_any_workspace_root(tmp_path, flags):
+    # Under -g the linker quotes the source by the compile's working directory, as getcwd() resolves it.
+    profile = CompilerProfile(command=GXX.command[:1] + flags + GXX.command[1:])
+    (tmp_path / "linked").symlink_to(tmp_path / "three", target_is_directory=True)
+    outputs = []
+    for root in ("one", "two", "linked"):
+        workspace = tmp_path / root / "ws"
+        (tmp_path / root).resolve().mkdir()
+        workspace.mkdir()
+        (workspace / "main.cpp").write_text(LINK_ERROR)
+        result = compile_workspace(workspace, profile, ["main.cpp"])
+        assert not result.succeeded
+        outputs.append(result.raw_output)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert ":2: undefined reference to" in outputs[0]
+    assert str(tmp_path) not in outputs[0]
 
 
 def test_compile_empty_workspace(tmp_path):
@@ -362,12 +382,6 @@ CASES = {
 }
 
 
-@pytest.fixture
-def build_on_first_use(monkeypatch):
-    """Build the PCH on the first compile that wants it, without waiting for two silent ones."""
-    monkeypatch.setattr(build, "PCH_BUILD_AFTER_SILENT", 0)
-
-
 @pytest.fixture(scope="module")
 def warm_headers(tmp_path_factory):
     """One PrecompiledHeaders per profile, shared by the cases of this module."""
@@ -384,7 +398,6 @@ def warm_headers(tmp_path_factory):
         helper.close()
 
 
-@pytest.mark.usefixtures("build_on_first_use")
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_diagnostics_are_identical_with_and_without_the_pch(tmp_path, monkeypatch, warm_headers, case):
     profile, text = CASES[case]
@@ -425,40 +438,6 @@ def test_diagnostics_are_identical_with_and_without_the_pch(tmp_path, monkeypatc
 
 # -- precompiled headers: lifecycle ------------------------------------------------
 
-GCC_BANNER = "g++ (Stub 12.2.0) 12.2.0\nCopyright (C) 2022 Free Software Foundation, Inc.\n"
-IOSTREAM_MAIN = "#include <iostream>\nint main() {}\n"
-
-
-def stub_compiler(directory, banner=GCC_BANNER, compile_step="", header_step=":"):
-    """A profile whose compiler is a shell script that logs every call.
-
-    ``--version`` prints ``banner``; a ``-x c++-header`` build runs
-    ``header_step`` and writes its output; a compile logs its
-    ``CPLUS_INCLUDE_PATH`` and any ``COMPILER_PATH``, runs ``compile_step``,
-    then writes ``program``. Returns the profile and the log's path.
-    """
-    log = directory / "calls.log"
-    script = directory / "cc"
-    script.write_text(
-        "#!/bin/sh\n"
-        'for out; do :; done\n'
-        'case "$1" in\n'
-        f"  --version) echo version >> '{log}'; printf '%s' '{banner}'; exit 0 ;;\n"
-        f"  -x) echo \"build $3\" >> '{log}'; {header_step}; : > \"$out\"; exit 0 ;;\n"
-        "esac\n"
-        f"echo \"compile ${{CPLUS_INCLUDE_PATH-unset}}${{COMPILER_PATH+ linker $COMPILER_PATH}}\" >> '{log}'\n"
-        f"{compile_step}\n"
-        ': > "$out"\n',
-        encoding="utf-8",
-    )
-    script.chmod(0o755)
-    return CompilerProfile(command=(str(script), "{sources}", "-o", "{output}")), log
-
-
-def calls(log):
-    return log.read_text(encoding="utf-8").splitlines() if log.exists() else []
-
-
 def workspace_with(root, name, text):
     workspace = root / name
     workspace.mkdir(parents=True)
@@ -475,94 +454,115 @@ def stub_linker(directory, banner, exit_code=0):
     return linker
 
 
-@pytest.fixture
-def plain_environment(tmp_path, monkeypatch):
-    """No inherited CPLUS_INCLUDE_PATH or COMPILER_PATH, and no gold: a warm compile sets the include path only."""
-    monkeypatch.delenv("CPLUS_INCLUDE_PATH", raising=False)
-    monkeypatch.delenv("COMPILER_PATH", raising=False)
-    monkeypatch.setattr(build, "_GOLD_DIR", tmp_path / "no-gold")
+def watching(root):
+    """The PrecompiledHeaders of a session that watches an inbox: no bound on the compiles to come."""
+    pch = PrecompiledHeaders(root)
+    pch.expect(None)
+    return pch
+
+
+NOISY_MAIN = "#include <iostream>\nint unused;\n"
+
+
+def noisy_compiler(directory):
+    """A stub compiler under which a program that declares `unused` warns, and so reruns cold under the PCH."""
+    return stub_compiler(directory, compile_step='grep -q unused main.cpp && echo "warning: unused"')
 
 
 @pytest.mark.usefixtures("plain_environment")
-def test_pch_is_built_after_two_silent_compiles_that_include_iostream(tmp_path):
+def test_pch_is_built_by_the_first_compile_that_includes_iostream(tmp_path):
     profile, log = stub_compiler(tmp_path)
     root = tmp_path / "root"
-    pch = PrecompiledHeaders(root)
-    texts = [IOSTREAM_MAIN, "#include <cstdio>\nint main() {}\n", IOSTREAM_MAIN]
-    for i, text in enumerate(texts):
-        assert compile_workspace(workspace_with(root, f"cold{i}", text), profile, ["main.cpp"], pch).succeeded
-    assert calls(log) == ["compile unset"] * 3
+    pch = watching(root)
+    assert compile_workspace(workspace_with(root, "cstdio", "#include <cstdio>\nint main() {}\n"), profile,
+                             ["main.cpp"], pch).succeeded
+    assert calls(log) == ["compile unset"]
     assert list(root.glob(".pch-*")) == []
 
-    assert compile_workspace(workspace_with(root, "warm", IOSTREAM_MAIN), profile, ["main.cpp"], pch).succeeded
+    for name in ("first", "second"):
+        assert compile_workspace(workspace_with(root, name, IOSTREAM_MAIN), profile, ["main.cpp"], pch).succeeded
     (pch_dir,) = root.glob(".pch-*")
-    assert calls(log)[3:] == ["version", "build wrap/iostream", f"compile {pch_dir / 'include'}"]
+    warm = f"compile {pch_dir / 'include'}"
+    assert calls(log)[1:] == ["version", "build wrap/iostream", warm, warm]
     pch.close()
 
 
 @pytest.mark.usefixtures("plain_environment")
-def test_pch_is_built_and_used_only_while_noisy_compiles_are_no_more_than_silent(tmp_path):
-    # A program that declares `unused` warns, so under the PCH it reruns cold.
-    profile, log = stub_compiler(tmp_path, compile_step='grep -q unused main.cpp && echo "warning: unused"')
+def test_pch_is_used_only_while_noisy_compiles_are_no_more_than_silent(tmp_path):
+    profile, log = noisy_compiler(tmp_path)
     root = tmp_path / "root"
-    pch = PrecompiledHeaders(root)
-    noisy = "#include <iostream>\nint unused;\n"
-    texts = [noisy, noisy, IOSTREAM_MAIN, IOSTREAM_MAIN, IOSTREAM_MAIN, noisy, noisy, noisy, IOSTREAM_MAIN]
+    pch = watching(root)
+    texts = [NOISY_MAIN, IOSTREAM_MAIN, IOSTREAM_MAIN, NOISY_MAIN, NOISY_MAIN, NOISY_MAIN, IOSTREAM_MAIN]
     for i, text in enumerate(texts):
         compile_workspace(workspace_with(root, f"ws{i}", text), profile, ["main.cpp"], pch)
     (pch_dir,) = root.glob(".pch-*")
     warm, cold = f"compile {pch_dir / 'include'}", "compile unset"
-    assert [line for line in calls(log) if line.startswith("compile")] == [
-        cold, cold, cold, cold,  # no PCH until 2 compiles were silent
-        warm,  # 2 silent, 2 noisy so far: built, and kept
-        warm, cold,  # 3 silent, 2 noisy: tried, but it warns
-        warm, cold,  # 3 silent, 3 noisy: tried, but it warns
-        cold,  # 3 silent, 4 noisy: not tried
-        cold,  # 3 silent, 5 noisy: not tried
+    assert calls(log) == [
+        "version", "build wrap/iostream",
+        warm, cold,  # 0 silent, 0 noisy so far: built and tried, but it warns
+        cold,  # 0 silent, 1 noisy: not tried
+        warm,  # 1 silent, 1 noisy: tried, and kept
+        warm, cold,  # 2 silent, 1 noisy: tried, but it warns
+        warm, cold,  # 2 silent, 2 noisy: tried, but it warns
+        cold,  # 2 silent, 3 noisy: not tried
+        cold,  # 2 silent, 4 noisy: not tried
     ]
     pch.close()
 
 
 @pytest.mark.usefixtures("plain_environment")
+def test_an_all_noisy_session_builds_once_and_stops_trying_after_its_first_warm_compile(tmp_path):
+    profile, log = noisy_compiler(tmp_path)
+    root = tmp_path / "root"
+    pch = watching(root)
+    for i in range(4):
+        result = compile_workspace(workspace_with(root, f"ws{i}", NOISY_MAIN), profile, ["main.cpp"], pch)
+        assert (result.succeeded, result.raw_output) == (True, "warning: unused\n")
+    (pch_dir,) = root.glob(".pch-*")
+    assert calls(log) == ["version", "build wrap/iostream", f"compile {pch_dir / 'include'}"] + ["compile unset"] * 4
+    pch.close()
+
+
+@pytest.mark.usefixtures("plain_environment")
 @pytest.mark.parametrize(
-    "expected, built",
-    [
-        (PCH_BUILD_AFTER_SILENT + PCH_BUILD_FOR_AT_LEAST - 1, False),
-        (PCH_BUILD_AFTER_SILENT + PCH_BUILD_FOR_AT_LEAST, True),
-        (None, True),
-    ],
+    "bounds, built",
+    [([], False), ([PCH_BUILD_FOR_AT_LEAST - 1], False), ([PCH_BUILD_FOR_AT_LEAST], True), ([None], True),
+     ([None, 0], False)],
+    ids=["new", "too-few", "enough", "unbounded", "reset"],
 )
-def test_pch_is_built_only_for_enough_expected_compiles(tmp_path, expected, built):
+def test_pch_is_built_only_for_enough_expected_compiles(tmp_path, bounds, built):
     profile, log = stub_compiler(tmp_path)
     root = tmp_path / "root"
     pch = PrecompiledHeaders(root)
-    pch.expect(expected)
-    for i in range(PCH_BUILD_AFTER_SILENT + 2):
+    for bound in bounds:
+        pch.expect(bound)
+    for i in range(2):
         compile_workspace(workspace_with(root, f"ws{i}", IOSTREAM_MAIN), profile, ["main.cpp"], pch)
+    assert ("version" in calls(log)) is built
     assert ("build wrap/iostream" in calls(log)) is built
     assert len(list(root.glob(".pch-*"))) == built
     pch.close()
 
 
-@pytest.mark.usefixtures("plain_environment", "build_on_first_use")
+@pytest.mark.usefixtures("plain_environment")
 def test_cstdio_workspace_builds_no_pch_and_asks_no_version(tmp_path):
     profile, log = stub_compiler(tmp_path)
     root = tmp_path / "root"
-    pch = PrecompiledHeaders(root)
+    pch = watching(root)
     workspace = workspace_with(root, "ws", "#include <cstdio>\nint main() {}\n")
     assert compile_workspace(workspace, profile, ["main.cpp"], pch).succeeded
     assert calls(log) == ["compile unset"]
     assert list(root.glob(".pch-*")) == []
 
 
-@pytest.mark.usefixtures("plain_environment", "build_on_first_use")
+@pytest.mark.usefixtures("plain_environment")
 def test_concurrent_compiles_build_the_header_once_and_close_removes_it(tmp_path):
     # More compiles than cores, with frequent thread switches. The build
     # finishes only once some other compile has run cold, without it.
     wait = f"i=0; until grep -q 'compile unset' '{tmp_path / 'calls.log'}' || [ $i -ge 200 ]; do sleep 0.05; i=$((i+1)); done"
     profile, log = stub_compiler(tmp_path, header_step=wait)
     root = tmp_path / "root"
-    pch = PrecompiledHeaders(root)
+    pch = watching(root)
     workspaces = [workspace_with(root, f"ws{i}", "  #  include <iostream>\nint main() {}\n") for i in range(8)]
     results = []
     threads = [
@@ -594,18 +594,17 @@ def test_concurrent_compiles_build_the_header_once_and_close_removes_it(tmp_path
     assert list(root.glob(".pch-*")) == []
 
 
-@pytest.mark.usefixtures("plain_environment", "build_on_first_use")
+@pytest.mark.usefixtures("plain_environment")
 def test_clang_gets_no_pch(tmp_path):
     profile, log = stub_compiler(tmp_path, banner="clang version 15.0.0\nTarget: x86_64-pc-linux-gnu\n")
     root = tmp_path / "root"
-    pch = PrecompiledHeaders(root)
+    pch = watching(root)
     for name in ("a", "b"):
         assert compile_workspace(workspace_with(root, name, IOSTREAM_MAIN), profile, ["main.cpp"], pch).succeeded
     assert calls(log) == ["version", "compile unset", "compile unset"]
     assert list(root.glob(".pch-*")) == []
 
 
-@pytest.mark.usefixtures("build_on_first_use")
 @pytest.mark.parametrize("inherited", [None, "", "/usr/local/include", "/a:/b"])
 def test_inherited_include_path_is_kept_and_no_empty_element_added(tmp_path, monkeypatch, inherited):
     # The same holds for COMPILER_PATH, which names gold first.
@@ -628,7 +627,7 @@ def test_inherited_include_path_is_kept_and_no_empty_element_added(tmp_path, mon
     pch.close()
 
 
-@pytest.mark.usefixtures("plain_environment", "build_on_first_use")
+@pytest.mark.usefixtures("plain_environment")
 @pytest.mark.parametrize(
     "banner, exit_code",
     [(None, 0), ("GNU ld (GNU Binutils for Debian) 2.40", 0), ("LLD 14.0.6", 0), ("GNU gold (Stub) 1.16", 1)],
@@ -647,7 +646,7 @@ def test_without_gold_the_warm_environment_sets_only_the_include_path(tmp_path, 
     pch.close()
 
 
-@pytest.mark.usefixtures("plain_environment", "build_on_first_use")
+@pytest.mark.usefixtures("plain_environment")
 def test_warning_under_the_pch_reruns_cold_without_the_pch_binary(tmp_path):
     # Under the PCH this compiler warns and writes the binary; cold, it warns
     # and writes nothing, so a binary left over from the first run would pass.
@@ -668,7 +667,7 @@ def test_warning_under_the_pch_reruns_cold_without_the_pch_binary(tmp_path):
     pch.close()
 
 
-@pytest.mark.usefixtures("plain_environment", "build_on_first_use")
+@pytest.mark.usefixtures("plain_environment")
 @pytest.mark.parametrize(
     "printed, runs", [("", ["warm"]), ('echo "main.cpp:1:1: note: slow"; ', ["warm", "cold"])], ids=["silent", "noisy"]
 )
@@ -694,13 +693,13 @@ def test_a_warm_compile_that_times_out_silently_is_not_run_again_cold(tmp_path, 
     pch.close()
 
 
-@pytest.mark.usefixtures("plain_environment", "build_on_first_use")
+@pytest.mark.usefixtures("plain_environment")
 def test_a_timed_out_header_build_leaves_no_process_behind(tmp_path):
     pid_file = tmp_path / "bg.pid"
     profile, log = stub_compiler(tmp_path, header_step=f"sleep 30 & echo $! > '{pid_file}'; wait")
     profile = CompilerProfile(command=profile.command, timeout_secs=0.3)
     root = tmp_path / "root"
-    pch = PrecompiledHeaders(root)
+    pch = watching(root)
     start = time.monotonic()
     assert compile_workspace(workspace_with(root, "ws", IOSTREAM_MAIN), profile, ["main.cpp"], pch).succeeded
     assert time.monotonic() - start < 5.0, "the build is killed at its deadline"
@@ -709,12 +708,12 @@ def test_a_timed_out_header_build_leaves_no_process_behind(tmp_path):
     pch.close()
 
 
-@pytest.mark.usefixtures("plain_environment", "build_on_first_use")
+@pytest.mark.usefixtures("plain_environment")
 def test_a_header_build_killed_by_its_first_output_leaves_no_pch_in_use(tmp_path):
     # The build writes its .gch in place, here before it prints: the file stays until close(), unused.
     profile, log = stub_compiler(tmp_path, header_step=': > "$out"; echo "warning: noisy"; sleep 30')
     root = tmp_path / "root"
-    pch = PrecompiledHeaders(root)
+    pch = watching(root)
     start = time.monotonic()
     for name in ("a", "b"):
         assert compile_workspace(workspace_with(root, name, IOSTREAM_MAIN), profile, ["main.cpp"], pch).succeeded
@@ -745,7 +744,7 @@ def _replace_the_directory(include):
     (include / "iostream.gch").write_bytes(b"")
 
 
-@pytest.mark.usefixtures("plain_environment", "build_on_first_use")
+@pytest.mark.usefixtures("plain_environment")
 @pytest.mark.parametrize("tamper", [_rewrite_in_place, _add_a_header, _replace_the_directory])
 def test_pch_changed_after_its_build_is_not_used(tmp_path, tamper):
     profile, log = stub_compiler(tmp_path)

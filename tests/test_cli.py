@@ -13,7 +13,7 @@ from gradepipe.assess import read_log_events
 from gradepipe.child import LINGER_SECS
 from gradepipe.cli import build_parser, main
 
-from support import SPEC_PATH, is_terminal, make_zip, source, wait_until_dead
+from support import SPEC_PATH, calls, is_terminal, make_zip, source, stub_compiler, wait_until_dead
 
 
 def run_dirs(tmp_path, log="grading.log"):
@@ -102,6 +102,20 @@ def test_grade_prints_the_report(tmp_path, capsys):
     assert "Score:      100.0/100" in out
     payload = json.loads((tmp_path / "reports" / "Ada_Lovelace_3.report.json").read_text(encoding="utf-8"))
     assert payload["score"] == 100.0
+
+
+@pytest.mark.usefixtures("plain_environment")
+def test_grade_of_one_archive_builds_no_pch_and_asks_no_version(tmp_path, capsys):
+    # The stub logs each call, then compiles with the real g++.
+    profile, log = stub_compiler(tmp_path, compile_step='exec g++ "$@"')
+    spec = tmp_path / "stub.yaml"
+    spec.write_text(SPEC_PATH.read_text(encoding="utf-8").replace(
+        "command: [g++, -std=c++17, -O0,", f"command: ['{profile.command[0]}',"), encoding="utf-8")
+    archive = make_zip(tmp_path / "Ada_Lovelace_3.zip", {"main.cpp": source("leap_nested.cpp")})
+    assert main(["grade", str(archive), "--spec", str(spec), *run_dirs(tmp_path)]) == 0
+    assert "Score:      100.0/100" in capsys.readouterr().out
+    assert calls(log) == ["compile unset"]
+    assert list((tmp_path / "workspace").glob(".pch-*")) == []
 
 
 def test_grade_missing_archive_is_a_usage_error(tmp_path, capsys):

@@ -17,7 +17,8 @@ from gradepipe.build import CompilerProfile
 from gradepipe.specfile import load_spec
 
 from support import (
-    DATA_DIR, GOLD_DIR, NO_GOLD, built_pch, damaged_lzma_zip, has_gold, is_terminal, make_zip, read_report, source,
+    DATA_DIR, GOLD_DIR, IOSTREAM_MAIN, NO_GOLD, built_pch, calls, damaged_lzma_zip, has_gold, is_terminal, make_zip,
+    read_report, source, stub_compiler,
 )
 
 T0 = datetime(2026, 8, 25, 9, 0, 0, tzinfo=timezone.utc)
@@ -823,7 +824,6 @@ def test_pch_leaves_every_fixture_report_and_event_identical(leap_spec, session_
                 patch.setattr(build, "_names_gcc", lambda *args: False)
             else:
                 # Every <iostream> fixture tries the PCH, the broken one included.
-                patch.setattr(build, "PCH_BUILD_AFTER_SILENT", 0)
                 patch.setattr(build.PrecompiledHeaders, "record", lambda self, silent: None)
                 patch.setattr(build, "_run_compiler", recorded)
                 built_pch(session._pch, spec.compiler)
@@ -841,6 +841,59 @@ def test_pch_leaves_every_fixture_report_and_event_identical(leap_spec, session_
     if not has_gold():
         pytest.skip(NO_GOLD)
     assert [env["COMPILER_PATH"].split(os.pathsep)[0] for env in warm_envs] == [GOLD_DIR] * len(warm_envs)
+
+
+def test_a_program_is_started_by_a_name_that_leaves_the_session_out(leap_spec, session_factory, tmp_path, monkeypatch):
+    spec = dataclasses.replace(leap_spec, tests=leap_spec.tests[:1])
+    program = "#include <cstdio>\nint main(int argc, char **argv) { std::puts(argv[0]); }\n"
+    archive = drop(tmp_path / "inbox", "Arg_Zero_3.zip", {"main.cpp": program})
+    monkeypatch.setattr(pipeline, "utc_now", lambda: T0)
+    reports = []
+    for run in ("one", "two"):
+        session = session_factory(spec, subdir=run)
+        session.grade_archive(archive)
+        reports.append({path.name: path.read_bytes() for path in sorted(session.reports_dir.iterdir())})
+    assert reports[0] == reports[1]
+    assert read_report(session.reports_dir, "Arg_Zero_3")["tests"][0]["actual"] == "./program"
+
+
+def stub_spec(spec, directory):
+    """``spec`` compiled by a stub g++ that logs each call (see ``stub_compiler``) and compiles with the real one."""
+    profile, log = stub_compiler(directory, compile_step='exec g++ "$@"')
+    return dataclasses.replace(spec, compiler=profile, tests=spec.tests[:1]), log
+
+
+@pytest.mark.usefixtures("plain_environment")
+def test_a_batch_under_the_bound_builds_no_pch(leap_spec, session_factory, tmp_path):
+    spec, log = stub_spec(leap_spec, tmp_path)
+    session = session_factory(spec, jobs=2)
+    inbox = tmp_path / "inbox"
+    for letter in "abcdefghij"[: build.PCH_BUILD_FOR_AT_LEAST - 1]:
+        drop(inbox, f"Stu_Dent{letter}_3.zip", {"main.cpp": IOSTREAM_MAIN})
+    assert session.run_batch(inbox).graded == build.PCH_BUILD_FOR_AT_LEAST - 1
+    assert calls(log) == ["compile unset"] * (build.PCH_BUILD_FOR_AT_LEAST - 1)
+    assert list(session.workspace_root.glob(".pch-*")) == []
+
+
+@pytest.mark.usefixtures("plain_environment")
+def test_a_watch_builds_the_pch_at_its_first_iostream_compile(leap_spec, session_factory, tmp_path, monkeypatch):
+    spec, log = stub_spec(leap_spec, tmp_path)
+    session = session_factory(spec)
+    inbox = tmp_path / "inbox"
+    inbox.mkdir()
+    staged = drop(tmp_path / "staging", "Ada_Lovelace_3.zip", {"main.cpp": source("leap_nested.cpp")})
+    watcher = _Watcher(session, inbox, 30.0, monkeypatch)
+    try:
+        os.replace(staged, inbox / staged.name)
+        assert _wait_for(session.reports_dir / "Ada_Lovelace_3.report.json", 10.0), "not graded within 10 s"
+    finally:
+        watcher.finish()
+    (pch_dir,) = session.workspace_root.glob(".pch-*")
+    assert calls(log) == ["version", "build wrap/iostream", f"compile {pch_dir / 'include'}"]
+    assert read_report(session.reports_dir, "Ada_Lovelace_3")["score"] == 100.0
+    # Once the watch has returned, a single grade still uses the PCH the session has.
+    session.grade_archive(drop(tmp_path / "later", "Ada_Lovelace_3.zip", {"main.cpp": IOSTREAM_MAIN}))
+    assert calls(log)[3:] == [f"compile {pch_dir / 'include'}"]
 
 
 # -- watch mode -----------------------------------------------------------------
