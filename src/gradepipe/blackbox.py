@@ -10,6 +10,10 @@ looking correct.
 Misbehaving programs cannot take the grader down with them: wall-clock
 timeouts and an output volume cap both kill the program, with everything it
 started, and produce a distinct verdict instead of an exception.
+
+A program sees only :data:`PROGRAM_ENVIRONMENT`, never the grader's own
+environment, so no variable of the host (``HOME``, a token) can reach its
+output or a report.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from .child import argument_problem, run_child
 
 DEFAULT_TEST_TIMEOUT = 5.0
 DEFAULT_OUTPUT_CAP = 1024 * 1024
+# The whole environment of a program under test, the same on every host.
+PROGRAM_ENVIRONMENT = {"PATH": "/usr/bin:/bin", "LC_ALL": "C"}
 
 
 class SpawnFailure(RuntimeError):
@@ -149,6 +155,7 @@ def run_test(
             case.timeout_secs,
             take,
             stdin=case.stdin_text.encode("utf-8"),
+            env=PROGRAM_ENVIRONMENT,
         )
     except OSError as exc:
         raise SpawnFailure(f"cannot start {executable}: {exc}") from exc

@@ -56,16 +56,22 @@ _LINE_ENDS = "\n\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 PCH_HEADER = "iostream"
 # Blanks only, never \s: a match must not run on across lines.
 _PCH_INCLUDE = re.compile(rb"^[ \t]*#[ \t]*include[ \t]*<iostream>", re.M)
-# Only a compile that prints nothing keeps its result under the PCH; any other
+# A compile under the PCH keeps its result if it succeeded silently or failed
+# in words a cold compile would print too (see compile_workspace); any other
 # runs again cold. The first compile that includes the header builds it (other
-# compiles run cold meanwhile), and the PCH is used only while the noisy ones
-# are no more than the silent ones. (For a leap-year program, g++ 12 on 2
-# vCPUs, a silent compile saves about 0.22 s and a noisy one costs about 0.09 s
-# more: past about 70% noisy it loses.) A batch bounds the compiles still to
-# come (see expect()), the one that builds included, and builds only for this
-# many. (With --jobs 2 and all-<iostream> batches on that box, 4 archives lost
-# 0.15 s, 5 came out even, and 6 gained 0.13 s; 10 gained 0.5 s.)
+# compiles run cold meanwhile), and the PCH is used only while the tries that
+# ran again are no more than the ones kept. (For a leap-year program, g++ 12
+# on 2 vCPUs, a kept try saves about 0.22 s and one that runs again costs
+# about 0.09 s more: past about 70% run again it loses.) A batch bounds the
+# compiles still to come (see expect()), the one that builds included, and
+# builds only for this many. (With --jobs 2 and all-<iostream> batches on that
+# box, 4 archives lost 0.15 s, 5 came out even, and 6 gained 0.13 s; 10
+# gained 0.5 s.)
 PCH_BUILD_FOR_AT_LEAST = 6
+# g++ and gcc exit 1 for errors in the program, 4 for an internal compiler error.
+_GCC_ERROR_EXIT = 1
+# g++ and gcc print a line that starts "collect2:" for every failed link.
+_LINK_FAILURE_MARK = "collect2"
 
 # Debian binutils' root-owned directory whose one entry, "ld", is ld.gold.
 # GCC's collect2 looks for "ld" in COMPILER_PATH before PATH, so naming it
@@ -203,6 +209,10 @@ class _CappedOutput:
         return "".join(kept) + (f"note: {omitted} lines omitted\n" if omitted else "")
 
 
+# The note text() ends cut output with.
+_OMITTED = re.compile(r"note: \d+ lines omitted\n\Z")
+
+
 def _version_banner(executable: str, timeout: float) -> str:
     """What ``executable --version`` prints, or "" if it cannot run or exits non-zero."""
     output = _CappedOutput()
@@ -270,16 +280,16 @@ class PrecompiledHeaders:
     ``COMPILER_PATH`` if, when the PCH is built, ``/usr/lib/gold-ld/ld
     --version`` says ``GNU gold``: GCC's ``collect2`` then links with gold,
     which takes about a third of the time of ``ld.bfd``. Gold words link
-    errors differently, but only a silent compile is kept, so a link error
-    is reported from the cold rerun, in bfd's words. Without gold the
-    environment changes ``CPLUS_INCLUDE_PATH`` only. The directory is
-    root-owned and outside ``root``, so no student binary can rewrite it.
+    errors differently, so a link error is reported from the cold rerun, in
+    bfd's words (see :meth:`untouched`). Without gold the environment
+    changes ``CPLUS_INCLUDE_PATH`` only. The directory is root-owned and
+    outside ``root``, so no student binary can rewrite it.
 
     Nothing is built until :meth:`expect` says enough compiles are to come
     to pay the build back: a batch passes its size, a watch passes None, and
     a single grade builds nothing. The compiles that want the PCH count as
-    silent (succeeded and printed nothing) or noisy, and the PCH is not used
-    while the noisy ones outnumber the silent ones. It is dropped for the
+    paid (their warm result was kept) or lost, and the PCH is not used
+    while the lost ones outnumber the paid ones. It is dropped for the
     rest of the session if the directory or the ``.gch`` changes after the
     build (a student binary runs as the same user and could rewrite it).
 
@@ -290,8 +300,8 @@ class PrecompiledHeaders:
     def __init__(self, root: Path):
         self.root = root
         self._lock = threading.Lock()
-        self._silent = 0
-        self._noisy = 0
+        self._paid = 0
+        self._lost = 0
         self._started = False
         self._ahead: int | None = 0
         self._dir: Path | None = None
@@ -301,7 +311,7 @@ class PrecompiledHeaders:
     def environment(self, profile: CompilerProfile) -> dict[str, str] | None:
         """The compiler's environment for a compile that wants the PCH, or None to compile cold."""
         with self._lock:
-            pays = self._noisy <= self._silent
+            pays = self._lost <= self._paid
             enough = self._ahead is None or self._ahead >= PCH_BUILD_FOR_AT_LEAST
             build = pays and enough and not self._started
             self._started = self._started or build
@@ -336,13 +346,29 @@ class PrecompiledHeaders:
         with self._lock:
             self._ahead = compiles
 
-    def record(self, silent: bool) -> None:
-        """Count a finished compile that wanted the PCH."""
+    def record(self, paid: bool) -> None:
+        """Count a finished compile that wanted the PCH: paid if it ran once, warm, or would have."""
         with self._lock:
-            if silent:
-                self._silent += 1
+            if paid:
+                self._paid += 1
             else:
-                self._noisy += 1
+                self._lost += 1
+
+    def untouched(self, output: str) -> bool:
+        """Whether the output of a warm compile that failed reads as the cold compile's would.
+
+        Only two things make them differ. Under the PCH, an include chain
+        into a library header ends at the wrapper header instead of the
+        student's file; the build names the wrapper by its absolute path, so
+        every such line names this session's ``.pch-*`` directory. And gold
+        words a link error its own way, and g++ prints a ``collect2:``
+        line for every failed link. Output that was cut may have
+        lost either line, so it never counts.
+        """
+        with self._lock:
+            directory = self._dir
+        return (directory is not None and directory.name not in output and _LINK_FAILURE_MARK not in output
+                and not _OMITTED.search(output))
 
     def _build(self, profile: CompilerProfile) -> bool:
         if not _names_gcc(profile.command[0], profile.timeout_secs):
@@ -350,18 +376,20 @@ class PrecompiledHeaders:
         self._linker = _find_gold(profile.timeout_secs)
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            self._dir = Path(tempfile.mkdtemp(prefix=".pch-", dir=self.root))
+            self._dir = Path(tempfile.mkdtemp(prefix=".pch-", dir=self.root)).absolute()
         except OSError:
             return False
         # The wrapper lives outside the include directory: found there, it
-        # would include itself. The build writes the .gch in place: environment()
-        # hands the directory out only once the build succeeded, so what a
-        # failed or killed build leaves is never read, and close() removes it.
-        wrapper = Path("wrap", PCH_HEADER)
+        # would include itself. It is compiled by its absolute path, which an
+        # include chain through it then names (see untouched()). The build
+        # writes the .gch in place: environment() hands the directory out
+        # only once the build succeeded, so what a failed or killed build
+        # leaves is never read, and close() removes it.
+        wrapper = self._dir / "wrap" / PCH_HEADER
         target = Path("include", f"{PCH_HEADER}.gch")
         try:
-            (self._dir / wrapper).parent.mkdir()
-            (self._dir / wrapper).write_text(f"#include <{PCH_HEADER}>\n", encoding="utf-8")
+            wrapper.parent.mkdir()
+            wrapper.write_text(f"#include <{PCH_HEADER}>\n", encoding="utf-8")
             (self._dir / target).parent.mkdir()
             # A build that prints anything is not used, so its first output ends it.
             exit_code, _ = run_child(
@@ -406,13 +434,13 @@ def compile_workspace(
     compiled warm, in the environment :meth:`PrecompiledHeaders.environment`
     hands out: the PCH directory first in ``CPLUS_INCLUDE_PATH`` and, where
     gold is installed, gold's directory first in ``COMPILER_PATH``. That
-    result is kept only if the compiler exited 0, printed nothing and wrote
-    the binary, or if it printed nothing before it ran out of time: a cold
-    compile that does that reports the same. Otherwise the binary is deleted
-    and the cold compile runs, and its result is returned: under a PCH a
-    note inside a library header names the wrapper header in its include
-    chain, not the student's file, and gold words a link error differently
-    from bfd. The command is the same either way.
+    result is kept if the compiler exited 0, printed nothing and wrote the
+    binary; if it printed nothing before it ran out of time; or if it exited
+    1 and its output is :meth:`PrecompiledHeaders.untouched`: a cold compile
+    reports the same in each case. Otherwise the binary is deleted and the
+    cold compile runs, and its result is returned. A warm compile that
+    succeeded but printed something runs again too, since gold's link
+    warnings carry no mark. The command is the same either way.
     """
     # A path that starts with "-" would reach the compiler as an option.
     sources = [f"./{name}" if name.startswith("-") else name for name in files
@@ -423,17 +451,18 @@ def compile_workspace(
 
     command = profile.expand(sources, OUTPUT_NAME)
     if pch is None or not _includes_iostream(workspace, sources):
-        return _run_compiler(command, workspace, profile, None)
+        return _run_compiler(command, workspace, profile, None)[0]
     env = pch.environment(profile)
     if env is not None:
-        warm = _run_compiler(command, workspace, profile, env)
-        silent = warm.succeeded and not warm.raw_output
-        if silent or warm.raw_output == _timeout_notice(profile):  # a timeout is not run twice
-            pch.record(silent=silent)
+        warm, exit_code = _run_compiler(command, workspace, profile, env)
+        paid = (warm.succeeded and not warm.raw_output
+                or exit_code == _GCC_ERROR_EXIT and pch.untouched(warm.raw_output))
+        if paid or warm.raw_output == _timeout_notice(profile):  # a timeout is not run twice
+            pch.record(paid=paid)
             return warm
         (workspace / OUTPUT_NAME).unlink(missing_ok=True)
-    cold = _run_compiler(command, workspace, profile, None)
-    pch.record(silent=env is None and cold.succeeded and not cold.raw_output)
+    cold = _run_compiler(command, workspace, profile, None)[0]
+    pch.record(paid=env is None and cold.succeeded and not cold.raw_output)
     return cold
 
 
@@ -443,7 +472,8 @@ def _timeout_notice(profile: CompilerProfile) -> str:
 
 def _run_compiler(
     command: tuple[str, ...], workspace: Path, profile: CompilerProfile, env: dict[str, str] | None
-) -> CompileResult:
+) -> tuple[CompileResult, int | None]:
+    """The result of one compile, and the compiler's exit code (None if it ran out of time)."""
     output = _CappedOutput()
     try:
         exit_code, timed_out = run_child(
@@ -467,7 +497,7 @@ def _run_compiler(
     if notice:
         raw = raw + ("\n" if raw and not raw.endswith("\n") else "") + notice
     succeeded = exit_code == 0 and not notice
-    return CompileResult(succeeded, classify_diagnostics(raw), output_path if succeeded else None, raw)
+    return CompileResult(succeeded, classify_diagnostics(raw), output_path if succeeded else None, raw), exit_code
 
 
 def _compiler_temp_dir(workspace: Path, env: Mapping[str, str]) -> str:

@@ -108,6 +108,12 @@ def stub_compiler(directory: Path, banner: str = GCC_BANNER, compile_step: str =
     return CompilerProfile(command=(str(script), "{sources}", "-o", "{output}")), log
 
 
+def header_build(root: Path) -> str:
+    """The stub's log line for the header build of the PCH in ``root``, which names the wrapper by its absolute path."""
+    (pch_dir,) = root.glob(".pch-*")
+    return f"build {pch_dir / 'wrap' / 'iostream'}"
+
+
 def calls(log: Path) -> list[str]:
     return log.read_text(encoding="utf-8").splitlines() if log.exists() else []
 

@@ -103,6 +103,21 @@ def test_args_reach_program(tmp_path):
     assert result.outcome is TestOutcome.PASS
 
 
+def test_a_program_sees_none_of_the_graders_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("GRADEPIPE_TEST_MARKER", "secret-token-123")
+    program = make_program(tmp_path, 'printf "%s" "$GRADEPIPE_TEST_MARKER"')
+    result = run_test(program, TestCase("marker", expected_stdout=""))
+    assert (result.outcome, result.actual) == (TestOutcome.PASS, "")
+
+
+def test_a_program_gets_a_fixed_path_and_the_c_locale(tmp_path, monkeypatch):
+    monkeypatch.setenv("PATH", f"{tmp_path}:/usr/bin:/bin")
+    monkeypatch.setenv("LC_ALL", "en_US.UTF-8")
+    program = make_program(tmp_path, 'printf "%s %s %s" "$PATH" "$LC_ALL" "${HOME-unset}"')
+    result = run_test(program, TestCase("env", expected_stdout="/usr/bin:/bin C unset"))
+    assert result.outcome is TestOutcome.PASS, result.actual
+
+
 def test_nonzero_exit_with_matching_output_passes(tmp_path):
     program = make_program(tmp_path, 'printf "done\\n"; exit 3')
     result = run_test(program, TestCase("exit3", expected_stdout="done\n"))

@@ -27,7 +27,8 @@ from gradepipe.build import (
 )
 
 from support import (
-    DATA_DIR, GOLD_DIR, IOSTREAM_MAIN, NO_GOLD, built_pch, calls, has_gold, source, stub_compiler, wait_until_dead,
+    DATA_DIR, GOLD_DIR, IOSTREAM_MAIN, NO_GOLD, built_pch, calls, has_gold, header_build, source, stub_compiler,
+    wait_until_dead,
 )
 
 GXX = CompilerProfile(command=("g++", "-std=c++17", "-O0", "{sources}", "-o", "{output}"))
@@ -368,17 +369,47 @@ def test_an_output_storm_is_capped_while_it_is_read(tmp_path):
 # -- precompiled headers: diagnostics ----------------------------------------------
 
 WALL = CompilerProfile(command=("g++", "-std=c++17", "-Wall", "{sources}", "-o", "{output}"))
+WEXTRA = CompilerProfile(command=("g++", "-std=c++17", "-Wall", "-Wextra", "{sources}", "-o", "{output}"))
+WERROR = CompilerProfile(command=("g++", "-std=c++17", "-Wall", "-Werror", "{sources}", "-o", "{output}"))
 
 LIBRARY_NOTE = "#include <iostream>\nstruct S {};\nint main() { std::cout << S{}; }\n"
 WARNING_ONLY = "#include <iostream>\nint main() { int unused; std::cout << 1; }\n"
 WARNING_AND_ERROR = "#include <iostream>\nint main() { int unused; std::cout << missing; }\n"
 
+# Programs that fail to compile under each profile below, each with whether
+# GCC's output can differ under the PCH: an include chain through <iostream>
+# (as in most misuse of a library template) names the PCH's wrapper header,
+# and a link error is worded by the linker.
+ERRORS = {
+    "syntax-error": ("#include <iostream>\nint main() { std::cout << 1 }\n", False),
+    "undeclared-name": ("#include <iostream>\nint main() { std::cout << total; }\n", False),
+    "static-assert": ('#include <iostream>\nstatic_assert(sizeof(int) == 3, "int is not 3 bytes");\nint main() {}\n',
+                      False),
+    "hash-error": ("#include <iostream>\n#error not finished\nint main() {}\n", False),
+    "missing-header-hint": ("#include <iostream>\nint main() { std::vector<int> v; }\n", False),
+    "sort-misuse": ("#include <iostream>\n#include <algorithm>\n#include <vector>\n"
+                    "int main() { std::vector<int> v; std::sort(v.begin(), v.end(), 5); }\n", True),
+    "assembler-error": ('#include <iostream>\nint main() { asm("no_such_instruction"); }\n', False),
+    "code-before-include": ("int before;\n#include <iostream>\nint main() { missing(); }\n", False),
+    "library-note": (LIBRARY_NOTE, True),
+    "link-error": (LINK_ERROR, True),
+    "missing-main": ("#include <iostream>\nint helper() { return 1; }\n", True),
+}
+
+# Each case is a profile, a program, and how it compiles with the PCH: "warm"
+# once (its warm result is kept), "warm, cold" (the warm try runs again cold),
+# or "cold" only (it does not include <iostream>). A silent success and a
+# failure whose output cannot differ are kept; a noisy success, or a failure
+# that names the PCH's directory or collect2, runs again.
 CASES = {
-    **{path.name: (GXX, path.read_text(encoding="utf-8")) for path in sorted(DATA_DIR.glob("*.cpp"))},
-    "library-note": (GXX, LIBRARY_NOTE),
-    "wall-warning-only": (WALL, WARNING_ONLY),
-    "wall-warning-and-error": (WALL, WARNING_AND_ERROR),
-    "link-error": (GXX, LINK_ERROR),
+    **{path.name: (GXX, path.read_text(encoding="utf-8"), "warm") for path in sorted(DATA_DIR.glob("*.cpp"))},
+    "leap_fast.cpp": (GXX, source("leap_fast.cpp"), "cold"),  # <cstdio> only
+    "wall-warning-only": (WALL, WARNING_ONLY, "warm, cold"),
+    "wall-warning-and-error": (WALL, WARNING_AND_ERROR, "warm"),
+    "werror-warning-only": (WERROR, WARNING_ONLY, "warm"),
+    **{f"{name}{suffix}": (profile, text, "warm, cold" if differs else "warm")
+       for name, (text, differs) in ERRORS.items()
+       for suffix, profile in (("", GXX), ("-wextra", WEXTRA), ("-werror", WERROR))},
 }
 
 
@@ -400,9 +431,9 @@ def warm_headers(tmp_path_factory):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_diagnostics_are_identical_with_and_without_the_pch(tmp_path, monkeypatch, warm_headers, case):
-    profile, text = CASES[case]
-    # Noisy cases are not counted, so every case tries the PCH.
-    monkeypatch.setattr(PrecompiledHeaders, "record", lambda self, silent: None)
+    profile, text, runs = CASES[case]
+    # Nothing is counted, so every case tries the PCH.
+    monkeypatch.setattr(PrecompiledHeaders, "record", lambda self, paid: None)
     envs, commands = [], {}
     run = build._run_compiler
 
@@ -424,13 +455,11 @@ def test_diagnostics_are_identical_with_and_without_the_pch(tmp_path, monkeypatc
     assert warm.diagnostics == cold.diagnostics
     assert commands["warm"] == commands["cold"]
     assert warm.succeeded is cold.succeeded
-    if "#include <iostream>" not in text:
-        assert envs == [None]
+    assert ", ".join("cold" if env is None else "warm" for env in envs) == runs
+    if runs == "cold":
         return
     include_dir = envs[0]["CPLUS_INCLUDE_PATH"].split(os.pathsep)[0]
     assert os.path.isfile(os.path.join(include_dir, "iostream.gch"))
-    # Only a silent success is kept; anything printed is reported from a cold rerun.
-    assert envs[1:] == ([] if cold.succeeded and not cold.raw_output else [None])
     if not has_gold():
         pytest.skip(NO_GOLD)
     assert envs[0]["COMPILER_PATH"].split(os.pathsep)[0] == GOLD_DIR
@@ -483,7 +512,7 @@ def test_pch_is_built_by_the_first_compile_that_includes_iostream(tmp_path):
         assert compile_workspace(workspace_with(root, name, IOSTREAM_MAIN), profile, ["main.cpp"], pch).succeeded
     (pch_dir,) = root.glob(".pch-*")
     warm = f"compile {pch_dir / 'include'}"
-    assert calls(log)[1:] == ["version", "build wrap/iostream", warm, warm]
+    assert calls(log)[1:] == ["version", header_build(root), warm, warm]
     pch.close()
 
 
@@ -498,7 +527,7 @@ def test_pch_is_used_only_while_noisy_compiles_are_no_more_than_silent(tmp_path)
     (pch_dir,) = root.glob(".pch-*")
     warm, cold = f"compile {pch_dir / 'include'}", "compile unset"
     assert calls(log) == [
-        "version", "build wrap/iostream",
+        "version", header_build(root),
         warm, cold,  # 0 silent, 0 noisy so far: built and tried, but it warns
         cold,  # 0 silent, 1 noisy: not tried
         warm,  # 1 silent, 1 noisy: tried, and kept
@@ -519,7 +548,7 @@ def test_an_all_noisy_session_builds_once_and_stops_trying_after_its_first_warm_
         result = compile_workspace(workspace_with(root, f"ws{i}", NOISY_MAIN), profile, ["main.cpp"], pch)
         assert (result.succeeded, result.raw_output) == (True, "warning: unused\n")
     (pch_dir,) = root.glob(".pch-*")
-    assert calls(log) == ["version", "build wrap/iostream", f"compile {pch_dir / 'include'}"] + ["compile unset"] * 4
+    assert calls(log) == ["version", header_build(root), f"compile {pch_dir / 'include'}"] + ["compile unset"] * 4
     pch.close()
 
 
@@ -539,7 +568,7 @@ def test_pch_is_built_only_for_enough_expected_compiles(tmp_path, bounds, built)
     for i in range(2):
         compile_workspace(workspace_with(root, f"ws{i}", IOSTREAM_MAIN), profile, ["main.cpp"], pch)
     assert ("version" in calls(log)) is built
-    assert ("build wrap/iostream" in calls(log)) is built
+    assert any(line.startswith("build ") for line in calls(log)) is built
     assert len(list(root.glob(".pch-*"))) == built
     pch.close()
 
@@ -583,11 +612,11 @@ def test_concurrent_compiles_build_the_header_once_and_close_removes_it(tmp_path
     assert [r.succeeded for r in results] == [True] * len(workspaces)
     (pch_dir,) = root.glob(".pch-*")
     log_lines = calls(log)
-    assert (log_lines.count("version"), log_lines.count("build wrap/iostream")) == (1, 1)
+    assert (log_lines.count("version"), log_lines.count(header_build(root))) == (1, 1)
     warm = log_lines.count(f"compile {pch_dir / 'include'}")
     assert warm >= 1 and log_lines.count("compile unset") >= 1
     assert warm + log_lines.count("compile unset") == len(workspaces)
-    assert pch._silent == len(workspaces), "no count was lost"
+    assert pch._paid == len(workspaces), "no count was lost"
     assert (pch_dir / "include" / "iostream.gch").is_file()
     assert (pch_dir / "wrap" / "iostream").read_text() == "#include <iostream>\n"
     pch.close()
@@ -669,6 +698,32 @@ def test_warning_under_the_pch_reruns_cold_without_the_pch_binary(tmp_path):
 
 @pytest.mark.usefixtures("plain_environment")
 @pytest.mark.parametrize(
+    "step, kept",
+    [
+        ('echo "main.cpp:2:1: error: expected"; exit 1', True),
+        ('echo "main.cpp:2:1: error: expected"; exit 4', False),  # GCC's status for an internal compiler error
+        ('echo "main.cpp:2:1: error: expected"; exit 0', False),  # but no binary
+        ('echo "collect2: error: ld returned 1 exit status"; exit 1', False),
+        ('echo "In file included from ${CPLUS_INCLUDE_PATH%/include}/wrap/iostream:1:"; exit 1', False),
+        (f'for i in $(seq {MAX_OUTPUT_LINES + 1}); do echo "main.cpp:$i:1: error: expected"; done; exit 1', False),
+    ],
+    ids=["error", "internal-error", "success-without-binary", "link-error", "include-chain", "cut"],
+)
+def test_a_failed_warm_compile_is_kept_only_where_a_cold_one_prints_the_same(tmp_path, step, kept):
+    profile, log = stub_compiler(tmp_path, compile_step=f'[ -z "$CPLUS_INCLUDE_PATH" ] || {{ {step}; }}')
+    root = tmp_path / "root"
+    pch = PrecompiledHeaders(root)
+    include = built_pch(pch, profile)
+    result = compile_workspace(workspace_with(root, "ws", IOSTREAM_MAIN), profile, ["main.cpp"], pch)
+    # Cold, this compiler succeeds, so a result that ran again reads as a success.
+    assert result.succeeded is not kept
+    assert calls(log)[2:] == [f"compile {include}"] + ([] if kept else ["compile unset"])
+    assert (pch._paid, pch._lost) == ((1, 0) if kept else (0, 1))
+    pch.close()
+
+
+@pytest.mark.usefixtures("plain_environment")
+@pytest.mark.parametrize(
     "printed, runs", [("", ["warm"]), ('echo "main.cpp:1:1: note: slow"; ', ["warm", "cold"])], ids=["silent", "noisy"]
 )
 def test_a_warm_compile_that_times_out_silently_is_not_run_again_cold(tmp_path, printed, runs):
@@ -703,7 +758,7 @@ def test_a_timed_out_header_build_leaves_no_process_behind(tmp_path):
     start = time.monotonic()
     assert compile_workspace(workspace_with(root, "ws", IOSTREAM_MAIN), profile, ["main.cpp"], pch).succeeded
     assert time.monotonic() - start < 5.0, "the build is killed at its deadline"
-    assert calls(log) == ["version", "build wrap/iostream", "compile unset"]
+    assert calls(log) == ["version", header_build(root), "compile unset"]
     assert wait_until_dead(int(pid_file.read_text()), within=0.5)
     pch.close()
 
@@ -718,7 +773,7 @@ def test_a_header_build_killed_by_its_first_output_leaves_no_pch_in_use(tmp_path
     for name in ("a", "b"):
         assert compile_workspace(workspace_with(root, name, IOSTREAM_MAIN), profile, ["main.cpp"], pch).succeeded
     assert time.monotonic() - start < 5.0, "the build is killed at its first output"
-    assert calls(log) == ["version", "build wrap/iostream", "compile unset", "compile unset"]
+    assert calls(log) == ["version", header_build(root), "compile unset", "compile unset"]
     (pch_dir,) = root.glob(".pch-*")
     assert (pch_dir / "include" / "iostream.gch").is_file()
     assert pch.environment(profile) is None

@@ -92,6 +92,19 @@ def test_validate_spec_lists_problems(tmp_path, capsys):
     assert "assignment:" in err
 
 
+def test_validate_spec_refuses_a_string_that_utf8_cannot_encode(tmp_path, capsys):
+    # Such a spec used to print ok, then end every submission errored with a UnicodeEncodeError.
+    text = SPEC_PATH.read_text(encoding="utf-8").replace('"Common year\\n"', '"Common\\ud800 year\\n"', 1)
+    assert "ud800" in text
+    bad = tmp_path / "surrogate.yaml"
+    bad.write_text(text, encoding="utf-8")
+    rc = main(["validate-spec", str(bad)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "line 35" in captured.err or "tests[1].expected_stdout" in captured.err
+
+
 def test_grade_prints_the_report(tmp_path, capsys):
     archive = tmp_path / "Ada_Lovelace_3.zip"
     make_zip(archive, {"main.cpp": source("leap_fast.cpp")})

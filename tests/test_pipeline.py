@@ -17,8 +17,8 @@ from gradepipe.build import CompilerProfile
 from gradepipe.specfile import load_spec
 
 from support import (
-    DATA_DIR, GOLD_DIR, IOSTREAM_MAIN, NO_GOLD, built_pch, calls, damaged_lzma_zip, has_gold, is_terminal, make_zip,
-    read_report, source, stub_compiler,
+    DATA_DIR, GOLD_DIR, IOSTREAM_MAIN, NO_GOLD, built_pch, calls, damaged_lzma_zip, has_gold, header_build,
+    is_terminal, make_zip, read_report, source, stub_compiler,
 )
 
 T0 = datetime(2026, 8, 25, 9, 0, 0, tzinfo=timezone.utc)
@@ -824,7 +824,7 @@ def test_pch_leaves_every_fixture_report_and_event_identical(leap_spec, session_
                 patch.setattr(build, "_names_gcc", lambda *args: False)
             else:
                 # Every <iostream> fixture tries the PCH, the broken one included.
-                patch.setattr(build.PrecompiledHeaders, "record", lambda self, silent: None)
+                patch.setattr(build.PrecompiledHeaders, "record", lambda self, paid: None)
                 patch.setattr(build, "_run_compiler", recorded)
                 built_pch(session._pch, spec.compiler)
             summary = session.run_batch(inbox)
@@ -889,11 +889,26 @@ def test_a_watch_builds_the_pch_at_its_first_iostream_compile(leap_spec, session
     finally:
         watcher.finish()
     (pch_dir,) = session.workspace_root.glob(".pch-*")
-    assert calls(log) == ["version", "build wrap/iostream", f"compile {pch_dir / 'include'}"]
+    assert calls(log) == ["version", header_build(session.workspace_root), f"compile {pch_dir / 'include'}"]
     assert read_report(session.reports_dir, "Ada_Lovelace_3")["score"] == 100.0
     # Once the watch has returned, a single grade still uses the PCH the session has.
     session.grade_archive(drop(tmp_path / "later", "Ada_Lovelace_3.zip", {"main.cpp": IOSTREAM_MAIN}))
     assert calls(log)[3:] == [f"compile {pch_dir / 'include'}"]
+
+
+@pytest.mark.usefixtures("plain_environment")
+def test_a_broken_iostream_archive_is_compiled_once_after_the_pch_is_built(leap_spec, session_factory, tmp_path):
+    spec, log = stub_spec(leap_spec, tmp_path)
+    session = session_factory(spec)
+    built_pch(session._pch, spec.compiler)
+    inbox = tmp_path / "inbox"
+    drop(inbox, "Broken_Bob_3.zip", {"main.cpp": source("leap_broken.cpp")})
+    assert session.run_batch(inbox).graded == 1
+    (pch_dir,) = session.workspace_root.glob(".pch-*")
+    assert calls(log) == ["version", header_build(session.workspace_root), f"compile {pch_dir / 'include'}"]
+    compiled = read_report(session.reports_dir, "Broken_Bob_3")["compile"]
+    assert not compiled["succeeded"]
+    assert any("error: expected initializer before" in d["text"] for d in compiled["diagnostics"])
 
 
 # -- watch mode -----------------------------------------------------------------

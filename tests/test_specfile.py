@@ -2,6 +2,7 @@ import math
 from functools import partial
 
 import pytest
+import yaml
 
 from gradepipe.assess import DEFAULT_BLACKBOX_WEIGHT, DEFAULT_LEXICAL_WEIGHT, DEFAULT_SCALE, Rubric
 from gradepipe.blackbox import DEFAULT_OUTPUT_CAP, NormalizationPolicy, TestCase
@@ -9,6 +10,7 @@ from gradepipe.build import DEFAULT_COMPILER_COMMAND, CompilerProfile
 from gradepipe.cli import main
 from gradepipe.ingest import ExtractionLimits
 from gradepipe.lexcheck import LexicalRule, RulePolarity
+from gradepipe import specfile
 from gradepipe.specfile import AssignmentSpec, SpecError, load_spec
 
 from support import SPEC_PATH
@@ -466,6 +468,57 @@ def test_unparseable_yaml_raises_spec_error(tmp_path):
     with pytest.raises(SpecError) as excinfo:
         load_spec(path)
     assert any("not valid YAML" in p for p in excinfo.value.problems)
+
+
+LOADERS = [
+    pytest.param(getattr(yaml, name, None), id=name,
+                 marks=pytest.mark.skipif(not hasattr(yaml, name), reason=f"PyYAML here has no {name}"))
+    for name in ("SafeLoader", "CSafeLoader")
+]
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_not_valid_yaml_names_its_line_and_column_under_each_loader(tmp_path, monkeypatch, loader):
+    monkeypatch.setattr(specfile, "_LOADER", loader)
+    with pytest.raises(SpecError) as excinfo:
+        load_spec(write_spec(tmp_path, "assignment: 3\ntests: [a\nrules: x\n"))
+    (problem,) = excinfo.value.problems
+    assert problem.startswith("not valid YAML: while parsing a flow sequence")
+    assert "line 2, column 8" in problem and "line 3, column 6" in problem
+
+
+def test_specs_are_parsed_with_libyaml_where_pyyaml_has_it():
+    assert specfile._LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+SURROGATE_SPEC = 'assignment: 3\ntests:\n  - id: t1\n    expected_stdout: "Leap\\ud800 year"\n'
+
+
+def test_a_string_that_utf8_cannot_encode_is_refused(tmp_path):
+    with pytest.raises(SpecError):
+        load_spec(write_spec(tmp_path, SURROGATE_SPEC))
+
+
+def test_a_string_that_utf8_cannot_encode_is_a_problem_naming_its_key(tmp_path, monkeypatch):
+    # libyaml refuses the escape itself, as not valid YAML; SafeLoader reads it as a lone surrogate.
+    monkeypatch.setattr(specfile, "_LOADER", yaml.SafeLoader)
+    text = SURROGATE_SPEC + '    args: [ok, "\\udc80"]\n"odd\\ud800key": {inner: [x]}\n'
+    with pytest.raises(SpecError) as excinfo:
+        load_spec(write_spec(tmp_path, text))
+    assert excinfo.value.problems == [
+        "spec: key 'odd\\ud800key' cannot be encoded as UTF-8",
+        "tests[0].expected_stdout: cannot be encoded as UTF-8 (a lone surrogate such as \\ud800)",
+        "tests[0].args[1]: cannot be encoded as UTF-8 (a lone surrogate such as \\ud800)",
+    ]
+    str(excinfo.value).encode("utf-8")  # the message itself can be printed
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_a_spec_that_aliases_a_node_inside_itself_is_read_once(tmp_path, monkeypatch, loader):
+    monkeypatch.setattr(specfile, "_LOADER", loader)
+    with pytest.raises(SpecError) as excinfo:
+        load_spec(write_spec(tmp_path, "assignment: 3\nextra: &a [*a]\n"))
+    assert excinfo.value.problems == ["spec: unknown key 'extra'"]
 
 
 def test_non_mapping_document_raises_spec_error(tmp_path):
