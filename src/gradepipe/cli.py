@@ -93,19 +93,6 @@ def _print_summary(summary: BatchSummary) -> None:
     print(", ".join(parts))
 
 
-def _cmd_validate(spec_file: Path) -> int:
-    try:
-        spec = load_spec(spec_file)
-    except SpecError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    print(
-        f"{spec_file}: ok (assignment {spec.assignment_number}, "
-        f"{len(spec.rules)} rules, {len(spec.tests)} tests)"
-    )
-    return 0
-
-
 @contextmanager
 def _signals_set(stop: threading.Event) -> Iterator[None]:
     """Within the block, SIGINT (Ctrl-C) and SIGTERM both set ``stop`` instead of ending the process."""
@@ -126,6 +113,8 @@ def _signals_set(stop: threading.Event) -> Iterator[None]:
 
 def _check_inputs(args: argparse.Namespace) -> None:
     """Raise ValueError for an input the command refuses, before anything is opened or written."""
+    if args.jobs is not None and args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     session_dirs = (args.workspace_dir, args.reports_dir, args.quarantine_dir)
     if args.command == "grade":
         # Only a path that is not there or is a directory is refused: anything else, a FIFO or a link say,
@@ -146,14 +135,15 @@ def _check_inputs(args: argparse.Namespace) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "validate-spec":
-        return _cmd_validate(args.spec_file)
-
     try:
-        spec = load_spec(args.spec)
+        spec = load_spec(args.spec_file if args.command == "validate-spec" else args.spec)
     except SpecError as exc:
         print(exc, file=sys.stderr)
         return 2
+    if args.command == "validate-spec":
+        print(f"{args.spec_file}: ok (assignment {spec.assignment_number}, "
+              f"{len(spec.rules)} rules, {len(spec.tests)} tests)")
+        return 0
     try:
         _check_inputs(args)
     except (ValueError, OSError) as exc:

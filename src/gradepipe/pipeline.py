@@ -30,6 +30,7 @@ import select
 import shutil
 import threading
 import time
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from datetime import datetime
@@ -132,15 +133,15 @@ def _inbox_events(inbox: Path) -> int | None:
     return fd
 
 
-def _wait_for_inbox(events: int | None, stop: threading.Event, timeout: float) -> None:
-    """Return after ``timeout`` seconds, once ``stop`` is set, or just after an inbox event.
+def _wait_for_inbox(events: int | None, stop: threading.Event, finished: threading.Event, timeout: float) -> None:
+    """Return after ``timeout`` seconds, once ``stop`` or ``finished`` is set, or just after an inbox event.
 
     An event is only a cue to list, so the queue is drained unread. With
     ``events`` None this just times out: one path for the degenerate case.
     """
     deadline = time.monotonic() + timeout
     watched = [] if events is None else [events]
-    while not stop.is_set() and (left := deadline - time.monotonic()) > 0:
+    while not (stop.is_set() or finished.is_set()) and (left := deadline - time.monotonic()) > 0:
         if select.select(watched, [], [], min(left, _STOP_CHECK_SECS))[0]:
             stop.wait(_EVENT_COALESCE_SECS)
             os.read(events, 64 * 1024)  # a few thousand events; any left over wake the next wait
@@ -155,9 +156,7 @@ class BatchSummary:
     superseded: int = 0
     ignored: int = 0
 
-    def record(self, report: AssessmentReport | None) -> None:
-        if report is None:  # an archive that was never started
-            return
+    def record(self, report: AssessmentReport) -> None:
         if report.status is ReportStatus.GRADED:
             self.graded += 1
         elif report.status is ReportStatus.QUARANTINED:
@@ -203,6 +202,8 @@ class GradingSession:
         log_path: Path = Path("grading.log"),
         jobs: int | None = None,
     ):
+        if jobs is not None and (not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1):
+            raise ValueError(f"jobs must be a positive int or None, got {jobs!r}")
         self.spec = spec
         # Made absolute once, against the working directory at start-up: the
         # test runner starts a binary from inside its workspace, where a
@@ -210,7 +211,7 @@ class GradingSession:
         self.workspace_root = Path(workspace_root).absolute()
         self.reports_dir = Path(reports_dir).absolute()
         self.quarantine_dir = Path(quarantine_dir).absolute()
-        self.jobs = jobs if jobs and jobs > 0 else min(8, os.cpu_count() or 1)
+        self.jobs = jobs or min(8, os.cpu_count() or 1)
         self.log = GradingLog(Path(log_path).absolute())
         self._log_stat = self.log.path.stat()  # how _run knows the log in an inbox, however its path is spelled
         self._pch = PrecompiledHeaders(self.workspace_root)
@@ -381,57 +382,54 @@ class GradingSession:
 
     # -- batch and watch ----------------------------------------------------
 
-    def _run(self, listings: Iterable[list[Path]], stop: threading.Event) -> BatchSummary:
+    def _run(self, listings: Iterable[list[Path]], stop: threading.Event, finished: threading.Event) -> BatchSummary:
         """Grade each listing's archives on up to ``jobs`` workers, in listing order, and return counts.
 
-        A ``.zip`` is stamped as it is listed; any other entry is logged as
-        ignored, except the session's own log, which is skipped. Finished
-        submissions are counted after each listing and then as each of the
-        rest finishes; a report is dropped once it is counted, so a run holds
-        only the reports it has not counted yet. A run ends only through
-        ``stop`` and its own ``halt``: once either is set (``halt`` by a task
-        that raised, or on the way out), no task starts; those in flight
-        finish. An exception raised while it waits (Ctrl-C, where the caller
-        installed no handler for it) propagates once they have.
+        A ``.zip`` is stamped as it is listed and joins a backlog; any other
+        entry is logged as ignored, except the session's own log, which is
+        skipped. Only the calling thread starts archives, after each listing and
+        as each archive finishes: it first counts every finished submission,
+        dropping each report once counted, then, while ``stop`` is unset, hands
+        the pool archives from the backlog until ``jobs`` are in flight. So the
+        pool never holds an archive that has not started, and ``stop`` is
+        checked on this thread just before each start: a signal handler, which
+        Python runs on the main thread, sets it before a run driven from there
+        starts anything more. Each finished archive sets ``finished``, which
+        ends a watch's wait for the next listing. The run ends when the listings
+        do and nothing is in flight. An exception from a submission (an
+        unwritable log) or raised while the run waits (Ctrl-C, where the caller
+        installed no handler for it) propagates once those in flight have
+        finished, and the backlog is never started.
         """
         summary = BatchSummary()
-        halt = threading.Event()
-
-        def start(path: Path, receipt: Receipt) -> AssessmentReport | None:
-            if stop.is_set() or halt.is_set():
-                return None
-            try:
-                return self.grade_archive(path, receipt)
-            except BaseException:
-                halt.set()
-                raise
-
-        pending: set[Future[AssessmentReport | None]] = set()
+        backlog: deque[tuple[Path, Receipt]] = deque()
+        pending: set[Future[AssessmentReport]] = set()
 
         def count(timeout: float | None) -> None:
-            """Count what has finished, waiting up to ``timeout`` seconds (None: without limit) for the first."""
+            """Count what has finished, waiting up to ``timeout`` s (None: without limit) for the first; then refill."""
             nonlocal pending
             done, pending = wait(pending, timeout, FIRST_COMPLETED)
             while done:  # one at a time, so each report is freed before the next is counted
                 summary.record(done.pop().result())
+            while backlog and len(pending) < self.jobs and not stop.is_set():
+                future = executor.submit(self.grade_archive, *backlog.popleft())
+                future.add_done_callback(lambda _: finished.set())
+                pending.add(future)
 
-        executor = ThreadPoolExecutor(max_workers=self.jobs)
-        try:
+        with ThreadPoolExecutor(max_workers=self.jobs) as executor:
             for listing in listings:
                 for path in listing:
                     if _same_file(path, self._log_stat):
                         continue
                     if _is_archive(path):
-                        pending.add(executor.submit(start, path, self._receive()))
+                        backlog.append((path, self._receive()))
                     else:
                         self.log.append(EVENT_IGNORED, utc_now(), archive=path.name, reason="not-a-zip-archive")
                         summary.ignored += 1
+                finished.clear()  # before counting, so an archive that finishes after it ends the next wait
                 count(0)
             while pending:
                 count(None)
-        finally:
-            halt.set()  # left early (an unwritable log, an exception while waiting): start nothing queued
-            executor.shutdown()
         return summary
 
     def run_batch(self, inbox: Path, stop: threading.Event | None = None) -> BatchSummary:
@@ -450,7 +448,7 @@ class GradingSession:
         entries = list_inbox(check_inbox(inbox, (self.workspace_root, self.reports_dir, self.quarantine_dir)))
         self._pch.expect(sum(map(_is_archive, entries)))
         try:
-            return self._run([entries], stop or threading.Event())
+            return self._run([entries], stop or threading.Event(), threading.Event())
         finally:
             self._pch.expect(0)
 
@@ -471,9 +469,10 @@ class GradingSession:
         ``poll_interval`` seconds has seen its size and mtime unchanged (see
         :class:`InboxScanner`), so an upload is never opened half-written.
         Resubmissions under the same name are graded again and the older
-        report is superseded. Each listing also counts the submissions that
-        have finished since the last one, so an unwritable audit log raises
-        :class:`GradingLogError` within a quarter interval. It stops as
+        report is superseded. A finished submission ends the wait for the
+        next listing, which counts it and starts the next archive held back,
+        so a free worker is refilled and an unwritable audit log raises
+        :class:`GradingLogError` within a tenth of a second. It stops as
         :meth:`run_batch` does. Raises ValueError, opening nothing, for a poll
         interval that is not a finite number of at least ``MIN_POLL_INTERVAL``
         seconds, or an inbox that ``run_batch`` refuses.
@@ -482,15 +481,16 @@ class GradingSession:
         stop = stop or threading.Event()
         scanner = InboxScanner(inbox, settle_secs=poll_interval)
         events = _inbox_events(inbox)
+        finished = threading.Event()  # a finished archive ends the wait, so its worker is refilled at once
 
         def listings() -> Iterable[list[Path]]:
             while not stop.is_set():
                 yield scanner.poll()
-                _wait_for_inbox(events, stop, poll_interval / SCANS_PER_INTERVAL)
+                _wait_for_inbox(events, stop, finished, poll_interval / SCANS_PER_INTERVAL)
 
         self._pch.expect(None)
         try:
-            return self._run(listings(), stop)
+            return self._run(listings(), stop, finished)
         finally:
             self._pch.expect(0)
             if events is not None:

@@ -17,12 +17,13 @@ and range checks live only in the classes' ``__post_init__``.
 
 Specs are parsed with libyaml's ``CSafeLoader`` where PyYAML was built with
 it, and with the pure-Python ``SafeLoader`` otherwise; both build the same
-values. libyaml's "not valid YAML" message names the line and column, but
-quotes no snippet of the file.
+values. Under either loader a "not valid YAML" message names the spec file,
+line and column, but quotes no snippet of the file.
 """
 
 from __future__ import annotations
 
+import io
 import re
 import sys
 from dataclasses import dataclass
@@ -340,7 +341,9 @@ def load_spec(path: Path | str) -> AssignmentSpec:
     except (OSError, UnicodeDecodeError) as exc:
         raise SpecError(str(path), [f"cannot read file: {exc}"]) from exc
     try:
-        raw = yaml.load(text, Loader=_LOADER)
+        stream = io.StringIO(text)
+        stream.name = str(path)  # both loaders name the file at the line and column of a syntax error
+        raw = yaml.load(stream, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise SpecError(str(path), [f"not valid YAML: {exc}"]) from exc
     if not isinstance(raw, dict):

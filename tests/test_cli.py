@@ -269,6 +269,24 @@ def test_batch_with_environment_failure_exits_nonzero(tmp_path, capsys):
     assert "errored 1" in out
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("command", ["grade", "batch", "watch"])
+def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch, command, jobs):
+    def watch_inbox(*args, **kwargs):
+        raise AssertionError("watch started")  # fail at once rather than watch forever
+
+    monkeypatch.setattr(gradepipe.pipeline.GradingSession, "watch_inbox", watch_inbox)
+    inbox = tmp_path / "inbox"
+    archive = make_zip(inbox / "Ada_Lovelace_3.zip", {"main.cpp": source("leap_fast.cpp")})
+    target = archive if command == "grade" else inbox
+    rc = main([command, str(target), "--spec", str(SPEC_PATH), "--jobs", jobs, *run_dirs(tmp_path, REFUSED_LOG)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert nothing_logged(tmp_path)
+    assert f"--jobs must be at least 1, got {jobs}" in err
+    assert "watching" not in err
+
+
 def test_watch_rejects_sub_second_interval(tmp_path, capsys):
     inbox = tmp_path / "inbox"
     inbox.mkdir()

@@ -776,9 +776,79 @@ def test_interrupted_batch_finishes_what_is_in_flight_and_starts_nothing_queued(
     with pytest.raises(KeyboardInterrupt):
         session.run_batch(inbox)
     received = [event["archive"] for event in read_log_events(session.log.path) if event["kind"] == "received"]
-    # The one worker may already hold the second archive; it finishes, and no later one starts.
-    assert received in (QUEUED[:1], QUEUED[:2])
+    # Only the run's own thread starts an archive, and it was interrupted before it started a second.
+    assert received == QUEUED[:1]
     assert kinds(session).count("graded") == len(received), "what started was graded to the end"
+
+
+def test_the_pool_is_handed_no_archive_before_a_worker_is_free(leap_spec, session_factory, tmp_path, monkeypatch):
+    submitted = []
+
+    class CountingPool(pipeline.ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            submitted.append(args[0].name)
+            return super().submit(fn, *args, **kwargs)
+
+    session = session_factory(leap_spec, jobs=1)
+    inbox = tmp_path / "inbox"
+    for name in QUEUED[:3]:
+        drop(inbox, name, {"main.cpp": source("leap_fast.cpp")})
+    grade = session.grade_archive
+    seen_while_grading = []
+
+    def grade_and_look(path, received_at=None):
+        seen_while_grading.append(list(submitted))
+        return grade(path, received_at)
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(session, "grade_archive", grade_and_look)
+    assert session.run_batch(inbox).graded == 3
+    assert seen_while_grading == [QUEUED[:1], QUEUED[:2], QUEUED[:3]], "an archive was handed over before it started"
+
+
+def test_watch_refills_a_free_worker_without_waiting_for_the_next_listing(
+    leap_spec, session_factory, tmp_path, monkeypatch
+):
+    session = session_factory(leap_spec, jobs=1)
+    inbox = tmp_path / "inbox"
+    for name in QUEUED[:2]:
+        drop(inbox, name, {"main.cpp": source("leap_fast.cpp")})
+    spans = []
+
+    def fast_grade(path, received_at=None):
+        started = time.monotonic()
+        time.sleep(0.05)
+        spans.append((path.name, started, time.monotonic()))
+        return AssessmentReport(None, path.name, T0, status=ReportStatus.ERRORED, detail="stub")
+
+    monkeypatch.setattr(session, "grade_archive", fast_grade)
+    stop = threading.Event()
+    deadline = threading.Timer(20.0, stop.set)
+    watcher = threading.Thread(target=session.watch_inbox, args=(inbox,), kwargs=dict(poll_interval=30.0, stop=stop))
+    deadline.start()
+    watcher.start()
+    try:
+        while len(spans) < 2 and not stop.is_set():
+            time.sleep(0.01)
+    finally:
+        stop.set()
+        deadline.cancel()
+        watcher.join(timeout=15.0)
+    assert not watcher.is_alive(), "the watch did not return once stopped"
+    (first, _, first_end), (second, second_start, _) = spans
+    assert [first, second] == QUEUED[:2]
+    assert second_start - first_end < 1.0, "the free worker waited for the next listing, 7.5 s away"
+
+
+@pytest.mark.parametrize("jobs", [0, -3, True, 1.5, "2"])
+def test_a_session_refuses_a_worker_count_that_is_not_a_positive_int(leap_spec, session_factory, tmp_path, jobs):
+    with pytest.raises(ValueError, match="jobs must be a positive int"):
+        session_factory(leap_spec, jobs=jobs)
+    assert not (tmp_path / "run").exists(), "nothing was opened"
+
+
+def test_a_session_without_a_worker_count_takes_the_cpu_count_capped_at_8(leap_spec, session_factory):
+    assert session_factory(leap_spec, jobs=None).jobs == min(8, os.cpu_count() or 1)
 
 
 def test_parallel_batch_matches_serial_batch(leap_spec, session_factory, tmp_path):
@@ -998,7 +1068,7 @@ def test_watch_lists_the_inbox_four_times_per_settle_window(leap_spec, session_f
 
     waits = []
 
-    def stop_at_first_wait(events, stop, timeout):
+    def stop_at_first_wait(events, stop, finished, timeout):
         waits.append(timeout)
         stop.set()
 
@@ -1015,7 +1085,7 @@ def test_watch_never_lists_its_own_log(leap_spec, session_factory, tmp_path, mon
     session = session_factory(leap_spec, log_path=inbox / ".." / "inbox" / "grading.log")
     listings = []
 
-    def fourth_listing_stops(events, stop, timeout):
+    def fourth_listing_stops(events, stop, finished, timeout):
         listings.append(timeout)
         if len(listings) == 4:
             stop.set()

@@ -480,11 +480,14 @@ LOADERS = [
 @pytest.mark.parametrize("loader", LOADERS)
 def test_not_valid_yaml_names_its_line_and_column_under_each_loader(tmp_path, monkeypatch, loader):
     monkeypatch.setattr(specfile, "_LOADER", loader)
+    spec = write_spec(tmp_path, "assignment: 3\ntests: [a\nrules: x\n")
     with pytest.raises(SpecError) as excinfo:
-        load_spec(write_spec(tmp_path, "assignment: 3\ntests: [a\nrules: x\n"))
+        load_spec(spec)
     (problem,) = excinfo.value.problems
     assert problem.startswith("not valid YAML: while parsing a flow sequence")
     assert "line 2, column 8" in problem and "line 3, column 6" in problem
+    assert f'in "{spec}", line 2, column 8' in problem, "the location names the spec file"
+    assert "<unicode string>" not in problem
 
 
 def test_specs_are_parsed_with_libyaml_where_pyyaml_has_it():
