@@ -93,6 +93,19 @@ def _print_summary(summary: BatchSummary) -> None:
     print(", ".join(parts))
 
 
+def _cmd_validate(spec_file: Path) -> int:
+    try:
+        spec = load_spec(spec_file)
+    except SpecError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    print(
+        f"{spec_file}: ok (assignment {spec.assignment_number}, "
+        f"{len(spec.rules)} rules, {len(spec.tests)} tests)"
+    )
+    return 0
+
+
 @contextmanager
 def _signals_set(stop: threading.Event) -> Iterator[None]:
     """Within the block, SIGINT (Ctrl-C) and SIGTERM both set ``stop`` instead of ending the process."""
@@ -135,15 +148,14 @@ def _check_inputs(args: argparse.Namespace) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command == "validate-spec":
+        return _cmd_validate(args.spec_file)
+
     try:
-        spec = load_spec(args.spec_file if args.command == "validate-spec" else args.spec)
+        spec = load_spec(args.spec)
     except SpecError as exc:
         print(exc, file=sys.stderr)
         return 2
-    if args.command == "validate-spec":
-        print(f"{args.spec_file}: ok (assignment {spec.assignment_number}, "
-              f"{len(spec.rules)} rules, {len(spec.tests)} tests)")
-        return 0
     try:
         _check_inputs(args)
     except (ValueError, OSError) as exc:

@@ -133,19 +133,22 @@ def _inbox_events(inbox: Path) -> int | None:
     return fd
 
 
-def _wait_for_inbox(events: int | None, stop: threading.Event, finished: threading.Event, timeout: float) -> None:
-    """Return after ``timeout`` seconds, once ``stop`` or ``finished`` is set, or just after an inbox event.
+def _wait_for_inbox(events: int | None, wake: int, stop: threading.Event, deadline: float) -> bool:
+    """Wait until ``deadline`` on ``time.monotonic``, until ``stop`` is set, just after an inbox event, or for ``wake``.
 
-    An event is only a cue to list, so the queue is drained unread. With
-    ``events`` None this just times out: one path for the degenerate case.
+    Returns True only when ``wake``, an eventfd that a finished archive
+    writes to, ended the wait: a worker is free, and the inbox needs no new
+    listing. An inbox event is only a cue to list, so its queue is drained
+    unread. With ``events`` None only ``wake`` and the deadline end the wait.
     """
-    deadline = time.monotonic() + timeout
-    watched = [] if events is None else [events]
-    while not (stop.is_set() or finished.is_set()) and (left := deadline - time.monotonic()) > 0:
-        if select.select(watched, [], [], min(left, _STOP_CHECK_SECS))[0]:
-            stop.wait(_EVENT_COALESCE_SECS)
-            os.read(events, 64 * 1024)  # a few thousand events; any left over wake the next wait
-            return
+    watched = [wake] if events is None else [wake, events]
+    while not stop.is_set() and (left := deadline - time.monotonic()) > 0:
+        if ready := select.select(watched, [], [], min(left, _STOP_CHECK_SECS))[0]:
+            if ready[0] == events:
+                stop.wait(_EVENT_COALESCE_SECS)
+            os.read(ready[0], 64 * 1024)  # the eventfd's count, or a few thousand events; any left wake the next wait
+            return ready[0] == wake
+    return False
 
 
 @dataclass
@@ -382,7 +385,7 @@ class GradingSession:
 
     # -- batch and watch ----------------------------------------------------
 
-    def _run(self, listings: Iterable[list[Path]], stop: threading.Event, finished: threading.Event) -> BatchSummary:
+    def _run(self, listings: Iterable[list[Path]], stop: threading.Event, wake: int | None = None) -> BatchSummary:
         """Grade each listing's archives on up to ``jobs`` workers, in listing order, and return counts.
 
         A ``.zip`` is stamped as it is listed and joins a backlog; any other
@@ -394,8 +397,9 @@ class GradingSession:
         pool never holds an archive that has not started, and ``stop`` is
         checked on this thread just before each start: a signal handler, which
         Python runs on the main thread, sets it before a run driven from there
-        starts anything more. Each finished archive sets ``finished``, which
-        ends a watch's wait for the next listing. The run ends when the listings
+        starts anything more. An archive that finishes while others wait in the
+        backlog writes to ``wake``, a watch's eventfd, so the watch yields an
+        empty listing to refill its worker. The run ends when the listings
         do and nothing is in flight. An exception from a submission (an
         unwritable log) or raised while the run waits (Ctrl-C, where the caller
         installed no handler for it) propagates once those in flight have
@@ -413,7 +417,8 @@ class GradingSession:
                 summary.record(done.pop().result())
             while backlog and len(pending) < self.jobs and not stop.is_set():
                 future = executor.submit(self.grade_archive, *backlog.popleft())
-                future.add_done_callback(lambda _: finished.set())
+                if wake is not None:  # a deque's length is read atomically; with none held back, no worker is awaited
+                    future.add_done_callback(lambda _: backlog and os.eventfd_write(wake, 1))
                 pending.add(future)
 
         with ThreadPoolExecutor(max_workers=self.jobs) as executor:
@@ -426,7 +431,6 @@ class GradingSession:
                     else:
                         self.log.append(EVENT_IGNORED, utc_now(), archive=path.name, reason="not-a-zip-archive")
                         summary.ignored += 1
-                finished.clear()  # before counting, so an archive that finishes after it ends the next wait
                 count(0)
             while pending:
                 count(None)
@@ -448,7 +452,7 @@ class GradingSession:
         entries = list_inbox(check_inbox(inbox, (self.workspace_root, self.reports_dir, self.quarantine_dir)))
         self._pch.expect(sum(map(_is_archive, entries)))
         try:
-            return self._run([entries], stop or threading.Event(), threading.Event())
+            return self._run([entries], stop or threading.Event())
         finally:
             self._pch.expect(0)
 
@@ -469,10 +473,11 @@ class GradingSession:
         ``poll_interval`` seconds has seen its size and mtime unchanged (see
         :class:`InboxScanner`), so an upload is never opened half-written.
         Resubmissions under the same name are graded again and the older
-        report is superseded. A finished submission ends the wait for the
-        next listing, which counts it and starts the next archive held back,
-        so a free worker is refilled and an unwritable audit log raises
-        :class:`GradingLogError` within a tenth of a second. It stops as
+        report is superseded. Each listing also counts the submissions that
+        have finished since the last one, so an unwritable audit log raises
+        :class:`GradingLogError` within a quarter interval. A submission that
+        finishes while archives are held back for a free worker ends the wait
+        at once and, without a listing, starts the next of them. It stops as
         :meth:`run_batch` does. Raises ValueError, opening nothing, for a poll
         interval that is not a finite number of at least ``MIN_POLL_INTERVAL``
         seconds, or an inbox that ``run_batch`` refuses.
@@ -480,18 +485,21 @@ class GradingSession:
         inbox = check_inbox(inbox, (self.workspace_root, self.reports_dir, self.quarantine_dir), poll_interval)
         stop = stop or threading.Event()
         scanner = InboxScanner(inbox, settle_secs=poll_interval)
+        wake = os.eventfd(0, os.EFD_CLOEXEC | os.EFD_NONBLOCK)  # opened first: it may raise, _inbox_events does not
         events = _inbox_events(inbox)
-        finished = threading.Event()  # a finished archive ends the wait, so its worker is refilled at once
 
         def listings() -> Iterable[list[Path]]:
             while not stop.is_set():
                 yield scanner.poll()
-                _wait_for_inbox(events, stop, finished, poll_interval / SCANS_PER_INTERVAL)
+                deadline = time.monotonic() + poll_interval / SCANS_PER_INTERVAL
+                while _wait_for_inbox(events, wake, stop, deadline):
+                    yield []  # a worker is free: count what finished and refill it, then wait out the rest
 
         self._pch.expect(None)
         try:
-            return self._run(listings(), stop, finished)
+            return self._run(listings(), stop, wake)
         finally:
             self._pch.expect(0)
+            os.close(wake)
             if events is not None:
                 os.close(events)

@@ -811,9 +811,15 @@ def test_watch_refills_a_free_worker_without_waiting_for_the_next_listing(
 ):
     session = session_factory(leap_spec, jobs=1)
     inbox = tmp_path / "inbox"
-    for name in QUEUED[:2]:
+    for name in QUEUED[:3]:
         drop(inbox, name, {"main.cpp": source("leap_fast.cpp")})
     spans = []
+    listings = []
+
+    class CountingScanner(pipeline.InboxScanner):
+        def poll(self):
+            listings.append(time.monotonic())
+            return super().poll()
 
     def fast_grade(path, received_at=None):
         started = time.monotonic()
@@ -822,22 +828,24 @@ def test_watch_refills_a_free_worker_without_waiting_for_the_next_listing(
         return AssessmentReport(None, path.name, T0, status=ReportStatus.ERRORED, detail="stub")
 
     monkeypatch.setattr(session, "grade_archive", fast_grade)
+    monkeypatch.setattr(pipeline, "InboxScanner", CountingScanner)
     stop = threading.Event()
     deadline = threading.Timer(20.0, stop.set)
     watcher = threading.Thread(target=session.watch_inbox, args=(inbox,), kwargs=dict(poll_interval=30.0, stop=stop))
     deadline.start()
     watcher.start()
     try:
-        while len(spans) < 2 and not stop.is_set():
+        while len(spans) < 3 and not stop.is_set():
             time.sleep(0.01)
     finally:
         stop.set()
         deadline.cancel()
         watcher.join(timeout=15.0)
     assert not watcher.is_alive(), "the watch did not return once stopped"
-    (first, _, first_end), (second, second_start, _) = spans
-    assert [first, second] == QUEUED[:2]
-    assert second_start - first_end < 1.0, "the free worker waited for the next listing, 7.5 s away"
+    assert [name for name, _, _ in spans] == QUEUED[:3]
+    for (_, _, end), (_, start, _) in zip(spans, spans[1:]):
+        assert start - end < 1.0, "the free worker waited for the next listing, 7.5 s away"
+    assert len(listings) == 1, "a refill listed the inbox again"
 
 
 @pytest.mark.parametrize("jobs", [0, -3, True, 1.5, "2"])
@@ -1068,15 +1076,15 @@ def test_watch_lists_the_inbox_four_times_per_settle_window(leap_spec, session_f
 
     waits = []
 
-    def stop_at_first_wait(events, stop, finished, timeout):
-        waits.append(timeout)
+    def stop_at_first_wait(events, wake, stop, deadline):
+        waits.append(deadline - time.monotonic())
         stop.set()
 
     monkeypatch.setattr(pipeline, "InboxScanner", RecordingScanner)
     monkeypatch.setattr(pipeline, "_wait_for_inbox", stop_at_first_wait)
     session.watch_inbox(inbox, poll_interval=2.0)
     assert [scanner.settle_secs for scanner in scanners] == [2.0]
-    assert waits == [0.5]
+    assert waits == [pytest.approx(0.5, abs=0.1)]
 
 
 def test_watch_never_lists_its_own_log(leap_spec, session_factory, tmp_path, monkeypatch):
@@ -1085,8 +1093,8 @@ def test_watch_never_lists_its_own_log(leap_spec, session_factory, tmp_path, mon
     session = session_factory(leap_spec, log_path=inbox / ".." / "inbox" / "grading.log")
     listings = []
 
-    def fourth_listing_stops(events, stop, finished, timeout):
-        listings.append(timeout)
+    def fourth_listing_stops(events, wake, stop, deadline):
+        listings.append(deadline)
         if len(listings) == 4:
             stop.set()
 
