@@ -8,10 +8,12 @@ randomly named object file GCC makes in its temporary directory is named
 absolute path (under ``-g``) by its relative one; diagnostics therefore never
 leak absolute paths, and identical submissions get byte-identical diagnostics.
 
-Parsing ``<iostream>`` and linking with ``ld.bfd`` are most of the compile
-time of a small program, so a session can precompile ``<iostream>`` once with
-the assignment's own command and link those compiles with ``ld.gold``; see
-:class:`PrecompiledHeaders`.
+Parsing the first system header and linking with ``ld.bfd`` are most of the
+compile time of a small program, so a session links every GCC compile with
+``ld.gold`` and can precompile each translation unit's leading header once,
+with the assignment's own command; see :class:`PrecompiledHeaders`. Every
+compile runs with a fixed ``SOURCE_DATE_EPOCH``, so ``__DATE__`` and
+``__TIME__`` do not depend on when it ran.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from .child import argument_problem, run_child
 
@@ -50,24 +52,33 @@ MAX_OUTPUT_LINES = 500
 # The line boundaries of str.splitlines once "\r" has become "\n".
 _LINE_ENDS = "\n\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
-# A translation unit that includes <iostream> spends most of its compile time
-# parsing it, so a session precompiles that header. <cstdio> is left out; its
-# PCH saves 8 ms of an 88 ms compile.
-PCH_HEADER = "iostream"
-# Blanks only, never \s: a match must not run on across lines.
-_PCH_INCLUDE = re.compile(rb"^[ \t]*#[ \t]*include[ \t]*<iostream>", re.M)
-# A compile under the PCH keeps its result if it succeeded silently or failed
-# in words a cold compile would print too (see compile_workspace); any other
-# runs again cold. The first compile that includes the header builds it (other
-# compiles run cold meanwhile), and the PCH is used only while the tries that
-# ran again are no more than the ones kept. (For a leap-year program, g++ 12
-# on 2 vCPUs, a kept try saves about 0.22 s and one that runs again costs
-# about 0.09 s more: past about 70% run again it loses.) A batch bounds the
-# compiles still to come (see expect()), the one that builds included, and
-# builds only for this many. (With --jobs 2 and all-<iostream> batches on that
-# box, 4 archives lost 0.15 s, 5 came out even, and 6 gained 0.13 s; 10
-# gained 0.5 s.)
+# A translation unit spends much of its compile time parsing its first system
+# header, and GCC can load a PCH only there, so a session precompiles the
+# header each unit includes first. (g++ 12 on 2 vCPUs: a 3-unit <cstdio>
+# program compiles in 107 ms with gold and 102 ms with a <cstdio> PCH, built
+# in 49 ms; a leap-year <iostream> program in 293 ms cold and 76 ms warm.) A
+# header's PCH is used only while the compiles that wanted it and ran again
+# are no more than the ones kept (see compile_workspace). (For a leap-year
+# program, a kept try saves about 0.22 s and one that runs again costs about
+# 0.09 s more: past about 70% run again it loses.) A batch bounds the compiles
+# still to come (see expect()), the one that builds included, and builds only
+# for this many. (With --jobs 2 and all-<iostream> batches on that box, 4
+# archives lost 0.15 s, 5 came out even, and 6 gained 0.13 s; 10 gained 0.5 s.)
 PCH_BUILD_FOR_AT_LEAST = 6
+# A session starts at most this many builds, failed ones included, since each
+# costs time and disk: <cstdio> takes 0.05 s and 2.4 MB, <iostream> 0.7 s and
+# 23 MB, <bits/stdc++.h> 4-5 s and 101 MB.
+PCH_BUILDS_AT_MOST = 3
+# The first "#include <h>" line of a unit. Blanks only, never \s: a match
+# must not run on across lines.
+_LEADING_INCLUDE = re.compile(rb"^[ \t]*#[ \t]*include[ \t]*<([^>\n]*)>", re.M)
+# A header name comes from student text, so it names a PCH only if it is made
+# of these characters, is relative and has no ".." component.
+_HEADER_NAME = re.compile(rb"[A-Za-z0-9_+./-]+")
+# Every compile and header build runs with this set, so __DATE__ and __TIME__
+# read "Jan  1 1970" and "00:00:00" and a program that prints them grades the
+# same in every session.
+_FIXED_ENVIRONMENT = {"SOURCE_DATE_EPOCH": "0"}
 # g++ and gcc exit 1 for errors in the program, 4 for an internal compiler error.
 _GCC_ERROR_EXIT = 1
 # g++ and gcc print a line that starts "collect2:" for every failed link.
@@ -237,127 +248,180 @@ def _find_gold(timeout: float) -> Path | None:
     return _GOLD_DIR if _version_banner(str(_GOLD_DIR / "ld"), timeout).startswith("GNU gold") else None
 
 
-def _includes_iostream(workspace: Path, sources: Sequence[str]) -> bool:
-    """Whether a translation unit among ``sources`` has a line ``#include <iostream>``."""
-    return any(_PCH_INCLUDE.search((workspace / name).read_bytes()) for name in sources)
+def _leading_header(source: Path) -> str | None:
+    """The header of the first ``#include <h>`` line of ``source``, if that name may name a PCH."""
+    match = _LEADING_INCLUDE.search(source.read_bytes())
+    if match is None:
+        return None
+    name = match[1]
+    if _HEADER_NAME.fullmatch(name) is None or name.startswith(b"/") or b".." in name.split(b"/"):
+        return None
+    return name.decode("ascii")
 
 
-def _stamp(include: Path) -> tuple[int, ...] | None:
-    """Identity and last change of ``include`` and its ``.gch``, or None if either is gone.
+def _stamp(include: Path, header: str) -> tuple[int, ...] | None:
+    """Identity and last change of ``header``'s ``.gch`` and stand-in in ``include``, and of their directories.
 
-    A write, a new entry or a replaced file changes the ``st_ctime_ns`` of
-    one of the two, and no process can set that back.
+    None if any is gone. A write, a new entry or a replaced file changes the
+    ``st_ctime_ns`` of one of them, and no process can set that back.
     """
+    stand_in = include / header
     try:
-        stats = (include.stat(), (include / f"{PCH_HEADER}.gch").stat())
+        stats = [path.stat() for path in (stand_in.with_name(f"{stand_in.name}.gch"), stand_in, *stand_in.parents)
+                 if path.is_relative_to(include)]
     except OSError:
         return None
     return tuple(n for st in stats for n in (st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns))
 
 
-def _put_first(directory: Path, variable: str) -> str:
-    """The search path ``variable`` with ``directory`` first and its inherited value, if any, after it."""
+def _put_first(directories: Sequence[Path], variable: str) -> str:
+    """The search path ``variable`` with ``directories`` first and its inherited value, if any, after them."""
     inherited = os.environ.get(variable)
     # An empty element would mean the working directory.
-    return os.pathsep.join([str(directory)] + ([inherited] if inherited else []))
+    return os.pathsep.join([*map(str, directories)] + ([inherited] if inherited else []))
+
+
+@dataclass
+class _Header:
+    """The counts of the compiles that wanted one leading header, and its PCH."""
+
+    paid: int = 0
+    lost: int = 0
+    index: int | None = None  # the number of its build in the session, once one started
+    stamp: tuple[int, ...] | None = None  # see _stamp(), while its PCH may be used
+
+
+# The counts of the compiles with no header to precompile, which can run warm
+# with gold alone. No build is made for it.
+_NO_HEADER = ""
 
 
 class PrecompiledHeaders:
-    """The precompiled ``<iostream>`` of one session, built by the first compile that wants it, and its linker.
+    """The warm toolchain of one session: ``ld.gold``, and a PCH of each leading header built by its first compile.
 
-    The first compile whose sources include ``<iostream>`` has
-    :meth:`environment` build ``iostream.gch`` once, with that compile's
-    command and flags (other compiles run cold meanwhile), so GCC accepts it
-    exactly where it would have parsed the header itself. GCC looks for
-    ``iostream.gch`` in each include directory before ``iostream``, so a
-    compile run in the returned environment, which names the PCH directory
-    first in ``CPLUS_INCLUDE_PATH``, loads it instead of parsing the header.
-    There is no PCH unless ``<compiler> --version`` names GCC (clang would
-    need ``-include-pch``, which changes the command) and the build exits 0
-    without printing anything.
+    At the session's first compile, :meth:`environment` asks
+    ``<compiler> --version`` whether the compiler is GCC (clang would need
+    ``-include-pch``, which changes the command) and, if it is,
+    ``/usr/lib/gold-ld/ld --version`` whether that is GNU gold; every
+    compile waits for the answers, which are asked once. If both say so,
+    every compile runs warm with ``/usr/lib/gold-ld`` first in
+    ``COMPILER_PATH``: GCC's ``collect2`` then links with gold, which takes
+    about a third of the time of ``ld.bfd``. The directory is root-owned
+    and outside ``root``, so no student binary can rewrite it.
 
-    The same environment names ``/usr/lib/gold-ld`` first in
-    ``COMPILER_PATH`` if, when the PCH is built, ``/usr/lib/gold-ld/ld
-    --version`` says ``GNU gold``: GCC's ``collect2`` then links with gold,
-    which takes about a third of the time of ``ld.bfd``. Gold words link
-    errors differently, so a link error is reported from the cold rerun, in
-    bfd's words (see :meth:`untouched`). Without gold the environment
-    changes ``CPLUS_INCLUDE_PATH`` only. The directory is root-owned and
-    outside ``root``, so no student binary can rewrite it.
+    A compile also wants the PCH of each translation unit's leading header,
+    the one its first ``#include <h>`` names (see :func:`_leading_header`).
+    The first compile that wants a header builds ``<h>.gch`` once, with that
+    compile's command and flags (other compiles go on without it
+    meanwhile), so GCC accepts it exactly where it would have parsed the
+    header itself. GCC looks for ``<h>.gch`` in each include directory
+    before ``<h>``, so a compile run in the returned environment, which
+    names the header's own include directory first in
+    ``CPLUS_INCLUDE_PATH``, loads it instead of parsing the header. A PCH is
+    used only if the build exited 0 without printing anything, and a session
+    starts at most ``PCH_BUILDS_AT_MOST`` builds.
+
+    Gold and the PCH word some failures differently; :meth:`untouched` says
+    which warm output a cold compile prints the same (see
+    :func:`compile_workspace`).
 
     Nothing is built until :meth:`expect` says enough compiles are to come
     to pay the build back: a batch passes its size, a watch passes None, and
-    a single grade builds nothing. The compiles that want the PCH count as
-    paid (their warm result was kept) or lost, and the PCH is not used
-    while the lost ones outnumber the paid ones. It is dropped for the
-    rest of the session if the directory or the ``.gch`` changes after the
-    build (a student binary runs as the same user and could rewrite it).
+    a single grade builds nothing. The compiles that want a header count as
+    paid (their warm result was kept, or would have been) or lost, and while
+    the lost ones outnumber the paid ones they run cold, with neither its
+    PCH nor gold; compiles with no header to precompile count together. A
+    PCH is dropped for the rest of the session if its include directory or
+    ``.gch`` changes after the build (a student binary runs as the same user
+    and could rewrite it).
 
-    Nothing runs and nothing is created until the build. The files live in
-    one ``.pch-*`` directory under ``root``, which :meth:`close` removes.
+    Nothing is created until the first build. The files live in one
+    ``.pch-*`` directory under ``root``, which :meth:`close` removes: each
+    build in its own numbered directory, with the wrapper header it
+    compiles in ``wrap/`` and, in ``include/``, the ``.gch`` and a stand-in
+    for the header that includes the header itself.
     """
 
     def __init__(self, root: Path):
         self.root = root
         self._lock = threading.Lock()
-        self._paid = 0
-        self._lost = 0
-        self._started = False
+        self._gcc: bool | None = None  # None until the first compile asks
+        self._linker: Path | None = None
+        self._headers: dict[str, _Header] = {}
+        self._builds = 0
         self._ahead: int | None = 0
         self._dir: Path | None = None
-        self._stamp: tuple[int, ...] | None = None
-        self._linker: Path | None = None
 
-    def environment(self, profile: CompilerProfile) -> dict[str, str] | None:
-        """The compiler's environment for a compile that wants the PCH, or None to compile cold."""
+    def environment(self, profile: CompilerProfile, headers: Collection[str]) -> dict[str, str] | None:
+        """The compiler's environment for a warm try of a compile whose units lead with ``headers``, or None: cold."""
         with self._lock:
-            pays = self._lost <= self._paid
+            if self._gcc is None:
+                # Held while asking: every compile waits for the answers.
+                self._gcc = _names_gcc(profile.command[0], profile.timeout_secs)
+                self._linker = _find_gold(profile.timeout_secs) if self._gcc else None
             enough = self._ahead is None or self._ahead >= PCH_BUILD_FOR_AT_LEAST
-            build = pays and enough and not self._started
-            self._started = self._started or build
             if self._ahead is not None:
                 self._ahead -= 1
-        if build:
-            # Only one compile gets here; the others compile cold meanwhile.
-            stamp = _stamp(self._dir / "include") if self._build(profile) else None
+            if not self._gcc:
+                return None
+            paying = {name: header for name in headers or (_NO_HEADER,)
+                      if (header := self._headers.setdefault(name, _Header())).lost <= header.paid}
+            builds = []
+            for name, header in paying.items():
+                if name != _NO_HEADER and enough and header.index is None and self._builds < PCH_BUILDS_AT_MOST:
+                    header.index = self._builds
+                    self._builds += 1
+                    builds.append(name)
+        # Only one compile builds each header; the others go on without it meanwhile.
+        for name in builds:
+            include = self._build(profile, name, paying[name].index)
+            stamp = None if include is None else _stamp(include, name)
             with self._lock:
-                self._stamp = stamp
+                paying[name].stamp = stamp
         with self._lock:
-            if not pays or self._stamp is None:
-                return None
-            include = self._dir / "include"
-            if _stamp(include) != self._stamp:
-                self._stamp = None
-                return None
-        env = {**os.environ, "CPLUS_INCLUDE_PATH": _put_first(include, "CPLUS_INCLUDE_PATH")}
+            includes = []
+            for name, header in paying.items():
+                if header.stamp is None:
+                    continue
+                include = self._dir / str(header.index) / "include"
+                if _stamp(include, name) == header.stamp:
+                    includes.append(include)
+                else:
+                    header.stamp = None
+        if not paying or not includes and self._linker is None:
+            return None
+        env = dict(os.environ)
+        if includes:
+            env["CPLUS_INCLUDE_PATH"] = _put_first(includes, "CPLUS_INCLUDE_PATH")
         if self._linker is not None:
-            env["COMPILER_PATH"] = _put_first(self._linker, "COMPILER_PATH")
+            env["COMPILER_PATH"] = _put_first([self._linker], "COMPILER_PATH")
         return env
 
     def expect(self, compiles: int | None) -> None:
-        """Bound the compiles still to come that may want the PCH, or lift the bound with None.
+        """Bound the compiles still to come, or lift the bound with None.
 
-        Each compile that wants it counts the bound down, and the build is
-        skipped while fewer than ``PCH_BUILD_FOR_AT_LEAST`` are left. The
-        bound starts at 0, so a session outside a batch or a watch builds
-        nothing; with no bound (a watch) the first compile that wants the
-        PCH builds it.
+        Each compile counts the bound down, and no header is built while
+        fewer than ``PCH_BUILD_FOR_AT_LEAST`` are left. The bound starts at
+        0, so a session outside a batch or a watch builds nothing; with no
+        bound (a watch) the first compile that wants a header builds it.
         """
         with self._lock:
             self._ahead = compiles
 
-    def record(self, paid: bool) -> None:
-        """Count a finished compile that wanted the PCH: paid if it ran once, warm, or would have."""
+    def record(self, headers: Collection[str], paid: bool) -> None:
+        """Count a finished compile whose units lead with ``headers``: paid if it ran once, warm, or would have."""
         with self._lock:
-            if paid:
-                self._paid += 1
-            else:
-                self._lost += 1
+            for name in headers or (_NO_HEADER,):
+                header = self._headers.setdefault(name, _Header())
+                if paid:
+                    header.paid += 1
+                else:
+                    header.lost += 1
 
     def untouched(self, output: str) -> bool:
         """Whether the output of a warm compile that failed reads as the cold compile's would.
 
-        Only two things make them differ. Under the PCH, an include chain
+        Only two things make them differ. Under a PCH, an include chain
         into a library header ends at the wrapper header instead of the
         student's file; the build names the wrapper by its absolute path, so
         every such line names this session's ``.pch-*`` directory. And gold
@@ -367,46 +431,55 @@ class PrecompiledHeaders:
         """
         with self._lock:
             directory = self._dir
-        return (directory is not None and directory.name not in output and _LINK_FAILURE_MARK not in output
+        return ((directory is None or directory.name not in output) and _LINK_FAILURE_MARK not in output
                 and not _OMITTED.search(output))
 
-    def _build(self, profile: CompilerProfile) -> bool:
-        if not _names_gcc(profile.command[0], profile.timeout_secs):
-            return False
-        self._linker = _find_gold(profile.timeout_secs)
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            self._dir = Path(tempfile.mkdtemp(prefix=".pch-", dir=self.root)).absolute()
-        except OSError:
-            return False
+    def _build(self, profile: CompilerProfile, header: str, index: int) -> Path | None:
+        """Build ``header``'s PCH as build number ``index`` and return its include directory, or None if that failed."""
+        with self._lock:
+            try:
+                if self._dir is None:
+                    self.root.mkdir(parents=True, exist_ok=True)
+                    self._dir = Path(tempfile.mkdtemp(prefix=".pch-", dir=self.root)).absolute()
+            except OSError:
+                return None
+            home = self._dir / str(index)
         # The wrapper lives outside the include directory: found there, it
         # would include itself. It is compiled by its absolute path, which an
         # include chain through it then names (see untouched()). The build
         # writes the .gch in place: environment() hands the directory out
         # only once the build succeeded, so what a failed or killed build
         # leaves is never read, and close() removes it.
-        wrapper = self._dir / "wrap" / PCH_HEADER
-        target = Path("include", f"{PCH_HEADER}.gch")
+        wrapper = home / "wrap" / header
+        target = Path("include", f"{header}.gch")
+        # Once a unit has loaded a PCH, GCC reads a header found beside a .gch
+        # from that directory (it fails if none is there): "#include <cstdio>"
+        # then "#include <string>", which includes <cstdio> again, would. This
+        # stand-in passes such an include on to the header itself.
+        stand_in = home / "include" / header
         try:
-            wrapper.parent.mkdir()
-            wrapper.write_text(f"#include <{PCH_HEADER}>\n", encoding="utf-8")
-            (self._dir / target).parent.mkdir()
+            wrapper.parent.mkdir(parents=True)
+            wrapper.write_text(f"#include <{header}>\n", encoding="utf-8")
+            stand_in.parent.mkdir(parents=True)
+            stand_in.write_text(f"#include_next <{header}>\n", encoding="utf-8")
             # A build that prints anything is not used, so its first output ends it.
             exit_code, _ = run_child(
                 profile.expand(["-x", "c++-header", str(wrapper)], str(target)),
-                self._dir,
+                home,
                 profile.timeout_secs,
                 lambda chunk: False,
+                env={**os.environ, **_FIXED_ENVIRONMENT},
                 merge_stderr=True,
             )
         except OSError:
-            return False
-        return exit_code == 0 and (self._dir / target).is_file()
+            return None
+        return home / "include" if exit_code == 0 and (home / target).is_file() else None
 
     def close(self) -> None:
         """Remove the PCH directory, if one was made."""
         with self._lock:
-            self._stamp = None
+            for header in self._headers.values():
+                header.stamp = None
             if self._dir is not None:
                 shutil.rmtree(self._dir, ignore_errors=True)
                 self._dir = None
@@ -430,17 +503,19 @@ def compile_workspace(
     executable raises, as :class:`CompilerNotFound`, because that is an
     environment fault rather than a property of the submission.
 
-    With ``pch``, a workspace that includes ``<iostream>`` may first be
-    compiled warm, in the environment :meth:`PrecompiledHeaders.environment`
-    hands out: the PCH directory first in ``CPLUS_INCLUDE_PATH`` and, where
-    gold is installed, gold's directory first in ``COMPILER_PATH``. That
-    result is kept if the compiler exited 0, printed nothing and wrote the
-    binary; if it printed nothing before it ran out of time; or if it exited
-    1 and its output is :meth:`PrecompiledHeaders.untouched`: a cold compile
-    reports the same in each case. Otherwise the binary is deleted and the
-    cold compile runs, and its result is returned. A warm compile that
-    succeeded but printed something runs again too, since gold's link
-    warnings carry no mark. The command is the same either way.
+    With ``pch``, the workspace may first be compiled warm, in the
+    environment :meth:`PrecompiledHeaders.environment` hands out: gold's
+    directory first in ``COMPILER_PATH`` where gold is installed, and the
+    include directories of its units' leading headers' PCHs first in
+    ``CPLUS_INCLUDE_PATH``. That result is kept if the compiler exited 0,
+    printed nothing and wrote the binary; if it printed nothing before it
+    ran out of time; or if it exited 1 and its output is
+    :meth:`PrecompiledHeaders.untouched`: a cold compile reports the same in
+    each case. Otherwise the binary is deleted and the cold compile runs,
+    and its result is returned. A warm compile that succeeded but printed
+    something runs again too, since gold's link warnings carry no mark. The
+    command is the same either way, and every compile runs with
+    ``SOURCE_DATE_EPOCH=0``.
     """
     # A path that starts with "-" would reach the compiler as an option.
     sources = [f"./{name}" if name.startswith("-") else name for name in files
@@ -450,20 +525,19 @@ def compile_workspace(
         return CompileResult(False, (diagnostic,), raw_output=diagnostic.text)
 
     command = profile.expand(sources, OUTPUT_NAME)
-    if pch is None or not _includes_iostream(workspace, sources):
+    if pch is None:
         return _run_compiler(command, workspace, profile, None)[0]
-    env = pch.environment(profile)
-    if env is not None:
-        warm, exit_code = _run_compiler(command, workspace, profile, env)
-        paid = (warm.succeeded and not warm.raw_output
-                or exit_code == _GCC_ERROR_EXIT and pch.untouched(warm.raw_output))
-        if paid or warm.raw_output == _timeout_notice(profile):  # a timeout is not run twice
-            pch.record(paid=paid)
-            return warm
+    headers = sorted({header for name in sources if (header := _leading_header(workspace / name)) is not None})
+    env = pch.environment(profile, headers)
+    result, exit_code = _run_compiler(command, workspace, profile, env)
+    # Run cold, it counts as paid where a warm result would have been kept.
+    paid = (result.succeeded and not result.raw_output
+            or exit_code == _GCC_ERROR_EXIT and pch.untouched(result.raw_output))
+    if env is not None and not paid and result.raw_output != _timeout_notice(profile):  # a timeout is not run twice
         (workspace / OUTPUT_NAME).unlink(missing_ok=True)
-    cold = _run_compiler(command, workspace, profile, None)[0]
-    pch.record(paid=env is None and cold.succeeded and not cold.raw_output)
-    return cold
+        result = _run_compiler(command, workspace, profile, None)[0]
+    pch.record(headers, paid)
+    return result
 
 
 def _timeout_notice(profile: CompilerProfile) -> str:
@@ -473,7 +547,11 @@ def _timeout_notice(profile: CompilerProfile) -> str:
 def _run_compiler(
     command: tuple[str, ...], workspace: Path, profile: CompilerProfile, env: dict[str, str] | None
 ) -> tuple[CompileResult, int | None]:
-    """The result of one compile, and the compiler's exit code (None if it ran out of time)."""
+    """The result of one compile in ``env`` (None: the grader's) with ``_FIXED_ENVIRONMENT``, and its exit code.
+
+    The exit code is None if the compile ran out of time.
+    """
+    env = {**(os.environ if env is None else env), **_FIXED_ENVIRONMENT}
     output = _CappedOutput()
     try:
         exit_code, timed_out = run_child(
@@ -483,7 +561,7 @@ def _run_compiler(
         raise CompilerNotFound(f"compiler executable {command[0]!r} not found") from exc
     raw = output.text()
     if raw:
-        temp_dir = _compiler_temp_dir(workspace, os.environ if env is None else env)
+        temp_dir = _compiler_temp_dir(workspace, env)
         raw = re.sub(re.escape(f"{temp_dir}/") + r"cc[0-9A-Za-z]{6}(?=\.)", _TEMP_NAME, raw)
         # Under -g the linker quotes a source by the compiler's working directory, as getcwd() names it.
         raw = raw.replace(f"{os.path.realpath(workspace)}/", "")

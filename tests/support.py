@@ -108,22 +108,29 @@ def stub_compiler(directory: Path, banner: str = GCC_BANNER, compile_step: str =
     return CompilerProfile(command=(str(script), "{sources}", "-o", "{output}")), log
 
 
-def header_build(root: Path) -> str:
-    """The stub's log line for the header build of the PCH in ``root``, which names the wrapper by its absolute path."""
-    (pch_dir,) = root.glob(".pch-*")
-    return f"build {pch_dir / 'wrap' / 'iostream'}"
+def header_build(root: Path, header: str = "iostream") -> str:
+    """The stub's log line for the build of ``header``'s PCH in ``root``: it names the wrapper by its absolute path."""
+    (wrapper,) = root.glob(f".pch-*/*/wrap/{header}")
+    return f"build {wrapper}"
+
+
+def pch_include(root: Path, header: str = "iostream") -> Path:
+    """The include directory of ``header``'s PCH in ``root``."""
+    (wrapper,) = root.glob(f".pch-*/*/wrap/{header}")
+    return wrapper.parents[len(Path(header).parts)] / "include"
 
 
 def calls(log: Path) -> list[str]:
     return log.read_text(encoding="utf-8").splitlines() if log.exists() else []
 
 
-def built_pch(pch, profile) -> Path:
-    """Build the PCH as a compile that wants it would in a watch, and return its include directory."""
+def built_pch(pch, profile, header: str = "iostream") -> Path:
+    """Build ``header``'s PCH as a compile that wants it would in a watch, and return its include directory."""
     pch.expect(None)
-    env = pch.environment(profile)
-    assert env is not None, "the precompiled header was not built"
-    return Path(env["CPLUS_INCLUDE_PATH"].split(os.pathsep)[0])
+    env = pch.environment(profile, {header}) or {}
+    include = Path(env.get("CPLUS_INCLUDE_PATH", "").split(os.pathsep)[0])
+    assert (include / f"{header}.gch").is_file(), "the precompiled header was not built"
+    return include
 
 
 def wait_until_dead(pid: int, within: float = 1.0) -> bool:

@@ -13,6 +13,7 @@ import warnings
 import pytest
 
 from gradepipe import build
+from gradepipe.blackbox import TestOutcome, run_test_suite
 from gradepipe.build import (
     MAX_OUTPUT_BYTES,
     MAX_OUTPUT_LINES,
@@ -21,14 +22,15 @@ from gradepipe.build import (
     Diagnostic,
     DiagnosticSeverity,
     PCH_BUILD_FOR_AT_LEAST,
+    PCH_BUILDS_AT_MOST,
     PrecompiledHeaders,
     classify_diagnostics,
     compile_workspace,
 )
 
 from support import (
-    DATA_DIR, GOLD_DIR, IOSTREAM_MAIN, NO_GOLD, built_pch, calls, has_gold, header_build, source, stub_compiler,
-    wait_until_dead,
+    DATA_DIR, GOLD_DIR, IOSTREAM_MAIN, NO_GOLD, built_pch, calls, has_gold, header_build, pch_include, source,
+    stub_compiler, wait_until_dead,
 )
 
 GXX = CompilerProfile(command=("g++", "-std=c++17", "-O0", "{sources}", "-o", "{output}"))
@@ -377,9 +379,9 @@ WARNING_ONLY = "#include <iostream>\nint main() { int unused; std::cout << 1; }\
 WARNING_AND_ERROR = "#include <iostream>\nint main() { int unused; std::cout << missing; }\n"
 
 # Programs that fail to compile under each profile below, each with whether
-# GCC's output can differ under the PCH: an include chain through <iostream>
-# (as in most misuse of a library template) names the PCH's wrapper header,
-# and a link error is worded by the linker.
+# GCC's output can differ under the <iostream> PCH: an include chain through
+# <iostream> (as in most misuse of a library template) names the PCH's
+# wrapper header, and a link error is worded by the linker.
 ERRORS = {
     "syntax-error": ("#include <iostream>\nint main() { std::cout << 1 }\n", False),
     "undeclared-name": ("#include <iostream>\nint main() { std::cout << total; }\n", False),
@@ -395,20 +397,38 @@ ERRORS = {
     "link-error": (LINK_ERROR, True),
     "missing-main": ("#include <iostream>\nint helper() { return 1; }\n", True),
 }
+# Of those, the ones whose output can differ under gold alone, or under a PCH of
+# <cstdio>, through which none of their include chains runs.
+LINK_ERRORS = {"link-error", "missing-main"}
 
-# Each case is a profile, a program, and how it compiles with the PCH: "warm"
-# once (its warm result is kept), "warm, cold" (the warm try runs again cold),
-# or "cold" only (it does not include <iostream>). A silent success and a
-# failure whose output cannot differ are kept; a noisy success, or a failure
-# that names the PCH's directory or collect2, runs again.
+
+def variants(name, text, differs):
+    """Each variant of an ERRORS program: a suffix, its text, and whether its output can differ warm."""
+    yield "", text, differs
+    yield "-cstdio-first", "#include <cstdio>\n" + text, name in LINK_ERRORS
+    include_free = "".join(line for line in text.splitlines(True) if not line.startswith("#include"))
+    yield "-include-free", include_free, name in LINK_ERRORS
+
+
+# Each case is a profile, a program, and how it compiles warm: "warm" once
+# (its warm result is kept), or "warm, cold" (the warm try runs again cold).
+# A program compiles warm under the PCH of its leading header, and with gold;
+# an include-free one with gold alone. A silent success and a failure whose
+# output cannot differ are kept; a noisy success, or a failure that names the
+# PCH's directory or collect2, runs again.
 CASES = {
     **{path.name: (GXX, path.read_text(encoding="utf-8"), "warm") for path in sorted(DATA_DIR.glob("*.cpp"))},
-    "leap_fast.cpp": (GXX, source("leap_fast.cpp"), "cold"),  # <cstdio> only
     "wall-warning-only": (WALL, WARNING_ONLY, "warm, cold"),
     "wall-warning-and-error": (WALL, WARNING_AND_ERROR, "warm"),
     "werror-warning-only": (WERROR, WARNING_ONLY, "warm"),
-    **{f"{name}{suffix}": (profile, text, "warm, cold" if differs else "warm")
-       for name, (text, differs) in ERRORS.items()
+    # A header included again once its PCH is loaded is read through the stand-in beside the .gch.
+    "iostream-twice": (GXX, "#include <iostream>\n#include <iostream>\nint main() { std::cout << 1; }\n", "warm"),
+    "cstdio-then-string": (GXX, "#include <cstdio>\n#include <string>\nint main() { std::string s; }\n", "warm"),
+    # The note that getchar() takes no argument runs through <cstdio>, and so names its wrapper.
+    "cstdio-note": (GXX, "#include <cstdio>\nint main() { return getchar(1); }\n", "warm, cold"),
+    **{f"{name}{variant}{suffix}": (profile, text, "warm, cold" if differs else "warm")
+       for name, case in ERRORS.items()
+       for variant, text, differs in variants(name, *case)
        for suffix, profile in (("", GXX), ("-wextra", WEXTRA), ("-werror", WERROR))},
 }
 
@@ -432,8 +452,8 @@ def warm_headers(tmp_path_factory):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_diagnostics_are_identical_with_and_without_the_pch(tmp_path, monkeypatch, warm_headers, case):
     profile, text, runs = CASES[case]
-    # Nothing is counted, so every case tries the PCH.
-    monkeypatch.setattr(PrecompiledHeaders, "record", lambda self, paid: None)
+    # Nothing is counted, so every case tries warm.
+    monkeypatch.setattr(PrecompiledHeaders, "record", lambda self, headers, paid: None)
     envs, commands = [], {}
     run = build._run_compiler
 
@@ -455,14 +475,52 @@ def test_diagnostics_are_identical_with_and_without_the_pch(tmp_path, monkeypatc
     assert warm.diagnostics == cold.diagnostics
     assert commands["warm"] == commands["cold"]
     assert warm.succeeded is cold.succeeded
+    header = build._leading_header(tmp_path / "warm" / "main.cpp")
+    if header is None and not has_gold():
+        runs = "cold"  # with neither a PCH nor gold, nothing runs warm
     assert ", ".join("cold" if env is None else "warm" for env in envs) == runs
-    if runs == "cold":
-        return
-    include_dir = envs[0]["CPLUS_INCLUDE_PATH"].split(os.pathsep)[0]
-    assert os.path.isfile(os.path.join(include_dir, "iostream.gch"))
+    if header is not None:
+        include_dir = envs[0]["CPLUS_INCLUDE_PATH"].split(os.pathsep)[0]
+        assert os.path.isfile(os.path.join(include_dir, f"{header}.gch"))
     if not has_gold():
         pytest.skip(NO_GOLD)
     assert envs[0]["COMPILER_PATH"].split(os.pathsep)[0] == GOLD_DIR
+
+
+def test_a_program_of_three_units_compiles_warm_once_and_passes_the_same_tests(tmp_path, monkeypatch, leap_spec):
+    # The shape of the lexical-stress workload: main.cpp leads with <cstdio>, and two helpers include nothing.
+    files = {
+        "main.cpp": source("leap_fast.cpp"),
+        "chain.cpp": "int classify(int v) {\n    int n = 0;\n    if (v == 101) { n++; }\n    return n;\n}\n",
+        "messages.cpp": 'const char* const kMessages[] = {"if (a) { b(); }"};\n'
+                        "const char* message(int i) { return kMessages[i % 1]; }\n",
+    }
+    envs = []
+    run = build._run_compiler
+
+    def recorded(command, workspace, profile, env):
+        envs.append(env)
+        return run(command, workspace, profile, env)
+
+    monkeypatch.setattr(build, "_run_compiler", recorded)
+    pch = PrecompiledHeaders(tmp_path / "root")
+    pch.expect(None)
+    results, verdicts = {}, {}
+    for name, helper in (("cold", None), ("warm", pch)):
+        workspace = tmp_path / name
+        workspace.mkdir()
+        for path, text in files.items():
+            (workspace / path).write_text(text, encoding="utf-8")
+        envs.clear()
+        results[name] = compile_workspace(workspace, leap_spec.compiler, sorted(files), helper)
+        assert results[name].succeeded
+        verdicts[name] = [(r.test_id, r.outcome) for r in run_test_suite(results[name].output_path, leap_spec.tests)]
+    assert len(envs) == 1 and envs[0] is not None, "compiled warm, once"
+    assert os.path.isfile(os.path.join(envs[0]["CPLUS_INCLUDE_PATH"].split(os.pathsep)[0], "cstdio.gch"))
+    assert results["warm"].diagnostics == results["cold"].diagnostics == ()
+    assert verdicts["warm"] == verdicts["cold"]
+    assert {outcome for _, outcome in verdicts["warm"]} == {TestOutcome.PASS}
+    pch.close()
 
 
 # -- precompiled headers: lifecycle ------------------------------------------------
@@ -505,14 +563,13 @@ def test_pch_is_built_by_the_first_compile_that_includes_iostream(tmp_path):
     pch = watching(root)
     assert compile_workspace(workspace_with(root, "cstdio", "#include <cstdio>\nint main() {}\n"), profile,
                              ["main.cpp"], pch).succeeded
-    assert calls(log) == ["compile unset"]
-    assert list(root.glob(".pch-*")) == []
+    assert calls(log) == ["version", header_build(root, "cstdio"), f"compile {pch_include(root, 'cstdio')}"]
 
     for name in ("first", "second"):
         assert compile_workspace(workspace_with(root, name, IOSTREAM_MAIN), profile, ["main.cpp"], pch).succeeded
-    (pch_dir,) = root.glob(".pch-*")
-    warm = f"compile {pch_dir / 'include'}"
-    assert calls(log)[1:] == ["version", header_build(root), warm, warm]
+    warm = f"compile {pch_include(root)}"
+    assert calls(log)[3:] == [header_build(root), warm, warm]
+    assert len(list(root.glob(".pch-*"))) == 1, "one directory holds every header's PCH"
     pch.close()
 
 
@@ -524,8 +581,7 @@ def test_pch_is_used_only_while_noisy_compiles_are_no_more_than_silent(tmp_path)
     texts = [NOISY_MAIN, IOSTREAM_MAIN, IOSTREAM_MAIN, NOISY_MAIN, NOISY_MAIN, NOISY_MAIN, IOSTREAM_MAIN]
     for i, text in enumerate(texts):
         compile_workspace(workspace_with(root, f"ws{i}", text), profile, ["main.cpp"], pch)
-    (pch_dir,) = root.glob(".pch-*")
-    warm, cold = f"compile {pch_dir / 'include'}", "compile unset"
+    warm, cold = f"compile {pch_include(root)}", "compile unset"
     assert calls(log) == [
         "version", header_build(root),
         warm, cold,  # 0 silent, 0 noisy so far: built and tried, but it warns
@@ -547,8 +603,7 @@ def test_an_all_noisy_session_builds_once_and_stops_trying_after_its_first_warm_
     for i in range(4):
         result = compile_workspace(workspace_with(root, f"ws{i}", NOISY_MAIN), profile, ["main.cpp"], pch)
         assert (result.succeeded, result.raw_output) == (True, "warning: unused\n")
-    (pch_dir,) = root.glob(".pch-*")
-    assert calls(log) == ["version", header_build(root), f"compile {pch_dir / 'include'}"] + ["compile unset"] * 4
+    assert calls(log) == ["version", header_build(root), f"compile {pch_include(root)}"] + ["compile unset"] * 4
     pch.close()
 
 
@@ -567,20 +622,109 @@ def test_pch_is_built_only_for_enough_expected_compiles(tmp_path, bounds, built)
         pch.expect(bound)
     for i in range(2):
         compile_workspace(workspace_with(root, f"ws{i}", IOSTREAM_MAIN), profile, ["main.cpp"], pch)
-    assert ("version" in calls(log)) is built
+    assert calls(log).count("version") == 1, "the first compile asks, built or not"
     assert any(line.startswith("build ") for line in calls(log)) is built
     assert len(list(root.glob(".pch-*"))) == built
     pch.close()
 
 
 @pytest.mark.usefixtures("plain_environment")
-def test_cstdio_workspace_builds_no_pch_and_asks_no_version(tmp_path):
+def test_an_include_free_workspace_builds_no_pch(tmp_path):
     profile, log = stub_compiler(tmp_path)
     root = tmp_path / "root"
     pch = watching(root)
-    workspace = workspace_with(root, "ws", "#include <cstdio>\nint main() {}\n")
+    workspace = workspace_with(root, "ws", '#include "local.h"\nint main() {}\n')
     assert compile_workspace(workspace, profile, ["main.cpp"], pch).succeeded
-    assert calls(log) == ["compile unset"]
+    assert calls(log) == ["version", "compile unset"]
+    assert list(root.glob(".pch-*")) == []
+
+
+@pytest.mark.usefixtures("plain_environment")
+def test_each_unit_gets_the_pch_of_its_own_leading_header(tmp_path):
+    profile, log = stub_compiler(tmp_path)
+    root = tmp_path / "root"
+    pch = watching(root)
+    workspace = workspace_with(root, "ws", "#include <cstdio>\n#include <vector>\nint helper();\nint main() {}\n")
+    (workspace / "helper.cpp").write_text("// helper\n#  include <vector>\nint helper() { return 0; }\n")
+    assert compile_workspace(workspace, profile, ["helper.cpp", "main.cpp"], pch).succeeded
+    builds = [line for line in calls(log) if line.startswith("build ")]
+    assert sorted(builds) == sorted(header_build(root, header) for header in ("cstdio", "vector"))
+    (compiled,) = [line for line in calls(log) if line.startswith("compile ")]
+    assert sorted(compiled.removeprefix("compile ").split(os.pathsep)) == sorted(
+        str(pch_include(root, header)) for header in ("cstdio", "vector"))
+    pch.close()
+
+
+@pytest.mark.usefixtures("plain_environment")
+@pytest.mark.parametrize("header", ["/dev/zero", "../x", "sys/../../x", "std io"])
+def test_a_header_name_that_may_not_name_a_pch_starts_no_build(tmp_path, monkeypatch, header):
+    gold = stub_linker(tmp_path, "GNU gold (Stub Binutils 2.40) 1.16")
+    monkeypatch.setattr(build, "_GOLD_DIR", gold)
+    # The stub reads no header: g++ reads </dev/zero> until it runs out of memory.
+    profile, log = stub_compiler(tmp_path, compile_step='echo "main.cpp:1:10: fatal error: no such file"; exit 1')
+    root = tmp_path / "root"
+    text = f"#include <{header}>\nint main() {{}}\n"
+    warm = compile_workspace(workspace_with(root, "warm", text), profile, ["main.cpp"], watching(root))
+    cold = compile_workspace(workspace_with(root, "cold", text), profile, ["main.cpp"])
+    assert calls(log) == ["version", f"compile unset linker {gold}", "compile unset"]
+    assert list(root.glob(".pch-*")) == []
+    assert (warm.succeeded, warm.raw_output, warm.diagnostics) == (cold.succeeded, cold.raw_output, cold.diagnostics)
+
+
+@pytest.mark.usefixtures("plain_environment")
+def test_a_nested_header_pch_is_dropped_when_a_directory_under_its_include_directory_changes(tmp_path):
+    profile, log = stub_compiler(tmp_path)
+    root = tmp_path / "root"
+    pch = watching(root)
+    text = "#include <sys/stat.h>\nint main() {}\n"
+    assert compile_workspace(workspace_with(root, "a", text), profile, ["main.cpp"], pch).succeeded
+    include = pch_include(root, "sys/stat.h")
+    assert calls(log)[-1] == f"compile {include}"
+    assert (include / "sys" / "stat.h.gch").is_file()
+    assert (include / "sys" / "stat.h").read_text() == "#include_next <sys/stat.h>\n"
+    (include / "sys" / "types.h").write_text("#error planted\n")
+    assert compile_workspace(workspace_with(root, "b", text), profile, ["main.cpp"], pch).succeeded
+    assert calls(log)[-1] == "compile unset"
+    pch.close()
+
+
+@pytest.mark.usefixtures("plain_environment")
+def test_a_session_starts_at_most_three_builds_failed_ones_included(tmp_path):
+    # The build of <b> prints, so it is not used; it still counts.
+    profile, log = stub_compiler(tmp_path, header_step='case "$3" in */b) echo "error: no b" ;; esac')
+    root = tmp_path / "root"
+    pch = watching(root)
+    for name in "abcd":
+        workspace = workspace_with(root, name, f"#include <{name}>\nint main() {{}}\n")
+        assert compile_workspace(workspace, profile, ["main.cpp"], pch).succeeded
+    assert PCH_BUILDS_AT_MOST == 3
+    assert calls(log) == [
+        "version",
+        header_build(root, "a"), f"compile {pch_include(root, 'a')}",
+        header_build(root, "b"), "compile unset",
+        header_build(root, "c"), f"compile {pch_include(root, 'c')}",
+        "compile unset",  # a fourth header builds nothing
+    ]
+    pch.close()
+
+
+@pytest.mark.usefixtures("plain_environment")
+def test_gold_alone_is_tried_only_while_noisy_compiles_are_no_more_than_silent(tmp_path, monkeypatch):
+    gold = stub_linker(tmp_path, "GNU gold (Stub Binutils 2.40) 1.16")
+    monkeypatch.setattr(build, "_GOLD_DIR", gold)
+    profile, log = noisy_compiler(tmp_path)
+    root = tmp_path / "root"
+    pch = watching(root)
+    for i, text in enumerate(["int unused;\n", "int main() {}\n", "int unused;\n", "int unused;\n"]):
+        compile_workspace(workspace_with(root, f"ws{i}", text), profile, ["main.cpp"], pch)
+    warm, cold = f"compile unset linker {gold}", "compile unset"
+    assert calls(log) == [
+        "version",
+        warm, cold,  # 0 silent, 0 noisy so far: tried, but it warns
+        cold,  # 0 silent, 1 noisy: not tried
+        warm, cold,  # 1 silent, 1 noisy: tried, but it warns
+        cold,  # 1 silent, 2 noisy: not tried
+    ]
     assert list(root.glob(".pch-*")) == []
 
 
@@ -610,15 +754,15 @@ def test_concurrent_compiles_build_the_header_once_and_close_removes_it(tmp_path
         sys.setswitchinterval(interval)
 
     assert [r.succeeded for r in results] == [True] * len(workspaces)
-    (pch_dir,) = root.glob(".pch-*")
+    include = pch_include(root)
     log_lines = calls(log)
     assert (log_lines.count("version"), log_lines.count(header_build(root))) == (1, 1)
-    warm = log_lines.count(f"compile {pch_dir / 'include'}")
+    warm = log_lines.count(f"compile {include}")
     assert warm >= 1 and log_lines.count("compile unset") >= 1
     assert warm + log_lines.count("compile unset") == len(workspaces)
-    assert pch._paid == len(workspaces), "no count was lost"
-    assert (pch_dir / "include" / "iostream.gch").is_file()
-    assert (pch_dir / "wrap" / "iostream").read_text() == "#include <iostream>\n"
+    assert pch._headers["iostream"].paid == len(workspaces), "no count was lost"
+    assert (include / "iostream.gch").is_file()
+    assert (include.parent / "wrap" / "iostream").read_text() == "#include <iostream>\n"
     pch.close()
     assert list(root.glob(".pch-*")) == []
 
@@ -669,7 +813,7 @@ def test_without_gold_the_warm_environment_sets_only_the_include_path(tmp_path, 
     root = tmp_path / "root"
     pch = PrecompiledHeaders(root)
     include = built_pch(pch, profile)
-    assert pch.environment(profile) == {**os.environ, "CPLUS_INCLUDE_PATH": str(include)}
+    assert pch.environment(profile, {"iostream"}) == {**os.environ, "CPLUS_INCLUDE_PATH": str(include)}
     assert compile_workspace(workspace_with(root, "ws", IOSTREAM_MAIN), profile, ["main.cpp"], pch).succeeded
     assert calls(log)[-1] == f"compile {include}"
     pch.close()
@@ -718,7 +862,7 @@ def test_a_failed_warm_compile_is_kept_only_where_a_cold_one_prints_the_same(tmp
     # Cold, this compiler succeeds, so a result that ran again reads as a success.
     assert result.succeeded is not kept
     assert calls(log)[2:] == [f"compile {include}"] + ([] if kept else ["compile unset"])
-    assert (pch._paid, pch._lost) == ((1, 0) if kept else (0, 1))
+    assert (pch._headers["iostream"].paid, pch._headers["iostream"].lost) == ((1, 0) if kept else (0, 1))
     pch.close()
 
 
@@ -774,9 +918,8 @@ def test_a_header_build_killed_by_its_first_output_leaves_no_pch_in_use(tmp_path
         assert compile_workspace(workspace_with(root, name, IOSTREAM_MAIN), profile, ["main.cpp"], pch).succeeded
     assert time.monotonic() - start < 5.0, "the build is killed at its first output"
     assert calls(log) == ["version", header_build(root), "compile unset", "compile unset"]
-    (pch_dir,) = root.glob(".pch-*")
-    assert (pch_dir / "include" / "iostream.gch").is_file()
-    assert pch.environment(profile) is None
+    assert (pch_include(root) / "iostream.gch").is_file()
+    assert pch.environment(profile, {"iostream"}) is None
     pch.close()
     assert list(root.glob(".pch-*")) == []
 
@@ -834,5 +977,5 @@ def test_include_scan_stays_linear_on_blank_heavy_lines(tmp_path):
     text = ("\t " * 200 + "#" + " \t" * 200 + "includ\n") * 2000 + "int main() {}\n"
     workspace = workspace_with(tmp_path, "ws", text)
     start = time.perf_counter()
-    assert not build._includes_iostream(workspace, ["main.cpp"])
+    assert build._leading_header(workspace / "main.cpp") is None
     assert time.perf_counter() - start < 1.0

@@ -118,7 +118,7 @@ def test_grade_prints_the_report(tmp_path, capsys):
 
 
 @pytest.mark.usefixtures("plain_environment")
-def test_grade_of_one_archive_builds_no_pch_and_asks_no_version(tmp_path, capsys):
+def test_grade_of_one_archive_builds_no_pch(tmp_path, capsys):
     # The stub logs each call, then compiles with the real g++.
     profile, log = stub_compiler(tmp_path, compile_step='exec g++ "$@"')
     spec = tmp_path / "stub.yaml"
@@ -127,7 +127,7 @@ def test_grade_of_one_archive_builds_no_pch_and_asks_no_version(tmp_path, capsys
     archive = make_zip(tmp_path / "Ada_Lovelace_3.zip", {"main.cpp": source("leap_nested.cpp")})
     assert main(["grade", str(archive), "--spec", str(spec), *run_dirs(tmp_path)]) == 0
     assert "Score:      100.0/100" in capsys.readouterr().out
-    assert calls(log) == ["compile unset"]
+    assert calls(log) == ["version", "compile unset"]
     assert list((tmp_path / "workspace").glob(".pch-*")) == []
 
 

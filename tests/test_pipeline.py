@@ -18,7 +18,7 @@ from gradepipe.specfile import load_spec
 
 from support import (
     DATA_DIR, GOLD_DIR, IOSTREAM_MAIN, NO_GOLD, built_pch, calls, damaged_lzma_zip, has_gold, header_build,
-    is_terminal, make_zip, read_report, source, stub_compiler,
+    is_terminal, make_zip, pch_include, read_report, source, stub_compiler,
 )
 
 T0 = datetime(2026, 8, 25, 9, 0, 0, tzinfo=timezone.utc)
@@ -901,8 +901,8 @@ def test_pch_leaves_every_fixture_report_and_event_identical(leap_spec, session_
             if run == "cold":
                 patch.setattr(build, "_names_gcc", lambda *args: False)
             else:
-                # Every <iostream> fixture tries the PCH, the broken one included.
-                patch.setattr(build.PrecompiledHeaders, "record", lambda self, paid: None)
+                # Every fixture tries warm, the broken one included.
+                patch.setattr(build.PrecompiledHeaders, "record", lambda self, headers, paid: None)
                 patch.setattr(build, "_run_compiler", recorded)
                 built_pch(session._pch, spec.compiler)
             summary = session.run_batch(inbox)
@@ -935,6 +935,27 @@ def test_a_program_is_started_by_a_name_that_leaves_the_session_out(leap_spec, s
     assert read_report(session.reports_dir, "Arg_Zero_3")["tests"][0]["actual"] == "./program"
 
 
+def test_a_program_that_prints_its_build_time_grades_the_same_in_two_sessions(
+    leap_spec, session_factory, tmp_path, monkeypatch
+):
+    spec = dataclasses.replace(leap_spec, tests=leap_spec.tests[:1])
+    program = '#include <cstdio>\nint main() { std::puts(__DATE__ " " __TIME__); }\n'
+    archive = drop(tmp_path / "inbox", "Build_Time_3.zip", {"main.cpp": program})
+    monkeypatch.setattr(pipeline, "utc_now", lambda: T0)
+    reports = []
+    # The second session's grader inherits a SOURCE_DATE_EPOCH of its own; the compile's is fixed.
+    for run, inherited in (("one", None), ("two", "1000000000")):
+        if inherited is None:
+            monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+        else:
+            monkeypatch.setenv("SOURCE_DATE_EPOCH", inherited)
+        session = session_factory(spec, subdir=run)
+        session.grade_archive(archive)
+        reports.append({path.name: path.read_bytes() for path in sorted(session.reports_dir.iterdir())})
+    assert reports[0] == reports[1]
+    assert read_report(session.reports_dir, "Build_Time_3")["tests"][0]["actual"] == "Jan  1 1970 00:00:00"
+
+
 def stub_spec(spec, directory):
     """``spec`` compiled by a stub g++ that logs each call (see ``stub_compiler``) and compiles with the real one."""
     profile, log = stub_compiler(directory, compile_step='exec g++ "$@"')
@@ -949,7 +970,7 @@ def test_a_batch_under_the_bound_builds_no_pch(leap_spec, session_factory, tmp_p
     for letter in "abcdefghij"[: build.PCH_BUILD_FOR_AT_LEAST - 1]:
         drop(inbox, f"Stu_Dent{letter}_3.zip", {"main.cpp": IOSTREAM_MAIN})
     assert session.run_batch(inbox).graded == build.PCH_BUILD_FOR_AT_LEAST - 1
-    assert calls(log) == ["compile unset"] * (build.PCH_BUILD_FOR_AT_LEAST - 1)
+    assert calls(log) == ["version"] + ["compile unset"] * (build.PCH_BUILD_FOR_AT_LEAST - 1)
     assert list(session.workspace_root.glob(".pch-*")) == []
 
 
@@ -966,12 +987,12 @@ def test_a_watch_builds_the_pch_at_its_first_iostream_compile(leap_spec, session
         assert _wait_for(session.reports_dir / "Ada_Lovelace_3.report.json", 10.0), "not graded within 10 s"
     finally:
         watcher.finish()
-    (pch_dir,) = session.workspace_root.glob(".pch-*")
-    assert calls(log) == ["version", header_build(session.workspace_root), f"compile {pch_dir / 'include'}"]
+    warm = f"compile {pch_include(session.workspace_root)}"
+    assert calls(log) == ["version", header_build(session.workspace_root), warm]
     assert read_report(session.reports_dir, "Ada_Lovelace_3")["score"] == 100.0
     # Once the watch has returned, a single grade still uses the PCH the session has.
     session.grade_archive(drop(tmp_path / "later", "Ada_Lovelace_3.zip", {"main.cpp": IOSTREAM_MAIN}))
-    assert calls(log)[3:] == [f"compile {pch_dir / 'include'}"]
+    assert calls(log)[3:] == [warm]
 
 
 @pytest.mark.usefixtures("plain_environment")
@@ -982,8 +1003,8 @@ def test_a_broken_iostream_archive_is_compiled_once_after_the_pch_is_built(leap_
     inbox = tmp_path / "inbox"
     drop(inbox, "Broken_Bob_3.zip", {"main.cpp": source("leap_broken.cpp")})
     assert session.run_batch(inbox).graded == 1
-    (pch_dir,) = session.workspace_root.glob(".pch-*")
-    assert calls(log) == ["version", header_build(session.workspace_root), f"compile {pch_dir / 'include'}"]
+    warm = f"compile {pch_include(session.workspace_root)}"
+    assert calls(log) == ["version", header_build(session.workspace_root), warm]
     compiled = read_report(session.reports_dir, "Broken_Bob_3")["compile"]
     assert not compiled["succeeded"]
     assert any("error: expected initializer before" in d["text"] for d in compiled["diagnostics"])
