@@ -10,10 +10,11 @@ leak absolute paths, and identical submissions get byte-identical diagnostics.
 
 Parsing the first system header and linking with ``ld.bfd`` are most of the
 compile time of a small program, so a session links every GCC compile with
-``ld.gold`` and can precompile each translation unit's leading header once,
-with the assignment's own command; see :class:`PrecompiledHeaders`. Every
-compile runs with a fixed ``SOURCE_DATE_EPOCH``, so ``__DATE__`` and
-``__TIME__`` do not depend on when it ran.
+``ld.gold`` and can precompile ``<iostream>`` and ``<cstdio>`` once each, for
+the translation units that include one of them first, with the assignment's
+own command; see :class:`PrecompiledHeaders`. Every compile runs with a fixed
+``SOURCE_DATE_EPOCH``, so ``__DATE__`` and ``__TIME__`` do not depend on when
+it ran.
 """
 
 from __future__ import annotations
@@ -53,11 +54,15 @@ MAX_OUTPUT_LINES = 500
 _LINE_ENDS = "\n\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 # A translation unit spends much of its compile time parsing its first system
-# header, and GCC can load a PCH only there, so a session precompiles the
-# header each unit includes first. (g++ 12 on 2 vCPUs: a 3-unit <cstdio>
-# program compiles in 107 ms with gold and 102 ms with a <cstdio> PCH, built
-# in 49 ms; a leap-year <iostream> program in 293 ms cold and 76 ms warm.) A
-# header's PCH is used only while the compiles that wanted it and ran again
+# header, and GCC can load a PCH only there, so a session precompiles these
+# headers for the units that include one of them first. (g++ 12 on 2 vCPUs: a
+# 3-unit <cstdio> program compiles in 107 ms with gold and 102 ms with a
+# <cstdio> PCH, built in 49 ms and 2.4 MB; a leap-year <iostream> program in
+# 293 ms cold and 76 ms warm, with a PCH built in 0.7 s and 23 MB.) Other
+# headers are not: <string> and <cmath> gained nothing when tried, and
+# <bits/stdc++.h> takes 4-5 s and 101 MB to build.
+PCH_HEADERS = ("iostream", "cstdio")
+# A header's PCH is used only while the compiles that wanted it and ran again
 # are no more than the ones kept (see compile_workspace). (For a leap-year
 # program, a kept try saves about 0.22 s and one that runs again costs about
 # 0.09 s more: past about 70% run again it loses.) A batch bounds the compiles
@@ -65,16 +70,11 @@ _LINE_ENDS = "\n\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # for this many. (With --jobs 2 and all-<iostream> batches on that box, 4
 # archives lost 0.15 s, 5 came out even, and 6 gained 0.13 s; 10 gained 0.5 s.)
 PCH_BUILD_FOR_AT_LEAST = 6
-# A session starts at most this many builds, failed ones included, since each
-# costs time and disk: <cstdio> takes 0.05 s and 2.4 MB, <iostream> 0.7 s and
-# 23 MB, <bits/stdc++.h> 4-5 s and 101 MB.
-PCH_BUILDS_AT_MOST = 3
 # The first "#include <h>" line of a unit. Blanks only, never \s: a match
-# must not run on across lines.
+# must not run on across lines. It may be a line GCC reads late or never (in
+# a comment, under #if 0, after other code): then the PCH is not loaded, and
+# the stand-in beside it (see _build) passes the include on to the header.
 _LEADING_INCLUDE = re.compile(rb"^[ \t]*#[ \t]*include[ \t]*<([^>\n]*)>", re.M)
-# A header name comes from student text, so it names a PCH only if it is made
-# of these characters, is relative and has no ".." component.
-_HEADER_NAME = re.compile(rb"[A-Za-z0-9_+./-]+")
 # Every compile and header build runs with this set, so __DATE__ and __TIME__
 # read "Jan  1 1970" and "00:00:00" and a program that prints them grades the
 # same in every session.
@@ -249,26 +249,20 @@ def _find_gold(timeout: float) -> Path | None:
 
 
 def _leading_header(source: Path) -> str | None:
-    """The header of the first ``#include <h>`` line of ``source``, if that name may name a PCH."""
+    """The header of the first ``#include <h>`` line of ``source``, if it is one of ``PCH_HEADERS``."""
     match = _LEADING_INCLUDE.search(source.read_bytes())
-    if match is None:
-        return None
-    name = match[1]
-    if _HEADER_NAME.fullmatch(name) is None or name.startswith(b"/") or b".." in name.split(b"/"):
-        return None
-    return name.decode("ascii")
+    header = match and match[1].decode("latin-1")
+    return header if header in PCH_HEADERS else None
 
 
 def _stamp(include: Path, header: str) -> tuple[int, ...] | None:
-    """Identity and last change of ``header``'s ``.gch`` and stand-in in ``include``, and of their directories.
+    """Identity and last change of ``header``'s ``.gch`` and stand-in in ``include``, and of ``include``.
 
     None if any is gone. A write, a new entry or a replaced file changes the
     ``st_ctime_ns`` of one of them, and no process can set that back.
     """
-    stand_in = include / header
     try:
-        stats = [path.stat() for path in (stand_in.with_name(f"{stand_in.name}.gch"), stand_in, *stand_in.parents)
-                 if path.is_relative_to(include)]
+        stats = [path.stat() for path in (include / f"{header}.gch", include / header, include)]
     except OSError:
         return None
     return tuple(n for st in stats for n in (st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns))
@@ -287,7 +281,7 @@ class _Header:
 
     paid: int = 0
     lost: int = 0
-    index: int | None = None  # the number of its build in the session, once one started
+    started: bool = False  # whether a compile has started its build
     stamp: tuple[int, ...] | None = None  # see _stamp(), while its PCH may be used
 
 
@@ -310,16 +304,15 @@ class PrecompiledHeaders:
     and outside ``root``, so no student binary can rewrite it.
 
     A compile also wants the PCH of each translation unit's leading header,
-    the one its first ``#include <h>`` names (see :func:`_leading_header`).
-    The first compile that wants a header builds ``<h>.gch`` once, with that
-    compile's command and flags (other compiles go on without it
-    meanwhile), so GCC accepts it exactly where it would have parsed the
-    header itself. GCC looks for ``<h>.gch`` in each include directory
+    the one its first ``#include <h>`` names, where that is one of
+    ``PCH_HEADERS`` (see :func:`_leading_header`). The first compile that
+    wants a header builds ``<h>.gch`` once, with that compile's command and
+    flags (other compiles go on without it meanwhile), so GCC accepts it
+    exactly where it would have parsed the header itself. GCC looks for ``<h>.gch`` in each include directory
     before ``<h>``, so a compile run in the returned environment, which
     names the header's own include directory first in
     ``CPLUS_INCLUDE_PATH``, loads it instead of parsing the header. A PCH is
-    used only if the build exited 0 without printing anything, and a session
-    starts at most ``PCH_BUILDS_AT_MOST`` builds.
+    used only if the build exited 0 without printing anything.
 
     Gold and the PCH word some failures differently; :meth:`untouched` says
     which warm output a cold compile prints the same (see
@@ -337,9 +330,9 @@ class PrecompiledHeaders:
 
     Nothing is created until the first build. The files live in one
     ``.pch-*`` directory under ``root``, which :meth:`close` removes: each
-    build in its own numbered directory, with the wrapper header it
-    compiles in ``wrap/`` and, in ``include/``, the ``.gch`` and a stand-in
-    for the header that includes the header itself.
+    header's build in a directory named after it, with the wrapper header
+    it compiles in ``wrap/`` and, in ``include/``, the ``.gch`` and a
+    stand-in for the header that includes the header itself.
     """
 
     def __init__(self, root: Path):
@@ -348,7 +341,6 @@ class PrecompiledHeaders:
         self._gcc: bool | None = None  # None until the first compile asks
         self._linker: Path | None = None
         self._headers: dict[str, _Header] = {}
-        self._builds = 0
         self._ahead: int | None = 0
         self._dir: Path | None = None
 
@@ -366,15 +358,12 @@ class PrecompiledHeaders:
                 return None
             paying = {name: header for name in headers or (_NO_HEADER,)
                       if (header := self._headers.setdefault(name, _Header())).lost <= header.paid}
-            builds = []
-            for name, header in paying.items():
-                if name != _NO_HEADER and enough and header.index is None and self._builds < PCH_BUILDS_AT_MOST:
-                    header.index = self._builds
-                    self._builds += 1
-                    builds.append(name)
+            builds = [name for name, header in paying.items() if name != _NO_HEADER and enough and not header.started]
+            for name in builds:
+                paying[name].started = True
         # Only one compile builds each header; the others go on without it meanwhile.
         for name in builds:
-            include = self._build(profile, name, paying[name].index)
+            include = self._build(profile, name)
             stamp = None if include is None else _stamp(include, name)
             with self._lock:
                 paying[name].stamp = stamp
@@ -383,7 +372,7 @@ class PrecompiledHeaders:
             for name, header in paying.items():
                 if header.stamp is None:
                     continue
-                include = self._dir / str(header.index) / "include"
+                include = self._dir / name / "include"
                 if _stamp(include, name) == header.stamp:
                     includes.append(include)
                 else:
@@ -434,8 +423,8 @@ class PrecompiledHeaders:
         return ((directory is None or directory.name not in output) and _LINK_FAILURE_MARK not in output
                 and not _OMITTED.search(output))
 
-    def _build(self, profile: CompilerProfile, header: str, index: int) -> Path | None:
-        """Build ``header``'s PCH as build number ``index`` and return its include directory, or None if that failed."""
+    def _build(self, profile: CompilerProfile, header: str) -> Path | None:
+        """Build ``header``'s PCH and return its include directory, or None if that failed."""
         with self._lock:
             try:
                 if self._dir is None:
@@ -443,7 +432,7 @@ class PrecompiledHeaders:
                     self._dir = Path(tempfile.mkdtemp(prefix=".pch-", dir=self.root)).absolute()
             except OSError:
                 return None
-            home = self._dir / str(index)
+            home = self._dir / header
         # The wrapper lives outside the include directory: found there, it
         # would include itself. It is compiled by its absolute path, which an
         # include chain through it then names (see untouched()). The build

@@ -110,14 +110,14 @@ def stub_compiler(directory: Path, banner: str = GCC_BANNER, compile_step: str =
 
 def header_build(root: Path, header: str = "iostream") -> str:
     """The stub's log line for the build of ``header``'s PCH in ``root``: it names the wrapper by its absolute path."""
-    (wrapper,) = root.glob(f".pch-*/*/wrap/{header}")
-    return f"build {wrapper}"
+    (pch_dir,) = root.glob(".pch-*")
+    return f"build {pch_dir / header / 'wrap' / header}"
 
 
 def pch_include(root: Path, header: str = "iostream") -> Path:
     """The include directory of ``header``'s PCH in ``root``."""
-    (wrapper,) = root.glob(f".pch-*/*/wrap/{header}")
-    return wrapper.parents[len(Path(header).parts)] / "include"
+    (pch_dir,) = root.glob(".pch-*")
+    return pch_dir / header / "include"
 
 
 def calls(log: Path) -> list[str]:
