@@ -62,13 +62,10 @@ _LINE_ENDS = "\n\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # headers are not: <string> and <cmath> gained nothing when tried, and
 # <bits/stdc++.h> takes 4-5 s and 101 MB to build.
 PCH_HEADERS = ("iostream", "cstdio")
-# A header's PCH is used only while the compiles that wanted it and ran again
-# are no more than the ones kept (see compile_workspace). (For a leap-year
-# program, a kept try saves about 0.22 s and one that runs again costs about
-# 0.09 s more: past about 70% run again it loses.) A batch bounds the compiles
-# still to come (see expect()), the one that builds included, and builds only
-# for this many. (With --jobs 2 and all-<iostream> batches on that box, 4
-# archives lost 0.15 s, 5 came out even, and 6 gained 0.13 s; 10 gained 0.5 s.)
+# A batch bounds the compiles still to come (see expect()), the one that
+# builds included, and builds only for this many. (With --jobs 2 and
+# all-<iostream> batches on that box, 4 archives took 0.15 s longer, 5 came
+# out even, and 6 gained 0.13 s; 10 gained 0.5 s.)
 PCH_BUILD_FOR_AT_LEAST = 6
 # The first "#include <h>" line of a unit. Blanks only, never \s: a match
 # must not run on across lines. It may be a line GCC reads late or never (in
@@ -86,13 +83,15 @@ _LINK_FAILURE_MARK = "collect2"
 
 # Debian binutils' root-owned directory whose one entry, "ld", is ld.gold.
 # GCC's collect2 looks for "ld" in COMPILER_PATH before PATH, so naming it
-# there links with gold without changing the command.
+# there links with gold without changing the command. Gold names itself by
+# this path in the messages that name no object ("<dir>/ld: warning: ...").
 _GOLD_DIR = Path("/usr/lib/gold-ld")
 
 # GCC names its temporary files "<temporary directory>/ccXXXXXX.<suffix>",
 # with six random letters and digits: each translation unit's object file
 # ("ccXXXXXX.o", or "ccXXXXXX.ltrans0.ltrans.o" under -flto) is one, and the
-# linker quotes its name.
+# linker quotes its name, which the output rewrites to this. The compiler's
+# own diagnostics never name it.
 _TEMP_NAME = "ccXXXXXX"
 
 
@@ -220,8 +219,8 @@ class _CappedOutput:
         return "".join(kept) + (f"note: {omitted} lines omitted\n" if omitted else "")
 
 
-# The note text() ends cut output with.
-_OMITTED = re.compile(r"note: \d+ lines omitted\n\Z")
+# The note text() ends cut output with, which a notice may follow.
+_OMITTED = re.compile(r"^note: \d+ lines omitted$", re.M)
 
 
 def _version_banner(executable: str, timeout: float) -> str:
@@ -275,21 +274,6 @@ def _put_first(directories: Sequence[Path], variable: str) -> str:
     return os.pathsep.join([*map(str, directories)] + ([inherited] if inherited else []))
 
 
-@dataclass
-class _Header:
-    """The counts of the compiles that wanted one leading header, and its PCH."""
-
-    paid: int = 0
-    lost: int = 0
-    started: bool = False  # whether a compile has started its build
-    stamp: tuple[int, ...] | None = None  # see _stamp(), while its PCH may be used
-
-
-# The counts of the compiles with no header to precompile, which can run warm
-# with gold alone. No build is made for it.
-_NO_HEADER = ""
-
-
 class PrecompiledHeaders:
     """The warm toolchain of one session: ``ld.gold``, and a PCH of each leading header built by its first compile.
 
@@ -314,19 +298,14 @@ class PrecompiledHeaders:
     ``CPLUS_INCLUDE_PATH``, loads it instead of parsing the header. A PCH is
     used only if the build exited 0 without printing anything.
 
-    Gold and the PCH word some failures differently; :meth:`untouched` says
-    which warm output a cold compile prints the same (see
-    :func:`compile_workspace`).
+    Gold and the PCH word some output differently, and :meth:`untouched`
+    finds each such line by a mark (see :func:`compile_workspace`).
 
     Nothing is built until :meth:`expect` says enough compiles are to come
     to pay the build back: a batch passes its size, a watch passes None, and
-    a single grade builds nothing. The compiles that want a header count as
-    paid (their warm result was kept, or would have been) or lost, and while
-    the lost ones outnumber the paid ones they run cold, with neither its
-    PCH nor gold; compiles with no header to precompile count together. A
-    PCH is dropped for the rest of the session if its include directory or
-    ``.gch`` changes after the build (a student binary runs as the same user
-    and could rewrite it).
+    a single grade builds nothing. A PCH is dropped for the rest of the
+    session if its include directory or ``.gch`` changes after the build (a
+    student binary runs as the same user and could rewrite it).
 
     Nothing is created until the first build. The files live in one
     ``.pch-*`` directory under ``root``, which :meth:`close` removes: each
@@ -340,7 +319,8 @@ class PrecompiledHeaders:
         self._lock = threading.Lock()
         self._gcc: bool | None = None  # None until the first compile asks
         self._linker: Path | None = None
-        self._headers: dict[str, _Header] = {}
+        # A header's stamp (see _stamp()) while its PCH may be used; a key once its build has started.
+        self._stamps: dict[str, tuple[int, ...] | None] = {}
         self._ahead: int | None = 0
         self._dir: Path | None = None
 
@@ -356,28 +336,25 @@ class PrecompiledHeaders:
                 self._ahead -= 1
             if not self._gcc:
                 return None
-            paying = {name: header for name in headers or (_NO_HEADER,)
-                      if (header := self._headers.setdefault(name, _Header())).lost <= header.paid}
-            builds = [name for name, header in paying.items() if name != _NO_HEADER and enough and not header.started]
-            for name in builds:
-                paying[name].started = True
+            builds = [name for name in headers if enough and name not in self._stamps]
+            self._stamps.update(dict.fromkeys(builds))
         # Only one compile builds each header; the others go on without it meanwhile.
         for name in builds:
             include = self._build(profile, name)
             stamp = None if include is None else _stamp(include, name)
             with self._lock:
-                paying[name].stamp = stamp
+                self._stamps[name] = stamp
         with self._lock:
             includes = []
-            for name, header in paying.items():
-                if header.stamp is None:
+            for name in headers:
+                if self._stamps.get(name) is None:
                     continue
                 include = self._dir / name / "include"
-                if _stamp(include, name) == header.stamp:
+                if _stamp(include, name) == self._stamps[name]:
                     includes.append(include)
                 else:
-                    header.stamp = None
-        if not paying or not includes and self._linker is None:
+                    self._stamps[name] = None
+        if not includes and self._linker is None:
             return None
         env = dict(os.environ)
         if includes:
@@ -397,31 +374,23 @@ class PrecompiledHeaders:
         with self._lock:
             self._ahead = compiles
 
-    def record(self, headers: Collection[str], paid: bool) -> None:
-        """Count a finished compile whose units lead with ``headers``: paid if it ran once, warm, or would have."""
-        with self._lock:
-            for name in headers or (_NO_HEADER,):
-                header = self._headers.setdefault(name, _Header())
-                if paid:
-                    header.paid += 1
-                else:
-                    header.lost += 1
-
     def untouched(self, output: str) -> bool:
-        """Whether the output of a warm compile that failed reads as the cold compile's would.
+        """Whether the output of a warm compile reads as the cold compile's would: it carries no mark.
 
         Only two things make them differ. Under a PCH, an include chain
         into a library header ends at the wrapper header instead of the
         student's file; the build names the wrapper by its absolute path, so
         every such line names this session's ``.pch-*`` directory. And gold
-        words a link error its own way, and g++ prints a ``collect2:``
-        line for every failed link. Output that was cut may have
-        lost either line, so it never counts.
+        words what the linker prints its own way: g++ prints a ``collect2:``
+        line for every failed link, and each of gold's messages names either
+        an object, GCC's temporary one for a student's unit (``ccXXXXXX.``),
+        or gold itself (``/usr/lib/gold-ld/ld:``). Output that was cut may
+        be missing any such line, so it never counts.
         """
         with self._lock:
             directory = self._dir
-        return ((directory is None or directory.name not in output) and _LINK_FAILURE_MARK not in output
-                and not _OMITTED.search(output))
+        marks = [_LINK_FAILURE_MARK, _TEMP_NAME, str(_GOLD_DIR)] + ([directory.name] if directory else [])
+        return not any(mark in output for mark in marks) and not _OMITTED.search(output)
 
     def _build(self, profile: CompilerProfile, header: str) -> Path | None:
         """Build ``header``'s PCH and return its include directory, or None if that failed."""
@@ -467,8 +436,7 @@ class PrecompiledHeaders:
     def close(self) -> None:
         """Remove the PCH directory, if one was made."""
         with self._lock:
-            for header in self._headers.values():
-                header.stamp = None
+            self._stamps = dict.fromkeys(self._stamps)
             if self._dir is not None:
                 shutil.rmtree(self._dir, ignore_errors=True)
                 self._dir = None
@@ -496,14 +464,13 @@ def compile_workspace(
     environment :meth:`PrecompiledHeaders.environment` hands out: gold's
     directory first in ``COMPILER_PATH`` where gold is installed, and the
     include directories of its units' leading headers' PCHs first in
-    ``CPLUS_INCLUDE_PATH``. That result is kept if the compiler exited 0,
-    printed nothing and wrote the binary; if it printed nothing before it
-    ran out of time; or if it exited 1 and its output is
-    :meth:`PrecompiledHeaders.untouched`: a cold compile reports the same in
-    each case. Otherwise the binary is deleted and the cold compile runs,
-    and its result is returned. A warm compile that succeeded but printed
-    something runs again too, since gold's link warnings carry no mark. The
-    command is the same either way, and every compile runs with
+    ``CPLUS_INCLUDE_PATH``. That result is kept if the compiler succeeded
+    (exited 0 and wrote the binary), exited 1 or ran out of time, and its
+    output is :meth:`PrecompiledHeaders.untouched`: a cold compile then
+    reports the same. Otherwise (a mark, cut output, exit 0 without the
+    binary, or another status, such as 4 for an internal compiler error) the
+    binary is deleted and the cold compile runs, and its result is returned.
+    The command is the same either way, and every compile runs with
     ``SOURCE_DATE_EPOCH=0``.
     """
     # A path that starts with "-" would reach the compiler as an option.
@@ -519,18 +486,12 @@ def compile_workspace(
     headers = sorted({header for name in sources if (header := _leading_header(workspace / name)) is not None})
     env = pch.environment(profile, headers)
     result, exit_code = _run_compiler(command, workspace, profile, env)
-    # Run cold, it counts as paid where a warm result would have been kept.
-    paid = (result.succeeded and not result.raw_output
-            or exit_code == _GCC_ERROR_EXIT and pch.untouched(result.raw_output))
-    if env is not None and not paid and result.raw_output != _timeout_notice(profile):  # a timeout is not run twice
+    # The exit code is None if the compile ran out of time.
+    kept = (result.succeeded or exit_code in (_GCC_ERROR_EXIT, None)) and pch.untouched(result.raw_output)
+    if env is not None and not kept:
         (workspace / OUTPUT_NAME).unlink(missing_ok=True)
         result = _run_compiler(command, workspace, profile, None)[0]
-    pch.record(headers, paid)
     return result
-
-
-def _timeout_notice(profile: CompilerProfile) -> str:
-    return f"error: compilation exceeded the {profile.timeout_secs:g} second limit"
 
 
 def _run_compiler(
@@ -556,7 +517,7 @@ def _run_compiler(
         raw = raw.replace(f"{os.path.realpath(workspace)}/", "")
     output_path = workspace / OUTPUT_NAME
     if timed_out:
-        notice = _timeout_notice(profile)
+        notice = f"error: compilation exceeded the {profile.timeout_secs:g} second limit"
     elif exit_code == 0 and not output_path.is_file():
         notice = "error: compiler reported success but produced no output file"
     else:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import socket
 import stat
@@ -17,8 +18,8 @@ from gradepipe.build import CompilerProfile
 from gradepipe.specfile import load_spec
 
 from support import (
-    DATA_DIR, GOLD_DIR, IOSTREAM_MAIN, NO_GOLD, built_pch, calls, damaged_lzma_zip, has_gold, header_build,
-    is_terminal, make_zip, pch_include, read_report, source, stub_compiler,
+    DATA_DIR, GOLD_DIR, IOSTREAM_MAIN, NO_GOLD, SPEC_PATH, built_pch, calls, damaged_lzma_zip, has_gold,
+    header_build, is_terminal, make_zip, pch_include, read_report, source, stub_compiler,
 )
 
 T0 = datetime(2026, 8, 25, 9, 0, 0, tzinfo=timezone.utc)
@@ -878,20 +879,18 @@ def test_parallel_batch_matches_serial_batch(leap_spec, session_factory, tmp_pat
         assert a == b
 
 
-def test_pch_leaves_every_fixture_report_and_event_identical(leap_spec, session_factory, tmp_path, monkeypatch):
-    # One test with a one-second timeout keeps the hanging fixture cheap; the
-    # compile, which is what the PCH touches, is the spec's own.
-    spec = dataclasses.replace(leap_spec, tests=(dataclasses.replace(leap_spec.tests[0], timeout_secs=1.0),))
-    inbox = tmp_path / "inbox"
-    for path in sorted(DATA_DIR.glob("*.cpp")):
-        drop(inbox, f"{path.stem.replace('_', '-').title()}_Student_3.zip", {"main.cpp": path.read_text()})
+def grade_cold_and_warm(spec, inbox, session_factory, monkeypatch, build_first=True):
+    """The reports and sorted events of a batch of ``inbox`` graded cold, then warm, and each warm session compile.
+
+    The cold session's compiler is not taken for GCC. Each compile is a
+    (workspace name, environment) pair; a cold rerun's environment is None.
+    """
     monkeypatch.setattr(pipeline, "utc_now", lambda: T0)
-    warm_envs = []
+    compiles = []
     run_compiler = build._run_compiler
 
     def recorded(command, workspace, profile, env):
-        if env is not None:
-            warm_envs.append(env)
+        compiles.append((workspace.name, env))
         return run_compiler(command, workspace, profile, env)
 
     outputs = {}
@@ -901,12 +900,11 @@ def test_pch_leaves_every_fixture_report_and_event_identical(leap_spec, session_
             if run == "cold":
                 patch.setattr(build, "_names_gcc", lambda *args: False)
             else:
-                # Every fixture tries warm, the broken one included.
-                patch.setattr(build.PrecompiledHeaders, "record", lambda self, headers, paid: None)
                 patch.setattr(build, "_run_compiler", recorded)
-                built_pch(session._pch, spec.compiler)
+                if build_first:
+                    built_pch(session._pch, spec.compiler)
             summary = session.run_batch(inbox)
-        assert summary.graded == len(list(DATA_DIR.glob("*.cpp")))
+        assert summary.graded == len(list(inbox.iterdir()))
         pch_dirs = list(session.workspace_root.glob(".pch-*"))
         assert len(pch_dirs) == (run == "warm")
         session.close()
@@ -914,11 +912,60 @@ def test_pch_leaves_every_fixture_report_and_event_identical(leap_spec, session_
         reports = {path.name: path.read_bytes() for path in sorted(session.reports_dir.iterdir())}
         events = sorted(session.log.path.read_text(encoding="utf-8").splitlines())
         outputs[run] = (reports, events)
-    assert outputs["warm"] == outputs["cold"]
+    return outputs["cold"], outputs["warm"], compiles
+
+
+def test_pch_leaves_every_fixture_report_and_event_identical(leap_spec, session_factory, tmp_path, monkeypatch):
+    # One test with a one-second timeout keeps the hanging fixture cheap; the
+    # compile, which is what the PCH touches, is the spec's own.
+    spec = dataclasses.replace(leap_spec, tests=(dataclasses.replace(leap_spec.tests[0], timeout_secs=1.0),))
+    inbox = tmp_path / "inbox"
+    for path in sorted(DATA_DIR.glob("*.cpp")):
+        drop(inbox, f"{path.stem.replace('_', '-').title()}_Student_3.zip", {"main.cpp": path.read_text()})
+    cold, warm, compiles = grade_cold_and_warm(spec, inbox, session_factory, monkeypatch)
+    assert warm == cold
+    warm_envs = [env for _, env in compiles if env is not None]
     assert warm_envs, "no compile ran warm"
     if not has_gold():
         pytest.skip(NO_GOLD)
     assert [env["COMPILER_PATH"].split(os.pathsep)[0] for env in warm_envs] == [GOLD_DIR] * len(warm_envs)
+
+
+# Leap-year programs that compile with warnings under -Wall, and with nothing else.
+WALL_WARNINGS = {
+    "unused-variable": source("leap_nested.cpp").replace("    int year;\n", "    int year;\n    int unused;\n"),
+    "sign-compare": source("leap_nested.cpp").replace(
+        "    return 0;", "    unsigned n = 1;\n    for (int i = 0; i < n; i++) {}\n    return 0;"),
+    "unused-function": source("leap_nested.cpp").replace("int main", "static int helper() { return 1; }\n\nint main"),
+    "parentheses": source("leap_nested.cpp").replace(
+        "    cin >> year;\n", "    cin >> year;\n    year += 0 & 1 == 1;\n"),
+    "misleading-indentation": source("leap_nested.cpp").replace(
+        "    return 0;", "    if (year < 0)\n        year = -year;\n        year += 0;\n    return 0;"),
+    "cstdio-unused-variable": source("leap_fast.cpp").replace("int main() {\n", "int main() {\n    int unused;\n"),
+}
+
+
+def test_a_wall_class_whose_programs_all_warn_compiles_each_once_and_grades_as_cold(
+    session_factory, tmp_path, monkeypatch
+):
+    spec_path = tmp_path / "wall.yaml"
+    spec_path.write_text(SPEC_PATH.read_text(encoding="utf-8").replace("-std=c++17,", "-std=c++17, -Wall,"),
+                         encoding="utf-8")
+    spec = load_spec(spec_path)
+    assert "-Wall" in spec.compiler.command and len(WALL_WARNINGS) >= build.PCH_BUILD_FOR_AT_LEAST
+    inbox = tmp_path / "inbox"
+    for name, text in WALL_WARNINGS.items():
+        drop(inbox, f"{name.replace('-', '').title()}_Student_3.zip", {"main.cpp": text})
+    cold, warm, compiles = grade_cold_and_warm(spec, inbox, session_factory, monkeypatch, build_first=False)
+    assert warm == cold
+    reports, _ = warm
+    for name in WALL_WARNINGS:
+        report = json.loads(reports[f"{name.replace('-', '').title()}_Student_3.report.json"])
+        assert {d["severity"] for d in report["compile"]["diagnostics"]} >= {"Warning"}, name
+        assert report["compile"]["succeeded"], name
+    workspaces = [workspace for workspace, _ in compiles]
+    assert len(workspaces) == len(set(workspaces)) == len(WALL_WARNINGS), "each compiled once"
+    assert any("CPLUS_INCLUDE_PATH" in (env or {}) for _, env in compiles), "no compile used a PCH"
 
 
 def test_a_program_is_started_by_a_name_that_leaves_the_session_out(leap_spec, session_factory, tmp_path, monkeypatch):
