@@ -2,19 +2,20 @@
 
 The compiler is described by a command template rather than hard-coded, so a
 course can swap g++ flags or an entirely different toolchain per assignment.
-Compilation runs in the workspace with sources given as relative paths. Each
-randomly named object file GCC makes in its temporary directory is named
-``ccXXXXXX.o`` wherever the linker quotes it, and a source it quotes by its
-absolute path (under ``-g``) by its relative one; diagnostics therefore never
-leak absolute paths, and identical submissions get byte-identical diagnostics.
+Compilation runs in the workspace with sources given as relative paths, and
+GCC makes its temporary files there too. Each randomly named object file is
+named ``ccXXXXXX.o`` wherever the linker quotes it, and a source it quotes by
+its absolute path (under ``-g``) by its relative one; diagnostics therefore
+never leak absolute paths, and identical submissions get byte-identical
+diagnostics.
 
 Parsing the first system header and linking with ``ld.bfd`` are most of the
 compile time of a small program, so a session links every GCC compile with
 ``ld.gold`` and can precompile ``<iostream>`` and ``<cstdio>`` once each, for
 the translation units that include one of them first, with the assignment's
-own command; see :class:`PrecompiledHeaders`. Every compile runs with a fixed
-``SOURCE_DATE_EPOCH``, so ``__DATE__`` and ``__TIME__`` do not depend on when
-it ran.
+own command; see :class:`PrecompiledHeaders`. Every compiler child runs with
+``_FIXED_ENVIRONMENT``, so neither its output nor where it leaves files
+depends on when it ran or on the grader's locale and temporary directory.
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ import io
 import os
 import re
 import shutil
+import struct
 import sys
 import tempfile
 import threading
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Collection, Mapping, Sequence
+from typing import Collection, Sequence
 
 from .child import argument_problem, run_child
 
@@ -72,14 +74,30 @@ PCH_BUILD_FOR_AT_LEAST = 6
 # a comment, under #if 0, after other code): then the PCH is not loaded, and
 # the stand-in beside it (see _build) passes the include on to the header.
 _LEADING_INCLUDE = re.compile(rb"^[ \t]*#[ \t]*include[ \t]*<([^>\n]*)>", re.M)
-# Every compile and header build runs with this set, so __DATE__ and __TIME__
-# read "Jan  1 1970" and "00:00:00" and a program that prints them grades the
-# same in every session.
-_FIXED_ENVIRONMENT = {"SOURCE_DATE_EPOCH": "0"}
+# Every compiler child (--version probe, header build, compile) runs with this
+# set over the grader's environment. __DATE__ and __TIME__ read "Jan  1 1970"
+# and "00:00:00"; messages are worded in the C locale (g++ quotes 'name' with
+# straight quotes, not a UTF-8 locale's curly ones); and GCC, collect2 and
+# lto-wrapper make their temporary files in the child's working directory,
+# whose removal takes whatever a killed compile leaves. (libiberty reads TMP
+# and TEMP only where TMPDIR is unusable.)
+_FIXED_ENVIRONMENT = {"SOURCE_DATE_EPOCH": "0", "LC_ALL": "C", "TMPDIR": "."}
 # g++ and gcc exit 1 for errors in the program, 4 for an internal compiler error.
 _GCC_ERROR_EXIT = 1
 # g++ and gcc print a line that starts "collect2:" for every failed link.
 _LINK_FAILURE_MARK = "collect2"
+
+# A command that holds a token starting with this splits preprocessing from
+# compiling: its header build writes a PCH of the preprocessed header, without
+# its macros (a warm unit that uses EOF then fails to compile), and its objects
+# are named after the output, so gold's messages about them carry no mark.
+_SAVE_TEMPS = "-save-temps"
+
+# ELF program header types and flags, as <elf.h> names them.
+_PT_LOAD, _PT_GNU_STACK, _PF_X, _PF_W = 1, 0x6474E551, 1, 2
+# By ELF class (1: 32-bit, 2: 64-bit): where the header holds e_phoff and
+# e_phentsize, a program header's size, and where it holds p_flags.
+_ELF_LAYOUT = {1: (28, 42, 32, 24), 2: (32, 54, 56, 4)}
 
 # Debian binutils' root-owned directory whose one entry, "ld", is ld.gold.
 # GCC's collect2 looks for "ld" in COMPILER_PATH before PATH, so naming it
@@ -87,12 +105,15 @@ _LINK_FAILURE_MARK = "collect2"
 # this path in the messages that name no object ("<dir>/ld: warning: ...").
 _GOLD_DIR = Path("/usr/lib/gold-ld")
 
-# GCC names its temporary files "<temporary directory>/ccXXXXXX.<suffix>",
-# with six random letters and digits: each translation unit's object file
+# GCC names its temporary files "./ccXXXXXX.<suffix>" under TMPDIR=".", with
+# six random letters and digits: each translation unit's object file
 # ("ccXXXXXX.o", or "ccXXXXXX.ltrans0.ltrans.o" under -flto) is one, and the
 # linker quotes its name, which the output rewrites to this. The compiler's
 # own diagnostics never name it.
 _TEMP_NAME = "ccXXXXXX"
+# Such a name where the linker quotes it: at a line's start or after a blank,
+# so "../ccabcdef.h" or "dir/./ccabcdef.h" in a student's text is left alone.
+_TEMP_FILE = re.compile(r"(?<!\S)\./cc[0-9A-Za-z]{6}(?=\.)")
 
 
 class CompilerNotFound(RuntimeError):
@@ -227,7 +248,8 @@ def _version_banner(executable: str, timeout: float) -> str:
     """What ``executable --version`` prints, or "" if it cannot run or exits non-zero."""
     output = _CappedOutput()
     try:
-        exit_code, _ = run_child([executable, "--version"], None, timeout, output.feed, merge_stderr=True)
+        exit_code, _ = run_child([executable, "--version"], None, timeout, output.feed,
+                                 env={**os.environ, **_FIXED_ENVIRONMENT}, merge_stderr=True)
     except OSError:
         return ""
     return output.text() if exit_code == 0 else ""
@@ -282,10 +304,11 @@ class PrecompiledHeaders:
     ``-include-pch``, which changes the command) and, if it is,
     ``/usr/lib/gold-ld/ld --version`` whether that is GNU gold; every
     compile waits for the answers, which are asked once. If both say so,
-    every compile runs warm with ``/usr/lib/gold-ld`` first in
-    ``COMPILER_PATH``: GCC's ``collect2`` then links with gold, which takes
-    about a third of the time of ``ld.bfd``. The directory is root-owned
-    and outside ``root``, so no student binary can rewrite it.
+    every compile (but one under ``-save-temps``) runs warm with
+    ``/usr/lib/gold-ld`` first in ``COMPILER_PATH``: GCC's ``collect2``
+    then links with gold, which takes about a third of the time of
+    ``ld.bfd``. The directory is root-owned and outside ``root``, so no
+    student binary can rewrite it.
 
     A compile also wants the PCH of each translation unit's leading header,
     the one its first ``#include <h>`` names, where that is one of
@@ -325,7 +348,12 @@ class PrecompiledHeaders:
         self._dir: Path | None = None
 
     def environment(self, profile: CompilerProfile, headers: Collection[str]) -> dict[str, str] | None:
-        """The compiler's environment for a warm try of a compile whose units lead with ``headers``, or None: cold."""
+        """The compiler's environment for a warm try of a compile whose units lead with ``headers``, or None: cold.
+
+        A command with a ``-save-temps`` token always compiles cold (see ``_SAVE_TEMPS``).
+        """
+        if any(token.startswith(_SAVE_TEMPS) for token in profile.command):
+            return None
         with self._lock:
             if self._gcc is None:
                 # Held while asking: every compile waits for the answers.
@@ -465,13 +493,15 @@ def compile_workspace(
     directory first in ``COMPILER_PATH`` where gold is installed, and the
     include directories of its units' leading headers' PCHs first in
     ``CPLUS_INCLUDE_PATH``. That result is kept if the compiler succeeded
-    (exited 0 and wrote the binary), exited 1 or ran out of time, and its
-    output is :meth:`PrecompiledHeaders.untouched`: a cold compile then
-    reports the same. Otherwise (a mark, cut output, exit 0 without the
-    binary, or another status, such as 4 for an internal compiler error) the
-    binary is deleted and the cold compile runs, and its result is returned.
+    (exited 0 and wrote the binary), exited 1 or ran out of time, its
+    output is :meth:`PrecompiledHeaders.untouched`, and a binary gold
+    linked does not run writable code (see :func:`_runs_writable_code`): a
+    cold compile then reports the same. Otherwise (a mark, cut output, such
+    a binary, exit 0 without the binary, or another status, such as 4 for an
+    internal compiler error) the binary is deleted and the cold compile
+    runs, and its result is returned.
     The command is the same either way, and every compile runs with
-    ``SOURCE_DATE_EPOCH=0``.
+    ``_FIXED_ENVIRONMENT``.
     """
     # A path that starts with "-" would reach the compiler as an option.
     sources = [f"./{name}" if name.startswith("-") else name for name in files
@@ -486,9 +516,13 @@ def compile_workspace(
     headers = sorted({header for name in sources if (header := _leading_header(workspace / name)) is not None})
     env = pch.environment(profile, headers)
     result, exit_code = _run_compiler(command, workspace, profile, env)
+    if env is None:
+        return result
     # The exit code is None if the compile ran out of time.
     kept = (result.succeeded or exit_code in (_GCC_ERROR_EXIT, None)) and pch.untouched(result.raw_output)
-    if env is not None and not kept:
+    if kept and result.succeeded and env.get("COMPILER_PATH", "").split(os.pathsep)[0] == str(_GOLD_DIR):
+        kept = not _runs_writable_code(result.output_path)
+    if not kept:
         (workspace / OUTPUT_NAME).unlink(missing_ok=True)
         result = _run_compiler(command, workspace, profile, None)[0]
     return result
@@ -509,12 +543,9 @@ def _run_compiler(
         )
     except FileNotFoundError as exc:
         raise CompilerNotFound(f"compiler executable {command[0]!r} not found") from exc
-    raw = output.text()
-    if raw:
-        temp_dir = _compiler_temp_dir(workspace, env)
-        raw = re.sub(re.escape(f"{temp_dir}/") + r"cc[0-9A-Za-z]{6}(?=\.)", _TEMP_NAME, raw)
-        # Under -g the linker quotes a source by the compiler's working directory, as getcwd() names it.
-        raw = raw.replace(f"{os.path.realpath(workspace)}/", "")
+    raw = _TEMP_FILE.sub(_TEMP_NAME, output.text())
+    # Under -g the linker quotes a source by the compiler's working directory, as getcwd() names it.
+    raw = raw.replace(f"{os.path.realpath(workspace)}/", "")
     output_path = workspace / OUTPUT_NAME
     if timed_out:
         notice = f"error: compilation exceeded the {profile.timeout_secs:g} second limit"
@@ -528,14 +559,28 @@ def _run_compiler(
     return CompileResult(succeeded, classify_diagnostics(raw), output_path if succeeded else None, raw), exit_code
 
 
-def _compiler_temp_dir(workspace: Path, env: Mapping[str, str]) -> str:
-    """The directory GCC, run in ``workspace`` with ``env``, makes its temporary files in.
+def _runs_writable_code(binary: Path) -> bool:
+    """Whether the ELF ``binary`` may run code from writable memory, or its program headers cannot be read.
 
-    The first of ``TMPDIR``, ``TMP``, ``TEMP``, ``/tmp``, ``/var/tmp`` and
-    ``/usr/tmp`` that the compiler may read, write and search, as libiberty's
-    ``choose_tmpdir`` picks it, or "." if none.
+    That is: a ``PT_GNU_STACK`` header with ``PF_X``, or none at all (an
+    executable stack), or a ``PT_LOAD`` segment both writable and executable.
+    ``ld.bfd`` warns about each where gold prints nothing.
     """
-    for directory in (env.get("TMPDIR"), env.get("TMP"), env.get("TEMP"), "/tmp", "/var/tmp", "/usr/tmp"):
-        if directory and os.access(workspace / directory, os.R_OK | os.W_OK | os.X_OK):
-            return directory
-    return "."
+    try:
+        with binary.open("rb") as file:
+            head = file.read(64)
+            phoff_at, phentsize_at, size, flags_at = _ELF_LAYOUT[head[4]]
+            order = {1: "<", 2: ">"}[head[5]]
+            (phoff,) = struct.unpack_from(order + ("Q" if size == 56 else "I"), head, phoff_at)
+            phentsize, phnum = struct.unpack_from(order + "HH", head, phentsize_at)
+            file.seek(phoff)
+            table = file.read(size * phnum)
+    except (OSError, ValueError, LookupError, struct.error):
+        return True
+    if head[:4] != b"\x7fELF" or phentsize != size or len(table) < size * phnum:
+        return True
+    headers = [(struct.unpack_from(order + "I", table, at)[0], struct.unpack_from(order + "I", table, at + flags_at)[0])
+               for at in range(0, len(table), size)]
+    stacks = [flags for kind, flags in headers if kind == _PT_GNU_STACK]
+    return (not stacks or any(flags & _PF_X for flags in stacks)
+            or any(kind == _PT_LOAD and flags & _PF_W and flags & _PF_X for kind, flags in headers))

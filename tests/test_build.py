@@ -3,6 +3,7 @@ import io
 import os
 import random
 import re
+import struct
 import subprocess
 import sys
 import threading
@@ -372,6 +373,7 @@ def test_an_output_storm_is_capped_while_it_is_read(tmp_path):
 WALL = CompilerProfile(command=("g++", "-std=c++17", "-Wall", "{sources}", "-o", "{output}"))
 WEXTRA = CompilerProfile(command=("g++", "-std=c++17", "-Wall", "-Wextra", "{sources}", "-o", "{output}"))
 WERROR = CompilerProfile(command=("g++", "-std=c++17", "-Wall", "-Werror", "{sources}", "-o", "{output}"))
+SAVE_TEMPS = CompilerProfile(command=("g++", "-std=c++17", "-save-temps", "{sources}", "-o", "{output}"))
 
 LIBRARY_NOTE = "#include <iostream>\nstruct S {};\nint main() { std::cout << S{}; }\n"
 WARNING_ONLY = "#include <iostream>\nint main() { int unused; std::cout << 1; }\n"
@@ -413,7 +415,8 @@ def variants(name, text, differs):
 
 
 # Each case is a profile, a program, and how it compiles warm: "warm" once
-# (its warm result is kept), or "warm, cold" (the warm try runs again cold).
+# (its warm result is kept), "warm, cold" (the warm try runs again cold), or
+# "cold" (a -save-temps command never runs warm).
 # A program compiles warm under the PCH of its leading header, and with gold;
 # an include-free one with gold alone. A success, a failure with status 1 and
 # a timeout are kept unless their output names the PCH's directory, collect2,
@@ -428,6 +431,9 @@ CASES = {
     "tmpnam-link-warning": (GXX, "#include <cstdio>\n" + TMPNAM, "warm, cold"),
     "tmpnam-link-warning-include-free": (GXX, 'extern "C" char *tmpnam(char *);\nenum { L_tmpnam = 20 };\n'
                                          + TMPNAM, "warm, cold"),
+    # Its objects are "program-main.o", which gold's messages name with no mark, and its <cstdio> PCH
+    # would be built from the preprocessed header, without the macro L_tmpnam.
+    "tmpnam-link-warning-save-temps": (SAVE_TEMPS, "#include <cstdio>\n" + TMPNAM, "cold"),
     "wall-warning-and-error": (WALL, WARNING_AND_ERROR, "warm"),
     "werror-warning-only": (WERROR, WARNING_ONLY, "warm"),
     # A header included again once its PCH is loaded is read through the stand-in beside the .gch.
@@ -450,7 +456,8 @@ def warm_headers(tmp_path_factory):
     def get(profile):
         if profile not in helpers:
             helpers[profile] = PrecompiledHeaders(tmp_path_factory.mktemp("pch"))
-            built_pch(helpers[profile], profile)
+            if profile != SAVE_TEMPS:  # which builds nothing
+                built_pch(helpers[profile], profile)
         return helpers[profile]
 
     yield get
@@ -486,6 +493,8 @@ def test_diagnostics_are_identical_with_and_without_the_pch(tmp_path, monkeypatc
     if header is None and not has_gold():
         runs = "cold"  # with neither a PCH nor gold, nothing runs warm
     assert ", ".join("cold" if env is None else "warm" for env in envs) == runs
+    if envs[0] is None:
+        return  # nothing ran warm
     if header is not None:
         include_dir = envs[0]["CPLUS_INCLUDE_PATH"].split(os.pathsep)[0]
         assert os.path.isfile(os.path.join(include_dir, f"{header}.gch"))
@@ -733,7 +742,8 @@ def test_inherited_include_path_is_kept_and_no_empty_element_added(tmp_path, mon
             monkeypatch.setenv(variable, inherited)
     gold = stub_linker(tmp_path, "GNU gold (Stub Binutils 2.40) 1.16")
     monkeypatch.setattr(build, "_GOLD_DIR", gold)
-    profile, log = stub_compiler(tmp_path)
+    (tmp_path / "elf").write_bytes(elf((PT_GNU_STACK, PF_R | PF_W)))  # a binary gold linked is read
+    profile, log = stub_compiler(tmp_path, compile_step=f'cp \'{tmp_path / "elf"}\' "$out"; exit 0')
     root = tmp_path / "root"
     pch = PrecompiledHeaders(root)
     include = built_pch(pch, profile)
@@ -908,6 +918,154 @@ def test_pch_changed_after_its_build_is_not_used(tmp_path, tamper):
     assert calls(log)[-2:] == ["compile unset"] * 2
     pch.close()
     assert list(root.glob(".pch-*")) == []
+
+
+# -- the fixed environment of every compiler child --------------------------------
+
+# What every child of the build layer gets over the grader's environment.
+OVERLAY = {"SOURCE_DATE_EPOCH": "0", "LC_ALL": "C", "TMPDIR": "."}
+
+
+@pytest.mark.usefixtures("plain_environment")
+def test_every_compiler_child_runs_with_the_fixed_environment(tmp_path, monkeypatch):
+    for variable, value in (("SOURCE_DATE_EPOCH", "1"), ("LC_ALL", "C.UTF-8"), ("TMPDIR", str(tmp_path))):
+        monkeypatch.setenv(variable, value)
+    monkeypatch.setattr(build, "_GOLD_DIR", stub_linker(tmp_path, "GNU gold (Stub Binutils 2.40) 1.16"))
+    children = []
+    run_child = build.run_child
+
+    def recorded(argv, *args, **kwargs):
+        children.append((argv, kwargs.get("env")))
+        return run_child(argv, *args, **kwargs)
+
+    monkeypatch.setattr(build, "run_child", recorded)
+    profile, log = stub_compiler(tmp_path)
+    root = tmp_path / "root"
+    pch = watching(root)
+    for name, helper in (("warm", pch), ("cold", None)):
+        workspace = workspace_with(root, name, IOSTREAM_MAIN)
+        (workspace / "other.cpp").write_text("#include <cstdio>\n", encoding="utf-8")
+        assert compile_workspace(workspace, profile, ["main.cpp", "other.cpp"], helper).succeeded
+
+    def kind(argv, env):
+        if argv[-1] == "--version":
+            return "probe"
+        if "c++-header" in argv:
+            return "build"
+        return "warm" if "COMPILER_PATH" in env else "cold"
+
+    for argv, env in children:
+        assert env is not None and {variable: env.get(variable) for variable in OVERLAY} == OVERLAY, argv
+    # The stub's empty binary is no ELF file, so its warm success under gold runs again cold.
+    assert sorted(kind(*child) for child in children) == ["build", "build", "cold", "cold", "probe", "probe", "warm"]
+    pch.close()
+
+
+def test_no_compile_leaves_a_file_in_the_inherited_temporary_directory(tmp_path, monkeypatch):
+    inherited = tmp_path / "tmp"
+    inherited.mkdir()
+    for variable in ("TMPDIR", "TMP", "TEMP"):
+        monkeypatch.setenv(variable, str(inherited))
+    root = tmp_path / "root"
+    pch = watching(root)
+    warm = compile_workspace(workspace_with(root, "warm", "#include <cstdio>\nint main() {}\n"), GXX, ["main.cpp"], pch)
+    assert warm.succeeded
+    pch.close()
+    for flags in ((), ("-flto",)):
+        profile = CompilerProfile(command=GXX.command[:1] + flags + GXX.command[1:])
+        workspace = workspace_with(root, f"link-error{''.join(flags)}", LINK_ERROR)
+        assert "undefined reference" in compile_workspace(workspace, profile, ["main.cpp"]).raw_output
+    # A compiler killed at its time limit cannot remove what it wrote.
+    stub = tmp_path / "cc"
+    stub.write_text('#!/bin/sh\n: > "$TMPDIR/ccAbc123.s"\nexec sleep 30\n', encoding="utf-8")
+    stub.chmod(0o755)
+    killed = workspace_with(root, "killed", "int main() {}\n")
+    profile = CompilerProfile(command=(str(stub), "{sources}", "-o", "{output}"), timeout_secs=0.2)
+    assert "exceeded the 0.2 second limit" in compile_workspace(killed, profile, ["main.cpp"]).raw_output
+    assert list(inherited.iterdir()) == []
+    assert (killed / "ccAbc123.s").is_file(), "it is left in the workspace, which grading removes"
+
+
+# -- binaries gold links that run writable code -------------------------------------
+
+PT_LOAD, PT_GNU_STACK, PF_X, PF_W, PF_R = 1, 0x6474E551, 1, 2, 4
+
+
+def elf(*segments, wide=True, order="<"):
+    """An ELF executable's header and one program header per (type, flags) pair, and nothing else."""
+    ident = b"\x7fELF" + bytes([2 if wide else 1, 1 if order == "<" else 2, 1]) + bytes(9)
+    if wide:
+        header = struct.pack(order + "HHIQQQIHHHHHH", 2, 62, 1, 0, 64, 0, 0, 64, 56, len(segments), 0, 0, 0)
+        table = [struct.pack(order + "II6Q", kind, flags, 0, 0, 0, 0, 0, 0) for kind, flags in segments]
+    else:
+        header = struct.pack(order + "HHIIIIIHHHHHH", 2, 3, 1, 0, 52, 0, 0, 52, 32, len(segments), 0, 0, 0)
+        table = [struct.pack(order + "6III", kind, 0, 0, 0, 0, 0, flags, 0) for kind, flags in segments]
+    return ident + header + b"".join(table)
+
+
+CODE, DATA, STACK = (PT_LOAD, PF_R | PF_X), (PT_LOAD, PF_R | PF_W), (PT_GNU_STACK, PF_R | PF_W)
+
+
+@pytest.mark.parametrize(
+    "data, writable_code",
+    [
+        (elf(CODE, DATA, STACK), False),
+        (elf(CODE, DATA, STACK, wide=False, order=">"), False),
+        (elf(CODE, DATA), True),  # no PT_GNU_STACK: the stack is executable
+        (elf(CODE, DATA, (PT_GNU_STACK, PF_R | PF_W | PF_X)), True),
+        (elf(CODE, DATA, (PT_GNU_STACK, PF_R | PF_W | PF_X), wide=False), True),
+        (elf(CODE, (PT_LOAD, PF_R | PF_W | PF_X), STACK), True),
+        (elf(CODE, DATA, STACK)[:-1], True),
+        (b"", True),
+        (b"#!/bin/sh\n", True),
+    ],
+    ids=["plain", "32-bit-big-endian", "no-stack-header", "executable-stack", "32-bit-executable-stack",
+         "rwx-segment", "cut-short", "empty", "script"],
+)
+def test_writable_code_is_found_in_the_program_headers(tmp_path, data, writable_code):
+    (tmp_path / "program").write_bytes(data)
+    assert build._runs_writable_code(tmp_path / "program") is writable_code
+
+
+# A GCC nested function passed as a pointer runs from a trampoline on the stack.
+NESTED_FUNCTION = """#include <stdio.h>
+
+static void apply(void (*f)(void)) { f(); }
+
+int main(void) {
+    int n = 0;
+    void bump(void) { n++; }
+    apply(bump);
+    printf("%d\\n", n);
+    return 0;
+}
+"""
+
+
+def test_an_executable_stack_links_warm_then_reports_bfds_warning_cold(tmp_path, monkeypatch):
+    if not has_gold():
+        pytest.skip(NO_GOLD)
+    profile = CompilerProfile(command=("gcc", "{sources}", "-o", "{output}"))
+    envs = []
+    run = build._run_compiler
+
+    def recorded(command, workspace, profile, env):
+        envs.append(env)
+        return run(command, workspace, profile, env)
+
+    monkeypatch.setattr(build, "_run_compiler", recorded)
+    pch = watching(tmp_path / "root")
+    results = {}
+    for name, helper in (("cold", None), ("warm", pch)):
+        workspace = tmp_path / name
+        workspace.mkdir()
+        (workspace / "main.c").write_text(NESTED_FUNCTION, encoding="utf-8")
+        results[name] = compile_workspace(workspace, profile, ["main.c"], helper)
+    pch.close()
+    cold, warm = results["cold"], results["warm"]
+    assert (warm.succeeded, warm.raw_output, warm.diagnostics) == (cold.succeeded, cold.raw_output, cold.diagnostics)
+    assert cold.succeeded and "ccXXXXXX.o: requires executable stack" in cold.raw_output
+    assert ["cold" if env is None else "warm" for env in envs] == ["cold", "warm", "cold"]
 
 
 def test_import_leaves_hashlib_out():

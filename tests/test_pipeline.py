@@ -3,6 +3,7 @@ import json
 import os
 import socket
 import stat
+import subprocess
 import threading
 import time
 import weakref
@@ -229,6 +230,22 @@ def test_compile_failure_grades_zero_and_skips_tests(leap_spec, session_factory,
     assert payload["compile"]["succeeded"] is False
     assert payload["compile"]["diagnostics"], "compiler output must reach the student"
     assert kinds(session) == ["received", "compile_error", "graded"]
+
+
+def test_a_compile_error_reports_the_same_bytes_in_a_utf8_locale(leap_spec, session_factory, tmp_path, monkeypatch):
+    locales = subprocess.run(["locale", "-a"], capture_output=True, text=True).stdout.split()
+    utf8 = [name for name in locales if name.lower().endswith((".utf8", ".utf-8"))]
+    if not utf8:
+        pytest.skip("no UTF-8 locale is installed")
+    monkeypatch.setattr(pipeline, "utc_now", lambda: T0)
+    reports = []
+    for locale in ("C", utf8[0]):
+        monkeypatch.setenv("LC_ALL", locale)
+        session = session_factory(leap_spec, subdir=locale)
+        session.grade_archive(drop(tmp_path / locale, "Cafe_Carl_3.zip", {"main.cpp": "int main() { return cafe; }\n"}))
+        reports.append((session.reports_dir / "Cafe_Carl_3.report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert b"'cafe' was not declared" in reports[0]
 
 
 def test_missing_compiler_is_an_environment_error(leap_spec, session_factory, tmp_path):
