@@ -32,7 +32,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Collection, Sequence
+from typing import Collection, Mapping, Sequence
 
 from .child import argument_problem, run_child
 
@@ -64,10 +64,9 @@ _LINE_ENDS = "\n\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # headers are not: <string> and <cmath> gained nothing when tried, and
 # <bits/stdc++.h> takes 4-5 s and 101 MB to build.
 PCH_HEADERS = ("iostream", "cstdio")
-# A batch bounds the compiles still to come (see expect()), the one that
-# builds included, and builds only for this many. (With --jobs 2 and
-# all-<iostream> batches on that box, 4 archives took 0.15 s longer, 5 came
-# out even, and 6 gained 0.13 s; 10 gained 0.5 s.)
+# A batch builds only if it holds at least this many archives (see expect()).
+# (With --jobs 2 and all-<iostream> batches on that box, 4 archives took
+# 0.15 s longer, 5 came out even, and 6 gained 0.13 s; 10 gained 0.5 s.)
 PCH_BUILD_FOR_AT_LEAST = 6
 # The first "#include <h>" line of a unit. Blanks only, never \s: a match
 # must not run on across lines. It may be a line GCC reads late or never (in
@@ -86,6 +85,8 @@ _FIXED_ENVIRONMENT = {"SOURCE_DATE_EPOCH": "0", "LC_ALL": "C", "TMPDIR": "."}
 _GCC_ERROR_EXIT = 1
 # g++ and gcc print a line that starts "collect2:" for every failed link.
 _LINK_FAILURE_MARK = "collect2"
+# How the name of every session's PCH directory starts, and so a mark (see _keeps()).
+_PCH_PREFIX = ".pch-"
 
 # A command that holds a token starting with this splits preprocessing from
 # compiling: its header build writes a PCH of the preprocessed header, without
@@ -109,11 +110,12 @@ _GOLD_DIR = Path("/usr/lib/gold-ld")
 # six random letters and digits: each translation unit's object file
 # ("ccXXXXXX.o", or "ccXXXXXX.ltrans0.ltrans.o" under -flto) is one, and the
 # linker quotes its name, which the output rewrites to this. The compiler's
-# own diagnostics never name it.
+# own diagnostics never name it (the assembler names the source, not the .s).
 _TEMP_NAME = "ccXXXXXX"
 # Such a name where the linker quotes it: at a line's start or after a blank,
-# so "../ccabcdef.h" or "dir/./ccabcdef.h" in a student's text is left alone.
-_TEMP_FILE = re.compile(r"(?<!\S)\./cc[0-9A-Za-z]{6}(?=\.)")
+# and followed by an object suffix, so "../ccabcdef.h", "dir/./ccabcdef.h" or
+# "./ccabcdef.h" in a student's text is left alone.
+_TEMP_FILE = re.compile(r"(?<!\S)\./cc[0-9A-Za-z]{6}(?=\.(?:ltrans\d+\.ltrans\.)?o(?![\w.]))")
 
 
 class CompilerNotFound(RuntimeError):
@@ -132,22 +134,41 @@ class Diagnostic:
     text: str
 
 
+# A line of GCC's source excerpt: a quoted line ("    4 |     x = 1;"), its
+# caret line ("      |   ^~") or a fix-it hint ("  +++ |+#include <vector>").
+_EXCERPT = re.compile(r" *(?:\d+|\+\+\+)? \|")
+# GCC's label of a diagnostic ("main.cpp:3:9: warning: ..."), at a line's start
+# or after ": ", in any case; the first on a line counts.
+_LABEL = re.compile(r"(?:^|: )(fatal error|error|warning|note):", re.I)
+
+
 def classify_diagnostics(output: str) -> tuple[Diagnostic, ...]:
     """Split compiler output into per-line diagnostics.
 
-    Classification is a case-insensitive substring check: a line mentioning
-    "error" is an ERROR, otherwise one mentioning "warning" is a WARNING, and
-    anything else (caret art, include traces) is a NOTE. Every non-blank line
-    is kept, so the classified list reproduces the compiler's full message.
+    A line of GCC's source excerpt, which quotes the student's text, is a
+    NOTE. Otherwise a line that carries GCC's label takes its severity
+    (``error:`` and ``fatal error:`` an ERROR, ``warning:`` a WARNING,
+    ``note:`` a NOTE). Any other line gets a case-insensitive substring
+    check: one mentioning "error" is an ERROR (``cc1plus: all warnings
+    being treated as errors``), otherwise one mentioning "warning" is a
+    WARNING, and anything else (include traces, the linker's "in function")
+    is a NOTE. Every non-blank line is kept, so the classified list
+    reproduces the compiler's full message.
     """
     diagnostics: list[Diagnostic] = []
     for line in output.splitlines():
         if not line.strip():
             continue
-        lowered = line.lower()
-        if "error" in lowered:
+        # The words the substring check reads: none, the label, or the whole line.
+        if _EXCERPT.match(line):
+            words = ""
+        elif label := _LABEL.search(line):
+            words = label[1].lower()
+        else:
+            words = line.lower()
+        if "error" in words:
             severity = DiagnosticSeverity.ERROR
-        elif "warning" in lowered:
+        elif "warning" in words:
             severity = DiagnosticSeverity.WARNING
         else:
             severity = DiagnosticSeverity.NOTE
@@ -315,26 +336,29 @@ class PrecompiledHeaders:
     ``PCH_HEADERS`` (see :func:`_leading_header`). The first compile that
     wants a header builds ``<h>.gch`` once, with that compile's command and
     flags (other compiles go on without it meanwhile), so GCC accepts it
-    exactly where it would have parsed the header itself. GCC looks for ``<h>.gch`` in each include directory
-    before ``<h>``, so a compile run in the returned environment, which
-    names the header's own include directory first in
-    ``CPLUS_INCLUDE_PATH``, loads it instead of parsing the header. A PCH is
-    used only if the build exited 0 without printing anything.
+    exactly where it would have parsed the header itself. GCC looks for
+    ``<h>.gch`` in each include directory before ``<h>``, so a compile run
+    with the variables :meth:`environment` adds, which name the header's
+    own include directory first in ``CPLUS_INCLUDE_PATH``, loads it instead
+    of parsing the header. A PCH is used only if the build exited 0 without
+    printing anything.
 
-    Gold and the PCH word some output differently, and :meth:`untouched`
-    finds each such line by a mark (see :func:`compile_workspace`).
+    Gold and the PCH word some output differently, and every such line
+    carries a mark (see :func:`_keeps`).
 
-    Nothing is built until :meth:`expect` says enough compiles are to come
-    to pay the build back: a batch passes its size, a watch passes None, and
-    a single grade builds nothing. A PCH is dropped for the rest of the
-    session if its include directory or ``.gch`` changes after the build (a
-    student binary runs as the same user and could rewrite it).
+    Nothing is built unless :meth:`expect` says the run holds enough
+    compiles to pay the build back: a batch passes its size, a watch
+    passes None, and a single grade builds nothing. A PCH is dropped for
+    the rest of the session if its include directory or ``.gch`` changes
+    after the build (a student binary runs as the same user and could
+    rewrite it).
 
     Nothing is created until the first build. The files live in one
-    ``.pch-*`` directory under ``root``, which :meth:`close` removes: each
-    header's build in a directory named after it, with the wrapper header
-    it compiles in ``wrap/`` and, in ``include/``, the ``.gch`` and a
-    stand-in for the header that includes the header itself.
+    ``.pch-*`` directory (see ``_PCH_PREFIX``) under ``root``, which
+    :meth:`close` removes: each header's build in a directory named after
+    it, with the wrapper header it compiles in ``wrap/`` and, in
+    ``include/``, the ``.gch`` and a stand-in for the header that includes
+    the header itself.
     """
 
     def __init__(self, root: Path):
@@ -344,27 +368,26 @@ class PrecompiledHeaders:
         self._linker: Path | None = None
         # A header's stamp (see _stamp()) while its PCH may be used; a key once its build has started.
         self._stamps: dict[str, tuple[int, ...] | None] = {}
-        self._ahead: int | None = 0
+        self._builds = False  # whether this run may build (see expect())
         self._dir: Path | None = None
 
-    def environment(self, profile: CompilerProfile, headers: Collection[str]) -> dict[str, str] | None:
-        """The compiler's environment for a warm try of a compile whose units lead with ``headers``, or None: cold.
+    def environment(self, profile: CompilerProfile, headers: Collection[str]) -> dict[str, str]:
+        """The variables a warm try of a compile whose units lead with ``headers`` adds to its environment.
 
+        ``{}`` means the compile runs cold. Each search path it sets names
+        the session's directories first and the inherited value after them.
         A command with a ``-save-temps`` token always compiles cold (see ``_SAVE_TEMPS``).
         """
         if any(token.startswith(_SAVE_TEMPS) for token in profile.command):
-            return None
+            return {}
         with self._lock:
             if self._gcc is None:
                 # Held while asking: every compile waits for the answers.
                 self._gcc = _names_gcc(profile.command[0], profile.timeout_secs)
                 self._linker = _find_gold(profile.timeout_secs) if self._gcc else None
-            enough = self._ahead is None or self._ahead >= PCH_BUILD_FOR_AT_LEAST
-            if self._ahead is not None:
-                self._ahead -= 1
             if not self._gcc:
-                return None
-            builds = [name for name in headers if enough and name not in self._stamps]
+                return {}
+            builds = [name for name in headers if self._builds and name not in self._stamps]
             self._stamps.update(dict.fromkeys(builds))
         # Only one compile builds each header; the others go on without it meanwhile.
         for name in builds:
@@ -382,43 +405,20 @@ class PrecompiledHeaders:
                     includes.append(include)
                 else:
                     self._stamps[name] = None
-        if not includes and self._linker is None:
-            return None
-        env = dict(os.environ)
-        if includes:
-            env["CPLUS_INCLUDE_PATH"] = _put_first(includes, "CPLUS_INCLUDE_PATH")
+        added = {"CPLUS_INCLUDE_PATH": _put_first(includes, "CPLUS_INCLUDE_PATH")} if includes else {}
         if self._linker is not None:
-            env["COMPILER_PATH"] = _put_first([self._linker], "COMPILER_PATH")
-        return env
+            added["COMPILER_PATH"] = _put_first([self._linker], "COMPILER_PATH")
+        return added
 
     def expect(self, compiles: int | None) -> None:
-        """Bound the compiles still to come, or lift the bound with None.
+        """Say how many compiles the coming run holds, or None for no bound (a watch).
 
-        Each compile counts the bound down, and no header is built while
-        fewer than ``PCH_BUILD_FOR_AT_LEAST`` are left. The bound starts at
-        0, so a session outside a batch or a watch builds nothing; with no
-        bound (a watch) the first compile that wants a header builds it.
+        The run may build only if that is at least ``PCH_BUILD_FOR_AT_LEAST``
+        or unbounded: then the first compile that wants a header builds it,
+        whenever it comes. A new session may not, so a single grade builds
+        nothing.
         """
-        with self._lock:
-            self._ahead = compiles
-
-    def untouched(self, output: str) -> bool:
-        """Whether the output of a warm compile reads as the cold compile's would: it carries no mark.
-
-        Only two things make them differ. Under a PCH, an include chain
-        into a library header ends at the wrapper header instead of the
-        student's file; the build names the wrapper by its absolute path, so
-        every such line names this session's ``.pch-*`` directory. And gold
-        words what the linker prints its own way: g++ prints a ``collect2:``
-        line for every failed link, and each of gold's messages names either
-        an object, GCC's temporary one for a student's unit (``ccXXXXXX.``),
-        or gold itself (``/usr/lib/gold-ld/ld:``). Output that was cut may
-        be missing any such line, so it never counts.
-        """
-        with self._lock:
-            directory = self._dir
-        marks = [_LINK_FAILURE_MARK, _TEMP_NAME, str(_GOLD_DIR)] + ([directory.name] if directory else [])
-        return not any(mark in output for mark in marks) and not _OMITTED.search(output)
+        self._builds = compiles is None or compiles >= PCH_BUILD_FOR_AT_LEAST
 
     def _build(self, profile: CompilerProfile, header: str) -> Path | None:
         """Build ``header``'s PCH and return its include directory, or None if that failed."""
@@ -426,13 +426,13 @@ class PrecompiledHeaders:
             try:
                 if self._dir is None:
                     self.root.mkdir(parents=True, exist_ok=True)
-                    self._dir = Path(tempfile.mkdtemp(prefix=".pch-", dir=self.root)).absolute()
+                    self._dir = Path(tempfile.mkdtemp(prefix=_PCH_PREFIX, dir=self.root)).absolute()
             except OSError:
                 return None
             home = self._dir / header
         # The wrapper lives outside the include directory: found there, it
         # would include itself. It is compiled by its absolute path, which an
-        # include chain through it then names (see untouched()). The build
+        # include chain through it then names (see _keeps()). The build
         # writes the .gch in place: environment() hands the directory out
         # only once the build succeeded, so what a failed or killed build
         # leaves is never read, and close() removes it.
@@ -488,18 +488,14 @@ def compile_workspace(
     executable raises, as :class:`CompilerNotFound`, because that is an
     environment fault rather than a property of the submission.
 
-    With ``pch``, the workspace may first be compiled warm, in the
-    environment :meth:`PrecompiledHeaders.environment` hands out: gold's
-    directory first in ``COMPILER_PATH`` where gold is installed, and the
-    include directories of its units' leading headers' PCHs first in
-    ``CPLUS_INCLUDE_PATH``. That result is kept if the compiler succeeded
-    (exited 0 and wrote the binary), exited 1 or ran out of time, its
-    output is :meth:`PrecompiledHeaders.untouched`, and a binary gold
-    linked does not run writable code (see :func:`_runs_writable_code`): a
-    cold compile then reports the same. Otherwise (a mark, cut output, such
-    a binary, exit 0 without the binary, or another status, such as 4 for an
-    internal compiler error) the binary is deleted and the cold compile
-    runs, and its result is returned.
+    With ``pch``, the workspace may first be compiled warm, with the
+    variables :meth:`PrecompiledHeaders.environment` adds: gold's directory
+    first in ``COMPILER_PATH`` where gold is installed, and the include
+    directories of its units' leading headers' PCHs first in
+    ``CPLUS_INCLUDE_PATH``. That result is kept if :func:`_keeps` says a
+    cold compile would report the same and a binary gold linked does not
+    run writable code (see :func:`_runs_writable_code`). Otherwise the
+    binary is deleted and the cold compile runs, and its result is returned.
     The command is the same either way, and every compile runs with
     ``_FIXED_ENVIRONMENT``.
     """
@@ -511,31 +507,52 @@ def compile_workspace(
         return CompileResult(False, (diagnostic,), raw_output=diagnostic.text)
 
     command = profile.expand(sources, OUTPUT_NAME)
-    if pch is None:
-        return _run_compiler(command, workspace, profile, None)[0]
-    headers = sorted({header for name in sources if (header := _leading_header(workspace / name)) is not None})
-    env = pch.environment(profile, headers)
-    result, exit_code = _run_compiler(command, workspace, profile, env)
-    if env is None:
+    added = {} if pch is None else pch.environment(
+        profile, sorted({header for name in sources if (header := _leading_header(workspace / name)) is not None}))
+    result, exit_code = _run_compiler(command, workspace, profile, added)
+    if not added:
         return result
-    # The exit code is None if the compile ran out of time.
-    kept = (result.succeeded or exit_code in (_GCC_ERROR_EXIT, None)) and pch.untouched(result.raw_output)
-    if kept and result.succeeded and env.get("COMPILER_PATH", "").split(os.pathsep)[0] == str(_GOLD_DIR):
+    kept = _keeps(result, exit_code)
+    if kept and result.succeeded and "COMPILER_PATH" in added:
         kept = not _runs_writable_code(result.output_path)
     if not kept:
         (workspace / OUTPUT_NAME).unlink(missing_ok=True)
-        result = _run_compiler(command, workspace, profile, None)[0]
+        result = _run_compiler(command, workspace, profile, {})[0]
     return result
 
 
-def _run_compiler(
-    command: tuple[str, ...], workspace: Path, profile: CompilerProfile, env: dict[str, str] | None
-) -> tuple[CompileResult, int | None]:
-    """The result of one compile in ``env`` (None: the grader's) with ``_FIXED_ENVIRONMENT``, and its exit code.
+def _keeps(result: CompileResult, exit_code: int | None) -> bool:
+    """Whether a warm compile's result reads as the cold compile's would, given its exit code (None: timed out).
 
-    The exit code is None if the compile ran out of time.
+    It does if the compiler succeeded (exited 0 and wrote the binary),
+    exited 1 or ran out of time, and its output carries no mark and was not
+    cut; exit 0 without the binary, or another status (4 is an internal
+    compiler error), never does. Only two things make the outputs differ.
+    Under a PCH, an include chain into a library header ends at the wrapper
+    header instead of the student's file; the build names the wrapper by
+    its absolute path, so every such line names the session's ``.pch-*``
+    directory (``_PCH_PREFIX``). And gold words what the linker prints its own way: g++
+    prints a ``collect2:`` line for every failed link, and each of gold's
+    messages names either an object, GCC's temporary one for a student's
+    unit (``ccXXXXXX.o``), or gold itself (``/usr/lib/gold-ld/ld:``).
+    Output that was cut may be missing any such line, so it never counts.
     """
-    env = {**(os.environ if env is None else env), **_FIXED_ENVIRONMENT}
+    output = result.raw_output
+    marks = (_LINK_FAILURE_MARK, _TEMP_NAME, str(_GOLD_DIR), _PCH_PREFIX)
+    return ((result.succeeded or exit_code in (_GCC_ERROR_EXIT, None))
+            and not any(mark in output for mark in marks) and not _OMITTED.search(output))
+
+
+def _run_compiler(
+    command: tuple[str, ...], workspace: Path, profile: CompilerProfile, added: Mapping[str, str]
+) -> tuple[CompileResult, int | None]:
+    """The result of one compile, and its exit code: None if it ran out of time.
+
+    It runs in the grader's environment with ``added`` (see
+    :meth:`PrecompiledHeaders.environment`) over it and ``_FIXED_ENVIRONMENT``
+    over both.
+    """
+    env = {**os.environ, **added, **_FIXED_ENVIRONMENT}
     output = _CappedOutput()
     try:
         exit_code, timed_out = run_child(

@@ -127,7 +127,7 @@ def calls(log: Path) -> list[str]:
 def built_pch(pch, profile, header: str = "iostream") -> Path:
     """Build ``header``'s PCH as a compile that wants it would in a watch, and return its include directory."""
     pch.expect(None)
-    env = pch.environment(profile, {header}) or {}
+    env = pch.environment(profile, {header})
     include = Path(env.get("CPLUS_INCLUDE_PATH", "").split(os.pathsep)[0])
     assert (include / f"{header}.gch").is_file(), "the precompiled header was not built"
     return include

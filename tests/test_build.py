@@ -72,6 +72,23 @@ def test_error_outranks_warning_on_one_line():
     assert diagnostic.severity is DiagnosticSeverity.ERROR
 
 
+def test_gccs_own_label_decides_and_a_quoted_source_line_is_a_note():
+    output = (
+        "main.cpp:3:9: warning: unused variable 'errorCount' [-Wunused-variable]\n"
+        "    3 |     int errorCount;\n"
+        "      |         ^~~~~~~~~~\n"
+        '    4 |     cerr << "warning" << x;\n'
+        "  +++ |+#include <cstring>\n"
+        "main.cpp:1:2: warning: #warning error: not finished [-Wcpp]\n"
+        "main.cpp:5:3: note: in expansion of macro 'ERROR'\n"
+        "main.cpp:1:10: fatal error: warning.h: No such file or directory\n"
+        "cc1plus: all warnings being treated as errors\n"
+        "main.cpp:2: Error: no such instruction: `no_such_instruction'\n"
+    )
+    W, N, E = DiagnosticSeverity.WARNING, DiagnosticSeverity.NOTE, DiagnosticSeverity.ERROR
+    assert [d.severity for d in classify_diagnostics(output)] == [W, N, N, N, N, W, N, E, E, E]
+
+
 def test_classification_is_lossless_and_skips_blanks():
     output = "first\n\n   \nsecond error here\n"
     diagnostics = classify_diagnostics(output)
@@ -381,6 +398,7 @@ WARNING_ONLY = "#include <iostream>\nint main() { int unused; std::cout << 1; }\
 # which names the unit's object: gold's "ccXXXXXX.o:main.cpp:function main:".
 TMPNAM = "int main() { char name[L_tmpnam]; return tmpnam(name) == nullptr; }\n"
 WARNING_AND_ERROR = "#include <iostream>\nint main() { int unused; std::cout << missing; }\n"
+STUDENT_CC_NAME = '#include "./ccabcdef.h"\nint main() {}\n'
 
 # Programs that fail to compile under each profile below, each with whether
 # GCC's output can differ under the <iostream> PCH: an include chain through
@@ -436,6 +454,8 @@ CASES = {
     "tmpnam-link-warning-save-temps": (SAVE_TEMPS, "#include <cstdio>\n" + TMPNAM, "cold"),
     "wall-warning-and-error": (WALL, WARNING_AND_ERROR, "warm"),
     "werror-warning-only": (WERROR, WARNING_ONLY, "warm"),
+    # A student's own "./ccXXXXXX" name is neither rewritten as GCC's temporary object nor taken for a mark.
+    "student-cc-name": (GXX, STUDENT_CC_NAME, "warm"),
     # A header included again once its PCH is loaded is read through the stand-in beside the .gch.
     "iostream-twice": (GXX, "#include <iostream>\n#include <iostream>\nint main() { std::cout << 1; }\n", "warm"),
     "cstdio-then-string": (GXX, "#include <cstdio>\n#include <string>\nint main() { std::string s; }\n", "warm"),
@@ -492,8 +512,8 @@ def test_diagnostics_are_identical_with_and_without_the_pch(tmp_path, monkeypatc
     header = build._leading_header(tmp_path / "warm" / "main.cpp")
     if header is None and not has_gold():
         runs = "cold"  # with neither a PCH nor gold, nothing runs warm
-    assert ", ".join("cold" if env is None else "warm" for env in envs) == runs
-    if envs[0] is None:
+    assert ", ".join("warm" if env else "cold" for env in envs) == runs
+    if not envs[0]:
         return  # nothing ran warm
     if header is not None:
         include_dir = envs[0]["CPLUS_INCLUDE_PATH"].split(os.pathsep)[0]
@@ -531,12 +551,66 @@ def test_a_program_of_three_units_compiles_warm_once_and_passes_the_same_tests(t
         results[name] = compile_workspace(workspace, leap_spec.compiler, sorted(files), helper)
         assert results[name].succeeded
         verdicts[name] = [(r.test_id, r.outcome) for r in run_test_suite(results[name].output_path, leap_spec.tests)]
-    assert len(envs) == 1 and envs[0] is not None, "compiled warm, once"
+    assert len(envs) == 1 and envs[0], "compiled warm, once"
     assert os.path.isfile(os.path.join(envs[0]["CPLUS_INCLUDE_PATH"].split(os.pathsep)[0], "cstdio.gch"))
     assert results["warm"].diagnostics == results["cold"].diagnostics == ()
     assert verdicts["warm"] == verdicts["cold"]
     assert {outcome for _, outcome in verdicts["warm"]} == {TestOutcome.PASS}
     pch.close()
+
+
+def test_a_students_own_cc_name_is_reported_as_written(tmp_path):
+    (tmp_path / "main.cpp").write_text(STUDENT_CC_NAME, encoding="utf-8")
+    result = compile_workspace(tmp_path, GXX, ["main.cpp"])
+    assert "main.cpp:1:10: fatal error: ./ccabcdef.h: No such file or directory" in result.raw_output
+    assert "ccXXXXXX" not in result.raw_output
+
+
+@pytest.mark.parametrize(
+    "line, rewritten",
+    [
+        ("/usr/bin/ld: ./ccsjKxBH.o: in function `main':", "/usr/bin/ld: ccXXXXXX.o: in function `main':"),
+        ("/usr/bin/ld: ./cc7JyfV8.ltrans0.ltrans.o: in function `main':",
+         "/usr/bin/ld: ccXXXXXX.ltrans0.ltrans.o: in function `main':"),
+        ("./ccAbc123.o:main.cpp:function main: error: undefined reference to 'f()'",
+         "ccXXXXXX.o:main.cpp:function main: error: undefined reference to 'f()'"),
+        ("main.cpp:1:10: fatal error: ./ccabcdef.h: No such file or directory", None),
+        ("main.cpp:1:10: fatal error: ./ccabcdef.obj: No such file or directory", None),
+        ("main.cpp:1:10: fatal error: ../ccabcdef.o: No such file or directory", None),
+    ],
+    ids=["bfd", "bfd-lto", "gold", "header", "other-suffix", "parent-directory"],
+)
+def test_only_the_linkers_object_names_are_rewritten(line, rewritten):
+    assert build._TEMP_FILE.sub(build._TEMP_NAME, line) == (line if rewritten is None else rewritten)
+
+
+# -- precompiled headers: the keep rule -----------------------------------------------
+
+# Outputs of a warm compile: clean, each mark, and the note that ends cut output.
+KEEP_OUTPUTS = {
+    "clean": ("main.cpp:2:9: warning: unused variable 'x'\n", True),
+    "collect2": ("collect2: error: ld returned 1 exit status\n", False),
+    "temporary-object": ("ccXXXXXX.o:main.cpp:function main: warning: the use of 'tmpnam' is dangerous\n", False),
+    "gold": ("<gold>/ld: warning: definition of common_var overriding common\n", False),
+    "pch-directory": ("In file included from /srv/workspace/.pch-k2j4x9a1/iostream/wrap/iostream:1:\n", False),
+    "cut": ("main.cpp:1:1: error: expected\nnote: 600 lines omitted\n", False),
+}
+# How a compile ended: whether it succeeded, and its exit code (None: it ran out of time).
+KEEP_STATUSES = {"success": (True, 0), "exit-1": (False, 1), "timeout": (False, None), "exit-4": (False, 4),
+                 "exit-0-without-binary": (False, 0)}
+
+
+@pytest.mark.parametrize("status", sorted(KEEP_STATUSES))
+@pytest.mark.parametrize("output", sorted(KEEP_OUTPUTS))
+def test_a_warm_result_is_kept_for_its_status_and_output_alone(tmp_path, monkeypatch, output, status):
+    monkeypatch.setattr(build, "_GOLD_DIR", tmp_path / "gold-ld")  # the mark is read when the rule runs
+    text, clean = KEEP_OUTPUTS[output]
+    text = text.replace("<gold>", str(build._GOLD_DIR))
+    succeeded, exit_code = KEEP_STATUSES[status]
+    if exit_code is None:
+        text += "error: compilation exceeded the 30 second limit"
+    result = build.CompileResult(succeeded, classify_diagnostics(text), tmp_path / "program" if succeeded else None, text)
+    assert build._keeps(result, exit_code) is (clean and status in ("success", "exit-1", "timeout"))
 
 
 # -- precompiled headers: lifecycle ------------------------------------------------
@@ -732,6 +806,34 @@ def test_clang_gets_no_pch(tmp_path):
     assert list(root.glob(".pch-*")) == []
 
 
+@pytest.mark.usefixtures("plain_environment")
+def test_a_cold_answer_adds_no_variable(tmp_path):
+    gcc, log = stub_compiler(tmp_path)
+    (tmp_path / "clang").mkdir()
+    clang, _ = stub_compiler(tmp_path / "clang", banner="clang version 15.0.0\n")
+    save_temps = CompilerProfile(command=(gcc.command[0], "-save-temps", *gcc.command[1:]))
+    assert PrecompiledHeaders(tmp_path / "new").environment(gcc, ["iostream"]) == {}, "a new session may not build"
+    for profile in (clang, save_temps):
+        assert watching(tmp_path / "watch").environment(profile, ["iostream"]) == {}
+    assert not any(line.startswith("build ") for line in calls(log))
+
+
+def test_the_warm_environment_holds_only_the_variables_it_adds(tmp_path, monkeypatch):
+    monkeypatch.setenv("CPLUS_INCLUDE_PATH", "/inherited/include")
+    monkeypatch.setenv("COMPILER_PATH", "/inherited/bin")
+    gold = stub_linker(tmp_path, "GNU gold (Stub Binutils 2.40) 1.16")
+    monkeypatch.setattr(build, "_GOLD_DIR", gold)
+    profile, _ = stub_compiler(tmp_path)
+    pch = PrecompiledHeaders(tmp_path / "root")
+    linker = {"COMPILER_PATH": f"{gold}{os.pathsep}/inherited/bin"}
+    assert pch.environment(profile, ["iostream"]) == linker, "this run may not build"
+    include = built_pch(pch, profile)
+    assert pch.environment(profile, ["iostream"]) == {
+        "CPLUS_INCLUDE_PATH": f"{include}{os.pathsep}/inherited/include", **linker}
+    assert pch.environment(profile, []) == linker
+    pch.close()
+
+
 @pytest.mark.parametrize("inherited", [None, "", "/usr/local/include", "/a:/b"])
 def test_inherited_include_path_is_kept_and_no_empty_element_added(tmp_path, monkeypatch, inherited):
     # The same holds for COMPILER_PATH, which names gold first.
@@ -768,7 +870,7 @@ def test_without_gold_the_warm_environment_sets_only_the_include_path(tmp_path, 
     root = tmp_path / "root"
     pch = PrecompiledHeaders(root)
     include = built_pch(pch, profile)
-    assert pch.environment(profile, {"iostream"}) == {**os.environ, "CPLUS_INCLUDE_PATH": str(include)}
+    assert pch.environment(profile, {"iostream"}) == {"CPLUS_INCLUDE_PATH": str(include)}
     assert compile_workspace(workspace_with(root, "ws", IOSTREAM_MAIN), profile, ["main.cpp"], pch).succeeded
     assert calls(log)[-1] == f"compile {include}"
     pch.close()
@@ -876,7 +978,7 @@ def test_a_header_build_killed_by_its_first_output_leaves_no_pch_in_use(tmp_path
     assert time.monotonic() - start < 5.0, "the build is killed at its first output"
     assert calls(log) == ["version", header_build(root), "compile unset", "compile unset"]
     assert (pch_include(root) / "iostream.gch").is_file()
-    assert pch.environment(profile, {"iostream"}) is None
+    assert pch.environment(profile, {"iostream"}) == {}
     pch.close()
     assert list(root.glob(".pch-*")) == []
 
@@ -1065,7 +1167,7 @@ def test_an_executable_stack_links_warm_then_reports_bfds_warning_cold(tmp_path,
     cold, warm = results["cold"], results["warm"]
     assert (warm.succeeded, warm.raw_output, warm.diagnostics) == (cold.succeeded, cold.raw_output, cold.diagnostics)
     assert cold.succeeded and "ccXXXXXX.o: requires executable stack" in cold.raw_output
-    assert ["cold" if env is None else "warm" for env in envs] == ["cold", "warm", "cold"]
+    assert ["warm" if env else "cold" for env in envs] == ["cold", "warm", "cold"]
 
 
 def test_import_leaves_hashlib_out():

@@ -900,7 +900,7 @@ def grade_cold_and_warm(spec, inbox, session_factory, monkeypatch, build_first=T
     """The reports and sorted events of a batch of ``inbox`` graded cold, then warm, and each warm session compile.
 
     The cold session's compiler is not taken for GCC. Each compile is a
-    (workspace name, environment) pair; a cold rerun's environment is None.
+    (workspace name, added variables) pair; a cold rerun adds none.
     """
     monkeypatch.setattr(pipeline, "utc_now", lambda: T0)
     compiles = []
@@ -941,11 +941,32 @@ def test_pch_leaves_every_fixture_report_and_event_identical(leap_spec, session_
         drop(inbox, f"{path.stem.replace('_', '-').title()}_Student_3.zip", {"main.cpp": path.read_text()})
     cold, warm, compiles = grade_cold_and_warm(spec, inbox, session_factory, monkeypatch)
     assert warm == cold
-    warm_envs = [env for _, env in compiles if env is not None]
+    warm_envs = [env for _, env in compiles if env]
     assert warm_envs, "no compile ran warm"
     if not has_gold():
         pytest.skip(NO_GOLD)
     assert [env["COMPILER_PATH"].split(os.pathsep)[0] for env in warm_envs] == [GOLD_DIR] * len(warm_envs)
+
+
+def test_a_batch_builds_the_pch_its_last_compile_alone_wants(leap_spec, session_factory, tmp_path, monkeypatch):
+    # Whether a batch may build is decided once, from its size, not counted down compile by compile.
+    firsts = ["Ada", "Ben", "Cal", "Dee", "Eve", "Fay", "Gus", "Hal", "Ivy", "Jon"][:build.PCH_BUILD_FOR_AT_LEAST]
+    inbox = tmp_path / "inbox"
+    for first in firsts[:-1]:
+        drop(inbox, f"{first}_Student_3.zip", {"main.cpp": "int main() { return 0; }\n"})
+    drop(inbox, f"{firsts[-1]}_Student_3.zip", {"main.cpp": source("leap_nested.cpp")})
+    compiles = []
+    run_compiler = build._run_compiler
+
+    def recorded(command, workspace, profile, added):
+        compiles.append(added)
+        return run_compiler(command, workspace, profile, added)
+
+    monkeypatch.setattr(build, "_run_compiler", recorded)
+    session = session_factory(leap_spec, jobs=1)
+    assert session.run_batch(inbox).graded == len(firsts)
+    assert ["CPLUS_INCLUDE_PATH" in added for added in compiles] == [False] * (len(firsts) - 1) + [True]
+    assert read_report(session.reports_dir, f"{firsts[-1]}_Student_3")["score"] == 100.0
 
 
 # Leap-year programs that compile with warnings under -Wall, and with nothing else.
