@@ -33,7 +33,7 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable
 
@@ -219,6 +219,8 @@ class GradingSession:
         self._log_stat = self.log.path.stat()  # how _run knows the log in an inbox, however its path is spelled
         self._pch = PrecompiledHeaders(self.workspace_root)
         self._receipts = itertools.count()
+        self._receipt_lock = threading.Lock()
+        self._stamped = datetime.min.replace(tzinfo=timezone.utc)  # the latest time _receive took from the clock
         self._registry: dict[str, Receipt] = {}
         self._registry_lock = threading.Lock()
 
@@ -256,9 +258,15 @@ class GradingSession:
             return self._finish(report, receipt, ReportStatus.ERRORED, f"internal-error:{type(exc).__name__}", str(exc))
 
     def _receive(self, at: datetime | None = None) -> Receipt:
-        """Stamp an archive as received now (or at ``at``), after every earlier receipt."""
-        # next() on an itertools.count is atomic, so receipts from threads never repeat.
-        return Receipt(at or utc_now(), next(self._receipts))
+        """Stamp an archive as received now (or at ``at``), after every earlier receipt.
+
+        A time the session takes itself is never earlier than the one before,
+        so a wall clock stepped back cannot make a later upload the older.
+        """
+        with self._receipt_lock:
+            if at is None:
+                at = self._stamped = max(utc_now(), self._stamped)
+            return Receipt(at, next(self._receipts))
 
     def _grade(self, archive_path: Path, receipt: Receipt) -> AssessmentReport:
         """Run the stages in order; the cause that stops them, if any, decides the terminal state."""

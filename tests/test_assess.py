@@ -246,6 +246,135 @@ def test_json_report_for_nameless_archive():
     assert payload["detail"] == "malformed-name:wrong-field-count"
 
 
+def finished(report, status=ReportStatus.GRADED):
+    if status is ReportStatus.GRADED:
+        report.score = score_submission(report.compile_result, report.lexical, report.blackbox)
+    report.status = status
+    report.generated_at = RECEIVED
+    return report
+
+
+def test_a_rule_warning_is_printed_under_its_rule():
+    report = AssessmentReport(IDENTITY, "Ada_Lovelace_3.zip", RECEIVED)
+    report.compile_result = compile_ok()
+    warning = "main.cpp: unterminated string literal"
+    rule = RuleResult("nested", "uses a nested branch", RulePolarity.MUST_MATCH, True, True, 1.0, (warning,))
+    report.lexical = (rule,)
+    report.blackbox = suite(PASS)
+    finished(report)
+    assert render_report_text(report) == (
+        "Submission: Ada_Lovelace_3\n"
+        "Student:    Ada Lovelace\n"
+        "Assignment: 3\n"
+        "Received:   2026-08-25T12:00:00+00:00\n"
+        "Status:     Graded\n"
+        "Score:      100.0/100\n"
+        "\n"
+        "Compilation succeeded (0 diagnostic lines)\n"
+        "\n"
+        "Lexical rules: 1/1 satisfied\n"
+        "  [ok ] nested: uses a nested branch (expected present, found)\n"
+        "         note: main.cpp: unterminated string literal\n"
+        "\n"
+        "Black-box tests: 1/1 passed\n"
+        "  [Pass] test-0\n"
+        "\n"
+        "Generated:  2026-08-25T12:00:00+00:00\n"
+    )
+    assert report_payload(report) == {
+        "student": "Ada Lovelace",
+        "assignment": 3,
+        "received_at": "2026-08-25T12:00:00+00:00",
+        "status": "Graded",
+        "score": 100.0,
+        "compile": {"succeeded": True, "diagnostics": []},
+        "rules": [
+            {
+                "id": "nested", "description": "uses a nested branch", "polarity": "must-match",
+                "matched": True, "satisfied": True, "weight": 1.0, "warnings": [warning],
+            }
+        ],
+        "tests": [
+            {"id": "test-0", "outcome": "Pass", "weight": 1.0, "exit_code": 0, "detail": "",
+             "expected": "want", "actual": "got"},
+        ],
+        "detail": "",
+        "generated_at": "2026-08-25T12:00:00+00:00",
+        "archive_owner": None,
+    }
+
+
+def test_a_long_fail_excerpt_is_cut_at_200_characters_with_newlines_shown():
+    # An excerpt shows a "Leap year" line in 11 characters and a "Common year" line in 13.
+    expected, actual = "Leap year\n" * 25, "Common year\n" * 25
+    report = AssessmentReport(IDENTITY, "Ada_Lovelace_3.zip", RECEIVED)
+    report.compile_result = compile_ok()
+    report.lexical = ()
+    report.blackbox = (TestResult("year-2000", FAIL, expected, actual, 0, 1.0, 0.01),)
+    finished(report)
+    assert render_report_text(report) == (
+        "Submission: Ada_Lovelace_3\n"
+        "Student:    Ada Lovelace\n"
+        "Assignment: 3\n"
+        "Received:   2026-08-25T12:00:00+00:00\n"
+        "Status:     Graded\n"
+        "Score:      30.0/100\n"
+        "\n"
+        "Compilation succeeded (0 diagnostic lines)\n"
+        "\n"
+        "Lexical rules: 0/0 satisfied\n"
+        "\n"
+        "Black-box tests: 0/1 passed\n"
+        "  [Fail] year-2000\n"
+        "         expected: " + "Leap year\\n" * 18 + "Le...\n"
+        "         actual:   " + "Common year\\n" * 15 + "Commo...\n"
+        "\n"
+        "Generated:  2026-08-25T12:00:00+00:00\n"
+    )
+    assert report_payload(report) == {
+        "student": "Ada Lovelace",
+        "assignment": 3,
+        "received_at": "2026-08-25T12:00:00+00:00",
+        "status": "Graded",
+        "score": 30.0,
+        "compile": {"succeeded": True, "diagnostics": []},
+        "rules": [],
+        "tests": [
+            {"id": "year-2000", "outcome": "Fail", "weight": 1.0, "exit_code": 0, "detail": "",
+             "expected": expected, "actual": actual},
+        ],
+        "detail": "",
+        "generated_at": "2026-08-25T12:00:00+00:00",
+        "archive_owner": None,
+    }
+
+
+def test_a_report_without_an_identity_names_its_archive():
+    report = finished(AssessmentReport(None, "garbage.zip", RECEIVED), ReportStatus.QUARANTINED)
+    report.detail = "malformed-name:wrong-field-count"
+    assert render_report_text(report) == (
+        "Submission: garbage.zip\n"
+        "Received:   2026-08-25T12:00:00+00:00\n"
+        "Status:     Quarantined\n"
+        "Detail:     malformed-name:wrong-field-count\n"
+        "\n"
+        "Generated:  2026-08-25T12:00:00+00:00\n"
+    )
+    assert report_payload(report) == {
+        "student": None,
+        "assignment": None,
+        "received_at": "2026-08-25T12:00:00+00:00",
+        "status": "Quarantined",
+        "score": None,
+        "compile": None,
+        "rules": [],
+        "tests": [],
+        "detail": "malformed-name:wrong-field-count",
+        "generated_at": "2026-08-25T12:00:00+00:00",
+        "archive_owner": None,
+    }
+
+
 # -- grading log ----------------------------------------------------------------
 
 

@@ -102,7 +102,7 @@ def test_validate_spec_refuses_a_string_that_utf8_cannot_encode(tmp_path, capsys
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""
-    assert "line 35" in captured.err or "tests[1].expected_stdout" in captured.err
+    assert "not valid YAML: " in captured.err and f'in "{bad}", line 35, column ' in captured.err
 
 
 def test_grade_prints_the_report(tmp_path, capsys):

@@ -525,6 +525,25 @@ def test_same_second_resubmission_resolves_by_discovery_not_finish_order(
     assert terminal == [("graded", "Graded"), ("superseded", "Superseded")], "the older one finished last"
 
 
+def test_a_clock_stepped_back_between_receipts_leaves_the_later_upload_the_newer(
+    leap_spec, session_factory, tmp_path, monkeypatch
+):
+    # Both names are submission Ada_Lovelace_3; the batch lists "..._03.zip"
+    # first, and the wall clock steps back 3 s before it lists "..._3.zip".
+    session = session_factory(leap_spec, jobs=1)
+    inbox = tmp_path / "inbox"
+    drop(inbox, "Ada_Lovelace_03.zip", {"main.cpp": source("leap_flat.cpp")})
+    drop(inbox, "Ada_Lovelace_3.zip", {"main.cpp": source("leap_nested.cpp")})
+    clock = iter([T0])
+    monkeypatch.setattr(pipeline, "utc_now", lambda: next(clock, T0 - timedelta(seconds=3)))
+    summary = session.run_batch(inbox)
+
+    assert (summary.graded, summary.superseded) == (2, 0), "the later upload finished last and replaced the pair"
+    payload = read_report(session.reports_dir, "Ada_Lovelace_3")
+    assert payload["score"] == 100.0, "the later upload is nested"
+    assert payload["received_at"] == T0.isoformat(), "a time the session takes never runs backwards"
+
+
 ENDS = ("Graded", "Quarantined", "Errored")
 
 

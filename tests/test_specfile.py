@@ -201,11 +201,11 @@ tests:
     "body, needle",
     [
         ("assignment: 2\ntests:\n  - id: t\n", "missing expected_stdout"),
-        ("assignment: 2\ntests:\n  - id: t\n    expected_stdout: [1]\n", "missing expected_stdout"),
+        ("assignment: 2\ntests:\n  - id: t\n    expected_stdout: [1]\n", "expected_stdout must be text"),
         ("assignment: 2\ntests:\n  - id: t\n    expected_stdout: ok\n    stdin: [a]\n", "stdin must be text"),
         ("assignment: 2\ntests:\n  - id: t\n    expected_stdout: ok\n    args: [1, 2]\n", "args must be a list"),
         ("assignment: 2\nrules:\n  - id: r\n    pattern: x\n    polarity: maybe\n", "polarity must be"),
-        ("assignment: 2\nrules:\n  - id: r\n", "missing or empty pattern"),
+        ("assignment: 2\nrules:\n  - id: r\n", "missing pattern"),
         ("assignment: 2\ncompiler:\n  command: g++\n", "non-empty list of strings"),
         ("assignment: 2\ncompiler:\n  command: [g++, main.cpp]\n", "compiler:"),
         ("assignment: 2\nrubric:\n  compile_gate: 1\n", "must be a boolean"),
@@ -226,6 +226,36 @@ def test_specific_problems_are_caught(tmp_path, body, needle):
     with pytest.raises(SpecError) as excinfo:
         load_spec(write_spec(tmp_path, body))
     assert any(needle in p for p in excinfo.value.problems)
+
+
+@pytest.mark.parametrize(
+    "body, problems",
+    [
+        ("rules:\n  - id: r\n", ["rules[0] (r): missing pattern"]),
+        ("rules:\n  - id: r\n    pattern: 5\n", ["rules[0] (r): pattern must be a non-empty string"]),
+        ("rules:\n  - id: r\n    pattern: '   '\n", ["rules[0] (r): pattern must be a non-empty string"]),
+        ("tests:\n  - id: t\n", ["tests[0] (t): missing expected_stdout"]),
+        ("tests:\n  - id: t\n    expected_stdout: [1]\n", ["tests[0] (t): expected_stdout must be text"]),
+        ("tests:\n  - id: t\n    expected_stdout_file: 5\n", ["tests[0] (t): expected_stdout_file must be a string"]),
+        ("compiler: [g++]\n", ["compiler: must be a mapping"]),
+        ("rules: {id: r}\n", ["rules: must be a list"]),
+        ("tests: [x]\n", ["tests[0]: must be a mapping"]),
+        ("rules:\n  - id: r\n    pattern: x\n    description: 5\n", ["rules[0] (r): description must be a string"]),
+        (
+            "extraction:\n  allowed_extensions: [1]\n",
+            ["extraction: allowed_extensions must be a list of extension strings"],
+        ),
+    ],
+    ids=[
+        "pattern-absent", "pattern-number", "pattern-blank", "expected-absent", "expected-list", "expected-file-number",
+        "compiler-list", "rules-mapping", "test-string", "description-number", "extension-number",
+    ],
+)
+def test_each_fault_is_one_problem(tmp_path, body, problems):
+    # "missing ..." is said only of an absent key, not again of one whose value was refused.
+    with pytest.raises(SpecError) as excinfo:
+        load_spec(write_spec(tmp_path, "assignment: 2\n" + body))
+    assert excinfo.value.problems == problems
 
 
 @pytest.mark.parametrize(
@@ -471,9 +501,9 @@ def test_unparseable_yaml_raises_spec_error(tmp_path):
 
 
 LOADERS = [
-    pytest.param(getattr(yaml, name, None), id=name,
-                 marks=pytest.mark.skipif(not hasattr(yaml, name), reason=f"PyYAML here has no {name}"))
-    for name in ("SafeLoader", "CSafeLoader")
+    pytest.param(specfile._SafeLoader, id="SafeLoader"),
+    pytest.param(getattr(yaml, "CSafeLoader", None), id="CSafeLoader",
+                 marks=pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML here has no CSafeLoader")),
 ]
 
 
@@ -491,7 +521,23 @@ def test_not_valid_yaml_names_its_line_and_column_under_each_loader(tmp_path, mo
 
 
 def test_specs_are_parsed_with_libyaml_where_pyyaml_has_it():
-    assert specfile._LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    assert specfile._LOADER is getattr(yaml, "CSafeLoader", specfile._SafeLoader)
+
+
+README = SPEC_PATH.parents[2] / "README.md"
+README_FULL_FORM = README.read_text(encoding="utf-8").split("Full form", 1)[1].split("```yaml\n")[1].split("```")[0]
+
+
+@pytest.mark.parametrize(
+    "text", [SPEC_PATH.read_text(encoding="utf-8"), README_FULL_FORM], ids=["assignment3", "readme-full-form"]
+)
+def test_both_loaders_build_equal_specs(tmp_path, monkeypatch, text):
+    path = write_spec(tmp_path, text)
+    specs = []
+    for loader in (specfile._SafeLoader, getattr(yaml, "CSafeLoader", specfile._SafeLoader)):
+        monkeypatch.setattr(specfile, "_LOADER", loader)
+        specs.append(load_spec(path))
+    assert specs[0] == specs[1]
 
 
 SURROGATE_SPEC = 'assignment: 3\ntests:\n  - id: t1\n    expected_stdout: "Leap\\ud800 year"\n'
@@ -502,18 +548,26 @@ def test_a_string_that_utf8_cannot_encode_is_refused(tmp_path):
         load_spec(write_spec(tmp_path, SURROGATE_SPEC))
 
 
-def test_a_string_that_utf8_cannot_encode_is_a_problem_naming_its_key(tmp_path, monkeypatch):
-    # libyaml refuses the escape itself, as not valid YAML; SafeLoader reads it as a lone surrogate.
-    monkeypatch.setattr(specfile, "_LOADER", yaml.SafeLoader)
-    text = SURROGATE_SPEC + '    args: [ok, "\\udc80"]\n"odd\\ud800key": {inner: [x]}\n'
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize(
+    "text, location",
+    [(SURROGATE_SPEC, "line 4, column 22"), ('assignment: 3\n"odd\\ud800key": 1\n', "line 2, column 1")],
+    ids=["value", "key"],
+)
+def test_a_string_that_utf8_cannot_encode_is_not_valid_yaml_under_each_loader(
+    tmp_path, monkeypatch, capsys, loader, text, location
+):
+    # libyaml refuses the escape itself; _SafeLoader refuses the lone surrogate that SafeLoader reads it as.
+    monkeypatch.setattr(specfile, "_LOADER", loader)
+    spec = write_spec(tmp_path, text)
     with pytest.raises(SpecError) as excinfo:
-        load_spec(write_spec(tmp_path, text))
-    assert excinfo.value.problems == [
-        "spec: key 'odd\\ud800key' cannot be encoded as UTF-8",
-        "tests[0].expected_stdout: cannot be encoded as UTF-8 (a lone surrogate such as \\ud800)",
-        "tests[0].args[1]: cannot be encoded as UTF-8 (a lone surrogate such as \\ud800)",
-    ]
+        load_spec(spec)
+    (problem,) = excinfo.value.problems
+    assert problem.startswith("not valid YAML:")
+    assert f'in "{spec}", {location}' in problem
     str(excinfo.value).encode("utf-8")  # the message itself can be printed
+    assert main(["validate-spec", str(spec)]) == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("loader", LOADERS)
