@@ -203,10 +203,16 @@ def render_report_text(report: AssessmentReport) -> str:
 
 
 def _excerpt(text: str, limit: int = 200) -> str:
-    flattened = text.replace("\n", "\\n")
+    r"""``text`` on one line, each backslash written ``\\`` and each newline ``\n``, cut after ``limit`` characters.
+
+    A cut that would split an escape is made before it, one character early.
+    """
+    flattened = text.replace("\\", "\\\\").replace("\n", "\\n")
     if len(flattened) <= limit:
         return flattened
-    return flattened[:limit] + "..."
+    cut = flattened[:limit]
+    # An odd run of backslashes at the cut ends in the first half of an escape.
+    return cut[: limit - (len(cut) - len(cut.rstrip("\\"))) % 2] + "..."
 
 
 def _test_payload(test: TestResult) -> dict[str, Any]:

@@ -24,10 +24,8 @@ import codecs
 import io
 import os
 import re
-import shutil
 import struct
 import sys
-import tempfile
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -85,7 +83,7 @@ _FIXED_ENVIRONMENT = {"SOURCE_DATE_EPOCH": "0", "LC_ALL": "C", "TMPDIR": "."}
 _GCC_ERROR_EXIT = 1
 # g++ and gcc print a line that starts "collect2:" for every failed link.
 _LINK_FAILURE_MARK = "collect2"
-# How the name of every session's PCH directory starts, and so a mark (see _keeps()).
+# How the name of every header's build directory starts, and so a mark (see _keeps()).
 _PCH_PREFIX = ".pch-"
 
 # A command that holds a token starting with this splits preprocessing from
@@ -328,8 +326,8 @@ class PrecompiledHeaders:
     every compile (but one under ``-save-temps``) runs warm with
     ``/usr/lib/gold-ld`` first in ``COMPILER_PATH``: GCC's ``collect2``
     then links with gold, which takes about a third of the time of
-    ``ld.bfd``. The directory is root-owned and outside ``root``, so no
-    student binary can rewrite it.
+    ``ld.bfd``. ``/usr/lib/gold-ld`` is root-owned and outside ``root``,
+    so no student binary can rewrite it.
 
     A compile also wants the PCH of each translation unit's leading header,
     the one its first ``#include <h>`` names, where that is one of
@@ -353,23 +351,22 @@ class PrecompiledHeaders:
     after the build (a student binary runs as the same user and could
     rewrite it).
 
-    Nothing is created until the first build. The files live in one
-    ``.pch-*`` directory (see ``_PCH_PREFIX``) under ``root``, which
-    :meth:`close` removes: each header's build in a directory named after
-    it, with the wrapper header it compiles in ``wrap/`` and, in
-    ``include/``, the ``.gch`` and a stand-in for the header that includes
-    the header itself.
+    Nothing is created until the first build. Each header builds in
+    ``root/.pch-<h>`` (see ``_PCH_PREFIX``), with the wrapper header it
+    compiles in ``wrap/`` and, in ``include/``, the ``.gch`` and a
+    stand-in for the header that includes the header itself. Whoever
+    owns ``root`` removes them: a session removes its whole directory
+    when it closes.
     """
 
     def __init__(self, root: Path):
-        self.root = root
+        self.root = root.absolute()  # the wrapper is compiled by its absolute path (see _build())
         self._lock = threading.Lock()
         self._gcc: bool | None = None  # None until the first compile asks
         self._linker: Path | None = None
         # A header's stamp (see _stamp()) while its PCH may be used; a key once its build has started.
         self._stamps: dict[str, tuple[int, ...] | None] = {}
         self._builds = False  # whether this run may build (see expect())
-        self._dir: Path | None = None
 
     def environment(self, profile: CompilerProfile, headers: Collection[str]) -> dict[str, str]:
         """The variables a warm try of a compile whose units lead with ``headers`` adds to its environment.
@@ -400,7 +397,7 @@ class PrecompiledHeaders:
             for name in headers:
                 if self._stamps.get(name) is None:
                     continue
-                include = self._dir / name / "include"
+                include = self.root / f"{_PCH_PREFIX}{name}" / "include"
                 if _stamp(include, name) == self._stamps[name]:
                     includes.append(include)
                 else:
@@ -422,20 +419,13 @@ class PrecompiledHeaders:
 
     def _build(self, profile: CompilerProfile, header: str) -> Path | None:
         """Build ``header``'s PCH and return its include directory, or None if that failed."""
-        with self._lock:
-            try:
-                if self._dir is None:
-                    self.root.mkdir(parents=True, exist_ok=True)
-                    self._dir = Path(tempfile.mkdtemp(prefix=_PCH_PREFIX, dir=self.root)).absolute()
-            except OSError:
-                return None
-            home = self._dir / header
+        home = self.root / f"{_PCH_PREFIX}{header}"
         # The wrapper lives outside the include directory: found there, it
         # would include itself. It is compiled by its absolute path, which an
         # include chain through it then names (see _keeps()). The build
         # writes the .gch in place: environment() hands the directory out
         # only once the build succeeded, so what a failed or killed build
-        # leaves is never read, and close() removes it.
+        # leaves is never read, and the owner of root removes it.
         wrapper = home / "wrap" / header
         target = Path("include", f"{header}.gch")
         # Once a unit has loaded a PCH, GCC reads a header found beside a .gch
@@ -460,14 +450,6 @@ class PrecompiledHeaders:
         except OSError:
             return None
         return home / "include" if exit_code == 0 and (home / target).is_file() else None
-
-    def close(self) -> None:
-        """Remove the PCH directory, if one was made."""
-        with self._lock:
-            self._stamps = dict.fromkeys(self._stamps)
-            if self._dir is not None:
-                shutil.rmtree(self._dir, ignore_errors=True)
-                self._dir = None
 
 
 def compile_workspace(
@@ -530,8 +512,8 @@ def _keeps(result: CompileResult, exit_code: int | None) -> bool:
     compiler error), never does. Only two things make the outputs differ.
     Under a PCH, an include chain into a library header ends at the wrapper
     header instead of the student's file; the build names the wrapper by
-    its absolute path, so every such line names the session's ``.pch-*``
-    directory (``_PCH_PREFIX``). And gold words what the linker prints its own way: g++
+    its absolute path, so every such line names the header's ``.pch-<h>``
+    build directory (``_PCH_PREFIX``). And gold words what the linker prints its own way: g++
     prints a ``collect2:`` line for every failed link, and each of gold's
     messages names either an object, GCC's temporary one for a student's
     unit (``ccXXXXXX.o``), or gold itself (``/usr/lib/gold-ld/ld:``).
@@ -559,6 +541,8 @@ def _run_compiler(
             command, workspace, profile.timeout_secs, output.feed, env=env, merge_stderr=True
         )
     except FileNotFoundError as exc:
+        if exc.filename != command[0]:  # the workspace, which Popen names when it cannot enter it
+            raise
         raise CompilerNotFound(f"compiler executable {command[0]!r} not found") from exc
     raw = _TEMP_FILE.sub(_TEMP_NAME, output.text())
     # Under -g the linker quotes a source by the compiler's working directory, as getcwd() names it.

@@ -15,7 +15,9 @@ was given, as the CLI does on SIGINT and SIGTERM.
 On disk a run looks like::
 
     inbox/                     student uploads, watched or batch-read
-    workspace/First_Last_N.S/  build dir of receipt S, removed once its submission ends
+    workspace/.session-X/      the session's own directory, removed when it closes:
+        First_Last_N.S/        build dir of receipt S, removed once its submission ends
+        .pch-H/                build of header H's PCH
     reports/First_Last_N.report.txt and .report.json
     quarantine/                rejected archives plus *.reason.txt files
     grading.log                append-only JSONL event log
@@ -217,7 +219,9 @@ class GradingSession:
         self.jobs = jobs or min(8, os.cpu_count() or 1)
         self.log = GradingLog(Path(log_path).absolute())
         self._log_stat = self.log.path.stat()  # how _run knows the log in an inbox, however its path is spelled
-        self._pch = PrecompiledHeaders(self.workspace_root)
+        # Named, not made: extraction and the header builds make it, so a session that grades nothing makes nothing.
+        self._dir = self.workspace_root / f".session-{os.urandom(8).hex()}"
+        self._pch = PrecompiledHeaders(self._dir)
         self._receipts = itertools.count()
         self._receipt_lock = threading.Lock()
         self._stamped = datetime.min.replace(tzinfo=timezone.utc)  # the latest time _receive took from the clock
@@ -225,7 +229,7 @@ class GradingSession:
         self._registry_lock = threading.Lock()
 
     def close(self) -> None:
-        self._pch.close()
+        shutil.rmtree(self._dir, ignore_errors=True)
         self.log.close()
 
     def __enter__(self) -> GradingSession:
@@ -283,9 +287,9 @@ class GradingSession:
                     f"archive is for assignment {identity.assignment_number}, "
                     f"this session grades assignment {self.spec.assignment_number}",
                 )
-            # A "." cannot occur in a stem, so no other submission or the .pch-* directory
-            # can take this name, and two archives of one submission never share a tree.
-            workspace = self.workspace_root / f"{identity.stem()}.{receipt.seq}"
+            # A "." cannot occur in a stem, which starts with a letter, so no other submission
+            # or .pch-* directory can take this name, and two archives of one submission never share a tree.
+            workspace = self._dir / f"{identity.stem()}.{receipt.seq}"
             files = extract_archive(SubmissionRecord(archive_path), self.spec.extraction, workspace)
             if isinstance(files, ArchiveRejected):
                 raise files

@@ -41,6 +41,8 @@ def session_factory(tmp_path):
     yield factory
     for session in sessions:
         session.close()
+    for session in sessions:  # two sessions may share a workspace root
+        assert list(session.workspace_root.glob(".session-*")) == [], "close() removes the session's directory"
 
 
 @pytest.fixture

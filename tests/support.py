@@ -110,14 +110,12 @@ def stub_compiler(directory: Path, banner: str = GCC_BANNER, compile_step: str =
 
 def header_build(root: Path, header: str = "iostream") -> str:
     """The stub's log line for the build of ``header``'s PCH in ``root``: it names the wrapper by its absolute path."""
-    (pch_dir,) = root.glob(".pch-*")
-    return f"build {pch_dir / header / 'wrap' / header}"
+    return f"build {root / f'.pch-{header}' / 'wrap' / header}"
 
 
 def pch_include(root: Path, header: str = "iostream") -> Path:
     """The include directory of ``header``'s PCH in ``root``."""
-    (pch_dir,) = root.glob(".pch-*")
-    return pch_dir / header / "include"
+    return root / f".pch-{header}" / "include"
 
 
 def calls(log: Path) -> list[str]:

@@ -349,6 +349,24 @@ def test_a_long_fail_excerpt_is_cut_at_200_characters_with_newlines_shown():
     }
 
 
+@pytest.mark.parametrize(
+    "text, excerpt",
+    [
+        ("Leap\\nyear", "Leap\\\\nyear"),
+        ("Leap\nyear", "Leap\\nyear"),
+        ("C:\\", "C:\\\\"),
+        ("a" * 199 + "\nb", "a" * 199 + "..."),
+        ("a" * 199 + "\\b", "a" * 199 + "..."),
+        ("a" * 198 + "\\b", "a" * 198 + "\\\\..."),
+        ("a" * 197 + "\\\nb", "a" * 197 + "\\\\..."),
+    ],
+    ids=["backslash-n", "newline", "backslash", "cut-in-newline", "cut-in-backslash", "cut-after-backslash",
+         "cut-in-newline-after-backslash"],
+)
+def test_a_fail_excerpt_tells_a_backslash_from_a_newline_and_never_cuts_an_escape(text, excerpt):
+    assert assess._excerpt(text) == excerpt
+
+
 def test_a_report_without_an_identity_names_its_archive():
     report = finished(AssessmentReport(None, "garbage.zip", RECEIVED), ReportStatus.QUARANTINED)
     report.detail = "malformed-name:wrong-field-count"

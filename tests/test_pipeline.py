@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import shutil
 import socket
 import stat
 import subprocess
@@ -124,7 +125,7 @@ def test_corrupt_archive_is_quarantined(leap_spec, session_factory, tmp_path):
     assert report.status is ReportStatus.QUARANTINED
     assert report.detail == "corrupt-archive"
     assert (session.quarantine_dir / "Greta_Garbo_3.zip").exists()
-    assert list(session.workspace_root.glob("Greta_Garbo_3.*")) == [], "a build dir was left"
+    assert list(session._dir.glob("Greta_Garbo_3.*")) == [], "a build dir was left"
 
 
 def test_a_symlink_upload_is_quarantined_not_graded_as_its_target(leap_spec, session_factory, tmp_path):
@@ -263,7 +264,7 @@ def test_missing_compiler_is_an_environment_error(leap_spec, session_factory, tm
     assert archive.exists(), "environment failures leave the archive for a retry"
     payload = read_report(session.reports_dir, "Ada_Lovelace_3")
     assert payload["status"] == "Errored"
-    assert list(session.workspace_root.glob("Ada_Lovelace_3.*")) == [], "a build dir was left"
+    assert list(session._dir.glob("Ada_Lovelace_3.*")) == [], "a build dir was left"
 
 
 def test_spawn_failure_is_an_environment_error(leap_spec, session_factory, tmp_path, monkeypatch):
@@ -278,7 +279,7 @@ def test_spawn_failure_is_an_environment_error(leap_spec, session_factory, tmp_p
 
     assert report.status is ReportStatus.ERRORED
     assert report.detail == "spawn-failure"
-    assert list(session.workspace_root.glob("Ada_Lovelace_3.*")) == [], "a build dir was left"
+    assert list(session._dir.glob("Ada_Lovelace_3.*")) == [], "a build dir was left"
 
 
 def test_unexpected_exception_becomes_internal_error(leap_spec, session_factory, tmp_path, monkeypatch):
@@ -343,7 +344,7 @@ def test_an_entry_name_too_long_for_the_filesystem_is_quarantined(leap_spec, ses
     assert [e["kind"] for e in events] == ["received", "quarantined"]
     assert events[-1]["submission"] == "Ada_Lovelace_3"
     assert str(session.workspace_root) not in events[-1]["message"]
-    assert list(session.workspace_root.glob("Ada_Lovelace_3.*")) == [], "a build dir was left"
+    assert list(session._dir.glob("Ada_Lovelace_3.*")) == [], "a build dir was left"
     assert (session.quarantine_dir / "Ada_Lovelace_3.zip.reason.txt").read_text() == "name-too-long\n"
 
 
@@ -654,8 +655,49 @@ def test_build_dirs_are_removed_once_their_submissions_end(leap_spec, session_fa
     }
     assert scores == {"Ada_Lovelace_3": 100.0, "Flat_Fiona_3": 70.0, "Broken_Bob_3": 0.0}
     assert sorted(kinds(session)) == sorted(["received"] * 3 + ["compile_error"] + ["graded"] * 3)
-    # Only the session's precompiled headers may remain until it closes.
-    assert [path.name for path in session.workspace_root.iterdir() if not path.name.startswith(".pch-")] == []
+    # Until the session closes, the workspace root holds only its directory, and that only header builds.
+    (session_dir,) = session.workspace_root.iterdir()
+    assert session_dir.name.startswith(".session-")
+    assert [path.name for path in session_dir.iterdir() if not path.name.startswith(".pch-")] == []
+    session.close()
+    assert list(session.workspace_root.iterdir()) == []
+
+
+def test_two_sessions_on_one_workspace_root_grade_the_same_student_apart(leap_spec, session_factory, tmp_path,
+                                                                        monkeypatch):
+    # Session A's first compile grades the same archive in session B before A compiles its own workspace.
+    first = session_factory(leap_spec, subdir="a", workspace_root=tmp_path / "workspace")
+    second = session_factory(leap_spec, subdir="b", workspace_root=tmp_path / "workspace")
+    archive = drop(tmp_path / "inbox", "Ada_Lovelace_3.zip", {"main.cpp": source("leap_nested.cpp")})
+    compile_workspace = pipeline.compile_workspace
+    compiled, interleaved = [], []
+
+    def compile_after_the_other_session(workspace, *args):
+        compiled.append(workspace)
+        if len(compiled) == 1:
+            interleaved.append(second.grade_archive(archive))
+        return compile_workspace(workspace, *args)
+
+    monkeypatch.setattr(pipeline, "compile_workspace", compile_after_the_other_session)
+    reports = [first.grade_archive(archive), *interleaved]
+    assert [(report.status, report.score) for report in reports] == [(ReportStatus.GRADED, 100.0)] * 2
+    assert [read_report(session.reports_dir, "Ada_Lovelace_3")["score"] for session in (first, second)] == [100.0] * 2
+    assert len(set(compiled)) == 2, "each session compiled in its own workspace"
+
+
+def test_a_workspace_removed_under_its_compile_is_an_internal_error(leap_spec, session_factory, tmp_path, monkeypatch):
+    # A student's program runs as the grader's user, so it can remove another submission's workspace.
+    session = session_factory(leap_spec)
+    archive = drop(tmp_path / "inbox", "Ada_Lovelace_3.zip", {"main.cpp": source("leap_nested.cpp")})
+    run_compiler = build._run_compiler
+
+    def removed_first(command, workspace, *args):
+        shutil.rmtree(workspace)
+        return run_compiler(command, workspace, *args)
+
+    monkeypatch.setattr(build, "_run_compiler", removed_first)
+    report = session.grade_archive(archive)
+    assert (report.status, report.detail) == (ReportStatus.ERRORED, "internal-error:FileNotFoundError")
 
 
 NOT_REGULAR = ["Dan_Gling_3.zip", "Fi_Fo_3.zip", "So_Cket_3.zip"]
@@ -941,10 +983,9 @@ def grade_cold_and_warm(spec, inbox, session_factory, monkeypatch, build_first=T
                     built_pch(session._pch, spec.compiler)
             summary = session.run_batch(inbox)
         assert summary.graded == len(list(inbox.iterdir()))
-        pch_dirs = list(session.workspace_root.glob(".pch-*"))
-        assert len(pch_dirs) == (run == "warm")
+        assert any(session._dir.glob(".pch-*")) is (run == "warm")
         session.close()
-        assert list(session.workspace_root.glob(".pch-*")) == [], "close() removes the PCH directory"
+        assert list(session.workspace_root.iterdir()) == [], "close() removes the session's directory"
         reports = {path.name: path.read_bytes() for path in sorted(session.reports_dir.iterdir())}
         events = sorted(session.log.path.read_text(encoding="utf-8").splitlines())
         outputs[run] = (reports, events)
@@ -1075,7 +1116,7 @@ def test_a_batch_under_the_bound_builds_no_pch(leap_spec, session_factory, tmp_p
         drop(inbox, f"Stu_Dent{letter}_3.zip", {"main.cpp": IOSTREAM_MAIN})
     assert session.run_batch(inbox).graded == build.PCH_BUILD_FOR_AT_LEAST - 1
     assert calls(log) == ["version"] + ["compile unset"] * (build.PCH_BUILD_FOR_AT_LEAST - 1)
-    assert list(session.workspace_root.glob(".pch-*")) == []
+    assert list(session._dir.glob(".pch-*")) == []
 
 
 @pytest.mark.usefixtures("plain_environment")
@@ -1091,8 +1132,8 @@ def test_a_watch_builds_the_pch_at_its_first_iostream_compile(leap_spec, session
         assert _wait_for(session.reports_dir / "Ada_Lovelace_3.report.json", 10.0), "not graded within 10 s"
     finally:
         watcher.finish()
-    warm = f"compile {pch_include(session.workspace_root)}"
-    assert calls(log) == ["version", header_build(session.workspace_root), warm]
+    warm = f"compile {pch_include(session._dir)}"
+    assert calls(log) == ["version", header_build(session._dir), warm]
     assert read_report(session.reports_dir, "Ada_Lovelace_3")["score"] == 100.0
     # Once the watch has returned, a single grade still uses the PCH the session has.
     session.grade_archive(drop(tmp_path / "later", "Ada_Lovelace_3.zip", {"main.cpp": IOSTREAM_MAIN}))
@@ -1107,8 +1148,8 @@ def test_a_broken_iostream_archive_is_compiled_once_after_the_pch_is_built(leap_
     inbox = tmp_path / "inbox"
     drop(inbox, "Broken_Bob_3.zip", {"main.cpp": source("leap_broken.cpp")})
     assert session.run_batch(inbox).graded == 1
-    warm = f"compile {pch_include(session.workspace_root)}"
-    assert calls(log) == ["version", header_build(session.workspace_root), warm]
+    warm = f"compile {pch_include(session._dir)}"
+    assert calls(log) == ["version", header_build(session._dir), warm]
     compiled = read_report(session.reports_dir, "Broken_Bob_3")["compile"]
     assert not compiled["succeeded"]
     assert any("error: expected initializer before" in d["text"] for d in compiled["diagnostics"])
