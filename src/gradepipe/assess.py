@@ -21,6 +21,7 @@ import threading
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
+from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -65,10 +66,15 @@ class Rubric:
             raise ValueError(f"compile_gate must be a bool, got {self.compile_gate!r}")
 
 
-def _passed_share(results: Sequence[Any], passed: Callable[[Any], bool]) -> float:
-    """The weight share of the ``results`` that passed, with weights summed in order; 1.0 with none."""
-    total = sum(result.weight for result in results)
-    return sum(result.weight for result in results if passed(result)) / total if total else 1.0
+def _exact(value: float) -> Fraction:
+    """``value`` as the decimal it is written as: 0.3 is 3/10, not the binary float nearest it."""
+    return Fraction(str(value))
+
+
+def _passed_share(results: Sequence[Any], passed: Callable[[Any], bool]) -> Fraction:
+    """The exact weight share of the ``results`` that passed; 1 with none."""
+    total = sum(_exact(result.weight) for result in results)
+    return sum(_exact(result.weight) for result in results if passed(result)) / total if total else Fraction(1)
 
 
 def score_submission(
@@ -86,12 +92,18 @@ def score_submission(
     absent lexical report counts 1.0 as well, like an empty rule list. A
     suite that never ran counts 0: behaviour that was never demonstrated
     earns no behaviour credit.
+
+    Every weight and the scale are read as the decimals they are written
+    as, and the score is computed exactly and returned as the float nearest
+    it: weights 0.3 and 0.7, every rule satisfied and half the tests passed,
+    give 65.0 on a scale of 100 (float arithmetic gives 64.99999999999999).
     """
     if rubric.compile_gate and (compile_result is None or not compile_result.succeeded):
         return 0.0
-    rule_share = 1.0 if lexical is None else _passed_share(lexical, lambda r: r.satisfied)
-    test_share = 0.0 if blackbox is None else _passed_share(blackbox, lambda t: t.outcome is TestOutcome.PASS)
-    return rubric.scale * (rubric.lexical_weight * rule_share + rubric.blackbox_weight * test_share)
+    rule_share = Fraction(1) if lexical is None else _passed_share(lexical, lambda r: r.satisfied)
+    test_share = Fraction(0) if blackbox is None else _passed_share(blackbox, lambda t: t.outcome is TestOutcome.PASS)
+    exact = _exact(rubric.lexical_weight) * rule_share + _exact(rubric.blackbox_weight) * test_share
+    return float(_exact(rubric.scale) * exact)
 
 
 class ReportStatus(Enum):

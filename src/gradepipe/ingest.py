@@ -381,17 +381,41 @@ def extract_archive(
     :class:`ArchiveRejected` that says why. The rejection is returned rather
     than raised because perfbench's tracer annotates only the calls that
     return, and it reads every extraction's archive size. Entries whose extension is not allowed are silently
-    skipped; of duplicate entries for one path the last wins. Any existing
-    workspace content is replaced.
+    skipped; of duplicate entries for one path the last wins.
+
+    The caller owns ``workspace_dir``, which must not exist: it is made only
+    once the archive's entries have passed their checks, and one that
+    exists raises ``FileExistsError``. A rejection found while writing (bad
+    data, the byte budget) leaves what was written, which the caller removes.
 
     The byte budget is enforced on the actual decompressed stream, not the
     sizes declared in the zip directory, so a lying header cannot smuggle
     more than ``max_total_bytes`` onto disk.
     """
     try:
-        return _unpack(record.archive_path, limits, workspace_dir)
+        with _open_upload(record.archive_path) as upload, _open_zip(upload) as archive:
+            infos = archive.infolist()
+            if len(infos) > limits.max_entry_count:
+                raise ArchiveRejected(REASON_LIMIT_ENTRY_COUNT, f"{len(infos)} entries")
+            plan = _plan(infos, limits)
+            if not plan:
+                raise ArchiveRejected(REASON_NO_SOURCE_FILES, "no entry has an allowed extension")
+            workspace_dir.mkdir(parents=True)
+            remaining = limits.max_total_bytes
+            for path, info in plan.items():
+                target = workspace_dir / path
+                target.parent.mkdir(parents=True, exist_ok=True)
+                with open(target, "wb") as sink:
+                    for chunk in _inflate(archive, info):
+                        remaining -= len(chunk)
+                        if remaining < 0:
+                            raise ArchiveRejected(
+                                REASON_LIMIT_TOTAL_BYTES, f"more than {limits.max_total_bytes} bytes unpacked"
+                            )
+                        sink.write(chunk)
     except ArchiveRejected as rejection:
         return rejection
+    return tuple(sorted(plan))
 
 
 def _plan(infos: list[zipfile.ZipInfo], limits: ExtractionLimits) -> dict[str, zipfile.ZipInfo]:
@@ -439,39 +463,6 @@ def _inflate(archive: zipfile.ZipFile, info: zipfile.ZipInfo) -> Iterator[bytes]
                 yield chunk
     except ARCHIVE_READ_ERRORS as exc:
         raise ArchiveRejected(REASON_CORRUPT_ARCHIVE, str(exc)) from exc
-
-
-def _unpack(archive_path: Path, limits: ExtractionLimits, workspace_dir: Path) -> tuple[str, ...]:
-    with _open_upload(archive_path) as upload, _open_zip(upload) as archive:
-        infos = archive.infolist()
-        if len(infos) > limits.max_entry_count:
-            raise ArchiveRejected(REASON_LIMIT_ENTRY_COUNT, f"{len(infos)} entries")
-        plan = _plan(infos, limits)
-        if not plan:
-            raise ArchiveRejected(REASON_NO_SOURCE_FILES, "no entry has an allowed extension")
-
-        if workspace_dir.exists():
-            shutil.rmtree(workspace_dir)
-        workspace_dir.mkdir(parents=True)
-
-        remaining = limits.max_total_bytes
-        try:
-            for path, info in plan.items():
-                target = workspace_dir / path
-                target.parent.mkdir(parents=True, exist_ok=True)
-                with open(target, "wb") as sink:
-                    for chunk in _inflate(archive, info):
-                        remaining -= len(chunk)
-                        if remaining < 0:
-                            raise ArchiveRejected(
-                                REASON_LIMIT_TOTAL_BYTES, f"more than {limits.max_total_bytes} bytes unpacked"
-                            )
-                        sink.write(chunk)
-        except ArchiveRejected:
-            shutil.rmtree(workspace_dir, ignore_errors=True)
-            raise
-
-    return tuple(sorted(plan))
 
 
 _REASON_SUFFIX = ".reason.txt"

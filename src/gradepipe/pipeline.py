@@ -249,8 +249,13 @@ class GradingSession:
         :class:`Receipt` that the session stamped when its own listing
         found the archive. Always returns a finished report;
         student-caused problems become Quarantined, environment problems
-        become Errored. Only :class:`GradingLogError` escapes.
+        become Errored. Only :class:`GradingLogError` escapes, and a
+        ``received_at`` that is neither a timezone-aware datetime nor a
+        :class:`Receipt` raises ValueError before anything is logged or moved.
         """
+        if not (received_at is None or isinstance(received_at, Receipt)
+                or isinstance(received_at, datetime) and received_at.utcoffset() is not None):
+            raise ValueError(f"received_at must be a timezone-aware datetime or a Receipt, got {received_at!r}")
         archive_path = Path(archive_path)
         receipt = received_at if isinstance(received_at, Receipt) else self._receive(received_at)
         try:

@@ -34,7 +34,7 @@ import sys
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator
 
 import yaml
 
@@ -74,17 +74,6 @@ class AssignmentSpec:
             raise ValueError(f"assignment_number must be a non-negative integer, got {self.assignment_number!r}")
         if not (_is_integer(self.output_cap) and self.output_cap > 0):
             raise ValueError(f"output_cap must be a positive integer, got {self.output_cap!r}")
-        if problems := _weight_total_problems(self.rules, self.tests):
-            raise ValueError(problems[0])
-
-
-def _weight_total_problems(rules: Sequence[LexicalRule], tests: Sequence[TestCase]) -> list[str]:
-    # The score divides by each total, summed in order; an infinite one would make it NaN.
-    return [
-        f"{name}: weights must sum to a finite number"
-        for name, entries in (("rules", rules), ("tests", tests))
-        if not sum(entry.weight for entry in entries) <= sys.float_info.max
-    ]
 
 
 def _is_number(value: Any) -> bool:
@@ -352,7 +341,6 @@ def load_spec(path: Path | str) -> AssignmentSpec:
     sections = {name: _parse_section(name, raw.get(name), problems) for name in _SECTIONS}
     rules = _parse_rules(raw.get("rules"), problems)
     tests = _parse_tests(raw.get("tests"), path.parent, problems)
-    problems += _weight_total_problems(rules, tests)
 
     output_cap = raw.get("output_cap", DEFAULT_OUTPUT_CAP)
     if not (_is_integer(output_cap) and output_cap > 0):

@@ -9,6 +9,7 @@ implementation under test.
 
 from __future__ import annotations
 
+import os
 import random
 import re
 import shutil
@@ -19,6 +20,7 @@ import threading
 import time
 from pathlib import Path
 
+import gradepipe
 import refmatch
 from gradepipe.assess import read_log_events
 from gradepipe.blackbox import NormalizationPolicy, TestOutcome, normalize_output
@@ -489,9 +491,9 @@ def test_criterion_8_watch_mode_liveness_and_supersede(tmp_path, capsys):
         "--quarantine-dir", str(tmp_path / "quarantine"),
         "--log", str(log_path),
     ]
-    process = subprocess.Popen(
-        command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
-    )
+    # The watcher imports the package this test does, wherever that is.
+    env = {**os.environ, "PYTHONPATH": str(Path(gradepipe.__file__).parents[1])}
+    process = subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     try:
         banner = read_first_line(process.stderr, timeout=20.0)
         if "watching" not in banner:

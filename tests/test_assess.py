@@ -1,6 +1,8 @@
 import json
+import random
 import threading
 from datetime import datetime, timezone
+from fractions import Fraction
 
 import pytest
 
@@ -132,6 +134,39 @@ def test_custom_scale():
     rubric = Rubric(scale=20.0)
     score = score_submission(compile_ok(), lexical(True), suite(PASS), rubric)
     assert score == pytest.approx(20.0)
+
+
+def test_weights_whose_float_sum_overflows_score_exactly():
+    # 1e308 + 1e308 is infinite as a float; the exact sum is not, so the share is still 1/2.
+    huge = lexical(True, weight=1e308) + lexical(False, weight=1e308)
+    assert score_submission(compile_ok(), huge, suite(PASS), Rubric(1.0, 0.0, scale=1.0)) == 0.5
+
+
+# Rule and test weights as a spec writes them, and (lexical, blackbox) weight pairs.
+GRID_WEIGHTS = ["1", "0.1", "0.3", "2.5", "7"]
+GRID_PAIRS = [("0.3", "0.7"), ("0.1", "0.9"), ("0.25", "0.75"), ("0.6", "0.4"), ("0.15", "0.85")]
+
+
+def test_a_score_is_the_float_nearest_its_exact_value():
+    rng = random.Random(19)
+    noisy = 0
+    for lexical_weight, blackbox_weight in GRID_PAIRS:
+        rubric = Rubric(float(lexical_weight), float(blackbox_weight))
+        for rule_count in range(1, 6):
+            for test_count in range(1, 9):
+                rules = [(rng.choice(GRID_WEIGHTS), rng.random() < 0.5) for _ in range(rule_count)]
+                tests = [(rng.choice(GRID_WEIGHTS), rng.random() < 0.5) for _ in range(test_count)]
+                rule_results = sum((lexical(ok, weight=float(weight)) for weight, ok in rules), ())
+                test_results = sum((suite(PASS if ok else FAIL, weight=float(weight)) for weight, ok in tests), ())
+                rule_share, test_share = (
+                    sum(Fraction(weight) for weight, ok in entries if ok) / sum(Fraction(weight) for weight, _ in entries)
+                    for entries in (rules, tests)
+                )
+                exact = 100 * (Fraction(lexical_weight) * rule_share + Fraction(blackbox_weight) * test_share)
+                score = score_submission(compile_ok(), rule_results, test_results, rubric)
+                assert score == float(exact), (lexical_weight, rules, tests)
+                noisy += score != 100 * (rubric.lexical_weight * rule_share + rubric.blackbox_weight * test_share)
+    assert noisy, "float arithmetic on the weights misses no score of the grid"
 
 
 def test_format_score():

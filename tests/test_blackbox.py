@@ -131,11 +131,13 @@ def test_normalization_forgives_cosmetics(tmp_path):
     assert result.outcome is TestOutcome.PASS
 
 
-def test_crash_is_a_runtime_error(tmp_path):
-    program = make_program(tmp_path, 'kill -SEGV $$')
+# A signal the signal module names, and one it does not (Linux's SIGRTMIN+1).
+@pytest.mark.parametrize("sent, named", [("SEGV", "SIGSEGV"), ("35", "signal 35")], ids=["named", "unnamed"])
+def test_crash_is_a_runtime_error(tmp_path, sent, named):
+    program = make_program(tmp_path, f"kill -{sent} $$")
     result = run_test(program, TestCase("crash", expected_stdout=""))
     assert result.outcome is TestOutcome.RUNTIME_ERROR
-    assert "SIGSEGV" in result.detail
+    assert result.detail == f"terminated by {named}"
 
 
 def test_timeout_kills_and_reports(tmp_path):

@@ -105,6 +105,8 @@ def test_profile_requires_tokens():
         CompilerProfile(command=("g++", "{sources}"))
     with pytest.raises(ValueError):
         CompilerProfile(command=())
+    with pytest.raises(ValueError, match="first command token must be the compiler executable"):
+        CompilerProfile(command=("{sources}", "g++", "-o", "{output}"))
     with pytest.raises(ValueError):
         CompilerProfile(command=("g++", "{sources}", "-o", "{output}"), timeout_secs=0)
 

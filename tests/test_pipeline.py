@@ -82,6 +82,21 @@ def test_rule_miss_scores_seventy(leap_spec, session_factory, tmp_path):
     assert [t["outcome"] for t in payload["tests"]] == ["Pass"] * 4
 
 
+def test_a_score_is_the_float_nearest_its_exact_value(leap_spec, session_factory, tmp_path):
+    # No nested branch, and 1900 taken for a leap year: 100 * (0.3 * 0 + 0.7 * 3/4) is 52.5, which
+    # float arithmetic on the weights computes as 52.49999999999999.
+    session = session_factory(leap_spec)
+    program = source("leap_flat.cpp").replace("year % 4 == 0 && year % 100 != 0", "year % 4 == 0")
+    archive = drop(tmp_path / "inbox", "Flat_Fiona_3.zip", {"main.cpp": program})
+
+    report = session.grade_archive(archive)
+
+    assert [test.outcome.value for test in report.blackbox] == ["Pass", "Fail", "Pass", "Pass"]
+    assert not report.lexical[0].satisfied
+    assert read_report(session.reports_dir, "Flat_Fiona_3")["score"] == 52.5
+    assert [event["score"] for event in read_log_events(session.log.path) if event["kind"] == "graded"] == [52.5]
+
+
 def test_malformed_name_quarantines_without_report(leap_spec, session_factory, tmp_path):
     session = session_factory(leap_spec)
     archive = drop(tmp_path / "inbox", "BadName.zip", {"main.cpp": source("leap_nested.cpp")})
@@ -193,6 +208,19 @@ def test_archive_that_fails_while_it_is_read_is_quarantined_not_errored(leap_spe
     assert not any(inbox.iterdir()), "every archive left the inbox"
     for name in ("Ada_Lovelace_3.zip", "Bob_Byron_3.zip", *LZMA_DAMAGE):
         assert (session.quarantine_dir / f"{name}.reason.txt").read_text() == "corrupt-archive\n"
+
+
+def test_an_archive_rejected_while_it_is_written_leaves_nothing_in_the_session(leap_spec, session_factory, tmp_path):
+    # Its entry passes every check, so its build dir is made; the LZMA data then fails to decompress.
+    session = session_factory(leap_spec)
+    archive = tmp_path / "inbox" / "Lzma_Data_3.zip"
+    archive.parent.mkdir()
+    archive.write_bytes(damaged_lzma_zip("main.cpp", source("leap_nested.cpp"), "data"))
+    report = session.grade_archive(archive)
+    assert (report.status, report.detail) == (ReportStatus.QUARANTINED, "corrupt-archive")
+    assert [path.name for path in session._dir.iterdir() if not path.name.startswith(".pch-")] == []
+    session.close()
+    assert list(session.workspace_root.iterdir()) == []
 
 
 def test_archive_with_no_extractable_entries_is_quarantined(leap_spec, session_factory, tmp_path):
@@ -461,6 +489,25 @@ def test_resubmission_supersedes_earlier_report(leap_spec, session_factory, tmp_
     payload = read_report(session.reports_dir, "Ada_Lovelace_3")
     assert payload["score"] == 100.0, "latest submission owns the report file"
     assert kinds(session) == ["received", "graded", "received", "superseded", "graded"]
+
+
+@pytest.mark.parametrize("received_at", [datetime(2030, 1, 1), "2030-01-01T00:00:00+00:00", T0.date()],
+                         ids=["naive", "text", "date"])
+def test_a_receipt_time_without_an_offset_is_refused_before_anything_is_logged_or_moved(
+    received_at, leap_spec, session_factory, tmp_path
+):
+    # A naive time would be logged without an offset, and compared with the aware receipt of a graded resubmission.
+    session = session_factory(leap_spec)
+    inbox = tmp_path / "inbox"
+    graded = drop(inbox, "Ada_Lovelace_3.zip", {"main.cpp": source("leap_nested.cpp")})
+    malformed = drop(inbox, "BadName.zip", {"main.cpp": source("leap_nested.cpp")})
+    session.grade_archive(graded, received_at=T0)
+    for archive in (graded, malformed):
+        with pytest.raises(ValueError, match="timezone-aware"):
+            session.grade_archive(archive, received_at=received_at)
+        assert archive.exists()
+    assert kinds(session) == ["received", "graded"]
+    assert not session.quarantine_dir.exists()
 
 
 def test_stale_submission_is_marked_superseded_and_not_written(leap_spec, session_factory, tmp_path):
@@ -1027,6 +1074,40 @@ def test_a_batch_builds_the_pch_its_last_compile_alone_wants(leap_spec, session_
     assert session.run_batch(inbox).graded == len(firsts)
     assert ["CPLUS_INCLUDE_PATH" in added for added in compiles] == [False] * (len(firsts) - 1) + [True]
     assert read_report(session.reports_dir, f"{firsts[-1]}_Student_3")["score"] == 100.0
+
+
+def test_a_header_directory_a_program_made_first_leaves_the_compiles_cold_and_their_reports_as_cold(
+    leap_spec, session_factory, tmp_path, monkeypatch
+):
+    # A program runs as the grader's user in its build dir, so it can take the directory <cstdio>'s PCH would build in.
+    spec = dataclasses.replace(leap_spec, tests=leap_spec.tests[:1])
+    taker = '#include <sys/stat.h>\nint main() { mkdir("../.pch-cstdio", 0700); mkdir("../.pch-cstdio/include", 0700); }\n'
+    inbox = tmp_path / "inbox"
+    drop(inbox, "Ada_Taker_3.zip", {"main.cpp": taker})
+    for first in ["Ben", "Cal", "Dee", "Eve", "Fay"]:
+        drop(inbox, f"{first}_Student_3.zip", {"main.cpp": source("leap_fast.cpp")})
+    monkeypatch.setattr(pipeline, "utc_now", lambda: T0)
+    compiles = []
+    run_compiler = build._run_compiler
+
+    def recorded(command, workspace, profile, added):
+        compiles.append(added)
+        return run_compiler(command, workspace, profile, added)
+
+    outputs = {}
+    for run in ("cold", "warm"):
+        session = session_factory(spec, subdir=run, jobs=1)  # the taker's program runs before any other compile
+        with monkeypatch.context() as patch:
+            patch.setattr(build, "_run_compiler", recorded)
+            if run == "cold":
+                patch.setattr(build, "_names_gcc", lambda *args: False)
+            assert session.run_batch(inbox).graded == 6
+        reports = {path.name: path.read_bytes() for path in sorted(session.reports_dir.iterdir())}
+        outputs[run] = (reports, sorted(session.log.path.read_text(encoding="utf-8").splitlines()))
+    assert outputs["warm"] == outputs["cold"]
+    assert (session._dir / ".pch-cstdio" / "wrap" / "cstdio").is_file(), "the warm session tried to build"
+    assert list((session._dir / ".pch-cstdio" / "include").iterdir()) == []
+    assert len(compiles) == 12 and not any("CPLUS_INCLUDE_PATH" in added for added in compiles)
 
 
 # Leap-year programs that compile with warnings under -Wall, and with nothing else.

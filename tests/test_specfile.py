@@ -355,31 +355,6 @@ def test_config_classes_take_only_finite_numbers_and_real_bools(cls, field, valu
         CONFIG_CLASSES[cls](**{field: value})
 
 
-@pytest.mark.parametrize(
-    "section, entry",
-    [
-        ("rules", "  - id: r{}\n    pattern: x\n    weight: 1.0e+308\n"),
-        ("tests", "  - id: t{}\n    expected_stdout: ok\n    weight: 1.0e+308\n"),
-    ],
-    ids=["rules", "tests"],
-)
-def test_weights_whose_total_is_not_finite_are_a_spec_problem(tmp_path, capsys, section, entry):
-    # Each weight is finite, but their sum is not, and the score divides by it: a program passing both would grade NaN.
-    path = write_spec(tmp_path, f"assignment: 2\n{section}:\n" + entry.format(1) + entry.format(2))
-    problem = f"{section}: weights must sum to a finite number"
-    with pytest.raises(SpecError) as excinfo:
-        load_spec(path)
-    assert excinfo.value.problems == [problem]
-    assert main(["validate-spec", str(path)]) == 2
-    assert problem in capsys.readouterr().err
-    items = {
-        "rules": tuple(LexicalRule(f"r{i}", "d", "x", RulePolarity.MUST_MATCH, weight=1e308) for i in range(2)),
-        "tests": tuple(TestCase(f"t{i}", "ok", weight=1e308) for i in range(2)),
-    }
-    with pytest.raises(ValueError, match=problem):
-        CONFIG_CLASSES["AssignmentSpec"](**{section: items[section]})
-
-
 @pytest.mark.parametrize("value", [".inf", ".nan", "1" + "0" * 400], ids=["inf", "nan", "huge-int"])
 @pytest.mark.parametrize("key", NUMERIC_KEYS)
 def test_numbers_that_are_not_finite_are_rejected(tmp_path, key, value):
