@@ -57,7 +57,7 @@ class Rubric:
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and not isinstance(value, bool) and 0.0 <= value <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-        if abs(self.lexical_weight + self.blackbox_weight - 1.0) > 1e-9:
+        if _exact(self.lexical_weight) + _exact(self.blackbox_weight) != 1:  # as the decimals are written
             raise ValueError("lexical_weight and blackbox_weight must sum to 1.0")
         if not (isinstance(self.scale, (int, float)) and not isinstance(self.scale, bool)
                 and 0 < self.scale <= sys.float_info.max):
@@ -149,7 +149,8 @@ class AssessmentReport:
 
 
 def format_score(score: float, scale: float) -> str:
-    return f"{round(score, 2)}/{scale:g}"
+    """``score`` as the JSON writes it, rounded half to even to two places, then ``/scale``."""
+    return f"{float(round(Fraction(repr(score)), 2))}/{scale:g}"
 
 
 def _isoformat(moment: datetime | None) -> str | None:

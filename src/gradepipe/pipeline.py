@@ -258,13 +258,7 @@ class GradingSession:
             raise ValueError(f"received_at must be a timezone-aware datetime or a Receipt, got {received_at!r}")
         archive_path = Path(archive_path)
         receipt = received_at if isinstance(received_at, Receipt) else self._receive(received_at)
-        try:
-            return self._grade(archive_path, receipt)
-        except GradingLogError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - one submission must not sink the batch
-            report = AssessmentReport(None, archive_path.name, receipt.at)
-            return self._finish(report, receipt, ReportStatus.ERRORED, f"internal-error:{type(exc).__name__}", str(exc))
+        return self._grade(archive_path, receipt)
 
     def _receive(self, at: datetime | None = None) -> Receipt:
         """Stamp an archive as received now (or at ``at``), after every earlier receipt.
@@ -278,52 +272,61 @@ class GradingSession:
             return Receipt(at, next(self._receipts))
 
     def _grade(self, archive_path: Path, receipt: Receipt) -> AssessmentReport:
-        """Run the stages in order; the cause that stops them, if any, decides the terminal state."""
+        """Run the stages in order; the cause that stops them, if any, decides the terminal state.
+
+        Every exit but an unwritable log ends in the one :meth:`_finish`, with this report and its identity.
+        """
         owner = archive_owner(archive_path)
         self.log.append(EVENT_RECEIVED, receipt.at, archive=archive_path.name, owner=owner)
         report = AssessmentReport(None, archive_path.name, receipt.at, owner, scale=self.spec.rubric.scale)
         status, reason, message = ReportStatus.GRADED, "", ""
         workspace: Path | None = None
         try:
-            identity = report.identity = parse_submission_filename(archive_path.name)
-            if identity.assignment_number != self.spec.assignment_number:
-                raise ArchiveRejected(
-                    REASON_WRONG_ASSIGNMENT,
-                    f"archive is for assignment {identity.assignment_number}, "
-                    f"this session grades assignment {self.spec.assignment_number}",
-                )
-            # A "." cannot occur in a stem, which starts with a letter, so no other submission
-            # or .pch-* directory can take this name, and two archives of one submission never share a tree.
-            workspace = self._dir / f"{identity.stem()}.{receipt.seq}"
-            files = extract_archive(SubmissionRecord(archive_path), self.spec.extraction, workspace)
-            if isinstance(files, ArchiveRejected):
-                raise files
-            compile_result = report.compile_result = compile_workspace(workspace, self.spec.compiler, files, self._pch)
-            if not compile_result.succeeded:
-                self.log.append(
-                    EVENT_COMPILE_ERROR,
-                    utc_now(),
-                    submission=identity.stem(),
-                    diagnostics=[d.text for d in compile_result.diagnostics],
-                )
-            # Lexical rules read source text, so they apply whether or not the
-            # build succeeded; behaviour tests need a binary.
-            report.lexical = evaluate_ruleset(self.spec.rules, collect_sources(workspace, files))
-            if compile_result.succeeded:
-                assert compile_result.output_path is not None
-                report.blackbox = run_test_suite(
-                    compile_result.output_path, self.spec.tests, self.spec.normalization, self.spec.output_cap
-                )
-            report.score = score_submission(compile_result, report.lexical, report.blackbox, self.spec.rubric)
-        except ArchiveRejected as exc:
-            status, reason, message = ReportStatus.QUARANTINED, exc.reason, str(exc)
-            if isinstance(exc, MalformedName):
-                reason = f"malformed-name:{reason}"
-            quarantine_archive(archive_path, reason, self.quarantine_dir)
-        except CompilerNotFound as exc:
-            status, reason, message = ReportStatus.ERRORED, "compiler-not-found", str(exc)
-        except SpawnFailure as exc:
-            status, reason, message = ReportStatus.ERRORED, "spawn-failure", str(exc)
+            try:
+                identity = report.identity = parse_submission_filename(archive_path.name)
+                if identity.assignment_number != self.spec.assignment_number:
+                    raise ArchiveRejected(
+                        REASON_WRONG_ASSIGNMENT,
+                        f"archive is for assignment {identity.assignment_number}, "
+                        f"this session grades assignment {self.spec.assignment_number}",
+                    )
+                # A "." cannot occur in a stem, which starts with a letter, so no other submission
+                # or .pch-* directory can take this name, and two archives of one submission never share a tree.
+                workspace = self._dir / f"{identity.stem()}.{receipt.seq}"
+                files = extract_archive(SubmissionRecord(archive_path), self.spec.extraction, workspace)
+                if isinstance(files, ArchiveRejected):
+                    raise files
+                compile_result = report.compile_result = compile_workspace(workspace, self.spec.compiler, files, self._pch)
+                if not compile_result.succeeded:
+                    self.log.append(
+                        EVENT_COMPILE_ERROR,
+                        utc_now(),
+                        submission=identity.stem(),
+                        diagnostics=[d.text for d in compile_result.diagnostics],
+                    )
+                # Lexical rules read source text, so they apply whether or not the
+                # build succeeded; behaviour tests need a binary.
+                report.lexical = evaluate_ruleset(self.spec.rules, collect_sources(workspace, files))
+                if compile_result.succeeded:
+                    assert compile_result.output_path is not None
+                    report.blackbox = run_test_suite(
+                        compile_result.output_path, self.spec.tests, self.spec.normalization, self.spec.output_cap
+                    )
+                report.score = score_submission(compile_result, report.lexical, report.blackbox, self.spec.rubric)
+            except ArchiveRejected as exc:
+                status, reason, message = ReportStatus.QUARANTINED, exc.reason, str(exc)
+                if isinstance(exc, MalformedName):
+                    reason = f"malformed-name:{reason}"
+                quarantine_archive(archive_path, reason, self.quarantine_dir)
+            except CompilerNotFound as exc:
+                status, reason, message = ReportStatus.ERRORED, "compiler-not-found", str(exc)
+            except SpawnFailure as exc:
+                status, reason, message = ReportStatus.ERRORED, "spawn-failure", str(exc)
+        except GradingLogError:
+            raise
+        # Outside the handlers above, so that it also ends a quarantine move that fails.
+        except Exception as exc:  # noqa: BLE001 - one submission must not sink the batch
+            status, reason, message = ReportStatus.ERRORED, f"internal-error:{type(exc).__name__}", str(exc)
         finally:
             # With whatever the tests wrote into it: disk use is bounded by the submissions in flight.
             if workspace is not None:

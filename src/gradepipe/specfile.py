@@ -15,7 +15,8 @@ or test but its id. Omitted keys take the class's own default (a rule's
 description is its id, its polarity must-match; a test's stdin is empty).
 The range checks of a section, rule or test live only in its class's
 ``__post_init__``; ``load_spec`` checks ``assignment`` and ``output_cap``
-itself, so that their problems are listed with the rest.
+itself, so that their problems are listed with the rest, and refuses
+``allowed_extensions`` that admit no file the compiler builds.
 
 Specs are parsed with libyaml's ``CSafeLoader`` where PyYAML was built with
 it, and with ``_SafeLoader`` otherwise; both build the same values. An
@@ -40,7 +41,7 @@ import yaml
 
 from .assess import Rubric
 from .blackbox import DEFAULT_OUTPUT_CAP, NormalizationPolicy, TestCase
-from .build import CompilerProfile
+from .build import COMPILE_EXTENSIONS, CompilerProfile
 from .ingest import ExtractionLimits
 from .lexcheck import LexicalRule, RulePolarity, join_pattern_lines
 
@@ -339,6 +340,9 @@ def load_spec(path: Path | str) -> AssignmentSpec:
         problems.append("assignment: required, must be a non-negative integer")
 
     sections = {name: _parse_section(name, raw.get(name), problems) for name in _SECTIONS}
+    if not sections["extraction"].allowed_extensions & COMPILE_EXTENSIONS:  # else no archive has a source to build
+        sources = ", ".join(sorted(COMPILE_EXTENSIONS))
+        problems.append(f"extraction: allowed_extensions must include one of {sources}")
     rules = _parse_rules(raw.get("rules"), problems)
     tests = _parse_tests(raw.get("tests"), path.parent, problems)
 

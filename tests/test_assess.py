@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import threading
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -73,6 +74,9 @@ def test_rubric_defaults_are_valid():
         {"lexical_weight": -0.1, "blackbox_weight": 1.1},
         {"scale": 0},
         {"scale": -10},
+        # Weights sum to exactly 1 as written; 1e-9 past 1, a passing score at this scale would not fit a float.
+        {"lexical_weight": 0.3333333333, "blackbox_weight": 0.6666666666},
+        {"lexical_weight": 0.5000000005, "blackbox_weight": 0.5, "scale": sys.float_info.max},
     ],
 )
 def test_rubric_rejects_bad_values(kwargs):
@@ -174,6 +178,26 @@ def test_format_score():
     assert format_score(66.666, 100.0) == "66.67/100"
     assert format_score(0.0, 100.0) == "0.0/100"
     assert format_score(17.5, 20.0) == "17.5/20"
+    # A tie rounds half to even as the decimal the JSON writes, whichever side of it the binary float lies.
+    assert format_score(3.225, 10.0) == "3.22/10"
+    assert format_score(2.675, 10.0) == "2.68/10"
+
+
+def test_the_printed_score_is_the_exact_score_rounded_half_to_even():
+    for lexical_weight, blackbox_weight in [("0.3", "0.7"), ("0.5", "0.5"), ("0.35", "0.65"), ("0.15", "0.85")]:
+        for scale in (10, 20, 50, 100):
+            rubric = Rubric(float(lexical_weight), float(blackbox_weight), scale=float(scale))
+            for rule_count in range(1, 6):
+                for satisfied in range(rule_count + 1):
+                    rules = lexical(*[index < satisfied for index in range(rule_count)])
+                    for test_count in range(1, 9):
+                        for passed in range(test_count + 1):
+                            tests = suite(*[PASS if index < passed else FAIL for index in range(test_count)])
+                            exact = scale * (Fraction(lexical_weight) * Fraction(satisfied, rule_count)
+                                             + Fraction(blackbox_weight) * Fraction(passed, test_count))
+                            score = score_submission(compile_ok(), rules, tests, rubric)
+                            assert format_score(score, rubric.scale) == f"{float(round(exact, 2))}/{scale}", (
+                                lexical_weight, scale, satisfied, rule_count, passed, test_count)
 
 
 # -- report skeleton and invariants ---------------------------------------------

@@ -310,23 +310,6 @@ def test_spawn_failure_is_an_environment_error(leap_spec, session_factory, tmp_p
     assert list(session._dir.glob("Ada_Lovelace_3.*")) == [], "a build dir was left"
 
 
-def test_unexpected_exception_becomes_internal_error(leap_spec, session_factory, tmp_path, monkeypatch):
-    session = session_factory(leap_spec)
-    archive = drop(tmp_path / "inbox", "Ada_Lovelace_3.zip", {"main.cpp": source("leap_nested.cpp")})
-
-    def explode(*args, **kwargs):
-        raise RuntimeError("wires crossed")
-
-    monkeypatch.setattr("gradepipe.pipeline.compile_workspace", explode)
-    report = session.grade_archive(archive)
-
-    assert report.status is ReportStatus.ERRORED
-    assert report.detail == "internal-error:RuntimeError"
-    events = read_log_events(session.log.path)
-    assert events[-1]["kind"] == "errored"
-    assert events[-1]["message"] == "wires crossed"
-
-
 def test_unwritable_reports_dir_marks_submission_errored(leap_spec, session_factory, tmp_path):
     session = session_factory(leap_spec)
     session.reports_dir.parent.mkdir(parents=True, exist_ok=True)
@@ -745,6 +728,77 @@ def test_a_workspace_removed_under_its_compile_is_an_internal_error(leap_spec, s
     monkeypatch.setattr(build, "_run_compiler", removed_first)
     report = session.grade_archive(archive)
     assert (report.status, report.detail) == (ReportStatus.ERRORED, "internal-error:FileNotFoundError")
+
+
+def test_an_internal_error_in_a_newer_upload_replaces_the_older_pair(leap_spec, session_factory, tmp_path, monkeypatch):
+    session = session_factory(leap_spec)
+    archive = drop(tmp_path / "inbox", "Ada_Lovelace_3.zip", {"main.cpp": source("leap_nested.cpp")})
+    assert session.grade_archive(archive, T0).status is ReportStatus.GRADED
+    compile_workspace = pipeline.compile_workspace
+
+    def removed_first(workspace, *args):  # as a classmate's program may do
+        shutil.rmtree(workspace)
+        return compile_workspace(workspace, *args)
+
+    monkeypatch.setattr(pipeline, "compile_workspace", removed_first)
+    report = session.grade_archive(archive, T0 + timedelta(seconds=1))
+
+    assert (report.status, report.detail) == (ReportStatus.ERRORED, "internal-error:FileNotFoundError")
+    payload = read_report(session.reports_dir, "Ada_Lovelace_3")
+    assert (payload["student"], payload["status"], payload["score"]) == ("Ada Lovelace", "Errored", None)
+    assert payload["detail"] == "internal-error:FileNotFoundError"
+    assert "Status:     Errored" in (session.reports_dir / "Ada_Lovelace_3.report.txt").read_text(encoding="utf-8")
+    events = read_log_events(session.log.path)
+    assert [event["kind"] for event in events] == ["received", "graded", "received", "superseded", "errored"]
+    assert events[-2]["superseded_received_at"] == T0.isoformat()
+    assert events[-1]["submission"] == "Ada_Lovelace_3"
+
+
+def test_a_failed_quarantine_move_ends_its_submission_errored_and_the_batch_goes_on(leap_spec, session_factory,
+                                                                                   tmp_path):
+    session = session_factory(leap_spec)
+    session.quarantine_dir.parent.mkdir(parents=True, exist_ok=True)
+    session.quarantine_dir.write_text("a file where the directory should be", encoding="utf-8")
+    inbox = tmp_path / "inbox"
+    drop(inbox, "Ada_Lovelace_3.zip", {"main.cpp": source("leap_nested.cpp")})
+    (inbox / "Greta_Garbo_3.zip").write_bytes(b"PK\x03\x04 but the rest is nonsense")
+
+    summary = session.run_batch(inbox)
+
+    assert (summary.graded, summary.quarantined, summary.errored) == (1, 0, 1)
+    assert (inbox / "Greta_Garbo_3.zip").exists(), "an Errored archive stays in the inbox for a regrade"
+    payload = read_report(session.reports_dir, "Greta_Garbo_3")
+    assert (payload["status"], payload["detail"]) == ("Errored", "internal-error:FileExistsError")
+    ends = [(event["kind"], event["submission"]) for event in read_log_events(session.log.path) if is_terminal(event)]
+    assert sorted(ends) == [("errored", "Greta_Garbo_3"), ("graded", "Ada_Lovelace_3")]
+
+
+@pytest.mark.parametrize("stage", [
+    "parse_submission_filename", "extract_archive", "compile_workspace", "collect_sources", "evaluate_ruleset",
+    "run_test_suite", "score_submission", "quarantine_archive",
+])
+def test_an_exception_in_any_stage_ends_its_submission_errored_once(stage, leap_spec, session_factory, tmp_path,
+                                                                   monkeypatch):
+    session = session_factory(leap_spec)
+    archive = drop(tmp_path / "inbox", "Ada_Lovelace_3.zip", {"main.cpp": source("leap_nested.cpp")})
+    if stage == "quarantine_archive":
+        archive.write_bytes(b"PK\x03\x04 but the rest is nonsense")
+
+    def explode(*args, **kwargs):
+        raise RuntimeError(f"{stage} broke")
+
+    monkeypatch.setattr(pipeline, stage, explode)
+    report = session.grade_archive(archive)
+
+    assert (report.status, report.detail, report.score) == (ReportStatus.ERRORED, "internal-error:RuntimeError", None)
+    # Only an archive whose name never parsed has no submission to name and no pair.
+    stem = None if stage == "parse_submission_filename" else "Ada_Lovelace_3"
+    ends = [(event["kind"], event["submission"], event["message"])
+            for event in read_log_events(session.log.path) if is_terminal(event)]
+    assert ends == [("errored", stem, f"{stage} broke")]
+    assert (session.reports_dir / "Ada_Lovelace_3.report.json").exists() == (stem is not None)
+    assert archive.exists(), "an Errored archive stays in the inbox for a regrade"
+    assert list(session._dir.glob("Ada_Lovelace_3.*")) == [], "a build dir was left"
 
 
 NOT_REGULAR = ["Dan_Gling_3.zip", "Fi_Fo_3.zip", "So_Cket_3.zip"]

@@ -245,10 +245,20 @@ def test_specific_problems_are_caught(tmp_path, body, needle):
             "extraction:\n  allowed_extensions: [1]\n",
             ["extraction: allowed_extensions must be a list of extension strings"],
         ),
+        # No archive could hold a file to compile: each would be quarantined, or graded 0 with only a header.
+        (
+            "extraction:\n  allowed_extensions: [txt, h]\n",
+            ["extraction: allowed_extensions must include one of .c, .cc, .cpp, .cxx"],
+        ),
+        (
+            "extraction:\n  allowed_extensions: []\n",
+            ["extraction: allowed_extensions must include one of .c, .cc, .cpp, .cxx"],
+        ),
     ],
     ids=[
         "pattern-absent", "pattern-number", "pattern-blank", "expected-absent", "expected-list", "expected-file-number",
         "compiler-list", "rules-mapping", "test-string", "description-number", "extension-number",
+        "no-source-extension", "no-extension",
     ],
 )
 def test_each_fault_is_one_problem(tmp_path, body, problems):
