@@ -333,12 +333,6 @@ class GradingLog:
             except OSError:
                 pass
 
-    def __enter__(self) -> GradingLog:
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
 
 def read_log_events(path: Path) -> list[dict[str, Any]]:
     """Parse a grading log back into event dicts, skipping a last line whose append never finished.

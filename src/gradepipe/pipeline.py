@@ -82,8 +82,6 @@ MIN_POLL_INTERVAL = 1.0
 # moved into it, and this many times per poll interval in any case, so an
 # upload that raised no event is seen a quarter interval after it lands.
 SCANS_PER_INTERVAL = 4
-# Listings woken by events are this far apart, so a burst costs one listing.
-_EVENT_COALESCE_SECS = 0.01
 _STOP_CHECK_SECS = 0.1  # a wait notices ``stop`` within this
 _IN_CLOSE_WRITE = 0x08  # from <sys/inotify.h>
 _IN_MOVED_TO = 0x80
@@ -136,18 +134,17 @@ def _inbox_events(inbox: Path) -> int | None:
 
 
 def _wait_for_inbox(events: int | None, wake: int, stop: threading.Event, deadline: float) -> bool:
-    """Wait until ``deadline`` on ``time.monotonic``, until ``stop`` is set, just after an inbox event, or for ``wake``.
+    """Wait until ``deadline`` on ``time.monotonic``, until ``stop`` is set, for an inbox event, or for ``wake``.
 
-    Returns True only when ``wake``, an eventfd that a finished archive
-    writes to, ended the wait: a worker is free, and the inbox needs no new
+    Returns True only when ``wake``, an eventfd that each finished archive
+    writes to, ended the wait: a grading ended, and the inbox needs no new
     listing. An inbox event is only a cue to list, so its queue is drained
-    unread. With ``events`` None only ``wake`` and the deadline end the wait.
+    unread, and the wait ends at once. With ``events`` None only ``wake``
+    and the deadline end the wait.
     """
     watched = [wake] if events is None else [wake, events]
     while not stop.is_set() and (left := deadline - time.monotonic()) > 0:
         if ready := select.select(watched, [], [], min(left, _STOP_CHECK_SECS))[0]:
-            if ready[0] == events:
-                stop.wait(_EVENT_COALESCE_SECS)
             os.read(ready[0], 64 * 1024)  # the eventfd's count, or a few thousand events; any left wake the next wait
             return ready[0] == wake
     return False
@@ -417,9 +414,9 @@ class GradingSession:
         pool never holds an archive that has not started, and ``stop`` is
         checked on this thread just before each start: a signal handler, which
         Python runs on the main thread, sets it before a run driven from there
-        starts anything more. An archive that finishes while others wait in the
-        backlog writes to ``wake``, a watch's eventfd, so the watch yields an
-        empty listing to refill its worker. The run ends when the listings
+        starts anything more. Each archive that finishes writes to ``wake``, a
+        watch's eventfd, so the watch yields an empty listing at once, which
+        counts it and refills its worker. The run ends when the listings
         do and nothing is in flight. An exception from a submission (an
         unwritable log) or raised while the run waits (Ctrl-C, where the caller
         installed no handler for it) propagates once those in flight have
@@ -437,8 +434,8 @@ class GradingSession:
                 summary.record(done.pop().result())
             while backlog and len(pending) < self.jobs and not stop.is_set():
                 future = executor.submit(self.grade_archive, *backlog.popleft())
-                if wake is not None:  # a deque's length is read atomically; with none held back, no worker is awaited
-                    future.add_done_callback(lambda _: backlog and os.eventfd_write(wake, 1))
+                if wake is not None:
+                    future.add_done_callback(lambda _: os.eventfd_write(wake, 1))
                 pending.add(future)
 
         with ThreadPoolExecutor(max_workers=self.jobs) as executor:
@@ -484,23 +481,22 @@ class GradingSession:
     ) -> BatchSummary:
         """Watch the inbox until ``stop`` is set, grading archives as they settle.
 
-        The inbox is listed about 10 ms after Linux inotify reports a file
-        written or moved into it, and ``SCANS_PER_INTERVAL`` times per
-        interval in any case, which is all there is without inotify or on a
-        filesystem (NFS) that raises no events; there is no setting for it.
+        The inbox is listed as soon as Linux inotify reports a file written
+        or moved into it, and ``SCANS_PER_INTERVAL`` times per interval in
+        any case, which is all there is without inotify or on a filesystem
+        (NFS) that raises no events; there is no setting for it.
         A file is picked up at the first listing if it is one whole zip
         whose entries pass their CRC check, else once every listing over
         ``poll_interval`` seconds has seen its size and mtime unchanged (see
         :class:`InboxScanner`), so an upload is never opened half-written.
         Resubmissions under the same name are graded again and the older
-        report is superseded. Each listing also counts the submissions that
-        have finished since the last one, so an unwritable audit log raises
-        :class:`GradingLogError` within a quarter interval. A submission that
-        finishes while archives are held back for a free worker ends the wait
-        at once and, without a listing, starts the next of them. It stops as
-        :meth:`run_batch` does. Raises ValueError, opening nothing, for a poll
-        interval that is not a finite number of at least ``MIN_POLL_INTERVAL``
-        seconds, or an inbox that ``run_batch`` refuses.
+        report is superseded. Each submission that finishes ends the wait at
+        once and, without a listing, is counted and frees its worker for the
+        next archive held back, so an unwritable audit log raises
+        :class:`GradingLogError` as soon as the submission that hit it ends.
+        It stops as :meth:`run_batch` does. Raises ValueError, opening
+        nothing, for a poll interval that is not a finite number of at least
+        ``MIN_POLL_INTERVAL`` seconds, or an inbox that ``run_batch`` refuses.
         """
         inbox = check_inbox(inbox, (self.workspace_root, self.reports_dir, self.quarantine_dir), poll_interval)
         stop = stop or threading.Event()
@@ -513,7 +509,7 @@ class GradingSession:
                 yield scanner.poll()
                 deadline = time.monotonic() + poll_interval / SCANS_PER_INTERVAL
                 while _wait_for_inbox(events, wake, stop, deadline):
-                    yield []  # a worker is free: count what finished and refill it, then wait out the rest
+                    yield []  # a grading ended: count it and refill its worker, then wait out the rest
 
         self._pch.expect(None)
         try:

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import random
 import sys
@@ -457,7 +458,7 @@ def test_a_report_without_an_identity_names_its_archive():
 
 def test_log_appends_jsonl(tmp_path):
     path = tmp_path / "grading.log"
-    with GradingLog(path) as log:
+    with contextlib.closing(GradingLog(path)) as log:
         log.append("received", RECEIVED, archive="Ada_Lovelace_3.zip")
         log.append("graded", RECEIVED, submission="Ada_Lovelace_3", score=70.0)
     events = read_log_events(path)
@@ -468,9 +469,9 @@ def test_log_appends_jsonl(tmp_path):
 
 def test_log_is_append_only_across_sessions(tmp_path):
     path = tmp_path / "grading.log"
-    with GradingLog(path) as log:
+    with contextlib.closing(GradingLog(path)) as log:
         log.append("received", RECEIVED, archive="first.zip")
-    with GradingLog(path) as log:
+    with contextlib.closing(GradingLog(path)) as log:
         log.append("received", RECEIVED, archive="second.zip")
     events = read_log_events(path)
     assert [e["archive"] for e in events] == ["first.zip", "second.zip"]
@@ -478,13 +479,13 @@ def test_log_is_append_only_across_sessions(tmp_path):
 
 def test_torn_last_line_is_skipped_and_the_next_session_starts_a_fresh_line(tmp_path):
     path = tmp_path / "grading.log"
-    with GradingLog(path) as log:
+    with contextlib.closing(GradingLog(path)) as log:
         log.append("received", RECEIVED, archive="first.zip")
     with open(path, "a", encoding="utf-8") as handle:
         handle.write('{"timestamp": "x", "ki')  # an append cut off before its newline
     assert [e["archive"] for e in read_log_events(path)] == ["first.zip"], "only the torn last line is skipped"
 
-    with GradingLog(path) as log:
+    with contextlib.closing(GradingLog(path)) as log:
         log.append("received", RECEIVED, archive="second.zip")
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     assert lines[1] == '{"timestamp": "x", "ki\n', "the torn line is kept, ended by the new session"
@@ -495,7 +496,7 @@ def test_torn_last_line_is_skipped_and_the_next_session_starts_a_fresh_line(tmp_
 
 def test_a_malformed_line_is_reported_with_the_log_path_and_its_line(tmp_path):
     path = tmp_path / "grading.log"
-    with GradingLog(path) as log:
+    with contextlib.closing(GradingLog(path)) as log:
         log.append("received", RECEIVED, archive="first.zip")
         log.append("received", RECEIVED, archive="second.zip")
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -509,7 +510,7 @@ def test_a_malformed_line_is_reported_with_the_log_path_and_its_line(tmp_path):
 
 def test_a_log_that_can_be_appended_to_but_not_read_still_opens(tmp_path, monkeypatch):
     path = tmp_path / "grading.log"
-    with GradingLog(path) as log:
+    with contextlib.closing(GradingLog(path)) as log:
         log.append("received", RECEIVED, archive="first.zip")
 
     def write_only(file, mode="r", *args, **kwargs):
@@ -518,7 +519,7 @@ def test_a_log_that_can_be_appended_to_but_not_read_still_opens(tmp_path, monkey
         return open(file, mode, *args, **kwargs)
 
     monkeypatch.setattr(assess, "open", write_only, raising=False)
-    with GradingLog(path) as log:
+    with contextlib.closing(GradingLog(path)) as log:
         log.append("received", RECEIVED, archive="second.zip")
     monkeypatch.undo()
     assert [e["archive"] for e in read_log_events(path)] == ["first.zip", "second.zip"]
@@ -526,7 +527,7 @@ def test_a_log_that_can_be_appended_to_but_not_read_still_opens(tmp_path, monkey
 
 def test_log_survives_concurrent_appends(tmp_path):
     path = tmp_path / "grading.log"
-    with GradingLog(path) as log:
+    with contextlib.closing(GradingLog(path)) as log:
         threads = [
             threading.Thread(
                 target=lambda worker=w: [
